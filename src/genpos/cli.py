@@ -22,7 +22,8 @@ seed?}``; ``--threads``, ``--cap`` and ``--time-limit`` tune the solver;
 
 Exit codes: 0 success, 1 computation or claim failed, 2 usage or parse
 error.  A search stopped by a budget exits 0 with an explicit
-``skipped-budget`` marker unless ``--strict`` is given.
+``skipped-budget`` marker unless ``--strict`` is given; a ``count``
+stopped by ``--time-limit`` has no partial answer and exits 1.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .randomized import first_moment_construct, p_exact
 from .solver import (
     DEFAULT_ENUM_CAP,
     DEFAULT_SEARCH_CAP,
+    BudgetExhausted,
     SearchLimits,
     count_maximum_gp_sets,
     gp_exact,
@@ -135,7 +137,7 @@ def _cmd_check(args):
 def _cmd_count(args):
     g = _build(args)
     cap = args.cap if args.cap is not None else DEFAULT_ENUM_CAP
-    value, count = count_maximum_gp_sets(g, cap=cap)
+    value, count = count_maximum_gp_sets(g, cap=cap, limits=_limits(args))
     return {"gp": value, "count": count}, g.spec, 0
 
 
@@ -397,7 +399,7 @@ def main(argv=None) -> int:
     except (GraphSpecError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VertexCapError, ValueError, ArithmeticError) as exc:
+    except (VertexCapError, ValueError, ArithmeticError, BudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.monotonic() - started) * 1000

@@ -27,7 +27,6 @@ order on coordinate tuples.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from math import prod
@@ -77,7 +76,7 @@ class FactorGraph:
     families and ``None`` for explicit graphs.
     """
 
-    __slots__ = ("kind", "n", "adj", "label", "_dist", "_dist_lock")
+    __slots__ = ("kind", "n", "adj", "label", "_dist")
 
     def __init__(self, kind: str, adjacency, label: str | None = None):
         adj = tuple(tuple(sorted(set(ns))) for ns in adjacency)
@@ -99,7 +98,6 @@ class FactorGraph:
         self.adj = adj
         self.label = label
         self._dist = None
-        self._dist_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # constructors for the standard families
@@ -143,16 +141,12 @@ class FactorGraph:
     def dist(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs distance table, computed once by per-source BFS."""
         if self._dist is None:
-            with self._dist_lock:
-                if self._dist is None:
-                    if self.n > _FACTOR_DIST_CAP:
-                        raise VertexCapError(
-                            f"all-pairs table refused for factor with {self.n} "
-                            f"vertices (cap {_FACTOR_DIST_CAP})"
-                        )
-                    self._dist = tuple(
-                        tuple(_bfs_lengths(self.adj, s)) for s in range(self.n)
-                    )
+            if self.n > _FACTOR_DIST_CAP:
+                raise VertexCapError(
+                    f"all-pairs table refused for factor with {self.n} "
+                    f"vertices (cap {_FACTOR_DIST_CAP})"
+                )
+            self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
         return self._dist
 
     def distance(self, u: int, v: int) -> int:

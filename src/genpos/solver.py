@@ -7,12 +7,21 @@ extending the current set by v filters the candidate set with one AND per
 already-chosen vertex.  Subtrees that cannot beat (or, when counting,
 cannot tie) the incumbent are cut with the bound |S| + |candidates|.
 
-Determinism: vertices are branched in increasing flat index, so the
-reported witness is the lexicographically first maximum set, and the
-result is identical for 1 and N worker processes.  Parallel runs split
-the search on the first two chosen vertices; workers share a monotone
-best-size bound that only prunes subtrees unable to *tie* the global
-best, which preserves each task's lexicographically first witness.
+Determinism: vertices are branched in increasing flat index, and the
+first chosen vertex is only ever an *orbit-minimal* one: the smallest
+flat index in its orbit under the automorphisms read off the spec
+(dihedral on ``C n``, all of S_n on ``K n``, reversal on ``P n``, leaf
+permutations on ``S k``, none on explicit factors, and permutations of
+factors with the same label; see :func:`orbit_canonical`).  The reported
+witness is still the lexicographically first maximum set S*: if an
+automorphism sigma mapped min(S*) below itself, sigma(S*) would be a
+lex-smaller maximum set, so min(S*) is orbit-minimal and its subtree is
+searched.  Every set also has an image whose minimum is orbit-minimal,
+so the value is unchanged.  The result is identical for 1 and N worker
+processes.  Parallel runs split the search on the first two chosen
+vertices (the first orbit-minimal); workers share a monotone best-size
+bound that only prunes subtrees unable to *tie* the global best, which
+preserves each task's lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -58,7 +67,6 @@ class SearchResult:
     nodes_explored: int
     elapsed: float
     complete: bool
-    max_set_count: int | None = None
 
     def __str__(self):
         status = "" if self.complete else " (budget exhausted; best found)"
@@ -152,6 +160,53 @@ def _bits(mask: int) -> set[int]:
         out.add(b.bit_length() - 1)
         mask ^= b
     return out
+
+
+# ----------------------------------------------------------------------
+# symmetry
+
+def _factor_orbit_min(f: FactorGraph, i: int) -> int:
+    """Smallest vertex in the orbit of ``i`` under the factor's automorphisms
+    used here: all of C n and K n is one orbit, P n pairs i with n-1-i,
+    the leaves of S k form one orbit, an explicit factor is taken as
+    asymmetric."""
+    if f.kind in ("cycle", "complete"):
+        return 0
+    if f.kind == "path":
+        return min(i, f.n - 1 - i)
+    if f.kind == "star":
+        return min(i, 1)
+    return i
+
+
+def orbit_canonical(g: ProductGraph, v: Coord) -> Coord:
+    """Lexicographically smallest vertex in the orbit of ``v`` under the
+    factor automorphisms and the permutations of same-label factors.
+
+    Each coordinate goes to the smallest vertex of its factor orbit, then
+    the values on the positions of each group of same-label factors are
+    sorted ascending.  ``v`` is orbit-minimal iff it equals the result.
+    """
+    out = [_factor_orbit_min(f, c) for f, c in zip(g.factors, v)]
+    groups: dict[str, list[int]] = {}
+    for pos, f in enumerate(g.factors):
+        if f.label is not None:
+            groups.setdefault(f.label, []).append(pos)
+    for positions in groups.values():
+        for pos, c in zip(positions, sorted(out[p] for p in positions)):
+            out[pos] = c
+    return tuple(out)
+
+
+def _orbit_minimal_roots(g: ProductGraph) -> list[int]:
+    """Flat indices, ascending, of the orbit-minimal vertices: the only
+    first vertices the max-search branches on."""
+    return [i for i, v in enumerate(g.vertices()) if orbit_canonical(g, v) == v]
+
+
+def _above(v: int, n: int) -> int:
+    """Bitset of the vertices v+1..n-1."""
+    return ((1 << n) - 1) >> (v + 1) << (v + 1)
 
 
 # ----------------------------------------------------------------------
@@ -293,14 +348,12 @@ def _worker_task(task):
     return best, witness, nodes, complete
 
 
-def _parallel_max(allowed, n, threads, limits):
-    full = (1 << n) - 1
-    tasks = []
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            cand = (full >> (v2 + 1)) << (v2 + 1)
-            cand &= allowed[v1][v2]
-            tasks.append((v1, v2, cand))
+def _parallel_max(allowed, roots, n, threads, limits):
+    tasks = [
+        (v1, v2, _above(v2, n) & allowed[v1][v2])
+        for v1 in roots
+        for v2 in range(v1 + 1, n)
+    ]
     deadline_wall = None
     if limits is not None and limits.time_limit is not None:
         deadline_wall = time.time() + limits.time_limit
@@ -346,8 +399,10 @@ def gp_exact(
     """Exact maximum general position set of ``g``.
 
     Deterministic: the witness is the lexicographically first maximum set
-    in flat-index order regardless of ``threads``.  With a budget, an
-    exhausted search returns ``complete=False`` and the best set found.
+    in flat-index order regardless of ``threads``; only orbit-minimal
+    vertices are tried as the first vertex (see the module docstring).
+    With a budget, an exhausted search returns ``complete=False`` and the
+    best set found.
     """
     g = _as_product(g)
     n = g.total_vertices
@@ -356,14 +411,15 @@ def gp_exact(
     started = time.monotonic()
     index = BadTripleIndex.build(g, cap=cap)
     allowed = index.allowed_tables()
+    roots = _orbit_minimal_roots(g)
 
     if n == 1:
         witness, best, nodes, complete = [0], 1, 1, True
     elif threads > 1 and n >= 3:
-        best, witness, nodes, complete = _parallel_max(allowed, n, threads, limits)
+        best, witness, nodes, complete = _parallel_max(allowed, roots, n, threads, limits)
     else:
         best, witness, nodes, complete = _run_max(
-            allowed, [([], (1 << n) - 1)], 0, [], limits
+            allowed, (([v], _above(v, n)) for v in roots), 1, [0], limits
         )
     elapsed = time.monotonic() - started
     members = [g.decode(i) for i in witness]

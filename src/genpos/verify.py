@@ -5,8 +5,9 @@ constructions with an independent way of computing it (exact search,
 exhaustive enumeration, or direct counting).  ``run_claims`` executes the
 registry and returns one record per claim id with status ``pass``,
 ``fail``, ``skipped-budget`` (a budget or --quick cut the computation
-short) or ``discrepancy-documented`` (the expected outcome for the one
-claim that enumeration refutes).
+short) or ``discrepancy-documented`` (the expected outcome for the claims
+whose published value exact computation refutes: ``grid-count-formula``,
+``torus-gp-8x7`` and ``star-formula-discrepancy``).
 """
 
 from __future__ import annotations

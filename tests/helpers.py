@@ -62,3 +62,24 @@ def naive_count_maximum(g: ProductGraph) -> tuple[int, int]:
             break
         best, count = k, c
     return best, count
+
+
+def naive_lex_first_max(g: ProductGraph) -> tuple[int, tuple]:
+    """(gp value, lexicographically first maximum set as coordinate tuples).
+
+    For each size k, the first k-subset in ``itertools.combinations`` order
+    (which is lexicographic on flat indices) that is in general position;
+    the last size with one is the gp value.
+    """
+    D = bfs_distance_table(g)
+    n = len(D)
+    first: tuple[int, ...] = ()
+    for k in range(1, n + 1):
+        found = next(
+            (sub for sub in combinations(range(n), k) if subset_in_general_position(D, sub)),
+            None,
+        )
+        if found is None:
+            break
+        first = found
+    return len(first), tuple(g.decode(i) for i in first)

@@ -159,6 +159,13 @@ def test_budget_exhaustion_is_not_failure_unless_strict(capsys):
     assert code == 1
 
 
+def test_count_budget_exhaustion_exits_1(capsys):
+    code, out, err = run_cli(capsys, ["count", "K4^3", "--time-limit", "0.001"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget exhausted" in err
+    assert "Traceback" not in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, ["gp", "P3xP3", "--json", "--out", str(target)])

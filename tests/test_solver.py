@@ -1,19 +1,25 @@
 """Exact search, enumeration, and cover bounds against independent oracles."""
 
-import pytest
+from math import prod
 
-from genpos.graphs import build, VertexCapError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genpos.graphs import FactorGraph, FactorSpec, ProductGraph, build, VertexCapError
 from genpos.position import independence_check, is_general_position
 from genpos.formulas import cylinder_witness, grid_gp_count, torus_quadrant_cover
 from genpos.solver import (
     BadTripleIndex,
     SearchLimits,
+    _orbit_minimal_roots,
     count_maximum_gp_sets,
     enumerate_maximum_gp_sets,
     gp_exact,
     isometric_cover_bound,
+    orbit_canonical,
 )
-from helpers import naive_count_maximum, naive_gp
+from helpers import bfs_distance_table, naive_count_maximum, naive_gp, naive_lex_first_max
 
 SMALL_CORPUS = [
     "P2xP2",
@@ -65,6 +71,74 @@ def test_witness_is_lex_first_maximum_set():
         res = gp_exact(g)
         _, sets = enumerate_maximum_gp_sets(g)
         assert tuple(res.witness) == sets[0]  # enumeration emits lex order
+
+
+# ----------------------------------------------------------------------
+# symmetry: orbit-minimal first vertices
+
+_PAW = [[1], [0, 2, 3], [1, 3], [1, 2]]  # asymmetric apart from swapping 2 and 3
+_P4_EXPLICIT = [[1], [0, 2], [1, 3], [2]]  # symmetric, but explicit factors get no automorphism
+
+SYMMETRY_CORPUS = {
+    "P5": build("P5"),  # odd path: the middle vertex is its own mirror
+    "P4xP3": build("P4xP3"),  # even and odd path
+    "C5xP3": build("C5xP3"),
+    "K4xP3": build("K4xP3"),
+    "S3xP3": build("S3xP3"),
+    "S2xS2": build("S2xS2"),
+    "C3xP2xC3": build("C3xP2xC3"),  # same-label factors, not adjacent
+    "P3xK2xP3": build("P3xK2xP3"),
+    "paw x P3": ProductGraph([FactorGraph.explicit(_PAW), FactorGraph.path(3)]),
+    "C4 x explicit P4": ProductGraph([FactorGraph.cycle(4), FactorGraph.explicit(_P4_EXPLICIT)]),
+    "paw x explicit P4": ProductGraph([FactorGraph.explicit(_PAW), FactorGraph.explicit(_P4_EXPLICIT)]),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CORPUS)
+def test_witness_is_naive_lex_first_maximum_set(name):
+    g = SYMMETRY_CORPUS[name]
+    res = gp_exact(g)
+    assert res.complete
+    assert (res.gp_value, tuple(res.witness)) == naive_lex_first_max(g)
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CORPUS)
+def test_canonical_form_has_the_same_distance_profile(name):
+    g = SYMMETRY_CORPUS[name]
+    D = bfs_distance_table(g)
+    for i, v in enumerate(g.vertices()):
+        c = orbit_canonical(g, v)
+        assert c <= v
+        assert sorted(D[i]) == sorted(D[g.encode(c)]), (v, c)
+
+
+def test_orbit_minimal_roots():
+    assert _orbit_minimal_roots(build("C5xC5")) == [0]  # vertex-transitive
+    assert _orbit_minimal_roots(build("K2^4")) == [0]
+    g = build("P3xP4")
+    assert [g.decode(i) for i in _orbit_minimal_roots(g)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    explicit = SYMMETRY_CORPUS["C4 x explicit P4"]
+    assert [explicit.decode(i) for i in _orbit_minimal_roots(explicit)] == [(0, j) for j in range(4)]
+
+
+_small_factor = st.one_of(
+    st.builds(FactorSpec, st.just("P"), st.integers(1, 6)),
+    st.builds(FactorSpec, st.just("C"), st.integers(3, 6)),
+    st.builds(FactorSpec, st.just("K"), st.integers(1, 4)),
+    st.builds(FactorSpec, st.just("S"), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_small_factor, min_size=1, max_size=3).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 18
+    )
+)
+def test_witness_is_lex_first_on_random_products(factors):
+    g = ProductGraph([f.build() for f in factors])
+    res = gp_exact(g)
+    assert (res.gp_value, tuple(res.witness)) == naive_lex_first_max(g)
 
 
 def test_single_vertex_graph():
