@@ -40,7 +40,6 @@ from .solver import (
 )
 from .formulas import (
     TorusBounds,
-    ValueClaim,
     cycle_gp_triple,
     cylinder_gp_value,
     cylinder_witness,
@@ -50,7 +49,6 @@ from .formulas import (
     torus_quadrant_cover,
     torus_witness6,
     torus_witness7,
-    value_claim,
 )
 from .randomized import (
     SampleRun,
@@ -90,7 +88,6 @@ __all__ = [
     "enumerate_maximum_gp_sets",
     "isometric_cover_bound",
     "TorusBounds",
-    "ValueClaim",
     "grid_gp_count",
     "cylinder_gp_value",
     "torus_gp_bounds",
@@ -100,7 +97,6 @@ __all__ = [
     "torus_witness6",
     "torus_witness7",
     "torus_quadrant_cover",
-    "value_claim",
     "SplitMix64",
     "SampleRun",
     "p_exact",

@@ -17,7 +17,7 @@ alone; spaces inside are ignored).
 
 Common flags on every subcommand: ``--json`` emits a single JSON document
 with stable key order ``{tool_version, command, spec, result, elapsed_ms,
-seed?}``; ``--threads``, ``--cap`` and ``--time-limit`` tune the solver;
+seed?}``; ``--cap`` and ``--time-limit`` tune the solver;
 ``--out FILE`` writes the output to a file instead of stdout.
 
 Exit codes: 0 success, 1 computation or claim failed, 2 usage or parse
@@ -32,6 +32,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .formulas import (
@@ -46,7 +47,7 @@ from .formulas import (
 )
 from .graphs import GraphSpecError, VertexCapError, build, parse_spec
 from .position import find_violating_triple
-from .randomized import first_moment_construct, p_exact
+from .randomized import DEFAULT_DIRECT_CAP, first_moment_construct, p_exact
 from .solver import (
     DEFAULT_ENUM_CAP,
     DEFAULT_SEARCH_CAP,
@@ -107,7 +108,6 @@ def _cmd_gp(args):
     res = gp_exact(
         g,
         limits=_limits(args),
-        threads=args.threads,
         cap=args.cap if args.cap is not None else DEFAULT_SEARCH_CAP,
     )
     result = {
@@ -188,10 +188,27 @@ def _cmd_construct(args):
     return result, w.host.spec, 0
 
 
+# p multiplies factor probabilities, so it never builds the product and
+# ``--cap`` does not apply.  With at most this many factors, each of at most
+# DEFAULT_DIRECT_CAP = 10^4 vertices, the exact denominator stays below
+# (10^4)^(3 * 256) = 10^3072, inside Python's 4300-digit int-to-text limit.
+MAX_P_FACTORS = 256
+
+
 def _cmd_p(args):
-    g = _build(args)
-    p = p_exact(g)
-    return _fraction_json(p), g.spec, 0
+    spec = parse_spec(args.spec)
+    count = spec.exponent * len(spec.factors)
+    if count > MAX_P_FACTORS:
+        raise VertexCapError(f"{spec.canonical()} has {count} factors, above the cap of {MAX_P_FACTORS}")
+    p = Fraction(1)
+    for f in dict.fromkeys(spec.factors):  # each distinct factor once
+        # refuse before building: K_n alone has n^2 adjacency entries
+        if f.vertex_count() > DEFAULT_DIRECT_CAP:
+            raise VertexCapError(
+                f"{f.token} has {f.vertex_count()} vertices, above the cap of {DEFAULT_DIRECT_CAP}"
+            )
+        p *= p_exact(f.build()) ** spec.factors.count(f)
+    return _fraction_json(p**spec.exponent), spec.canonical(), 0
 
 
 def _cmd_power_sample(args):
@@ -217,11 +234,7 @@ def _cmd_power_sample(args):
 
 
 def _cmd_verify(args):
-    records = run_claims(
-        quick=args.quick,
-        threads=args.threads,
-        time_limit=args.time_limit,
-    )
+    records = run_claims(quick=args.quick, time_limit=args.time_limit)
     counts = {
         "pass": sum(r.status == PASS for r in records),
         "fail": sum(r.status == FAIL for r in records),
@@ -332,7 +345,6 @@ def render_human(payload: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON document")
-    common.add_argument("--threads", type=int, default=1, help="solver worker processes")
     common.add_argument("--cap", type=int, default=None, help="vertex cap override")
     common.add_argument("--time-limit", type=float, default=None, help="seconds per exact search")
     common.add_argument("--strict", action="store_true", help="budget exhaustion becomes exit code 1")

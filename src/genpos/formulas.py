@@ -9,20 +9,10 @@ divide evenly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import FactorGraph, ProductGraph
 from .position import GpSet
-
-
-@dataclass(frozen=True)
-class ValueClaim:
-    """A quantitative claim about a graph, tagged with its provenance."""
-
-    spec: str
-    quantity: object
-    provenance: str
 
 
 class TorusBounds(NamedTuple):
@@ -193,28 +183,6 @@ def torus_witness7() -> GpSet:
     """
     host = ProductGraph([FactorGraph.cycle(7), FactorGraph.cycle(7)])
     return GpSet.certify(host, list(TORUS7_MEMBERS), note="7-point torus construction")
-
-
-def value_claim(kind: str, *params: int) -> ValueClaim:
-    """Package a closed-form value as a tagged, hypothesis-checked claim.
-
-    ``kind`` is one of ``grid-count``, ``cylinder``, ``torus-bounds``,
-    ``hamming``; the underlying operation validates its own hypotheses, so
-    a claim object is only ever emitted for parameters it covers.
-    """
-    if kind == "grid-count":
-        r, s = params
-        return ValueClaim(f"P{r}xP{s}", grid_gp_count(r, s), "grid maximum-set count formula")
-    if kind == "cylinder":
-        r, s = params
-        return ValueClaim(f"P{r}xC{s}", cylinder_gp_value(r, s), "cylinder gp table")
-    if kind == "torus-bounds":
-        r, s = params
-        return ValueClaim(f"C{r}xC{s}", torus_gp_bounds(r, s), "torus gp bounds")
-    if kind == "hamming":
-        spec = "x".join(f"K{n}" for n in params)
-        return ValueClaim(spec, hamming_lower_bound(list(params)), "complete-product lower bound")
-    raise ValueError(f"unknown claim kind {kind!r}")
 
 
 def torus_quadrant_cover(r: int, s: int) -> list[list[tuple[int, int]]]:

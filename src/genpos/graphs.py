@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import prod
+from numbers import Integral
 
 Coord = tuple[int, ...]
 
@@ -52,6 +53,12 @@ class GraphSpecError(ValueError):
 
 class VertexCapError(ValueError):
     """A requested construction exceeds the configured vertex cap."""
+
+
+def show_count(n: int) -> str:
+    """``n`` as text for an error message; a count too long for Python to
+    convert to text is shown by its power of two."""
+    return str(n) if n.bit_length() <= 64 else f"2^{n.bit_length() - 1} or more"
 
 
 def _bfs_lengths(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -201,7 +208,13 @@ class ProductGraph:
         if len(v) != len(self.factors):
             raise ValueError(f"coordinate {v} has {len(v)} entries, expected {len(self.factors)}")
         for c, size in zip(v, self._sizes):
-            if not (isinstance(c, int) and 0 <= c < size):
+            if type(c) is not int:
+                # other integer types (numpy.int64) are converted; bool is not
+                # an integer coordinate here
+                if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in v):
+                    raise ValueError(f"coordinate {v}: entries must be integers")
+                return self.check_coord(tuple(int(x) for x in v))
+            if not 0 <= c < size:
                 raise ValueError(f"coordinate {v} out of range for sizes {self._sizes}")
         return v
 
@@ -271,6 +284,9 @@ class FactorSpec:
     def token(self) -> str:
         return f"{self.family}{self.size}"
 
+    def vertex_count(self) -> int:
+        return self.size + (1 if self.family == "S" else 0)
+
     def build(self) -> FactorGraph:
         if self.family == "P":
             return FactorGraph.path(self.size)
@@ -314,7 +330,7 @@ class GraphSpec:
         return list(self.factors)
 
     def vertex_count(self) -> int:
-        return prod(f.size + (1 if f.family == "S" else 0) for f in self.factor_list())
+        return prod(f.vertex_count() for f in self.factors) ** self.exponent
 
 
 def _scan_uint(text: str, i: int) -> tuple[int, int]:
@@ -399,7 +415,7 @@ def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> Produc
     total = spec.vertex_count()
     if cap is not None and total > cap:
         raise VertexCapError(
-            f"{spec.canonical()} has {total} vertices, above the cap of {cap}"
+            f"{spec.canonical()} has {show_count(total)} vertices, above the cap of {cap}"
         )
     return ProductGraph([f.build() for f in spec.factor_list()])
 

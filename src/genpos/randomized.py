@@ -25,10 +25,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError
+from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
 from .position import GpSet
 
 DEFAULT_DIRECT_CAP = 10**4
+
+# The deletion step scans all M^3/6 sample triples in Python.  One attempt on
+# C7^30 took 3.5 s at M = 115, 49 s at M = 250 and 390 s at M = 500 (2-core
+# x86-64 VM, Python 3.11), so larger samples are refused.
+MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -257,13 +262,16 @@ def first_moment_construct(
     vertex from every bad triple among the rest, and certifies the
     remainder.  Retries with seed+1, seed+2, ... while the certified set
     stays below ceil(M/2); after ``retries`` extra attempts the best run
-    is returned with ``success=False`` (its set is still certified).
+    is returned with ``success=False`` (its set is still certified).  An
+    M above ``MAX_SAMPLE_SIZE`` raises :class:`VertexCapError`.
     """
     if n < 1:
         raise ValueError("power needs n >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
     M = sample_size if sample_size is not None else choose_M(p_exact(g), n)
+    if M > MAX_SAMPLE_SIZE:
+        raise VertexCapError(f"sample size M = {show_count(M)} is above the cap of {MAX_SAMPLE_SIZE}")
     host = ProductGraph([g] * n)
     best: SampleRun | None = None
     for attempt in range(retries + 1):

@@ -6,6 +6,8 @@ pair, the bitset of vertices completing a bad triple with that pair;
 extending the current set by v filters the candidate set with one AND per
 already-chosen vertex.  Subtrees that cannot beat (or, when counting,
 cannot tie) the incumbent are cut with the bound |S| + |candidates|.
+One DFS core, :func:`_dfs`, serves the max-search, counting and
+enumeration.
 
 Determinism: vertices are branched in increasing flat index, and the
 first chosen vertex is only ever an *orbit-minimal* one: the smallest
@@ -17,19 +19,15 @@ witness is still the lexicographically first maximum set S*: if an
 automorphism sigma mapped min(S*) below itself, sigma(S*) would be a
 lex-smaller maximum set, so min(S*) is orbit-minimal and its subtree is
 searched.  Every set also has an image whose minimum is orbit-minimal,
-so the value is unchanged.  The result is identical for 1 and N worker
-processes.  Parallel runs split the search on the first two chosen
-vertices (the first orbit-minimal); workers share a monotone best-size
-bound that only prunes subtrees unable to *tie* the global best, which
-preserves each task's lexicographically first witness.
+so the value is unchanged.  The search runs in one process, so the value,
+the witness and the node count are the same on every run; a node budget
+stops it at the same node every time.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -39,7 +37,8 @@ from .position import GpSet
 DEFAULT_SEARCH_CAP = 200
 DEFAULT_ENUM_CAP = 64
 
-_TIME_CHECK_MASK = 0x3FF  # budget clock polled every 1024 nodes
+_TIME_CHECK_EVERY = 1024  # nodes between polls of the budget clock
+_NO_LIMIT = 1 << 62  # a node count no search reaches
 
 
 class BudgetExhausted(Exception):
@@ -98,16 +97,14 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
 class BadTripleIndex:
     """Pair-indexed bitsets describing all bad triples of a host graph.
 
-    ``between(y, z)`` holds the vertices strictly between y and z;
     ``bad_with(a, b)`` holds every u such that {a, b, u} is a bad triple,
     whichever of the three is in the middle.
     """
 
-    __slots__ = ("n", "_between", "_bad_with")
+    __slots__ = ("n", "_bad_with")
 
-    def __init__(self, n: int, between: list[list[int]], bad_with: list[list[int]]):
+    def __init__(self, n: int, bad_with: list[list[int]]):
         self.n = n
-        self._between = between
         self._bad_with = bad_with
 
     @classmethod
@@ -122,23 +119,13 @@ class BadTripleIndex:
         idx = np.arange(n)
         btw[idx, idx, :] = False
         btw[idx, :, idx] = False
-        between_rows = np.transpose(btw, (1, 2, 0)).reshape(n * n, n)
         bad = (
             np.transpose(btw, (1, 2, 0))
             | np.transpose(btw, (0, 2, 1))
             | np.transpose(btw, (1, 0, 2))
         ).reshape(n * n, n)
-        between_flat = _pack_rows(between_rows)
         bad_flat = _pack_rows(bad)
-        between = [between_flat[i * n:(i + 1) * n] for i in range(n)]
-        bad_with = [bad_flat[i * n:(i + 1) * n] for i in range(n)]
-        return cls(n, between, bad_with)
-
-    def between_mask(self, y: int, z: int) -> int:
-        return self._between[y][z]
-
-    def between(self, y: int, z: int) -> set[int]:
-        return _bits(self._between[y][z])
+        return cls(n, [bad_flat[i * n:(i + 1) * n] for i in range(n)])
 
     def bad_with_mask(self, a: int, b: int) -> int:
         return self._bad_with[a][b]
@@ -210,104 +197,71 @@ def _above(v: int, n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# sequential engines
+# search core
 
-def _run_max(allowed, start_sets, best, witness, limits, shared=None):
-    """DFS for one maximum set.  ``start_sets`` yields (S, cand) roots.
+def _dfs(allowed, starts, witness, limits, slack, sets=None):
+    """Depth-first branch and bound behind the max-search, counting and
+    enumeration.
 
-    Returns (best, witness, nodes, complete); witness is the lex-first
-    set among those of maximum size reachable from the given roots.
+    ``starts`` lists the (S, cand) roots, searched in order; ``witness`` is
+    the incumbent set, so the search starts from best = len(witness).  A
+    subtree is cut unless it can reach best + slack vertices: ``slack=1``
+    only looks for larger sets, ``slack=0`` also reaches every set that
+    ties the best.  ``sets``, when given, receives every set of the final
+    best size reached, in the order reached (lexicographic).  Until a
+    larger set resets it, ``sets`` also holds the ties of each smaller
+    best size met on the way.
+
+    Returns (best, count, witness, nodes, complete): ``count`` sets of size
+    best were reached, ``witness`` is the first of them (the given one if
+    none beat it), and ``complete`` is False when the budget in ``limits``
+    ran out.
     """
+    best = len(witness)
+    bar = best + slack
+    count = 0
     nodes = 0
     complete = True
+    max_nodes = _NO_LIMIT
     deadline = None
-    max_nodes = None
     if limits is not None:
-        max_nodes = limits.max_nodes
+        if limits.max_nodes is not None:
+            max_nodes = limits.max_nodes
         if limits.time_limit is not None:
             deadline = time.monotonic() + limits.time_limit
+    step = _TIME_CHECK_EVERY if deadline is not None else _NO_LIMIT
+    check_at = min(max_nodes, step)  # next node count at which the budget is polled
 
     def rec(S, rows, cand):
-        nonlocal best, witness, nodes
+        nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
+        k1 = k + 1
         while cand:
-            pot = k + cand.bit_count()
-            if pot <= best:
-                return
-            if shared is not None and pot < shared.value:
+            if k + cand.bit_count() < bar:
                 return
             bit = cand & -cand
             cand ^= bit
             v = bit.bit_length() - 1
             nodes += 1
-            if max_nodes is not None and nodes >= max_nodes:
-                raise BudgetExhausted
-            if deadline is not None and nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-                raise BudgetExhausted
+            if nodes >= check_at:
+                if nodes >= max_nodes or time.monotonic() > deadline:
+                    raise BudgetExhausted
+                check_at = min(max_nodes, nodes + step)
             nc = cand
             for row in rows:
                 nc &= row[v]
-            S.append(v)
-            if k + 1 > best:
-                best = k + 1
-                witness = S.copy()
-                if shared is not None and best > shared.value:
-                    with shared.get_lock():
-                        if best > shared.value:
-                            shared.value = best
-            if nc:
-                rows.append(allowed[v])
-                rec(S, rows, nc)
-                rows.pop()
-            S.pop()
-
-    try:
-        for S0, cand0 in start_sets:
-            rows0 = [allowed[v] for v in S0]
-            rec(list(S0), rows0, cand0)
-    except BudgetExhausted:
-        complete = False
-    return best, witness, nodes, complete
-
-
-def _run_count(allowed, n, limits):
-    """DFS counting every general position set of maximum size."""
-    best = 0
-    count = 1  # the empty set, displaced as soon as best grows
-    witness: list[int] = []
-    nodes = 0
-    complete = True
-    deadline = None
-    max_nodes = None
-    if limits is not None:
-        max_nodes = limits.max_nodes
-        if limits.time_limit is not None:
-            deadline = time.monotonic() + limits.time_limit
-
-    def rec(S, rows, cand):
-        nonlocal best, count, witness, nodes
-        k = len(S)
-        while cand:
-            if k + cand.bit_count() < best:
-                return
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            nodes += 1
-            if max_nodes is not None and nodes >= max_nodes:
-                raise BudgetExhausted
-            if deadline is not None and nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-                raise BudgetExhausted
-            nc = cand
-            for row in rows:
-                nc &= row[v]
-            if k + 1 > best:
-                best = k + 1
+            if k1 > best:
+                best = k1
+                bar = best + slack
                 count = 1
                 witness = S + [v]
-            elif k + 1 == best:
+                if sets is not None:
+                    sets[:] = [witness]
+            elif k1 == best:
                 count += 1
-            if nc and k + 1 + nc.bit_count() >= best:
+                if sets is not None:
+                    sets.append(S + [v])
+            if nc and k1 + nc.bit_count() >= bar:
                 S.append(v)
                 rows.append(allowed[v])
                 rec(S, rows, nc)
@@ -315,68 +269,11 @@ def _run_count(allowed, n, limits):
                 S.pop()
 
     try:
-        rec([], [], (1 << n) - 1)
+        for S, cand in starts:
+            rec(list(S), [allowed[v] for v in S], cand)
     except BudgetExhausted:
         complete = False
     return best, count, witness, nodes, complete
-
-
-# ----------------------------------------------------------------------
-# parallel driver
-
-_WORKER: dict = {}
-
-
-def _init_worker(allowed, shared, deadline_wall):
-    _WORKER["allowed"] = allowed
-    _WORKER["shared"] = shared
-    _WORKER["deadline"] = deadline_wall
-
-
-def _worker_task(task):
-    v1, v2, cand = task
-    allowed = _WORKER["allowed"]
-    limits = None
-    if _WORKER["deadline"] is not None:
-        remaining = _WORKER["deadline"] - time.time()
-        if remaining <= 0:
-            return 2, [v1, v2], 0, False
-        limits = SearchLimits(time_limit=remaining)
-    best, witness, nodes, complete = _run_max(
-        allowed, [([v1, v2], cand)], 2, [v1, v2], limits, shared=_WORKER["shared"]
-    )
-    return best, witness, nodes, complete
-
-
-def _parallel_max(allowed, roots, n, threads, limits):
-    tasks = [
-        (v1, v2, _above(v2, n) & allowed[v1][v2])
-        for v1 in roots
-        for v2 in range(v1 + 1, n)
-    ]
-    deadline_wall = None
-    if limits is not None and limits.time_limit is not None:
-        deadline_wall = time.time() + limits.time_limit
-    if limits is not None and limits.max_nodes is not None:
-        raise ValueError("max_nodes budgets are only supported single-threaded")
-
-    ctx = get_context()
-    shared = ctx.Value("q", 0)
-    best, witness = 2, [0, 1]
-    nodes_total = 0
-    complete = True
-    with ProcessPoolExecutor(
-        max_workers=threads,
-        mp_context=ctx,
-        initializer=_init_worker,
-        initargs=(allowed, shared, deadline_wall),
-    ) as pool:
-        for tbest, twitness, tnodes, tcomplete in pool.map(_worker_task, tasks, chunksize=8):
-            nodes_total += tnodes
-            complete &= tcomplete
-            if tbest > best or (tbest == best and twitness < witness):
-                best, witness = tbest, twitness
-    return best, witness, nodes_total, complete
 
 
 # ----------------------------------------------------------------------
@@ -390,37 +287,37 @@ def _as_product(g) -> ProductGraph:
     raise TypeError(f"expected ProductGraph or FactorGraph, got {type(g).__name__}")
 
 
+def _allowed_tables(g: ProductGraph, cap: int | None, what: str) -> list[list[int]]:
+    """The search's allowed masks for ``g``, refused above ``cap`` vertices."""
+    n = g.total_vertices
+    if cap is not None and n > cap:
+        raise VertexCapError(f"{what} refused for {n} vertices (cap {cap})")
+    return BadTripleIndex.build(g, cap=cap).allowed_tables()
+
+
 def gp_exact(
     g,
     limits: SearchLimits | None = None,
-    threads: int = 1,
     cap: int | None = DEFAULT_SEARCH_CAP,
 ) -> SearchResult:
     """Exact maximum general position set of ``g``.
 
     Deterministic: the witness is the lexicographically first maximum set
-    in flat-index order regardless of ``threads``; only orbit-minimal
-    vertices are tried as the first vertex (see the module docstring).
-    With a budget, an exhausted search returns ``complete=False`` and the
-    best set found.
+    in flat-index order; only orbit-minimal vertices are tried as the
+    first vertex (see the module docstring).  With a budget, an exhausted
+    search returns ``complete=False`` and the best set found.
     """
     g = _as_product(g)
     n = g.total_vertices
-    if cap is not None and n > cap:
-        raise VertexCapError(f"exact search refused for {n} vertices (cap {cap})")
     started = time.monotonic()
-    index = BadTripleIndex.build(g, cap=cap)
-    allowed = index.allowed_tables()
+    allowed = _allowed_tables(g, cap, "exact search")
     roots = _orbit_minimal_roots(g)
 
     if n == 1:
-        witness, best, nodes, complete = [0], 1, 1, True
-    elif threads > 1 and n >= 3:
-        best, witness, nodes, complete = _parallel_max(allowed, roots, n, threads, limits)
+        best, witness, nodes, complete = 1, [0], 1, True
     else:
-        best, witness, nodes, complete = _run_max(
-            allowed, (([v], _above(v, n)) for v in roots), 1, [0], limits
-        )
+        starts = [([v], _above(v, n)) for v in roots]
+        best, _, witness, nodes, complete = _dfs(allowed, starts, [0], limits, slack=1)
     elapsed = time.monotonic() - started
     members = [g.decode(i) for i in witness]
     return SearchResult(
@@ -439,12 +336,9 @@ def count_maximum_gp_sets(
 ) -> tuple[int, int]:
     """(gp value, number of distinct maximum general position sets)."""
     g = _as_product(g)
-    n = g.total_vertices
-    if cap is not None and n > cap:
-        raise VertexCapError(f"enumeration refused for {n} vertices (cap {cap})")
-    index = BadTripleIndex.build(g, cap=cap)
-    allowed = index.allowed_tables()
-    best, count, _, _, complete = _run_count(allowed, n, limits)
+    allowed = _allowed_tables(g, cap, "enumeration")
+    root = ([], (1 << g.total_vertices) - 1)
+    best, count, _, _, complete = _dfs(allowed, [root], [], limits, slack=0)
     if not complete:
         raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")
     return best, count
@@ -454,40 +348,15 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     """All maximum general position sets, as sorted coordinate tuples.
 
     Convenience for property checks on small hosts; the count always
-    matches :func:`count_maximum_gp_sets`.
+    matches :func:`count_maximum_gp_sets`, and the sets come in
+    lexicographic order.
     """
     g = _as_product(g)
-    n = g.total_vertices
-    if cap is not None and n > cap:
-        raise VertexCapError(f"enumeration refused for {n} vertices (cap {cap})")
-    index = BadTripleIndex.build(g, cap=cap)
-    allowed = index.allowed_tables()
-    best, _, _, _, _ = _run_count(allowed, n, None)
-
-    out: list[tuple[Coord, ...]] = []
-
-    def rec(S, rows, cand):
-        k = len(S)
-        while cand:
-            if k + cand.bit_count() < best:
-                return
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            nc = cand
-            for row in rows:
-                nc &= row[v]
-            if k + 1 == best:
-                out.append(tuple(g.decode(i) for i in S + [v]))
-            if nc and k + 1 + nc.bit_count() >= best:
-                S.append(v)
-                rows.append(allowed[v])
-                rec(S, rows, nc)
-                rows.pop()
-                S.pop()
-
-    rec([], [], (1 << n) - 1)
-    return best, out
+    allowed = _allowed_tables(g, cap, "enumeration")
+    root = ([], (1 << g.total_vertices) - 1)
+    sets: list[list[int]] = []
+    best = _dfs(allowed, [root], [], None, slack=0, sets=sets)[0]
+    return best, [tuple(g.decode(i) for i in s) for s in sets]
 
 
 def _induced_subgraph(g: ProductGraph, D: np.ndarray, flats: list[int]):
@@ -519,7 +388,6 @@ def isometric_cover_bound(
     g,
     cover,
     limits: SearchLimits | None = None,
-    threads: int = 1,
 ) -> int:
     """Upper bound on gp(g) from an isometric cover.
 
@@ -544,5 +412,5 @@ def isometric_cover_bound(
     total = 0
     for flats in flat_sets:
         sub = _induced_subgraph(g, D, flats)
-        total += gp_exact(ProductGraph([sub]), limits=limits, threads=threads).gp_value
+        total += gp_exact(ProductGraph([sub]), limits=limits).gp_value
     return total

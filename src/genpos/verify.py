@@ -74,7 +74,6 @@ class ClaimRecord:
 
 @dataclass
 class RunContext:
-    threads: int = 1
     time_limit: float | None = None
     quick: bool = False
 
@@ -86,7 +85,7 @@ def _frac(p: Fraction) -> str:
 def _search_value(spec: str, ctx: RunContext):
     """gp_exact through the budget; returns (value or None, complete)."""
     limits = SearchLimits(time_limit=ctx.time_limit) if ctx.time_limit else None
-    res = gp_exact(build(spec), limits=limits, threads=ctx.threads)
+    res = gp_exact(build(spec), limits=limits)
     return (res.gp_value if res.complete else None), res.complete
 
 
@@ -179,7 +178,7 @@ def _claim_torus_8x7(ctx: RunContext):
     if ctx.quick:
         return expected, None, SKIPPED
     limits = SearchLimits(time_limit=ctx.time_limit) if ctx.time_limit else None
-    res = gp_exact(build("C8xC7"), limits=limits, threads=ctx.threads)
+    res = gp_exact(build("C8xC7"), limits=limits)
     if not res.complete:
         return expected, res.gp_value, SKIPPED
     computed = {"gp": res.gp_value, "witness": [list(v) for v in res.witness]}
@@ -462,13 +461,12 @@ CLAIMS: list[Claim] = [
 
 def run_claims(
     quick: bool = False,
-    threads: int = 1,
     time_limit: float | None = None,
     only: set[str] | None = None,
     progress=None,
 ) -> list[ClaimRecord]:
     """Execute the registry; every claim id appears exactly once."""
-    ctx = RunContext(threads=threads, time_limit=time_limit, quick=quick)
+    ctx = RunContext(time_limit=time_limit, quick=quick)
     records = []
     for claim in CLAIMS:
         if only is not None and claim.id not in only:

@@ -83,3 +83,17 @@ def naive_lex_first_max(g: ProductGraph) -> tuple[int, tuple]:
             break
         first = found
     return len(first), tuple(g.decode(i) for i in first)
+
+
+def naive_maximum_sets(g: ProductGraph) -> tuple[int, list[tuple]]:
+    """(gp value, every maximum set as a tuple of coordinate tuples), the sets
+    in ``itertools.combinations`` order, i.e. lexicographic on flat indices."""
+    D = bfs_distance_table(g)
+    n = len(D)
+    best: list[tuple[int, ...]] = []
+    for k in range(1, n + 1):
+        found = [sub for sub in combinations(range(n), k) if subset_in_general_position(D, sub)]
+        if not found:
+            break
+        best = found
+    return len(best[0]), [tuple(g.decode(i) for i in sub) for sub in best]

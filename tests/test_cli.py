@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from genpos.cli import main, parse_vertex_set, render_human
+from genpos.graphs import FactorGraph, FactorSpec
+from genpos.randomized import p_exact
 
 FIG5 = "(0,1);(1,4);(2,0);(3,3);(4,6);(5,2);(6,5)"
 
@@ -117,6 +119,37 @@ def test_probability(capsys):
     assert payload["result"]["num"] == 3**10 and payload["result"]["den"] == 4**10
 
 
+def test_probability_of_a_product_over_the_vertex_cap(capsys):
+    # p multiplies factor probabilities, so 2^30 product vertices are no obstacle
+    code, payload, _ = run_json(capsys, ["p", "Q30"])
+    assert code == 0
+    p = p_exact(FactorGraph.complete(2)) ** 30
+    assert (payload["result"]["num"], payload["result"]["den"]) == (p.numerator, p.denominator)
+    # products of repeated factors multiply each factor's p
+    _, payload, _ = run_json(capsys, ["p", "C5xP3xC5"])
+    p = p_exact(FactorGraph.cycle(5)) ** 2 * p_exact(FactorGraph.path(3))
+    assert (payload["result"]["num"], payload["result"]["den"]) == (p.numerator, p.denominator)
+    # the factor cap still prints
+    code, out, _ = run_cli(capsys, ["p", "Q256"])
+    assert code == 0 and out.startswith("p(K2^256) = ")
+
+
+@pytest.mark.parametrize("spec", ["Q257", "Q7200", "Q400000", "K2^1000000000000"])
+def test_probability_refuses_too_many_factors(capsys, spec):
+    # more factors could give a fraction too long to print
+    code, out, err = run_cli(capsys, ["p", spec, "--json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "factors, above the cap of 256" in err
+
+
+def test_probability_refuses_a_large_factor_before_building_it(capsys, monkeypatch):
+    monkeypatch.setattr(FactorSpec, "build", lambda self: pytest.fail(f"built {self.token}"))
+    for spec in ("P2000000", "K20000", "S10000"):  # S10000 has 10001 vertices
+        code, out, err = run_cli(capsys, ["p", spec])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "vertices, above the cap of 10000" in err
+
+
 def test_power_sample(capsys):
     code, payload, _ = run_json(capsys, ["power-sample", "K2", "10", "--seed", "1"])
     assert code == 0
@@ -131,6 +164,17 @@ def test_power_sample(capsys):
 
     code, _, err = run_cli(capsys, ["power-sample", "P3xP3", "2", "--seed", "0"])
     assert code == 2  # multi-factor argument is a usage error
+
+
+def test_power_sample_refuses_an_oversized_sample(capsys):
+    # choose_M gives M = 1,484,696 for C7^30; the cubic triple scan would never end
+    code, out, err = run_cli(capsys, ["power-sample", "C7", "30", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "M = 1484696 is above the cap" in err
+    assert "Traceback" not in err
+    # an M too long to print is still reported as over the cap
+    code, out, err = run_cli(capsys, ["power-sample", "C7", "100000", "--seed", "1"])
+    assert code == 1 and "is above the cap" in err
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +263,3 @@ def test_python_dash_m_invocation():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["value"] == 6
 
-
-def test_threads_flag_is_deterministic(capsys):
-    _, seq, _ = run_json(capsys, ["gp", "C5xC5"])
-    _, par, _ = run_json(capsys, ["gp", "C5xC5", "--threads", "2"])
-    assert seq["result"]["gp"] == par["result"]["gp"]
-    assert seq["result"]["witness"] == par["result"]["witness"]

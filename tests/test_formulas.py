@@ -204,16 +204,3 @@ def test_hamming_tightness_on_two_factors():
         for n2 in range(2, 6):
             assert gp_exact(build(f"K{n1}xK{n2}")).gp_value == hamming_lower_bound([n1, n2])
 
-
-def test_value_claims_wrap_checked_statements():
-    from genpos.formulas import value_claim
-
-    claim = value_claim("grid-count", 2, 2)
-    assert claim.spec == "P2xP2" and claim.quantity == 6
-    assert value_claim("cylinder", 5, 7).quantity == 5
-    assert value_claim("torus-bounds", 8, 7).quantity == (6, 7)
-    assert value_claim("hamming", 3, 4).quantity == 5
-    with pytest.raises(ValueError):
-        value_claim("cylinder", 1, 7)  # hypotheses checked before emission
-    with pytest.raises(ValueError):
-        value_claim("nonsense", 1)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,11 @@ def test_build_cap():
     with pytest.raises(VertexCapError):
         build("P101", cap=100)
     assert build("Q25", cap=None).total_vertices == 2**25
+    # 2^1000000 has too many digits to print; the count is shown as a power
+    assert parse_spec("K2^1000000").vertex_count() == 2**1000000
+    assert parse_spec("S2xC5").vertex_count() == 15
+    with pytest.raises(VertexCapError, match=r"K2\^1000000 has 2\^1000000 or more vertices"):
+        build("K2^1000000")
 
 
 def test_vertex_order_is_last_factor_fastest():
@@ -137,6 +143,23 @@ def test_coordinate_validation():
         g.distance((0,), (1, 1))
     with pytest.raises(ValueError):
         g.encode((0, -1))
+
+
+def test_numpy_integer_coordinates_are_converted():
+    g = build("P5xC7")
+    v = g.check_coord((np.int64(2), np.int32(6)))
+    assert v == (2, 6) and all(type(c) is int for c in v)
+    assert g.encode(np.array([4, 1])) == 4 * 7 + 1
+    assert g.distance((np.int64(0), 0), (4, np.int64(3))) == 7
+    with pytest.raises(ValueError, match="out of range"):
+        g.check_coord((np.int64(5), 0))
+
+
+@pytest.mark.parametrize("bad", [(True, 0), (0, False), (1.0, 0), ("1", 0), (None, 0)])
+def test_non_integer_coordinates_are_rejected(bad):
+    g = build("P5xC7")
+    with pytest.raises(ValueError, match="must be integers"):
+        g.check_coord(bad)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,14 @@ from genpos.solver import (
     isometric_cover_bound,
     orbit_canonical,
 )
-from helpers import bfs_distance_table, naive_count_maximum, naive_gp, naive_lex_first_max
+from helpers import (
+    bfs_distance_table,
+    naive_count_maximum,
+    naive_gp,
+    naive_lex_first_max,
+    naive_maximum_sets,
+    triple_is_bad,
+)
 
 SMALL_CORPUS = [
     "P2xP2",
@@ -158,7 +165,7 @@ def test_search_cap():
 
 def test_node_budget_reports_incomplete_but_certified():
     res = gp_exact(build("P4xP4"), limits=SearchLimits(max_nodes=3))
-    assert not res.complete
+    assert not res.complete and res.nodes_explored == 3
     assert res.witness.certified and len(res.witness) == res.gp_value
 
 
@@ -166,26 +173,6 @@ def test_time_budget_on_a_larger_search():
     res = gp_exact(build("C7xC7"), limits=SearchLimits(time_limit=1e-4))
     assert not res.complete
     assert res.gp_value <= 7 and res.witness.certified
-
-
-# ----------------------------------------------------------------------
-# determinism across worker counts
-
-@pytest.mark.parametrize("spec", ["C5xC5", "P4xC5"])
-def test_parallel_matches_sequential(spec):
-    g = build(spec)
-    seq = gp_exact(g, threads=1)
-    par = gp_exact(g, threads=2)
-    assert (seq.gp_value, list(seq.witness), seq.complete) == (
-        par.gp_value,
-        list(par.witness),
-        par.complete,
-    )
-
-
-def test_parallel_rejects_node_budget():
-    with pytest.raises(ValueError):
-        gp_exact(build("C5xC5"), threads=2, limits=SearchLimits(max_nodes=10))
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +218,23 @@ def test_enumerate_returns_all_maximum_sets():
         assert is_general_position(g, members)
 
 
+@pytest.mark.parametrize("spec", ["P3xP4", "P3xC5", "K2xK3", "C3xP2xC3"])
+def test_enumeration_matches_naive_list(spec):
+    g = build(spec)
+    assert enumerate_maximum_gp_sets(g) == naive_maximum_sets(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(_small_factor, min_size=1, max_size=3).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 16
+    )
+)
+def test_count_matches_naive_on_random_products(factors):
+    g = ProductGraph([f.build() for f in factors])
+    assert count_maximum_gp_sets(g) == naive_count_maximum(g)
+
+
 def test_transposing_a_grid_preserves_the_count():
     assert count_maximum_gp_sets(build("P4xP5")) == count_maximum_gp_sets(build("P5xP4"))
 
@@ -269,32 +273,35 @@ def test_witness_constructions_never_beat_the_solver():
 # ----------------------------------------------------------------------
 # bad-triple index
 
+def _bad_with_oracle(D, a: int, b: int) -> set[int]:
+    """Every u making {a, b, u} a bad triple of three distinct vertices."""
+    if a == b:
+        return set()
+    return {u for u in range(len(D)) if u not in (a, b) and triple_is_bad(D, a, b, u)}
+
+
 def test_between_sets_on_small_graphs():
-    idx = BadTripleIndex.build(build("P3"))
-    assert idx.between(0, 2) == {1}
-    assert idx.bad_with(0, 2) == {1}
+    assert BadTripleIndex.build(build("P3")).bad_with(0, 2) == {1}
     c4 = BadTripleIndex.build(build("C4"))
-    assert c4.between(0, 2) == {1, 3}
-    assert c4.between(0, 1) == set()
-    for a in range(4):
-        for b in range(4):
-            assert c4.bad_with_mask(a, b) == c4.bad_with_mask(b, a)
+    assert c4.bad_with(0, 2) == {1, 3}
+    assert c4.bad_with(0, 1) == {2, 3}
+    for spec in ("P3", "C4"):
+        g = build(spec)
+        D = bfs_distance_table(g)
+        idx = BadTripleIndex.build(g)
+        for a in range(g.total_vertices):
+            for b in range(g.total_vertices):
+                assert idx.bad_with(a, b) == _bad_with_oracle(D, a, b)
+                assert idx.bad_with_mask(a, b) == idx.bad_with_mask(b, a)
 
 
 def test_index_against_direct_betweenness():
     g = build("P3xC4")
+    D = bfs_distance_table(g)
     idx = BadTripleIndex.build(g)
-    coords = list(g.vertices())
-    for y in range(g.total_vertices):
-        for z in range(g.total_vertices):
-            expected = {
-                x
-                for x in range(g.total_vertices)
-                if x not in (y, z)
-                and g.distance(coords[y], coords[z])
-                == g.distance(coords[y], coords[x]) + g.distance(coords[x], coords[z])
-            }
-            assert idx.between(y, z) == expected
+    for a in range(g.total_vertices):
+        for b in range(g.total_vertices):
+            assert idx.bad_with(a, b) == _bad_with_oracle(D, a, b)
 
 
 # ----------------------------------------------------------------------
