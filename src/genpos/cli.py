@@ -20,16 +20,18 @@ with stable key order ``{tool_version, command, spec, result, elapsed_ms,
 seed?}``; ``--cap`` and ``--time-limit`` tune the solver;
 ``--out FILE`` writes the output to a file instead of stdout.
 
-Exit codes: 0 success, 1 computation or claim failed, 2 usage or parse
-error.  A search stopped by a budget exits 0 with an explicit
-``skipped-budget`` marker unless ``--strict`` is given; a ``count``
-stopped by ``--time-limit`` has no partial answer and exits 1.
+Exit codes: 0 success, 1 computation or claim failed (or the reader of
+standard output closed it early), 2 usage or parse error.  A search
+stopped by a budget exits 0 with an explicit ``skipped-budget`` marker
+unless ``--strict`` is given; a ``count`` stopped by ``--time-limit`` has
+no partial answer and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -430,8 +432,15 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
+        return code
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``genpos ... | head``); point stdout at the
+        # null device so that the flush at exit cannot raise again
+        sys.stdout = open(os.devnull, "w")
+        return 1
     return code
 
 

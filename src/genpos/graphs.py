@@ -4,7 +4,10 @@ Factor graphs (paths, cycles, complete graphs, stars, or explicit
 adjacency) are small; their all-pairs distances come from per-source BFS
 and are cached on first use.  Products are never materialized for metric
 queries: the distance between two product vertices is the sum of the
-factor distances, coordinate by coordinate.
+factor distances, coordinate by coordinate.  A product with at most
+``FLAT_TABLE_MAX_VERTICES`` vertices caches the resulting flat all-pairs
+matrix; ``ProductGraph.distance_table`` serves the checkers from it, or
+from the pair sums of the queried vertices on larger products.
 
 Vertex conventions: ``P n`` has vertices 0..n-1 in path order, ``C n``
 has vertices 0..n-1 in cyclic order (arithmetic mod n), ``S k`` is the
@@ -39,6 +42,16 @@ DEFAULT_VERTEX_CAP = 10**6
 # All-pairs tables are quadratic; factors beyond this are refused rather
 # than silently eating memory.
 _FACTOR_DIST_CAP = 20000
+
+# Hosts with at most this many vertices keep one flat all-pairs matrix
+# (at most 200^2 entries) that every distance query reads.  On larger hosts,
+# where a query's members are a tiny share of the vertices, each query sums
+# the distances between its own members only.
+FLAT_TABLE_MAX_VERTICES = 200
+
+# Factor entries a product spec may list (``Qn`` lists n).  The power form
+# ``F^n`` keeps n as a number and is not limited here.
+MAX_PRODUCT_FACTORS = 256
 
 
 class GraphSpecError(ValueError):
@@ -178,7 +191,9 @@ class ProductGraph:
     and that pair is an edge of its factor; distances add coordinate-wise.
     """
 
-    __slots__ = ("factors", "total_vertices", "_sizes", "_strides", "_factor_dists")
+    __slots__ = (
+        "factors", "total_vertices", "_sizes", "_strides", "_factor_dists", "_flat", "_flat_rows",
+    )
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -192,6 +207,8 @@ class ProductGraph:
         self._strides = tuple(strides)
         self.total_vertices = prod(self._sizes)
         self._factor_dists = None
+        self._flat = None
+        self._flat_rows = None
 
     @property
     def spec(self) -> str | None:
@@ -247,10 +264,48 @@ class ProductGraph:
         tables = self.factor_dist_tables()
         return sum(t[a][b] for t, a, b in zip(tables, u, v))
 
-    def distance_unchecked(self, u: Coord, v: Coord) -> int:
-        """Additive distance without range checks; callers validated already."""
+    def flat_matrix(self):
+        """Read-only numpy matrix of all distances on flat indices, assembled
+        additively from the factor tables.  Cached on hosts with at most
+        ``FLAT_TABLE_MAX_VERTICES`` vertices, built afresh above that."""
+        if self._flat is not None:
+            return self._flat
+        import numpy as np  # only the flat matrix needs numpy
+
+        n = self.total_vertices
+        D = np.zeros((n, n), dtype=np.int32)
+        flat = np.arange(n)
+        for t, stride, size in zip(self.factor_dist_tables(), self._strides, self._sizes):
+            c = (flat // stride) % size
+            D += np.asarray(t, dtype=np.int32)[c[:, None], c[None, :]]
+        D.setflags(write=False)
+        if n <= FLAT_TABLE_MAX_VERTICES:
+            self._flat = D
+        return D
+
+    def distance_table(self, members) -> tuple[list[int], list[list[int]]]:
+        """``(ids, D)`` with ``D[ids[i]][ids[j]]`` the distance between
+        ``members[i]`` and ``members[j]``.
+
+        ``members`` must already be valid coordinate tuples.  On a host with
+        at most ``FLAT_TABLE_MAX_VERTICES`` vertices, ids are flat indices
+        into the cached flat matrix (shared, never to be written).  Above
+        it, ids are positions and D is a fresh table over the members, each
+        pair distance summed once.
+        """
+        if self.total_vertices <= FLAT_TABLE_MAX_VERTICES:
+            if self._flat_rows is None:
+                self._flat_rows = self.flat_matrix().tolist()
+            strides = self._strides
+            return [sum(map(int.__mul__, v, strides)) for v in members], self._flat_rows
         tables = self.factor_dist_tables()
-        return sum(t[a][b] for t, a, b in zip(tables, u, v))
+        m = len(members)
+        D = [[0] * m for _ in range(m)]
+        for i, u in enumerate(members):
+            row = D[i]
+            for j in range(i + 1, m):
+                row[j] = D[j][i] = sum([t[a][b] for t, a, b in zip(tables, u, members[j])])
+        return list(range(m)), D
 
     def adjacent(self, u, v) -> bool:
         return self.distance(u, v) == 1
@@ -371,34 +426,37 @@ def parse_spec(text: str) -> GraphSpec:
         raise GraphSpecError("spec must be a string")
     fam, size, _, i = _scan_factor(text, 0)
 
-    if i < len(text) and text[i] == "^":
-        exp_pos = i + 1
-        exponent, i = _scan_uint(text, exp_pos)
-        if exponent < 1:
-            raise GraphSpecError("power exponent must be >= 1", offset=exp_pos)
-        if i != len(text):
-            raise GraphSpecError(f"unexpected trailing text {text[i:]!r}", offset=i)
+    if i == len(text) or text[i] == "^":
+        exponent = 1
+        if i < len(text):
+            exp_pos = i + 1
+            exponent, i = _scan_uint(text, exp_pos)
+            if exponent < 1:
+                raise GraphSpecError("power exponent must be >= 1", offset=exp_pos)
+            if i != len(text):
+                raise GraphSpecError(f"unexpected trailing text {text[i:]!r}", offset=i)
         if fam == "Q":
             return GraphSpec((FactorSpec("K", 2),), size * exponent)
-        if exponent == 1:
-            return GraphSpec((FactorSpec(fam, size),))
         return GraphSpec((FactorSpec(fam, size),), exponent)
 
     factors: list[FactorSpec] = []
-    if fam == "Q":
-        factors.extend([FactorSpec("K", 2)] * size)
-    else:
-        factors.append(FactorSpec(fam, size))
-    while i < len(text):
+    start = 0
+    while True:
+        count = size if fam == "Q" else 1
+        if len(factors) + count > MAX_PRODUCT_FACTORS:
+            raise GraphSpecError(
+                f"a product may list at most {MAX_PRODUCT_FACTORS} factors"
+                " (Qn counts n; write a power as F^n)",
+                offset=start,
+            )
+        factors.extend([FactorSpec("K", 2) if fam == "Q" else FactorSpec(fam, size)] * count)
+        if i == len(text):
+            break
         if text[i] != "x":
             raise GraphSpecError(
                 f"expected 'x', '^' or end of spec, found {text[i]!r}", offset=i
             )
-        fam, size, _, i = _scan_factor(text, i + 1)
-        if fam == "Q":
-            factors.extend([FactorSpec("K", 2)] * size)
-        else:
-            factors.append(FactorSpec(fam, size))
+        fam, size, start, i = _scan_factor(text, i + 1)
     if len(factors) > 1 and all(f == factors[0] for f in factors):
         return GraphSpec((factors[0],), len(factors))
     return GraphSpec(tuple(factors))

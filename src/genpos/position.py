@@ -11,6 +11,9 @@ path between two others.  Two independent deciders are provided:
 
 The two must agree on every input; the test suite checks this
 exhaustively on a corpus of small products.
+
+Distances come from :meth:`ProductGraph.distance_table`, looked up once
+per pair, and every bad-triple test goes through :func:`bad_triples`.
 """
 
 from __future__ import annotations
@@ -35,10 +38,39 @@ def _validated_members(g: ProductGraph, S) -> list[Coord]:
 
 def is_between(g: ProductGraph, x, y, z) -> bool:
     """True iff x lies on some shortest y,z-path (endpoints included)."""
-    x = g.check_coord(x)
-    y = g.check_coord(y)
-    z = g.check_coord(z)
-    return g.distance_unchecked(y, z) == g.distance_unchecked(y, x) + g.distance_unchecked(x, z)
+    (ix, iy, iz), D = g.distance_table([g.check_coord(x), g.check_coord(y), g.check_coord(z)])
+    return D[iy][iz] == D[iy][ix] + D[ix][iz]
+
+
+def bad_triples(ids, D):
+    """Bad triples among the members behind ``g.distance_table``'s ``(ids, D)``.
+
+    Yields position triples ``(mid, a, b)``, ``a < b``, where member ``mid``
+    lies on a shortest path between members ``a`` and ``b``.  They come in
+    lexicographic order of the sorted position triple, so ``next()`` gives
+    the first violation and ``list()`` every bad triple once.
+    """
+    m = len(ids)
+    for a in range(m - 2):
+        row_a = D[ids[a]]
+        for b in range(a + 1, m - 1):
+            row_b = D[ids[b]]
+            dab = row_a[ids[b]]
+            for c in range(b + 1, m):
+                x = ids[c]
+                dac = row_a[x]
+                dbc = row_b[x]
+                if dac == dab + dbc:
+                    yield b, a, c
+                elif dbc == dab + dac:
+                    yield a, b, c
+                elif dab == dac + dbc:
+                    yield c, a, b
+
+
+def _first_violation(g: ProductGraph, members: list[Coord]) -> tuple[Coord, Coord, Coord] | None:
+    t = next(bad_triples(*g.distance_table(members)), None)
+    return None if t is None else tuple(members[i] for i in t)
 
 
 def find_violating_triple(g: ProductGraph, S) -> tuple[Coord, Coord, Coord] | None:
@@ -47,17 +79,7 @@ def find_violating_triple(g: ProductGraph, S) -> tuple[Coord, Coord, Coord] | No
     Returns the triple sorted so that the middle element is first, or
     None when S is in general position.
     """
-    members = _validated_members(g, S)
-    d = g.distance_unchecked
-    for u, v, w in combinations(members, 3):
-        duv, dvw, duw = d(u, v), d(v, w), d(u, w)
-        if duw == duv + dvw:
-            return (v, u, w)
-        if dvw == duv + duw:
-            return (u, v, w)
-        if duv == duw + dvw:
-            return (w, u, v)
-    return None
+    return _first_violation(g, _validated_members(g, S))
 
 
 def is_general_position(g: ProductGraph, S) -> bool:
@@ -86,55 +108,35 @@ def characterization_check(
     input.
     """
     members = _validated_members(g, S)
-    m = len(members)
-    d = g.distance_unchecked
+    ids, D = g.distance_table(members)
+    rows = [D[i] for i in ids]  # rows[a][ids[b]]: distance of members a, b
 
-    # components of the induced subgraph (edges = distance 1)
-    comp = [-1] * m
-    parts: list[list[Coord]] = []
-    for i in range(m):
-        if comp[i] >= 0:
-            continue
-        cid = len(parts)
-        stack = [i]
-        comp[i] = cid
-        bucket = []
-        while stack:
-            a = stack.pop()
-            bucket.append(members[a])
-            for b in range(m):
-                if comp[b] < 0 and d(members[a], members[b]) == 1:
-                    comp[b] = cid
-                    stack.append(b)
-        parts.append(sorted(bucket))
-    parts.sort()
-
-    for part in parts:
-        for u, v in combinations(part, 2):
-            if d(u, v) != 1:
-                return False, None
+    # Components of the induced subgraph (edges = distance 1).  They are
+    # cliques iff adjacent members have the same closed neighbourhood in S;
+    # then each component is the neighbourhood of its lowest member.  Parts
+    # are sorted member positions, which sort like the members themselves.
+    nbrs = [[b for b, x in enumerate(ids) if row[x] <= 1] for row in rows]
+    if any(nbrs[b] != nb for nb in nbrs for b in nb):
+        return False, None
+    parts = [nb for a, nb in enumerate(nbrs) if nb[0] == a]
 
     p = len(parts)
     dists = [[0] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
-            base = d(parts[i][0], parts[j][0])
-            for u in parts[i]:
-                for v in parts[j]:
-                    if d(u, v) != base:
+            base = rows[parts[i][0]][ids[parts[j][0]]]
+            for a in parts[i]:
+                for b in parts[j]:
+                    if rows[a][ids[b]] != base:
                         return False, None
             dists[i][j] = dists[j][i] = base
 
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                if i == j or j == k or i == k:
-                    continue
-                if dists[i][k] == dists[i][j] + dists[j][k]:
-                    return False, None
+    # no part between two others: the bad-triple test on the part distances
+    if next(bad_triples(range(p), dists), None) is not None:
+        return False, None
 
     cert = PartitionCertificate(
-        parts=tuple(tuple(part) for part in parts),
+        parts=tuple(tuple(members[a] for a in part) for part in parts),
         part_distances=tuple(tuple(row) for row in dists),
     )
     return True, cert
@@ -153,11 +155,11 @@ class GpSet:
     def certify(cls, host: ProductGraph, members, note: str | None = None) -> "GpSet":
         """Validate and check the set; raises ValueError with the violating
         triple if it is not in general position."""
-        canon = tuple(_validated_members(host, members))
-        bad = find_violating_triple(host, canon)
+        canon = _validated_members(host, members)
+        bad = _first_violation(host, canon)
         if bad is not None:
             raise ValueError(f"not a general position set: {bad[0]} lies between {bad[1]} and {bad[2]}")
-        return cls(host=host, members=canon, certified=True, note=note)
+        return cls(host=host, members=tuple(canon), certified=True, note=note)
 
     def __len__(self):
         return len(self.members)
@@ -179,23 +181,19 @@ def forbidden_set(g: ProductGraph, X) -> frozenset[Coord]:
         members = list(X.members)
     else:
         members = list(GpSet.certify(g, list(X)).members)
-    d = g.distance_unchecked
-    pairs = list(combinations(members, 2))
     member_set = set(members)
     out = []
     for u in g.vertices():
         if u in member_set:
             continue
-        for a, b in pairs:
-            dab, dau, dub = d(a, b), d(a, u), d(u, b)
-            if dab == dau + dub or dau == dab + dub or dub == dau + dab:
-                out.append(u)
-                break
+        # X is in general position, so any bad triple here contains u
+        if next(bad_triples(*g.distance_table([u, *members])), None) is not None:
+            out.append(u)
     return frozenset(out)
 
 
 def independence_check(g: ProductGraph, S) -> bool:
     """True iff no two members of S are adjacent in g."""
-    members = [g.check_coord(v) for v in S]
-    d = g.distance_unchecked
-    return all(d(u, v) != 1 for u, v in combinations(set(members), 2))
+    members = list({g.check_coord(v) for v in S})
+    ids, D = g.distance_table(members)
+    return all(D[a][b] != 1 for a, b in combinations(ids, 2))

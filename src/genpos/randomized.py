@@ -19,20 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from math import isqrt, log
+from math import floor, isqrt, log, log2
 from typing import Iterable
 
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
-from .position import GpSet
+from .position import GpSet, bad_triples
 
 DEFAULT_DIRECT_CAP = 10**4
 
-# The deletion step scans all M^3/6 sample triples in Python.  One attempt on
-# C7^30 took 3.5 s at M = 115, 49 s at M = 250 and 390 s at M = 500 (2-core
-# x86-64 VM, Python 3.11), so larger samples are refused.
+# The deletion step scans all M^3/6 sample triples in Python, as lookups into
+# a table of the sample's pair distances.  One attempt on C7^30 took 0.08 s at
+# M = 115, 0.7 s at M = 250 and 6.1 s at M = 500 (2-core x86-64 VM, Python
+# 3.11), so larger samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
@@ -213,25 +213,17 @@ def _one_run(g: FactorGraph, n: int, seed: int, M: int, host: ProductGraph, atte
     rng = SplitMix64(seed)
     samples = tuple(tuple(rng.randbelow(g.n) for _ in range(n)) for _ in range(M))
     distinct = sorted(set(samples))
-    dist_table = g.dist
+    bad = list(bad_triples(*host.distance_table(distinct)))
 
-    def d(u: Coord, v: Coord) -> int:
-        return sum(dist_table[a][b] for a, b in zip(u, v))
-
-    bad = []
-    for u, v, w in combinations(distinct, 3):
-        duv, dvw, duw = d(u, v), d(v, w), d(u, w)
-        if duw == duv + dvw or dvw == duv + duw or duv == duw + dvw:
-            bad.append((u, v, w))
-
-    alive = set(distinct)
+    alive = [True] * len(distinct)
     deletions = []
-    for u, v, w in bad:  # lex order; u is the lowest member
-        if u in alive and v in alive and w in alive:
-            alive.remove(u)
-            deletions.append(u)
+    for t in bad:  # lex order of the sorted triple
+        if alive[t[0]] and alive[t[1]] and alive[t[2]]:
+            low = min(t)  # the lowest member
+            alive[low] = False
+            deletions.append(distinct[low])
 
-    final = sorted(alive)
+    final = [v for v, keep in zip(distinct, alive) if keep]
     result = GpSet.certify(host, final, note=f"first-moment run, seed {seed}")
     target = (M + 1) // 2
     return SampleRun(
@@ -269,7 +261,20 @@ def first_moment_construct(
         raise ValueError("power needs n >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
-    M = sample_size if sample_size is not None else choose_M(p_exact(g), n)
+    if sample_size is not None:
+        M = sample_size
+    else:
+        p = p_exact(g)
+        # M(M-1) > p^-n, so log2 M > (n/2) log2(1/p).  Where that bound puts M
+        # above 2^64, refuse at once: the exact power costs time quadratic in
+        # n, and such an M is shown as 2^k anyway.  The factor below absorbs
+        # the rounding of the logarithms.
+        k = floor(n * (log2(p.denominator) - log2(p.numerator)) / 2 * (1 - 1e-12))
+        if k > 64:
+            raise VertexCapError(
+                f"sample size M = 2^{k} or more is above the cap of {MAX_SAMPLE_SIZE}"
+            )
+        M = choose_M(p, n)
     if M > MAX_SAMPLE_SIZE:
         raise VertexCapError(f"sample size M = {show_count(M)} is above the cap of {MAX_SAMPLE_SIZE}")
     host = ProductGraph([g] * n)

@@ -73,19 +73,14 @@ class SearchResult:
 
 
 def flat_distance_matrix(g: ProductGraph, cap: int | None = 20000) -> np.ndarray:
-    """Dense distance matrix on flat indices, assembled additively from the
-    factor tables.  Scratch data for index building; products themselves
-    never cache this."""
+    """Read-only distance matrix on flat indices (``ProductGraph.flat_matrix``),
+    refused above ``cap`` vertices.  On hosts of at most
+    ``FLAT_TABLE_MAX_VERTICES`` vertices it is the host's cached matrix, so
+    the index build and witness certification share one build."""
     n = g.total_vertices
     if cap is not None and n > cap:
         raise VertexCapError(f"distance matrix refused for {n} vertices (cap {cap})")
-    D = np.zeros((n, n), dtype=np.int32)
-    flat = np.arange(n)
-    for f, stride, size in zip(g.factors, g._strides, g._sizes):
-        c = (flat // stride) % size
-        Df = np.asarray(f.dist, dtype=np.int32)
-        D += Df[c[:, None], c[None, :]]
-    return D
+    return g.flat_matrix()
 
 
 def _pack_rows(rows: np.ndarray) -> list[int]:

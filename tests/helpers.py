@@ -97,3 +97,19 @@ def naive_maximum_sets(g: ProductGraph) -> tuple[int, list[tuple]]:
             break
         best = found
     return len(best[0]), [tuple(g.decode(i) for i in sub) for sub in best]
+
+
+def naive_first_violation(D, subset):
+    """First bad 3-subset of ``subset`` in ``itertools.combinations`` order
+    of the sorted flat indices, middle vertex first, or None.
+
+    For distinct vertices at most one of the three can be in the middle:
+    two middles would force a zero distance between them.
+    """
+    for t in combinations(sorted(subset), 3):
+        if triple_is_bad(D, *t):
+            for mid in t:
+                a, b = (x for x in t if x != mid)
+                if D[a][b] == D[a][mid] + D[mid][b]:
+                    return (mid, a, b)
+    return None

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: exit codes, JSON schema, rendering."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -175,6 +177,12 @@ def test_power_sample_refuses_an_oversized_sample(capsys):
     # an M too long to print is still reported as over the cap
     code, out, err = run_cli(capsys, ["power-sample", "C7", "100000", "--seed", "1"])
     assert code == 1 and "is above the cap" in err
+    # a huge power is refused from a logarithm, without the exact p^-n
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, ["power-sample", "C7", "10000000", "--seed", "1"])
+    assert time.monotonic() - started < 1.0
+    assert code == 1 and out == ""
+    assert "M = 2^6833911 or more is above the cap of 500" in err
 
 
 # ----------------------------------------------------------------------
@@ -262,4 +270,36 @@ def test_python_dash_m_invocation():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["value"] == 6
+
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_1_without_a_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["p", "C5"]) == 1
+    # stdout now points at the null device, so the flush at exit is harmless
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_in_a_real_process():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genpos", "p", "C5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader leaves before genpos has imported
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 

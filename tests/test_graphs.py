@@ -1,6 +1,7 @@
 """Spec grammar, product construction, and metric sanity."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos.graphs import (
+    MAX_PRODUCT_FACTORS,
     FactorGraph,
+    FactorSpec,
     GraphSpecError,
     ProductGraph,
     VertexCapError,
@@ -104,6 +107,27 @@ _factor_st = st.one_of(
 def test_canonicalization_is_idempotent(text):
     canon = parse_spec(text).canonical()
     assert parse_spec(canon).canonical() == canon
+
+
+def test_lone_hypercube_parses_in_constant_time():
+    started = time.monotonic()
+    spec = parse_spec("Q3000000")
+    assert time.monotonic() - started < 0.05
+    assert (spec.factors, spec.exponent) == ((FactorSpec("K", 2),), 3000000)
+
+
+@pytest.mark.parametrize("text", ["Q3000000xP2", "P2xQ256", "Q200xQ57", "x".join(["C5"] * 257)])
+def test_long_products_are_refused_before_the_list_grows(text):
+    started = time.monotonic()
+    with pytest.raises(GraphSpecError, match="at most 256 factors"):
+        parse_spec(text)
+    assert time.monotonic() - started < 0.05
+
+
+def test_a_product_may_list_256_factors():
+    assert MAX_PRODUCT_FACTORS == 256
+    assert parse_spec("Q200xQ56").canonical() == "K2^256"
+    assert len(parse_spec("P3x" + "x".join(["C5"] * 255)).factors) == 256
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Betweenness, the two general-position checkers, and F(X)."""
 
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genpos.graphs import build
+from genpos.graphs import FLAT_TABLE_MAX_VERTICES, build
 from genpos.position import (
     GpSet,
     characterization_check,
@@ -16,6 +19,7 @@ from genpos.position import (
     is_general_position,
 )
 from genpos.solver import enumerate_maximum_gp_sets, gp_exact
+from helpers import bfs_distance_table, naive_first_violation, subset_in_general_position
 
 FIG5 = [(0, 1), (1, 4), (2, 0), (3, 3), (4, 6), (5, 2), (6, 5)]
 
@@ -128,6 +132,85 @@ def test_checkers_agree_on_random_subsets():
             structural, cert = characterization_check(g, sub)
             assert direct == structural
             assert (cert is not None) == structural
+
+
+# ----------------------------------------------------------------------
+# both distance-table paths against BFS distances
+
+# P3^4 and C3xP3xP3xP3 read the cached flat matrix; P3^5 and K2^8 sum the
+# distances between the members of each query.
+TABLE_HOSTS = ["P3^4", "C3xP3xP3xP3", "P3^5", "K2^8"]
+
+
+@cache
+def _host_and_bfs(spec):
+    g = build(spec)
+    return g, bfs_distance_table(g)
+
+
+def test_table_hosts_cover_both_sides_of_the_split():
+    sizes = [_host_and_bfs(spec)[0].total_vertices for spec in TABLE_HOSTS]
+    assert min(sizes) <= FLAT_TABLE_MAX_VERTICES < max(sizes)
+
+
+def _naive_certificate(D, flats):
+    """Components of the induced subgraph (sorted), with the distances
+    between their first members: the certificate of a general position set."""
+    parts, seen = [], set()
+    for v in flats:
+        if v in seen:
+            continue
+        part, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for w in flats:
+                if w not in part and D[u][w] == 1:
+                    part.add(w)
+                    stack.append(w)
+        seen |= part
+        parts.append(sorted(part))
+    parts.sort()
+    return parts, [[D[p[0]][q[0]] for q in parts] for p in parts]
+
+
+@pytest.mark.parametrize("spec", TABLE_HOSTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_checkers_match_bfs_oracle_on_both_table_paths(spec, data):
+    g, D = _host_and_bfs(spec)
+    n = g.total_vertices
+    flats = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=9)))
+    members = [g.decode(i) for i in flats]
+    data.draw(st.randoms(use_true_random=False)).shuffle(members)
+
+    want = naive_first_violation(D, flats)
+    got = find_violating_triple(g, members)
+    assert got == (None if want is None else tuple(g.decode(i) for i in want))
+
+    ok, cert = characterization_check(g, members)
+    assert ok == subset_in_general_position(D, flats) == (want is None)
+    if ok:
+        parts, dists = _naive_certificate(D, flats)
+        assert [[g.encode(v) for v in part] for part in cert.parts] == parts
+        assert [list(row) for row in cert.part_distances] == dists
+    else:
+        assert cert is None
+
+
+@pytest.mark.parametrize("spec", TABLE_HOSTS)
+def test_distance_table_matches_bfs(spec):
+    g, D = _host_and_bfs(spec)
+    rnd = random.Random(spec)
+    flats = rnd.sample(range(g.total_vertices), 12)
+    ids, table = g.distance_table([g.decode(i) for i in flats])
+    if g.total_vertices <= FLAT_TABLE_MAX_VERTICES:
+        assert ids == flats  # flat indices into the host's cached matrix
+        assert g.distance_table([])[1] is table
+    else:
+        assert ids == list(range(12))  # positions in a members-only table
+    for a, b in combinations(range(12), 2):
+        assert table[ids[a]][ids[b]] == table[ids[b]][ids[a]] == D[flats[a]][flats[b]]
+    assert all(table[i][i] == 0 for i in ids)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,24 @@
 """Exact probabilities, sample-size arithmetic, and the deletion sampler."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.graphs import FactorGraph, ProductGraph, VertexCapError, build, explicit_adjacency
+from genpos.graphs import (
+    FLAT_TABLE_MAX_VERTICES,
+    FactorGraph,
+    ProductGraph,
+    VertexCapError,
+    build,
+    explicit_adjacency,
+    show_count,
+)
 from genpos.position import is_general_position
 from genpos.randomized import (
+    MAX_SAMPLE_SIZE,
     SplitMix64,
     choose_M,
     first_moment_construct,
@@ -20,6 +29,7 @@ from genpos.randomized import (
     p_power,
     star_formula_quoted,
 )
+from helpers import bfs_distance_table, triple_is_bad
 
 
 def brute_force_p(g: FactorGraph) -> Fraction:
@@ -257,6 +267,36 @@ def test_sampler_retries_exhaust_gracefully():
     assert not run.success
     assert run.attempts == 3
     assert run.result.certified  # still a certified, honest set
+
+
+@pytest.mark.parametrize("factor,n", [(FactorGraph.complete(2), 8), (FactorGraph.path(3), 5)])
+def test_sampler_deletions_match_bfs_oracle_above_the_split(factor, n):
+    host = ProductGraph([factor] * n)
+    assert host.total_vertices > FLAT_TABLE_MAX_VERTICES
+    D = bfs_distance_table(host)
+    for seed in range(3):
+        run = first_moment_construct(factor, n, seed=seed, retries=0, sample_size=30)
+        distinct = sorted({host.encode(v) for v in run.samples})
+        bad = [t for t in combinations(distinct, 3) if triple_is_bad(D, *t)]
+        alive, deletions = set(distinct), []
+        for t in bad:  # lex order; the lowest member goes
+            if alive.issuperset(t):
+                alive.remove(t[0])
+                deletions.append(t[0])
+        assert bad  # a sample this dense on these hosts has bad triples
+        assert run.bad_triples == len(bad)
+        assert [host.encode(v) for v in run.deletions] == deletions
+        assert [host.encode(v) for v in run.result] == sorted(alive)
+
+
+def test_sample_size_refusal_names_the_power_of_two_of_the_exact_M():
+    # from M > 2^64 on, the refusal comes from a logarithmic bound on M, not
+    # from choose_M; either way the message shows the same power of two
+    p = p_exact(FactorGraph.cycle(7))
+    for n in range(90, 100):  # M crosses 2^64 at n = 94
+        message = f"M = {show_count(choose_M(p, n))} is above the cap of {MAX_SAMPLE_SIZE}"
+        with pytest.raises(VertexCapError, match=message.replace("^", r"\^")):
+            first_moment_construct(FactorGraph.cycle(7), n, seed=1)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.graphs import FactorGraph, FactorSpec, ProductGraph, build, VertexCapError
+from genpos.graphs import (
+    FLAT_TABLE_MAX_VERTICES,
+    FactorGraph,
+    FactorSpec,
+    ProductGraph,
+    VertexCapError,
+    build,
+)
 from genpos.position import independence_check, is_general_position
 from genpos.formulas import cylinder_witness, grid_gp_count, torus_quadrant_cover
 from genpos.solver import (
@@ -15,6 +22,7 @@ from genpos.solver import (
     _orbit_minimal_roots,
     count_maximum_gp_sets,
     enumerate_maximum_gp_sets,
+    flat_distance_matrix,
     gp_exact,
     isometric_cover_bound,
     orbit_canonical,
@@ -357,3 +365,26 @@ def test_independence_of_five_point_maximum_sets():
     assert sets
     for members in sets:
         assert independence_check(g, members)
+
+
+def test_flat_distance_matrix_is_cached_and_read_only():
+    g = build("P3xC5xK4")
+    D = flat_distance_matrix(g)
+    assert flat_distance_matrix(g) is D
+    assert not D.flags.writeable
+    with pytest.raises(ValueError):
+        D[0, 1] = 7
+    assert D.tolist() == [list(row) for row in bfs_distance_table(g)]
+    # the index build and the witness certification read the same matrix
+    gp_exact(g)
+    assert flat_distance_matrix(g) is D
+
+
+def test_flat_distance_matrix_above_the_split_is_built_per_call():
+    g = build("P3^5")
+    assert g.total_vertices > FLAT_TABLE_MAX_VERTICES
+    D = flat_distance_matrix(g)
+    assert not D.flags.writeable
+    assert flat_distance_matrix(g) is not D
+    with pytest.raises(VertexCapError):
+        flat_distance_matrix(g, cap=200)
