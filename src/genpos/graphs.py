@@ -177,9 +177,6 @@ class FactorGraph:
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
-    def edge_count(self) -> int:
-        return sum(len(ns) for ns in self.adj) // 2
-
     def __repr__(self):
         return f"FactorGraph({self.label or self.kind}, n={self.n})"
 
@@ -309,12 +306,6 @@ class ProductGraph:
 
     def adjacent(self, u, v) -> bool:
         return self.distance(u, v) == 1
-
-    def neighbors(self, v):
-        v = self.check_coord(v)
-        for i, f in enumerate(self.factors):
-            for w in f.adj[v[i]]:
-                yield v[:i] + (w,) + v[i + 1:]
 
     def __repr__(self):
         return f"ProductGraph({self.spec or 'explicit'}, n={self.total_vertices})"

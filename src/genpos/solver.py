@@ -22,11 +22,26 @@ searched.  Every set also has an image whose minimum is orbit-minimal,
 so the value is unchanged.  The search runs in one process, so the value,
 the witness and the node count are the same on every run; a node budget
 stops it at the same node every time.
+
+Counting double counts over the same orbits.  For each orbit-minimal r
+the DFS starts from {r} with every other vertex as a candidate, so it
+reaches each maximum set through r exactly once; call their number c_r.
+An automorphism maps maximum sets through r onto maximum sets through
+its image, so every vertex of r's orbit lies on c_r of them, and a
+maximum set is met once per member.  Hence
+
+    #max = (sum over orbit-minimal r of |orbit(r)| * c_r) / gp,
+
+an exact identity: each leaf adds its root's orbit size, and a sum that
+gp does not divide means the orbits or the search are wrong, so it
+raises instead of being rounded.  Enumeration lists the sets themselves
+and keeps one root over every vertex.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +137,6 @@ class BadTripleIndex:
         bad_flat = _pack_rows(bad)
         return cls(n, [bad_flat[i * n:(i + 1) * n] for i in range(n)])
 
-    def bad_with_mask(self, a: int, b: int) -> int:
-        return self._bad_with[a][b]
-
     def bad_with(self, a: int, b: int) -> set[int]:
         return _bits(self._bad_with[a][b])
 
@@ -161,6 +173,26 @@ def _factor_orbit_min(f: FactorGraph, i: int) -> int:
     return i
 
 
+def _canonical_map(g: ProductGraph):
+    """:func:`orbit_canonical` for ``g`` as a one-argument function, with the
+    factor orbit minima and the same-label groups read off ``g`` once."""
+    mins = [[_factor_orbit_min(f, i) for i in range(f.n)] for f in g.factors]
+    groups: dict[str, list[int]] = {}
+    for pos, f in enumerate(g.factors):
+        if f.label is not None:
+            groups.setdefault(f.label, []).append(pos)
+    shared = [positions for positions in groups.values() if len(positions) > 1]
+
+    def canonical(v: Coord) -> Coord:
+        out = [m[c] for m, c in zip(mins, v)]
+        for positions in shared:
+            for pos, c in zip(positions, sorted([out[p] for p in positions])):
+                out[pos] = c
+        return tuple(out)
+
+    return canonical
+
+
 def orbit_canonical(g: ProductGraph, v: Coord) -> Coord:
     """Lexicographically smallest vertex in the orbit of ``v`` under the
     factor automorphisms and the permutations of same-label factors.
@@ -169,21 +201,16 @@ def orbit_canonical(g: ProductGraph, v: Coord) -> Coord:
     the values on the positions of each group of same-label factors are
     sorted ascending.  ``v`` is orbit-minimal iff it equals the result.
     """
-    out = [_factor_orbit_min(f, c) for f, c in zip(g.factors, v)]
-    groups: dict[str, list[int]] = {}
-    for pos, f in enumerate(g.factors):
-        if f.label is not None:
-            groups.setdefault(f.label, []).append(pos)
-    for positions in groups.values():
-        for pos, c in zip(positions, sorted(out[p] for p in positions)):
-            out[pos] = c
-    return tuple(out)
+    return _canonical_map(g)(v)
 
 
-def _orbit_minimal_roots(g: ProductGraph) -> list[int]:
-    """Flat indices, ascending, of the orbit-minimal vertices: the only
-    first vertices the max-search branches on."""
-    return [i for i, v in enumerate(g.vertices()) if orbit_canonical(g, v) == v]
+def _root_orbits(g: ProductGraph) -> dict[int, int]:
+    """Orbit size of each orbit-minimal vertex, keyed by flat index in
+    ascending order: the only first vertices the max-search and counting
+    branch on."""
+    sizes = Counter(map(_canonical_map(g), g.vertices()))
+    # a vertex's canonical form is never after it, so keys arrive ascending
+    return {g.encode(c): k for c, k in sizes.items()}
 
 
 def _above(v: int, n: int) -> int:
@@ -198,19 +225,20 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     """Depth-first branch and bound behind the max-search, counting and
     enumeration.
 
-    ``starts`` lists the (S, cand) roots, searched in order; ``witness`` is
-    the incumbent set, so the search starts from best = len(witness).  A
-    subtree is cut unless it can reach best + slack vertices: ``slack=1``
-    only looks for larger sets, ``slack=0`` also reaches every set that
-    ties the best.  ``sets``, when given, receives every set of the final
-    best size reached, in the order reached (lexicographic).  Until a
-    larger set resets it, ``sets`` also holds the ties of each smaller
-    best size met on the way.
+    ``starts`` lists the (S, cand, weight) roots, searched in order;
+    ``witness`` is the incumbent set, so the search starts from
+    best = len(witness).  A subtree is cut unless it can reach best + slack
+    vertices: ``slack=1`` only looks for larger sets, ``slack=0`` also
+    reaches every set that ties the best.  ``sets``, when given, receives
+    every set of the final best size reached, in the order reached
+    (lexicographic).  Until a larger set resets it, ``sets`` also holds the
+    ties of each smaller best size met on the way.  The node budget in
+    ``limits`` counts the nodes of all roots together.
 
-    Returns (best, count, witness, nodes, complete): ``count`` sets of size
-    best were reached, ``witness`` is the first of them (the given one if
-    none beat it), and ``complete`` is False when the budget in ``limits``
-    ran out.
+    Returns (best, count, witness, nodes, complete): ``count`` sums the
+    weight of the root under which each set of size best was reached,
+    ``witness`` is the first of them (the given one if none beat it), and
+    ``complete`` is False when the budget ran out.
     """
     best = len(witness)
     bar = best + slack
@@ -248,12 +276,12 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
             if k1 > best:
                 best = k1
                 bar = best + slack
-                count = 1
+                count = weight
                 witness = S + [v]
                 if sets is not None:
                     sets[:] = [witness]
             elif k1 == best:
-                count += 1
+                count += weight
                 if sets is not None:
                     sets.append(S + [v])
             if nc and k1 + nc.bit_count() >= bar:
@@ -264,7 +292,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 S.pop()
 
     try:
-        for S, cand in starts:
+        for S, cand, weight in starts:
             rec(list(S), [allowed[v] for v in S], cand)
     except BudgetExhausted:
         complete = False
@@ -306,12 +334,11 @@ def gp_exact(
     n = g.total_vertices
     started = time.monotonic()
     allowed = _allowed_tables(g, cap, "exact search")
-    roots = _orbit_minimal_roots(g)
 
     if n == 1:
         best, witness, nodes, complete = 1, [0], 1, True
     else:
-        starts = [([v], _above(v, n)) for v in roots]
+        starts = [([v], _above(v, n), 1) for v in _root_orbits(g)]
         best, _, witness, nodes, complete = _dfs(allowed, starts, [0], limits, slack=1)
     elapsed = time.monotonic() - started
     members = [g.decode(i) for i in witness]
@@ -329,14 +356,24 @@ def count_maximum_gp_sets(
     cap: int | None = DEFAULT_ENUM_CAP,
     limits: SearchLimits | None = None,
 ) -> tuple[int, int]:
-    """(gp value, number of distinct maximum general position sets)."""
+    """(gp value, number of distinct maximum general position sets).
+
+    Counts the maximum sets through each orbit-minimal vertex and weights
+    them by its orbit size (see the module docstring).
+    """
     g = _as_product(g)
+    n = g.total_vertices
     allowed = _allowed_tables(g, cap, "enumeration")
-    root = ([], (1 << g.total_vertices) - 1)
-    best, count, _, _, complete = _dfs(allowed, [root], [], limits, slack=0)
+    if n == 1:
+        return 1, 1
+    full = (1 << n) - 1
+    starts = [([r], full ^ (1 << r), size) for r, size in _root_orbits(g).items()]
+    best, count, _, _, complete = _dfs(allowed, starts, [], limits, slack=0)
     if not complete:
         raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")
-    return best, count
+    if count % best:
+        raise RuntimeError(f"orbit-weighted count {count} is not divisible by gp {best}")
+    return best, count // best
 
 
 def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[int, list[tuple[Coord, ...]]]:
@@ -348,7 +385,7 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     """
     g = _as_product(g)
     allowed = _allowed_tables(g, cap, "enumeration")
-    root = ([], (1 << g.total_vertices) - 1)
+    root = ([], (1 << g.total_vertices) - 1, 1)
     sets: list[list[int]] = []
     best = _dfs(allowed, [root], [], None, slack=0, sets=sets)[0]
     return best, [tuple(g.decode(i) for i in s) for s in sets]

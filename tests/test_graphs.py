@@ -219,13 +219,14 @@ def test_distance_examples():
 @pytest.mark.parametrize("spec", ["P3xC5", "S2xK3"])
 def test_distance_is_a_metric(spec):
     g = build(spec)
+    adj = explicit_adjacency(g).adj
     vs = list(g.vertices())
     for u in vs:
         for v in vs:
             d = g.distance(u, v)
             assert d == g.distance(v, u)
             assert (d == 0) == (u == v)
-            assert (d == 1) == (v in set(g.neighbors(u)))
+            assert (d == 1) == (g.encode(v) in adj[g.encode(u)])
     for u in vs:
         for v in vs:
             for w in vs:
@@ -247,14 +248,14 @@ def test_path_is_isometric_in_long_enough_cycle(s):
 def test_explicit_adjacency_p2p2_is_a_4_cycle():
     ex = explicit_adjacency(build("P2xP2"))
     assert [ex.degree(i) for i in range(4)] == [2, 2, 2, 2]
-    assert ex.edge_count() == 4
+    assert sum(map(len, ex.adj)) // 2 == 4
 
 
 def test_explicit_adjacency_cube_and_grid():
     cube = explicit_adjacency(build("K2^3"))
     assert all(cube.degree(i) == 3 for i in range(8))
     grid = explicit_adjacency(build("P3xP3"))
-    assert grid.edge_count() == 12
+    assert sum(map(len, grid.adj)) // 2 == 12
 
 
 def test_explicit_adjacency_cap():

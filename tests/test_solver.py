@@ -16,10 +16,12 @@ from genpos.graphs import (
 )
 from genpos.position import independence_check, is_general_position
 from genpos.formulas import cylinder_witness, grid_gp_count, torus_quadrant_cover
+from genpos import solver
 from genpos.solver import (
     BadTripleIndex,
+    BudgetExhausted,
     SearchLimits,
-    _orbit_minimal_roots,
+    _root_orbits,
     count_maximum_gp_sets,
     enumerate_maximum_gp_sets,
     flat_distance_matrix,
@@ -128,12 +130,38 @@ def test_canonical_form_has_the_same_distance_profile(name):
 
 
 def test_orbit_minimal_roots():
-    assert _orbit_minimal_roots(build("C5xC5")) == [0]  # vertex-transitive
-    assert _orbit_minimal_roots(build("K2^4")) == [0]
+    assert _root_orbits(build("C5xC5")) == {0: 25}  # vertex-transitive
+    assert _root_orbits(build("K2^4")) == {0: 16}
     g = build("P3xP4")
-    assert [g.decode(i) for i in _orbit_minimal_roots(g)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    roots = _root_orbits(g)
+    assert [g.decode(i) for i in roots] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(roots.values()) == [4, 4, 2, 2]
+    g = build("P3xP3")  # same-label factors: (0, 1) and (1, 0) share an orbit
+    assert {g.decode(i): k for i, k in _root_orbits(g).items()} == {(0, 0): 4, (0, 1): 4, (1, 1): 1}
     explicit = SYMMETRY_CORPUS["C4 x explicit P4"]
-    assert [explicit.decode(i) for i in _orbit_minimal_roots(explicit)] == [(0, j) for j in range(4)]
+    roots = _root_orbits(explicit)
+    assert [explicit.decode(i) for i in roots] == [(0, j) for j in range(4)]
+    assert list(roots.values()) == [4, 4, 4, 4]
+
+
+def _assert_orbits_meet_equally_many_maximum_sets(g):
+    """The lemma behind orbit-weighted counting: each vertex lies on as many
+    maximum sets as its canonical form, and the orbits partition V."""
+    _, sets = naive_maximum_sets(g)
+    on = {v: 0 for v in g.vertices()}
+    for members in sets:
+        for v in members:
+            on[v] += 1
+    for v in g.vertices():
+        assert on[v] == on[orbit_canonical(g, v)], v
+    roots = _root_orbits(g)
+    assert sum(roots.values()) == g.total_vertices
+    assert list(roots) == sorted(roots)
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CORPUS)
+def test_orbits_meet_equally_many_maximum_sets(name):
+    _assert_orbits_meet_equally_many_maximum_sets(SYMMETRY_CORPUS[name])
 
 
 _small_factor = st.one_of(
@@ -154,6 +182,16 @@ def test_witness_is_lex_first_on_random_products(factors):
     g = ProductGraph([f.build() for f in factors])
     res = gp_exact(g)
     assert (res.gp_value, tuple(res.witness)) == naive_lex_first_max(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(_small_factor, min_size=1, max_size=3).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 16
+    )
+)
+def test_orbits_meet_equally_many_maximum_sets_on_random_products(factors):
+    _assert_orbits_meet_equally_many_maximum_sets(ProductGraph([f.build() for f in factors]))
 
 
 def test_single_vertex_graph():
@@ -177,6 +215,31 @@ def test_node_budget_reports_incomplete_but_certified():
     assert res.witness.certified and len(res.witness) == res.gp_value
 
 
+def test_count_budget_counts_nodes_over_all_roots(monkeypatch):
+    seen: list[int] = []  # nodes explored by each _dfs call
+    dfs = solver._dfs
+
+    def spy(*args, **kwargs):
+        out = dfs(*args, **kwargs)
+        seen.append(out[3])
+        return out
+
+    monkeypatch.setattr(solver, "_dfs", spy)
+    with pytest.raises(BudgetExhausted):
+        count_maximum_gp_sets(build("K4^3"), limits=SearchLimits(max_nodes=1000))
+    assert seen == [1000]
+    # P4^3 has four root orbits; a budget of as many nodes as the complete
+    # search takes stops it at its last node, which no single root reaches
+    g = build("P4^3")
+    assert len(_root_orbits(g)) == 4
+    full = count_maximum_gp_sets(g)
+    total = seen[-1]
+    assert count_maximum_gp_sets(g, limits=SearchLimits(max_nodes=total + 1)) == full
+    with pytest.raises(BudgetExhausted):
+        count_maximum_gp_sets(g, limits=SearchLimits(max_nodes=total))
+    assert seen[-1] == total
+
+
 def test_time_budget_on_a_larger_search():
     res = gp_exact(build("C7xC7"), limits=SearchLimits(time_limit=1e-4))
     assert not res.complete
@@ -188,10 +251,30 @@ def test_time_budget_on_a_larger_search():
 
 @pytest.mark.parametrize(
     "spec,expected",
-    [("P2xP2", (2, 6)), ("P2xP3", (3, 2)), ("P3xP3", (4, 1))],
+    # a root start never reaches the one-vertex set itself, so P1 and K1
+    # are answered directly
+    [("P2xP2", (2, 6)), ("P2xP3", (3, 2)), ("P3xP3", (4, 1)),
+     ("P1", (1, 1)), ("K1", (1, 1)), ("K2", (2, 1))],
 )
 def test_count_examples(spec, expected):
     assert count_maximum_gp_sets(build(spec)) == expected
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CORPUS)
+def test_count_matches_naive_on_symmetry_corpus(name):
+    g = SYMMETRY_CORPUS[name]
+    assert count_maximum_gp_sets(g) == naive_count_maximum(g)
+
+
+def test_count_refuses_an_orbit_sum_not_divisible_by_gp(monkeypatch):
+    # P3xP3's one maximum set holds the four edge midpoints, one orbit of
+    # size 4; weighting that orbit 3 gives a sum of 3, which 4 does not divide
+    g = build("P3xP3")
+    sizes = _root_orbits(g)
+    sizes[g.encode((0, 1))] = 3
+    monkeypatch.setattr(solver, "_root_orbits", lambda _: sizes)
+    with pytest.raises(RuntimeError, match="not divisible"):
+        count_maximum_gp_sets(g)
 
 
 @pytest.mark.parametrize("spec", ["P2xP2", "P2xP3", "P3xP3", "P2xC3", "K2xK3", "P3xP4"])
@@ -300,7 +383,7 @@ def test_between_sets_on_small_graphs():
         for a in range(g.total_vertices):
             for b in range(g.total_vertices):
                 assert idx.bad_with(a, b) == _bad_with_oracle(D, a, b)
-                assert idx.bad_with_mask(a, b) == idx.bad_with_mask(b, a)
+                assert idx.bad_with(a, b) == idx.bad_with(b, a)
 
 
 def test_index_against_direct_betweenness():
