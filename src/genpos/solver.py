@@ -10,18 +10,26 @@ One DFS core, :func:`_dfs`, serves the max-search, counting and
 enumeration.
 
 Determinism: vertices are branched in increasing flat index, and the
-first chosen vertex is only ever an *orbit-minimal* one: the smallest
-flat index in its orbit under the automorphisms read off the spec
-(dihedral on ``C n``, all of S_n on ``K n``, reversal on ``P n``, leaf
-permutations on ``S k``, none on explicit factors, and permutations of
-factors with the same label; see :func:`orbit_canonical`).  The reported
-witness is still the lexicographically first maximum set S*: if an
-automorphism sigma mapped min(S*) below itself, sigma(S*) would be a
-lex-smaller maximum set, so min(S*) is orbit-minimal and its subtree is
-searched.  Every set also has an image whose minimum is orbit-minimal,
-so the value is unchanged.  The search runs in one process, so the value,
-the witness and the node count are the same on every run; a node budget
-stops it at the same node every time.
+max-search prunes by symmetry at every depth.  At a node with prefix
+S = (s1..sk) it branches only on vertices that are the smallest in their
+orbit under K_S, a group of automorphisms fixing s1..sk pointwise that is
+read off the spec (see :class:`_Symmetry`).  At each factor position p,
+K_S holds the factor automorphisms that fix every value S uses at p: on
+``C n`` all rotations and reflections while S is empty, then the
+reflection x -> c - x if one fixes them all; on ``K n`` and the leaves of
+``S k`` every permutation of the vertices S does not use there; on ``P n``
+the reversal while every used value is the middle vertex; on explicit
+factors nothing.  K_S also permutes same-label positions whose columns in
+S are identical.  The reported witness is still the lexicographically
+first maximum set S*: along its path, if some sigma in K_S mapped s_{k+1}
+below itself, sigma(S*) would be a lex-smaller maximum set.  It keeps
+s1..sk and gains sigma(s_{k+1}), which lies below every member of S*
+that it lacks.  So S* is searched, and the value is unchanged.  At the
+empty prefix K_S is the whole group, whose orbits also feed counting
+(:func:`orbit_canonical`).  Once K_S acts trivially, the subtree runs the
+plain loop.  The search runs in one process, so the value, the witness
+and the node count are the same on every run; a node budget stops it at
+the same node every time.
 
 Counting double counts over the same orbits.  For each orbit-minimal r
 the DFS starts from {r} with every other vertex as a candidate, so it
@@ -111,11 +119,11 @@ class BadTripleIndex:
     whichever of the three is in the middle.
     """
 
-    __slots__ = ("n", "_bad_with")
+    __slots__ = ("n", "_allowed")
 
-    def __init__(self, n: int, bad_with: list[list[int]]):
+    def __init__(self, n: int, allowed: list[list[int]]):
         self.n = n
-        self._bad_with = bad_with
+        self._allowed = allowed
 
     @classmethod
     def build(cls, g: ProductGraph | np.ndarray, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
@@ -134,17 +142,18 @@ class BadTripleIndex:
             | np.transpose(btw, (0, 2, 1))
             | np.transpose(btw, (1, 0, 2))
         ).reshape(n * n, n)
-        bad_flat = _pack_rows(bad)
-        return cls(n, [bad_flat[i * n:(i + 1) * n] for i in range(n)])
+        # packbits pads with zero bits, so no mask reaches past vertex n-1
+        allowed_flat = _pack_rows(~bad)
+        return cls(n, [allowed_flat[i * n:(i + 1) * n] for i in range(n)])
 
     def bad_with(self, a: int, b: int) -> set[int]:
-        return _bits(self._bad_with[a][b])
+        return _bits(((1 << self.n) - 1) ^ self._allowed[a][b])
 
     def allowed_tables(self) -> list[list[int]]:
-        """Complement masks: allowed[a][b] = vertices NOT completing a bad
-        triple with the pair (a, b).  This is what the search intersects."""
-        full = (1 << self.n) - 1
-        return [[full & ~m for m in row] for row in self._bad_with]
+        """allowed[a][b] = vertices NOT completing a bad triple with the
+        pair (a, b).  This is what the search intersects; the tables are
+        the index's own, not a copy."""
+        return self._allowed
 
 
 def _bits(mask: int) -> set[int]:
@@ -159,63 +168,187 @@ def _bits(mask: int) -> set[int]:
 # ----------------------------------------------------------------------
 # symmetry
 
-def _factor_orbit_min(f: FactorGraph, i: int) -> int:
-    """Smallest vertex in the orbit of ``i`` under the factor's automorphisms
-    used here: all of C n and K n is one orbit, P n pairs i with n-1-i,
-    the leaves of S k form one orbit, an explicit factor is taken as
-    asymmetric."""
-    if f.kind in ("cycle", "complete"):
-        return 0
-    if f.kind == "path":
-        return min(i, f.n - 1 - i)
-    if f.kind == "star":
-        return min(i, 1)
-    return i
+def _orbit_lows(f: FactorGraph, fixed: int) -> tuple[int, ...]:
+    """``lo[x]`` is the smallest vertex in the orbit of x under the
+    automorphisms of ``f`` used here that fix every vertex in the bitset
+    ``fixed``.
+
+    ``C n``: all rotations and reflections while nothing is fixed, then the
+    reflection x -> c - x (mod n) if one fixes every fixed vertex.  ``P n``:
+    the reversal, while every fixed vertex is the middle one.  ``K n`` and
+    the leaves of ``S k``: every permutation of the vertices not fixed.  An
+    explicit factor is taken as asymmetric.
+    """
+    n = f.n
+    if f.kind == "cycle":
+        if not fixed:
+            return (0,) * n
+        centres = {2 * u % n for u in range(n) if fixed >> u & 1}
+        if len(centres) == 1:
+            c = centres.pop()
+            return tuple([min(x, (c - x) % n) for x in range(n)])
+    elif f.kind == "path":
+        if all(2 * u == n - 1 for u in range(n) if fixed >> u & 1):
+            return tuple([min(x, n - 1 - x) for x in range(n)])
+    elif f.kind in ("complete", "star"):
+        first = 1 if f.kind == "star" else 0  # a star's centre stays put
+        moved = [x for x in range(first, n) if not fixed >> x & 1]
+        lows = list(range(n))
+        for x in moved:
+            lows[x] = moved[0]
+        return tuple(lows)
+    return tuple(range(n))
 
 
-def _canonical_map(g: ProductGraph):
-    """:func:`orbit_canonical` for ``g`` as a one-argument function, with the
-    factor orbit minima and the same-label groups read off ``g`` once."""
-    mins = [[_factor_orbit_min(f, i) for i in range(f.n)] for f in g.factors]
-    groups: dict[str, list[int]] = {}
-    for pos, f in enumerate(g.factors):
-        if f.label is not None:
-            groups.setdefault(f.label, []).append(pos)
-    shared = [positions for positions in groups.values() if len(positions) > 1]
+class _Prefix(dict):
+    """Stabilizer state of one search prefix.  ``mask`` is the bitset of
+    its orbit-minimal vertices; item v is the state of the prefix extended
+    by v, or None once the stabilizer acts trivially, derived on first use."""
 
-    def canonical(v: Coord) -> Coord:
-        out = [m[c] for m, c in zip(mins, v)]
-        for positions in shared:
-            for pos, c in zip(positions, sorted([out[p] for p in positions])):
-                out[pos] = c
+    __slots__ = ("sym", "fixed", "classes", "mask")
+
+    def __init__(self, sym: "_Symmetry", fixed, classes, mask: int):
+        self.sym = sym
+        self.fixed = fixed
+        self.classes = classes
+        self.mask = mask
+
+    def __missing__(self, v: int) -> "_Prefix | None":
+        child = self[v] = self.sym.extend(self, v)
+        return child
+
+
+class _Symmetry:
+    """The automorphisms of a product read off its spec, and the pointwise
+    stabilizers of search prefixes.
+
+    For a prefix S, the group K_S is generated by the factor automorphisms
+    of :func:`_orbit_lows` at each position p that fix every value S uses
+    at p, and by the permutations of same-label positions whose columns in
+    S are identical; the empty prefix gives the whole group.  A vertex is
+    the smallest in its K_S-orbit iff each coordinate is the smallest in
+    its factor orbit and the coordinates on each class of positions are
+    non-decreasing.  A prefix's state keeps the values used at each
+    position as bitsets and its classes, so a child's state follows from
+    its parent's in O(#factors).  States, factor orbits and coordinate
+    masks are memoised for the search.
+    """
+
+    def __init__(self, g: ProductGraph):
+        self.g = g
+        n = g.total_vertices
+        self.full = (1 << n) - 1
+        self.radix = []  # (stride, size) per position
+        stride = n
+        for f in g.factors:
+            stride //= f.n
+            self.radix.append((stride, f.n))
+        groups: dict[str, list[int]] = {}
+        for p, f in enumerate(g.factors):
+            if f.label is not None:
+                groups.setdefault(f.label, []).append(p)
+        self.classes = tuple(tuple(ps) for ps in groups.values() if len(ps) > 1)
+        self._lows: dict[tuple[str, int, int], tuple[int, ...]] = {}  # by (kind, n, fixed)
+        self._minimal: list[dict[int, int]] = [{} for _ in g.factors]
+        self._ordered: dict[tuple[int, int], int] = {}
+        self._states: dict[tuple, _Prefix] = {}
+        self.root_lows = [self.lows(p, 0) for p in range(len(g.factors))]
+
+    def lows(self, p: int, fixed: int) -> tuple[int, ...]:
+        f = self.g.factors[p]
+        key = (f.kind, f.n, fixed)
+        if key not in self._lows:
+            self._lows[key] = _orbit_lows(f, fixed)
+        return self._lows[key]
+
+    def canonical(self, v: Coord) -> Coord:
+        """The smallest vertex in the orbit of ``v`` under the whole group:
+        each coordinate goes to its factor orbit's smallest vertex, then
+        each class's values are sorted ascending."""
+        out = [lows[c] for lows, c in zip(self.root_lows, v)]
+        for cls in self.classes:
+            for p, c in zip(cls, sorted([out[p] for p in cls])):
+                out[p] = c
         return tuple(out)
 
-    return canonical
+    def root(self) -> _Prefix | None:
+        """State of the empty prefix."""
+        return self._state([(p, 0) for p in range(len(self.radix))], self.classes)
+
+    def extend(self, state: _Prefix, v: int) -> _Prefix | None:
+        coords = [v // stride % size for stride, size in self.radix]
+        classes = []
+        for cls in state.classes:
+            by_value: dict[int, list[int]] = {}
+            for p in cls:
+                by_value.setdefault(coords[p], []).append(p)
+            classes += [tuple(ps) for ps in by_value.values() if len(ps) > 1]
+        return self._state([(p, u | 1 << coords[p]) for p, u in state.fixed], tuple(sorted(classes)))
+
+    def _state(self, fixed, classes) -> _Prefix | None:
+        """The state for the given (position, fixed values) pairs and
+        classes.  A position whose factor group is already trivial stays
+        trivial as values are added, so it is dropped from the state."""
+        full = self.full
+        mask = full
+        live = []
+        for p, u in fixed:
+            m = self._minimal[p].get(u)
+            if m is None:
+                values = [x for x, lo in enumerate(self.lows(p, u)) if lo == x]
+                trivial = len(values) == self.radix[p][1]
+                m = self._minimal[p][u] = full if trivial else self._coordinate_mask(p, values)
+            if m != full:
+                mask &= m
+                live.append((p, u))
+        for cls in classes:
+            for p, q in zip(cls, cls[1:]):
+                mask &= self._ordered_at(p, q)
+        if mask == full:
+            return None
+        key = (tuple(live), classes)
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = _Prefix(self, key[0], classes, mask)
+        return state
+
+    def _coordinate_mask(self, p: int, values) -> int:
+        """Bitset of the vertices whose p-th coordinate is in ``values``:
+        one period of the pattern, repeated by a multiplication."""
+        stride, size = self.radix[p]
+        block = (1 << stride) - 1
+        pattern = 0
+        for x in values:
+            pattern |= block << (x * stride)
+        return pattern * (self.full // ((1 << stride * size) - 1))
+
+    def _ordered_at(self, p: int, q: int) -> int:
+        """Bitset of the vertices with v_p <= v_q (same-size factors)."""
+        key = (p, q)
+        if key not in self._ordered:
+            m = self.radix[p][1]
+            mask = 0
+            for a in range(m):
+                mask |= self._coordinate_mask(p, (a,)) & self._coordinate_mask(q, range(a, m))
+            self._ordered[key] = mask
+        return self._ordered[key]
 
 
 def orbit_canonical(g: ProductGraph, v: Coord) -> Coord:
     """Lexicographically smallest vertex in the orbit of ``v`` under the
     factor automorphisms and the permutations of same-label factors.
 
-    Each coordinate goes to the smallest vertex of its factor orbit, then
-    the values on the positions of each group of same-label factors are
-    sorted ascending.  ``v`` is orbit-minimal iff it equals the result.
+    ``v`` is orbit-minimal iff it equals the result.
     """
-    return _canonical_map(g)(v)
+    return _Symmetry(g).canonical(tuple(v))
 
 
 def _root_orbits(g: ProductGraph) -> dict[int, int]:
     """Orbit size of each orbit-minimal vertex, keyed by flat index in
-    ascending order: the only first vertices the max-search and counting
-    branch on."""
-    sizes = Counter(map(_canonical_map(g), g.vertices()))
+    ascending order: the only first vertices counting branches on."""
+    sizes = Counter(map(_Symmetry(g).canonical, g.vertices()))
     # a vertex's canonical form is never after it, so keys arrive ascending
     return {g.encode(c): k for c, k in sizes.items()}
-
-
-def _above(v: int, n: int) -> int:
-    """Bitset of the vertices v+1..n-1."""
-    return ((1 << n) - 1) >> (v + 1) << (v + 1)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +358,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     """Depth-first branch and bound behind the max-search, counting and
     enumeration.
 
-    ``starts`` lists the (S, cand, weight) roots, searched in order;
+    ``starts`` lists the (S, cand, weight, state) roots, searched in order;
     ``witness`` is the incumbent set, so the search starts from
     best = len(witness).  A subtree is cut unless it can reach best + slack
     vertices: ``slack=1`` only looks for larger sets, ``slack=0`` also
@@ -234,6 +367,11 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     (lexicographic).  Until a larger set resets it, ``sets`` also holds the
     ties of each smaller best size met on the way.  The node budget in
     ``limits`` counts the nodes of all roots together.
+
+    ``state`` is None, or the :class:`_Prefix` of S for the max-search
+    (``slack=1``, no ``sets``, ``count`` unused): then each node branches
+    only on the orbit-minimal vertices of its prefix's stabilizer, until a
+    prefix's stabilizer acts trivially and its subtree runs the plain loop.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
     weight of the root under which each set of size best was reached,
@@ -291,9 +429,51 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 rows.pop()
                 S.pop()
 
+    def rec_sym(S, rows, cand, state):
+        # rec for a prefix whose stabilizer moves some vertex: branch only
+        # on the orbit-minimal candidates
+        nonlocal best, bar, witness, nodes, check_at
+        k = len(S)
+        k1 = k + 1
+        branch = cand & state.mask
+        while branch:
+            bit = branch & -branch
+            cand &= -bit  # the candidates below v are skipped or done
+            if k + cand.bit_count() < bar:
+                return
+            branch ^= bit
+            cand ^= bit
+            v = bit.bit_length() - 1
+            nodes += 1
+            if nodes >= check_at:
+                if nodes >= max_nodes or time.monotonic() > deadline:
+                    raise BudgetExhausted
+                check_at = min(max_nodes, nodes + step)
+            nc = cand
+            for row in rows:
+                nc &= row[v]
+            if k1 > best:
+                best = k1
+                bar = best + slack
+                witness = S + [v]
+            if nc and k1 + nc.bit_count() >= bar:
+                S.append(v)
+                rows.append(allowed[v])
+                child = state[v]
+                if child is None:
+                    rec(S, rows, nc)
+                else:
+                    rec_sym(S, rows, nc, child)
+                rows.pop()
+                S.pop()
+
     try:
-        for S, cand, weight in starts:
-            rec(list(S), [allowed[v] for v in S], cand)
+        for S, cand, weight, state in starts:
+            rows = [allowed[v] for v in S]
+            if state is None:
+                rec(list(S), rows, cand)
+            else:
+                rec_sym(list(S), rows, cand, state)
     except BudgetExhausted:
         complete = False
     return best, count, witness, nodes, complete
@@ -326,20 +506,17 @@ def gp_exact(
     """Exact maximum general position set of ``g``.
 
     Deterministic: the witness is the lexicographically first maximum set
-    in flat-index order; only orbit-minimal vertices are tried as the
-    first vertex (see the module docstring).  With a budget, an exhausted
-    search returns ``complete=False`` and the best set found.
+    in flat-index order; each node branches only on the orbit-minimal
+    vertices of its prefix's stabilizer (see the module docstring).  With a
+    budget, an exhausted search returns ``complete=False`` and the best set
+    found.
     """
     g = _as_product(g)
     n = g.total_vertices
     started = time.monotonic()
     allowed = _allowed_tables(g, cap, "exact search")
-
-    if n == 1:
-        best, witness, nodes, complete = 1, [0], 1, True
-    else:
-        starts = [([v], _above(v, n), 1) for v in _root_orbits(g)]
-        best, _, witness, nodes, complete = _dfs(allowed, starts, [0], limits, slack=1)
+    start = ([], (1 << n) - 1, 1, _Symmetry(g).root())
+    best, _, witness, nodes, complete = _dfs(allowed, [start], [0], limits, slack=1)
     elapsed = time.monotonic() - started
     members = [g.decode(i) for i in witness]
     return SearchResult(
@@ -367,7 +544,7 @@ def count_maximum_gp_sets(
     if n == 1:
         return 1, 1
     full = (1 << n) - 1
-    starts = [([r], full ^ (1 << r), size) for r, size in _root_orbits(g).items()]
+    starts = [([r], full ^ (1 << r), size, None) for r, size in _root_orbits(g).items()]
     best, count, _, _, complete = _dfs(allowed, starts, [], limits, slack=0)
     if not complete:
         raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")
@@ -385,7 +562,7 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     """
     g = _as_product(g)
     allowed = _allowed_tables(g, cap, "enumeration")
-    root = ([], (1 << g.total_vertices) - 1, 1)
+    root = ([], (1 << g.total_vertices) - 1, 1, None)
     sets: list[list[int]] = []
     best = _dfs(allowed, [root], [], None, slack=0, sets=sets)[0]
     return best, [tuple(g.decode(i) for i in s) for s in sets]

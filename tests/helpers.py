@@ -69,16 +69,26 @@ def naive_lex_first_max(g: ProductGraph) -> tuple[int, tuple]:
 
     For each size k, the first k-subset in ``itertools.combinations`` order
     (which is lexicographic on flat indices) that is in general position;
-    the last size with one is the gp value.
+    the last size with one is the gp value.  The subsets are walked in that
+    order by backtracking, which skips every subset whose chosen prefix
+    already holds a bad triple: no later choice can repair it.
     """
     D = bfs_distance_table(g)
     n = len(D)
+
+    def first_of_size(k: int, chosen: list[int], start: int):
+        if len(chosen) == k:
+            return tuple(chosen)
+        for v in range(start, n - (k - len(chosen)) + 1):
+            if not any(triple_is_bad(D, a, b, v) for a, b in combinations(chosen, 2)):
+                found = first_of_size(k, chosen + [v], v + 1)
+                if found is not None:
+                    return found
+        return None
+
     first: tuple[int, ...] = ()
     for k in range(1, n + 1):
-        found = next(
-            (sub for sub in combinations(range(n), k) if subset_in_general_position(D, sub)),
-            None,
-        )
+        found = first_of_size(k, [], 0)
         if found is None:
             break
         first = found

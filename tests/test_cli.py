@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: exit codes, JSON schema, rendering."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos.cli import main, parse_vertex_set, render_human
 from genpos.graphs import FactorGraph, FactorSpec
@@ -303,3 +307,70 @@ def test_closed_pipe_in_a_real_process():
     assert proc.wait(timeout=60) == 1
     assert err == b""
 
+
+# ----------------------------------------------------------------------
+# exit-code contract on random argv
+
+_family = st.sampled_from("PCKSQZ")
+_small_spec = st.one_of(
+    st.lists(st.tuples(_family, st.integers(0, 6)), min_size=1, max_size=2).map(
+        lambda fs: "x".join(f"{f}{n}" for f, n in fs)
+    ),
+    st.tuples(_family, st.integers(0, 3), st.integers(0, 3)).map(lambda t: f"{t[0]}{t[1]}^{t[2]}"),
+    # digit-free noise, so no size is large enough to start a long build
+    st.text(alphabet="PCKSQx^(),;- ", max_size=6),
+)
+_number = st.one_of(st.integers(-3, 30).map(str), st.sampled_from(["", "x", "1.5", "1e9"]))
+_set_literal = st.one_of(
+    st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=4).map(
+        lambda vs: ";".join("(" + ",".join(map(str, v)) + ")" for v in vs)
+    ),
+    st.text(alphabet="(),;0123 ", max_size=8),
+)
+_flags = st.lists(
+    st.one_of(
+        st.just(["--json"]),
+        st.just(["--strict"]),
+        st.just(["--bogus"]),
+        st.tuples(st.just("--cap"), _number).map(list),
+    ),
+    max_size=2,
+).map(lambda groups: [tok for g in groups for tok in g])
+# every search and count is time-limited, so no case runs long
+_LIMIT = ["--time-limit", "0.5"]
+_argv = st.one_of(
+    st.tuples(st.sampled_from(["gp", "count", "p"]), _small_spec).map(list),
+    st.tuples(st.just("check"), _small_spec, _set_literal).map(list),
+    st.tuples(
+        st.just("formula"),
+        st.sampled_from(["grid-count", "cylinder", "torus", "hamming", "bogus"]),
+        _number,
+        _number,
+    ).map(list),
+    st.tuples(
+        st.just("construct"),
+        st.sampled_from(["cycle", "cylinder", "torus6", "torus7", "bogus"]),
+        _number,
+        _number,
+    ).map(list),
+    st.tuples(
+        st.just("power-sample"),
+        st.sampled_from(["C5", "K2", "P3", "S2", "Q2", "C2", "x"]),
+        st.integers(-1, 5).map(str),
+        st.sampled_from([[], ["--seed", "3"], ["--seed", "x"], ["--seed", "1", "--retries", "0"]]),
+    ).map(lambda t: [t[0], t[1], t[2], *t[3]]),
+    st.lists(st.sampled_from(["gp", "verify-paper", "--version", "-h", "bogus", "K3"]), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv, _flags)
+def test_random_argv_exits_0_1_or_2_without_a_traceback(argv, flags):
+    argv = argv + flags
+    if argv[:1] == ["verify-paper"]:
+        argv.append("--bogus")  # stop at the parser: the registry takes seconds
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + _LIMIT)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -92,6 +92,7 @@ _factor_st = st.one_of(
     st.tuples(st.just("C"), st.integers(3, 9)),
     st.tuples(st.just("K"), st.integers(1, 9)),
     st.tuples(st.just("S"), st.integers(1, 9)),
+    st.tuples(st.just("Q"), st.integers(1, 9)),
 )
 
 
@@ -105,8 +106,14 @@ _factor_st = st.one_of(
     )
 )
 def test_canonicalization_is_idempotent(text):
-    canon = parse_spec(text).canonical()
-    assert parse_spec(canon).canonical() == canon
+    # parse -> canonical -> parse is a round trip: the same product, and
+    # the canonical text is a fixed point
+    spec = parse_spec(text)
+    canon = spec.canonical()
+    again = parse_spec(canon)
+    assert again.vertex_count() == spec.vertex_count()
+    assert again.factor_list() == spec.factor_list()
+    assert again.canonical() == canon
 
 
 def test_lone_hypercube_parses_in_constant_time():

@@ -1,5 +1,7 @@
 """Exact search, enumeration, and cover bounds against independent oracles."""
 
+import random
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -22,6 +24,7 @@ from genpos.solver import (
     BudgetExhausted,
     SearchLimits,
     _root_orbits,
+    _Symmetry,
     count_maximum_gp_sets,
     enumerate_maximum_gp_sets,
     flat_distance_matrix,
@@ -35,6 +38,7 @@ from helpers import (
     naive_gp,
     naive_lex_first_max,
     naive_maximum_sets,
+    subset_in_general_position,
     triple_is_bad,
 )
 
@@ -172,16 +176,118 @@ _small_factor = st.one_of(
 )
 
 
-@settings(max_examples=25, deadline=None)
+# powers repeat a label, so the search also prunes by position swaps
+_small_power = st.builds(lambda f, k: [f] * k, _small_factor, st.integers(2, 3))
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    st.lists(_small_factor, min_size=1, max_size=3).filter(
-        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 18
+    st.one_of(st.lists(_small_factor, min_size=1, max_size=3), _small_power).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 27
     )
 )
 def test_witness_is_lex_first_on_random_products(factors):
     g = ProductGraph([f.build() for f in factors])
     res = gp_exact(g)
     assert (res.gp_value, tuple(res.witness)) == naive_lex_first_max(g)
+
+
+@pytest.mark.parametrize("spec", ["P3xC4", "K2^4", "S2xS2", "C3xP2xC3"])
+def test_lex_first_oracle_is_the_first_subset_in_combinations_order(spec):
+    g = build(spec)
+    D = bfs_distance_table(g)
+    value, first = naive_lex_first_max(g)
+    plain = next(s for s in combinations(range(len(D)), value) if subset_in_general_position(D, s))
+    assert first == tuple(g.decode(i) for i in plain)
+    assert not any(subset_in_general_position(D, s) for s in combinations(range(len(D)), value + 1))
+
+
+# ----------------------------------------------------------------------
+# symmetry: prefix stabilizers
+
+STABILIZER_HOSTS = {
+    **SYMMETRY_CORPUS,
+    **{spec: build(spec) for spec in ("P3^3", "C5xC5", "K3^3", "S2^3", "K2^5", "C4xP3xC4")},
+}
+
+
+def _lowering_candidates(g):
+    """Explicit permutations of the flat indices, built from coordinates
+    alone: at one position, every reflection x -> c - x (mod n), the
+    reversal of a path among them, and every transposition of two factor
+    vertices; and every swap of two positions of equal size.  Which of them
+    are automorphisms is left to the distance check."""
+    verts = list(g.vertices())
+
+    def flat(fn):
+        return tuple(g.encode(fn(v)) for v in verts)
+
+    def at(p, m):
+        return flat(lambda v: v[:p] + (m(v[p]),) + v[p + 1:])
+
+    out = []
+    sizes = [f.n for f in g.factors]
+    for p, n in enumerate(sizes):
+        out += [at(p, lambda x, c=c, n=n: (c - x) % n) for c in range(n)]
+        out += [at(p, lambda x, a=a, b=b: b if x == a else a if x == b else x)
+                for a, b in combinations(range(n), 2)]
+    for p, q in combinations(range(len(sizes)), 2):
+        if sizes[p] == sizes[q]:
+            out.append(flat(lambda v, p=p, q=q: tuple(
+                v[q] if i == p else v[p] if i == q else c for i, c in enumerate(v)
+            )))
+    return out
+
+
+def _random_gp_prefix(D, rng: random.Random) -> list[int]:
+    """Up to four vertices in general position, drawn at random, ascending
+    as on a search path."""
+    size = rng.randint(1, 4)
+    prefix: list[int] = []
+    for v in rng.sample(range(len(D)), len(D)):
+        if len(prefix) < size and subset_in_general_position(D, prefix + [v]):
+            prefix.append(v)
+    return sorted(prefix)
+
+
+@pytest.mark.parametrize("name", STABILIZER_HOSTS)
+def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
+    """Soundness of the per-prefix filter against an engine-free oracle: for
+    each vertex a prefix's state drops, some explicit permutation preserves
+    every BFS distance, fixes the prefix pointwise and maps the vertex
+    below itself."""
+    g = STABILIZER_HOSTS[name]
+    D = bfs_distance_table(g)
+    n = g.total_vertices
+    automorphisms = [
+        s for s in _lowering_candidates(g)
+        if all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(a + 1, n))
+    ]
+    root = _Symmetry(g).root()
+    assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbits(g))
+    rng = random.Random(name)
+    for prefix in [[]] + [_random_gp_prefix(D, rng) for _ in range(12)]:
+        state = root
+        for v in prefix:
+            state = None if state is None else state[v]
+        if state is None:
+            continue  # nothing is dropped
+        for v in range(n):
+            if not state.mask >> v & 1:
+                assert any(
+                    s[v] < v and all(s[u] == u for u in prefix) for s in automorphisms
+                ), (prefix, g.decode(v))
+
+
+@pytest.mark.parametrize(
+    "spec,value,parent_nodes",
+    # nodes when only the first vertex was restricted to orbit minima
+    [("K4^3", 16, 512_766), ("K3^4", 12, 938_112), ("K2^7", 9, 2_031_155)],
+)
+def test_prefix_stabilizers_cut_the_hamming_searches_tenfold(spec, value, parent_nodes):
+    res = gp_exact(build(spec))
+    assert res.complete and res.gp_value == value
+    assert res.nodes_explored * 10 <= parent_nodes
 
 
 @settings(max_examples=15, deadline=None)
