@@ -50,7 +50,8 @@ _FACTOR_DIST_CAP = 20000
 FLAT_TABLE_MAX_VERTICES = 200
 
 # Factor entries a product spec may list (``Qn`` lists n).  The power form
-# ``F^n`` keeps n as a number and is not limited here.
+# ``F^n`` keeps n as a number when parsed; ``build`` refuses it above this
+# many factors, since it makes one factor graph per unit of the exponent.
 MAX_PRODUCT_FACTORS = 256
 
 
@@ -457,7 +458,10 @@ def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> Produc
     """Instantiate the product graph described by ``spec``.
 
     Refuses products with more than ``cap`` vertices (default 10^6);
-    pass ``cap=None`` to disable the guard.
+    pass ``cap=None`` to disable the guard.  Products of more than
+    ``MAX_PRODUCT_FACTORS`` factors are refused whatever the cap, before
+    any factor is built: ``P1^100000`` has one vertex but would build
+    100000 factor graphs.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -465,6 +469,11 @@ def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> Produc
     if cap is not None and total > cap:
         raise VertexCapError(
             f"{spec.canonical()} has {show_count(total)} vertices, above the cap of {cap}"
+        )
+    count = len(spec.factors) * spec.exponent
+    if count > MAX_PRODUCT_FACTORS:
+        raise VertexCapError(
+            f"{spec.canonical()} has {show_count(count)} factors, above the limit of {MAX_PRODUCT_FACTORS}"
         )
     return ProductGraph([f.build() for f in spec.factor_list()])
 

@@ -31,19 +31,49 @@ plain loop.  The search runs in one process, so the value, the witness
 and the node count are the same on every run; a node budget stops it at
 the same node every time.
 
-Counting double counts over the same orbits.  For each orbit-minimal r
-the DFS starts from {r} with every other vertex as a candidate, so it
-reaches each maximum set through r exactly once; call their number c_r.
-An automorphism maps maximum sets through r onto maximum sets through
-its image, so every vertex of r's orbit lies on c_r of them, and a
-maximum set is met once per member.  Hence
+Counting double counts over the same orbits.  Let c_r be the number of
+maximum sets through an orbit-minimal r.  An automorphism maps maximum
+sets through r onto maximum sets through its image, so every vertex of
+r's orbit lies on c_r of them, and a maximum set is met once per member.
+Hence
 
     #max = (sum over orbit-minimal r of |orbit(r)| * c_r) / gp,
 
-an exact identity: each leaf adds its root's orbit size, and a sum that
-gp does not divide means the orbits or the search are wrong, so it
-raises instead of being rounded.  Enumeration lists the sets themselves
-and keeps one root over every vertex.
+an exact identity: a sum that gp does not divide means the orbits or the
+search are wrong, so it raises instead of being rounded.
+
+Each c_r is counted by orbit leaders.  The DFS starts from {r} with every
+other vertex as a candidate and branches on the same prefix stabilizers
+as the max-search, from K = K_{(r)}, the stabilizer of r.  A maximum set
+{r} + T adds |K T| when T is the lexicographically least set of its
+K-orbit (its leader) and nothing otherwise, so c_r = sum over leaders T
+of |K T|.  Along a leader T = (t1..tm), each t_{i+1} is the least of its
+orbit under K_i, the state of (r, t1..ti), and K_{i+1} = Stab_{K_i}(t_{i+1}):
+an element of K_i that fixes a vertex c whose values are the least of
+their factor orbits permutes only same-label positions where c's values
+agree (same-label positions share their factor group, so two values in
+one orbit are equal) and fixes c's value at each position, which is
+exactly the group of the state of the prefix extended by c.  So the
+states along T form a stabilizer chain, and the orbit-stabilizer theorem
+gives
+
+    |K T| = prod_i |K_i t_{i+1}| / prod_i reach_i,
+
+where reach_i counts the members of T that some element of K_i maps onto
+t_{i+1} while mapping T onto itself.  No group order is computed and no
+group element is enumerated.  A member with an image below t_{i+1} under
+K_i would show that T is no leader, so each node drops the candidates
+whose orbit under its state starts below the vertex it branches on.
+Another member in t_{i+1}'s orbit under K_i is a tie.  A set without
+ties has every
+reach_i = 1 and weighs the product of its members' orbit sizes, carried
+down the search; a set with one runs the leaf test
+(:meth:`_Symmetry.orbit_weight`), a min-image backtrack over the states'
+orbit tables and cached transversal permutations that stops at the first
+element mapping T onto itself.  A root whose stabilizer moves nothing
+weighs |orbit(r)| per set, and once no stabilizer and no tie is left, a
+subtree runs the plain loop with its constant weight.  Enumeration lists
+the sets themselves and keeps one root over every vertex.
 """
 
 from __future__ import annotations
@@ -203,15 +233,19 @@ def _orbit_lows(f: FactorGraph, fixed: int) -> tuple[int, ...]:
 class _Prefix(dict):
     """Stabilizer state of one search prefix.  ``mask`` is the bitset of
     its orbit-minimal vertices; item v is the state of the prefix extended
-    by v, or None once the stabilizer acts trivially, derived on first use."""
+    by v, or None once the stabilizer acts trivially, derived on first use.
+    Counting also fills, on first use, the orbit tables of
+    :meth:`_Symmetry.orbits` and the transversals of
+    :meth:`_Symmetry.transversal`."""
 
-    __slots__ = ("sym", "fixed", "classes", "mask")
+    __slots__ = ("sym", "fixed", "classes", "mask", "low", "orbit", "keep", "tau")
 
     def __init__(self, sym: "_Symmetry", fixed, classes, mask: int):
         self.sym = sym
         self.fixed = fixed
         self.classes = classes
         self.mask = mask
+        self.low = self.orbit = self.keep = self.tau = None
 
     def __missing__(self, v: int) -> "_Prefix | None":
         child = self[v] = self.sym.extend(self, v)
@@ -252,6 +286,8 @@ class _Symmetry:
         self._minimal: list[dict[int, int]] = [{} for _ in g.factors]
         self._ordered: dict[tuple[int, int], int] = {}
         self._states: dict[tuple, _Prefix] = {}
+        self._strides = np.array([stride for stride, _ in self.radix])
+        self._grid = None  # coordinates of every vertex, one row each
         self.root_lows = [self.lows(p, 0) for p in range(len(g.factors))]
 
     def lows(self, p: int, fixed: int) -> tuple[int, ...]:
@@ -333,6 +369,160 @@ class _Symmetry:
             self._ordered[key] = mask
         return self._ordered[key]
 
+    # -- orbit leaders -------------------------------------------------
+
+    def orbits(self, state: _Prefix) -> None:
+        """Fill ``state.low`` (the smallest vertex of each vertex's orbit
+        under the state's group), ``state.orbit`` (each orbit's bitset, by
+        its smallest vertex) and ``state.keep`` (by the same key t, the
+        bitset of the vertices whose orbit's smallest vertex is at least t).
+        The minima follow :meth:`canonical`'s rule, applied to every vertex
+        at once in numpy."""
+        if self._grid is None:
+            flat = np.arange(self.g.total_vertices)[:, None]
+            self._grid = flat // self._strides % [size for _, size in self.radix]
+        X = self._grid.copy()
+        for p, u in state.fixed:
+            X[:, p] = np.asarray(self.lows(p, u))[X[:, p]]
+        for cls in state.classes:
+            X[:, cls] = np.sort(X[:, cls], axis=1)
+        low = (X @ self._strides).tolist()
+        orbit: dict[int, int] = {}
+        for x, c in enumerate(low):
+            orbit[c] = orbit.get(c, 0) | 1 << x
+        keep = {}
+        rest = self.full
+        for c in sorted(orbit):
+            keep[c] = rest
+            rest ^= orbit[c]
+        state.low, state.orbit, state.keep = low, orbit, keep
+
+    def transversal(self, state: _Prefix, v: int) -> list[int]:
+        """A permutation of the flat indices, taken from ``state``'s group,
+        that maps ``v`` to the smallest vertex of its orbit.  Per position a
+        factor automorphism fixing the prefix's values there moves the
+        coordinate to its orbit minimum; then each class's positions are
+        permuted so that its values ascend."""
+        if state.tau is None:
+            state.tau = {}
+        tau = state.tau.get(v)
+        if tau is not None:
+            return tau
+        maps: list = [range(size) for _, size in self.radix]
+        w = [v // stride % size for stride, size in self.radix]
+        for p, u in state.fixed:
+            lo = self.lows(p, u)[w[p]]
+            if lo != w[p]:
+                maps[p] = _factor_move(self.g.factors[p], w[p], lo)
+                w[p] = lo
+        dest = list(range(len(self.radix)))
+        for cls in state.classes:
+            for q, p in zip(cls, sorted(cls, key=lambda p: (w[p], p))):
+                dest[p] = q
+        tau = [0]
+        for p, h in enumerate(maps):
+            stride = self.radix[dest[p]][0]
+            tau = [a + b * stride for a in tau for b in h]
+        state.tau[v] = tau
+        return tau
+
+    def orbit_weight(self, state: _Prefix, T: list[int], deadline: float | None = None) -> int:
+        """|orbit of T| under ``state``'s group K if the ascending set ``T``
+        is the lexicographically least set of that orbit, else 0.
+
+        Level i works in K_i, the pointwise stabilizer of T[:i] in K, and
+        asks for the least value T[i] can take in an image of T.  If a
+        member of T maps below T[i], T is not least; the other members
+        mapping onto T[i] are its ties.  Along T's own path, where every
+        T[i] is the least of its K_i-orbit, K_{i+1} is the state of
+        T[:i+1], so the orbit-stabilizer theorem gives
+        |K| = |K_m| * prod_i |K_i T[i]| and |Stab_K(T)| = |K_m| * prod_i
+        reach_i, where reach_i counts T[i] and the ties from which some
+        element of K_i maps T onto itself.  The orbit size is the ratio of
+        the two products, so no group order and no stabilizer element is
+        needed.  :meth:`_image_search` settles each tie and stops at the
+        first element mapping T onto itself; it polls the clock, so the
+        search's time budget covers the test.
+        """
+        bits = 0
+        for x in T:
+            bits |= 1 << x
+        chain: list[_Prefix] = []
+        ties = []
+        for t in T:  # bits holds T from t on
+            if state.low is None:
+                self.orbits(state)
+            keep = state.keep.get(t)
+            if keep is None or bits & ~keep:
+                return 0
+            bits ^= 1 << t
+            ties.append(bits & state.orbit[t])
+            chain.append(state)
+            if not bits:
+                break
+            state = state[t]
+            if state is None:
+                break
+        size = reach = 1
+        for i, tie in enumerate(ties):
+            size *= chain[i].orbit[T[i]].bit_count()
+            onto = 1
+            while tie:
+                y = (tie & -tie).bit_length() - 1
+                tie &= tie - 1
+                tau = self.transversal(chain[i], y)
+                found = self._image_search(chain, i + 1, [tau[u] for u in T], T, deadline)
+                if found < 0:
+                    return 0
+                onto += found
+            reach *= onto
+        weight, rest = divmod(size, reach)
+        if rest:
+            raise RuntimeError(f"orbit product {size} is not divisible by {reach}")
+        return weight
+
+    def _image_search(self, chain, j: int, U: list[int], T: list[int], deadline) -> int:
+        """Compare the images of the set ``U`` (which holds T[:j]) under
+        ``chain[j]`` with T: -1 if one is smaller, else 1 if one equals T,
+        else 0.  It returns at the first image equal to T: then U and T
+        share an orbit, whose smaller images level j of
+        :meth:`orbit_weight` already looks for."""
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhausted
+        image = sorted(U)
+        if image == T or j == len(chain):
+            return -1 if image < T else int(image == T)
+        state = chain[j]
+        t = T[j]
+        done = T[:j]
+        rest = [x for x in U if x not in done]
+        lows = [state.low[x] for x in rest]
+        if min(lows) != t:
+            return -1 if min(lows) < t else 0
+        for y, c in zip(rest, lows):
+            if c == t:
+                tau = self.transversal(state, y)
+                found = self._image_search(chain, j + 1, [tau[u] for u in U], T, deadline)
+                if found:
+                    return found
+        return 0
+
+
+def _factor_move(f: FactorGraph, x: int, lo: int) -> tuple[int, ...]:
+    """An automorphism of ``f`` taking x to lo, where lo != x is the least
+    of x's orbit under a group of :func:`_orbit_lows`, chosen from that
+    group: on a cycle the reflection a -> x + lo - a (the only one moving a
+    vertex once some vertex is fixed), on a path the reversal, and on
+    ``K n`` and the leaves of ``S k`` the transposition of x and lo."""
+    n = f.n
+    if f.kind == "cycle":
+        return tuple((x + lo - a) % n for a in range(n))
+    if f.kind == "path":
+        return tuple(range(n - 1, -1, -1))
+    h = list(range(n))
+    h[x], h[lo] = lo, x
+    return tuple(h)
+
 
 def orbit_canonical(g: ProductGraph, v: Coord) -> Coord:
     """Lexicographically smallest vertex in the orbit of ``v`` under the
@@ -368,13 +558,17 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     ties of each smaller best size met on the way.  The node budget in
     ``limits`` counts the nodes of all roots together.
 
-    ``state`` is None, or the :class:`_Prefix` of S for the max-search
-    (``slack=1``, no ``sets``, ``count`` unused): then each node branches
-    only on the orbit-minimal vertices of its prefix's stabilizer, until a
-    prefix's stabilizer acts trivially and its subtree runs the plain loop.
+    ``state`` is None, or the :class:`_Prefix` of S: then each node
+    branches only on the orbit-minimal vertices of its prefix's stabilizer,
+    until a prefix's stabilizer acts trivially and its subtree runs the
+    plain loop.  Keeping ties under a state (``slack=0``: counting, with
+    S = [r]) needs orbit leaders, as the module docstring describes: a set
+    S + T adds its root's weight times the size of T's orbit under the
+    state's group if T is the orbit's lexicographically least set, else
+    nothing.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
-    weight of the root under which each set of size best was reached,
+    weight of each set of size best reached,
     ``witness`` is the first of them (the given one if none beat it), and
     ``complete`` is False when the budget ran out.
     """
@@ -429,13 +623,20 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 rows.pop()
                 S.pop()
 
-    def rec_sym(S, rows, cand, state):
+    def rec_sym(S, rows, cand, state, size, tie, chosen):
         # rec for a prefix whose stabilizer moves some vertex: branch only
-        # on the orbit-minimal candidates
-        nonlocal best, bar, witness, nodes, check_at
+        # on the orbit-minimal candidates.  When counting (lead is set), T
+        # is S without its root and ``chosen`` is T as a bitset; ``size``
+        # is the product of the orbit sizes of T's members, each under the
+        # state it was chosen in, and ``tie`` the union of those orbits
+        # less the members themselves.  A set that meets no tie is the
+        # leader of an orbit of ``size`` sets; one that does goes to
+        # orbit_weight.  Below a trivial stabilizer with a tie still within
+        # reach, state is None.
+        nonlocal best, bar, count, weight, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
-        branch = cand & state.mask
+        branch = cand if state is None else cand & state.mask
         while branch:
             bit = branch & -branch
             cand &= -bit  # the candidates below v are skipped or done
@@ -452,28 +653,52 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
             nc = cand
             for row in rows:
                 nc &= row[v]
-            if k1 > best:
-                best = k1
-                bar = best + slack
-                witness = S + [v]
+            vsize, vtie = size, tie
+            if lead is not None and state is not None:
+                if state.low is None:
+                    lead.sym.orbits(state)
+                orbit = state.orbit[v]
+                vsize *= orbit.bit_count()
+                vtie |= orbit ^ bit
+                nc &= state.keep[v]  # a set with a member below v's orbit is not least
+            if k1 >= best:
+                w = weight
+                if lead is not None:
+                    w *= orbit_weight(lead, S[1:] + [v], deadline) if (chosen | bit) & tie else vsize
+                if k1 > best:
+                    best = k1
+                    bar = best + slack
+                    count = w
+                    witness = S + [v]
+                else:
+                    count += w
             if nc and k1 + nc.bit_count() >= bar:
                 S.append(v)
                 rows.append(allowed[v])
-                child = state[v]
-                if child is None:
+                child = None if state is None else state[v]
+                if child is not None or vtie & (chosen | bit | nc):
+                    rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit)
+                elif lead is None:
                     rec(S, rows, nc)
-                else:
-                    rec_sym(S, rows, nc, child)
+                else:  # no symmetry and no tie within reach: every set below weighs the same
+                    root_weight = weight
+                    weight *= vsize
+                    rec(S, rows, nc)
+                    weight = root_weight
                 rows.pop()
                 S.pop()
 
+    lead = orbit_weight = None  # when counting, the root's state and its weigher
     try:
         for S, cand, weight, state in starts:
+            lead = state if slack == 0 else None
+            if lead is not None:
+                orbit_weight = lead.sym.orbit_weight
             rows = [allowed[v] for v in S]
             if state is None:
                 rec(list(S), rows, cand)
             else:
-                rec_sym(list(S), rows, cand, state)
+                rec_sym(list(S), rows, cand, state, 1, 0, 0)
     except BudgetExhausted:
         complete = False
     return best, count, witness, nodes, complete
@@ -544,7 +769,9 @@ def count_maximum_gp_sets(
     if n == 1:
         return 1, 1
     full = (1 << n) - 1
-    starts = [([r], full ^ (1 << r), size, None) for r, size in _root_orbits(g).items()]
+    root = _Symmetry(g).root()
+    starts = [([r], full ^ (1 << r), size, None if root is None else root[r])
+              for r, size in _root_orbits(g).items()]
     best, count, _, _, complete = _dfs(allowed, starts, [], limits, slack=0)
     if not complete:
         raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")

@@ -50,18 +50,28 @@ def naive_gp(g: ProductGraph) -> int:
 
 
 def naive_count_maximum(g: ProductGraph) -> tuple[int, int]:
-    """(gp value, count of maximum sets) by plain subset enumeration."""
+    """(gp value, count of maximum sets) by plain subset enumeration.
+
+    The subsets are walked in ``itertools.combinations`` order by
+    backtracking, which skips every subset whose chosen prefix already
+    holds a bad triple: subsets of general position sets stay in general
+    position, so every general position subset is still met exactly once.
+    """
     D = bfs_distance_table(g)
     n = len(D)
-    best, count = 0, 0
-    for k in range(1, n + 1):
-        c = sum(
-            1 for sub in combinations(range(n), k) if subset_in_general_position(D, sub)
-        )
-        if c == 0:
-            break
-        best, count = k, c
-    return best, count
+    counts = [1]  # counts[k]: general position k-subsets
+
+    def walk(chosen: list[int], start: int):
+        k = len(chosen) + 1
+        for v in range(start, n):
+            if not any(triple_is_bad(D, a, b, v) for a, b in combinations(chosen, 2)):
+                if k == len(counts):
+                    counts.append(0)
+                counts[k] += 1
+                walk(chosen + [v], v + 1)
+
+    walk([], 0)
+    return len(counts) - 1, counts[-1]
 
 
 def naive_lex_first_max(g: ProductGraph) -> tuple[int, tuple]:

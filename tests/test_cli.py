@@ -203,6 +203,8 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "r, s >= 2" in err
     code, _, err = run_cli(capsys, ["gp", "K2^12"])  # over the search cap
     assert code == 1
+    code, _, err = run_cli(capsys, ["gp", "P1^100000"])  # one vertex, too many factors
+    assert code == 1 and "100000 factors, above the limit of 256" in err
 
 
 def test_budget_exhaustion_is_not_failure_unless_strict(capsys):

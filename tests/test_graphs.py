@@ -153,6 +153,25 @@ def test_build_cap():
         build("K2^1000000")
 
 
+@pytest.mark.parametrize("cap", [None, 10**6])
+def test_a_long_power_is_refused_before_its_factors_are_built(cap, monkeypatch):
+    # P1^100000 has one vertex, so no vertex cap stops it; building it
+    # used to make 100000 factor graphs (0.43 s, 52 MB)
+    monkeypatch.setattr(FactorSpec, "build", lambda self: pytest.fail("a factor was built"))
+    started = time.monotonic()
+    with pytest.raises(VertexCapError, match=r"P1\^100000 has 100000 factors, above the limit of 256"):
+        build("P1^100000", cap=cap)
+    with pytest.raises(VertexCapError, match=r"C5\^257 has 257 factors"):
+        build("C5^257", cap=None if cap is None else 5**257)
+    assert time.monotonic() - started < 0.01
+
+
+def test_a_power_of_256_factors_builds():
+    g = build("P1^256")
+    assert g.total_vertices == 1 and len(g.factors) == MAX_PRODUCT_FACTORS
+    assert len(build(parse_spec("x".join(["P1"] * 256)), cap=None).factors) == 256
+
+
 def test_vertex_order_is_last_factor_fastest():
     g = build("P2xP3")
     assert list(g.vertices()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]

@@ -1,6 +1,7 @@
 """Exact search, enumeration, and cover bounds against independent oracles."""
 
 import random
+import time
 from itertools import combinations
 from math import prod
 
@@ -279,6 +280,98 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
                 ), (prefix, g.decode(v))
 
 
+def _spec_group_generators(g):
+    """Generators of the group the search reads off the spec, built from
+    coordinates and the factors' kinds and labels alone: at one position a
+    cycle's rotation and reflection, a path's reversal, or a transposition
+    (a, a + 1) of a complete graph's vertices or of a star's leaves (an
+    explicit factor gets none); and the swap of two same-label positions."""
+    verts = list(g.vertices())
+
+    def flat(fn):
+        return tuple(g.encode(fn(v)) for v in verts)
+
+    def at(p, m):
+        return flat(lambda v: v[:p] + (m(v[p]),) + v[p + 1:])
+
+    out = []
+    for p, f in enumerate(g.factors):
+        n = f.n
+        if f.kind == "cycle":
+            out += [at(p, lambda x, n=n: (x + 1) % n), at(p, lambda x, n=n: -x % n)]
+        elif f.kind == "path":
+            out.append(at(p, lambda x, n=n: n - 1 - x))
+        elif f.kind in ("complete", "star"):
+            out += [at(p, lambda x, a=a: a + 1 if x == a else a if x == a + 1 else x)
+                    for a in range(f.kind == "star", n - 1)]
+    for p, q in combinations(range(len(g.factors)), 2):
+        if g.factors[p].label is not None and g.factors[p].label == g.factors[q].label:
+            out.append(flat(lambda v, p=p, q=q: tuple(
+                v[q] if i == p else v[p] if i == q else c for i, c in enumerate(v)
+            )))
+    return out
+
+
+def _stabilizer_orbit(gens, r, members):
+    """The images of the set ``members`` under the elements fixing r of the
+    group generated by ``gens``: close the pair (r, members) under the
+    generators and keep the pairs that still start with r."""
+    start = (r, frozenset(members))
+    seen = {start}
+    todo = [start]
+    while todo:
+        x, U = todo.pop()
+        for s in gens:
+            image = (s[x], frozenset(s[u] for u in U))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return {U for x, U in seen if x == r}
+
+
+ORBIT_ORACLE_HOSTS = {**SYMMETRY_CORPUS, **{spec: build(spec) for spec in ("K3^3", "K2^4", "S2^3")}}
+
+
+@pytest.mark.parametrize("name", ORBIT_ORACLE_HOSTS)
+def test_leaf_weight_matches_an_explicit_orbit_closure(name):
+    """The leaf test against an engine-free oracle: for random general
+    position sets T through an orbit-minimal root r, ``orbit_weight`` is
+    the size of T's orbit under the stabilizer of r when T is the least set
+    of that orbit and 0 otherwise, where the orbit is the closure of T under
+    explicit coordinate permutations."""
+    g = ORBIT_ORACLE_HOSTS[name]
+    D = bfs_distance_table(g)
+    n = g.total_vertices
+    gens = _spec_group_generators(g)
+    for s in gens:  # every generator is an automorphism
+        assert all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(n))
+    sym = _Symmetry(g)
+    root = sym.root()
+    roots = list(_root_orbits(g))
+    rng = random.Random(name)
+    for trial in range(30):
+        r = roots[trial % len(roots)]
+        members = [r]
+        for v in rng.sample(range(n), n):
+            if v != r and subset_in_general_position(D, members + [v]):
+                members.append(v)
+            if len(members) > rng.randint(2, 6):
+                break
+        T = sorted(members[1:])
+        if not T:
+            continue
+        orbit = _stabilizer_orbit(gens, r, T)
+        least = min(sorted(U - {r}) for U in orbit)
+        state = None if root is None else root[r]
+        if state is None:  # r's stabilizer moves nothing: no test is made
+            assert len(orbit) == 1
+            continue
+        weight = sym.orbit_weight(state, T)
+        assert weight == (len(orbit) if T == least else 0), (r, T)
+        # the orbit's least set itself always passes, with the orbit's size
+        assert sym.orbit_weight(state, least) == len(orbit)
+
+
 @pytest.mark.parametrize(
     "spec,value,parent_nodes",
     # nodes when only the first vertex was restricted to orbit minima
@@ -346,6 +439,31 @@ def test_count_budget_counts_nodes_over_all_roots(monkeypatch):
     assert seen[-1] == total
 
 
+def test_orbit_leaders_cut_the_hamming_count_tenfold():
+    # 900,274 nodes when counting restricted only the first vertex to orbit minima
+    assert count_maximum_gp_sets(build("K4^3"), limits=SearchLimits(max_nodes=90_000)) == (16, 576)
+
+
+def test_k8xk8_count_finishes_within_the_benchmark_budget():
+    assert count_maximum_gp_sets(build("K8xK8"), limits=SearchLimits(max_nodes=400_000)) == (14, 64)
+
+
+def test_leaf_tests_run_under_the_time_budget():
+    # the four edge midpoints of P3xP3 through its centre: each is a tie
+    # of the first under the centre's stabilizer, the whole group
+    g = build("P3xP3")
+    sym = _Symmetry(g)
+    state = sym.root()[g.encode((1, 1))]
+    T = [g.encode(v) for v in [(0, 1), (1, 0), (1, 2), (2, 1)]]
+    assert sym.orbit_weight(state, T) == 1
+    with pytest.raises(BudgetExhausted):
+        sym.orbit_weight(state, T, deadline=time.monotonic() - 1)
+    # K8xK8's count takes fewer nodes than the clock poll interval, so only
+    # its leaf tests can see the deadline
+    with pytest.raises(BudgetExhausted):
+        count_maximum_gp_sets(build("K8xK8"), limits=SearchLimits(time_limit=1e-9))
+
+
 def test_time_budget_on_a_larger_search():
     res = gp_exact(build("C7xC7"), limits=SearchLimits(time_limit=1e-4))
     assert not res.complete
@@ -370,6 +488,39 @@ def test_count_examples(spec, expected):
 def test_count_matches_naive_on_symmetry_corpus(name):
     g = SYMMETRY_CORPUS[name]
     assert count_maximum_gp_sets(g) == naive_count_maximum(g)
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        # same-label one-vertex factors: swapping them moves no vertex
+        ("P1xC5xP1", (3, 5)),
+        ("K1xK3xK3", (4, 9)),
+        # powers: large groups, many ties between positions
+        ("P2^5", (6, 352)),
+        ("S2^3", (6, 13)),
+        ("K2^4", (5, 16)),
+        ("C4xC4", None),
+        ("K3xK3", (4, 9)),
+        ("K4xK4", (6, 16)),
+    ],
+    ids=lambda x: x if isinstance(x, str) else "",
+)
+def test_count_matches_naive_on_symmetric_hosts(spec, expected):
+    g = build(spec)
+    naive = naive_count_maximum(g)
+    assert count_maximum_gp_sets(g) == naive
+    assert expected is None or naive == expected
+
+
+@pytest.mark.parametrize("spec", ["P3xP4", "K2^4", "S2xS2", "C3xP2xC3", "P1xC5xP1"])
+def test_count_oracle_is_the_plain_subset_count(spec):
+    g = build(spec)
+    D = bfs_distance_table(g)
+    sizes = [sum(1 for s in combinations(range(len(D)), k) if subset_in_general_position(D, s))
+             for k in range(1, len(D) + 1)]
+    value = max(k for k, c in enumerate(sizes, 1) if c)
+    assert naive_count_maximum(g) == (value, sizes[value - 1])
 
 
 def test_count_refuses_an_orbit_sum_not_divisible_by_gp(monkeypatch):
@@ -421,10 +572,10 @@ def test_enumeration_matches_naive_list(spec):
     assert enumerate_maximum_gp_sets(g) == naive_maximum_sets(g)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    st.lists(_small_factor, min_size=1, max_size=3).filter(
-        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 16
+    st.one_of(st.lists(_small_factor, min_size=1, max_size=3), _small_power).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 27
     )
 )
 def test_count_matches_naive_on_random_products(factors):
