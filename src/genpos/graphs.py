@@ -305,9 +305,6 @@ class ProductGraph:
                 row[j] = D[j][i] = sum([t[a][b] for t, a, b in zip(tables, u, members[j])])
         return list(range(m)), D
 
-    def adjacent(self, u, v) -> bool:
-        return self.distance(u, v) == 1
-
     def __repr__(self):
         return f"ProductGraph({self.spec or 'explicit'}, n={self.total_vertices})"
 
@@ -458,18 +455,26 @@ def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> Produc
     """Instantiate the product graph described by ``spec``.
 
     Refuses products with more than ``cap`` vertices (default 10^6);
-    pass ``cap=None`` to disable the guard.  Products of more than
+    pass ``cap=None`` to disable the guard.  A power whose exponent alone
+    puts it over the cap is refused without its exact vertex count, so
+    ``K2^1000000000`` is refused at once.  Products of more than
     ``MAX_PRODUCT_FACTORS`` factors are refused whatever the cap, before
     any factor is built: ``P1^100000`` has one vertex but would build
     100000 factor graphs.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    total = spec.vertex_count()
-    if cap is not None and total > cap:
-        raise VertexCapError(
-            f"{spec.canonical()} has {show_count(total)} vertices, above the cap of {cap}"
-        )
+    if cap is not None:
+        base = prod(f.vertex_count() for f in spec.factors)
+        e = spec.exponent
+        if base > 1 and e > cap.bit_length():
+            # base^e >= 2^e > cap; base^e itself can take seconds to compute
+            shown = f"2^{e * (base.bit_length() - 1)} or more"
+        else:
+            total = base**e
+            shown = None if total <= cap else show_count(total)
+        if shown is not None:
+            raise VertexCapError(f"{spec.canonical()} has {shown} vertices, above the cap of {cap}")
     count = len(spec.factors) * spec.exponent
     if count > MAX_PRODUCT_FACTORS:
         raise VertexCapError(

@@ -13,7 +13,10 @@ The two must agree on every input; the test suite checks this
 exhaustively on a corpus of small products.
 
 Distances come from :meth:`ProductGraph.distance_table`, looked up once
-per pair, and every bad-triple test goes through :func:`bad_triples`.
+per pair, and every bad-triple test on a member list goes through
+:func:`bad_triples`.  Whole-graph counts work on a numpy distance matrix
+instead: :func:`between` is the one betweenness test behind the solver's
+bad-triple index and the exact bad-triple probability.
 """
 
 from __future__ import annotations
@@ -66,6 +69,18 @@ def bad_triples(ids, D):
                     yield a, b, c
                 elif dab == dac + dbc:
                     yield c, a, b
+
+
+def between(D, ys):
+    """Betweenness on a numpy distance matrix ``D``, from the rows ``ys``.
+
+    The result is True at ``[..., x, z]`` when x lies on a shortest
+    y,z-path for the row y it belongs to, endpoints included:
+    ``D[y, z] == D[y, x] + D[x, z]``.  An int ``ys`` gives an (n, n) table,
+    a row selection (a slice or index array) one (len(ys), n, n) cube.
+    """
+    R = D[ys]
+    return R[..., None, :] == R[..., :, None] + D
 
 
 def _first_violation(g: ProductGraph, members: list[Coord]) -> tuple[Coord, Coord, Coord] | None:

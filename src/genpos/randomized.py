@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
-from .position import GpSet, bad_triples
+from .position import GpSet, bad_triples, between
 
 DEFAULT_DIRECT_CAP = 10**4
 
@@ -70,13 +70,9 @@ def _distance_matrix(g: FactorGraph) -> np.ndarray:
 
 
 def _count_bad_triples(D: np.ndarray) -> int:
-    """Ordered bad triples over the vertex set of the given distance matrix."""
-    total = 0
-    for y in range(D.shape[0]):
-        row = D[y]
-        # bad(x, z): row[z] == row[x] + D[x, z]
-        total += int(np.count_nonzero(row[None, :] == row[:, None] + D))
-    return total
+    """Ordered bad triples over the vertex set of the given distance matrix,
+    one row y at a time so that memory stays quadratic."""
+    return sum(int(np.count_nonzero(between(D, y))) for y in range(D.shape[0]))
 
 
 def p_exact(g: FactorGraph | ProductGraph, cap: int | None = DEFAULT_DIRECT_CAP) -> Fraction:

@@ -25,11 +25,11 @@ first maximum set S*: along its path, if some sigma in K_S mapped s_{k+1}
 below itself, sigma(S*) would be a lex-smaller maximum set.  It keeps
 s1..sk and gains sigma(s_{k+1}), which lies below every member of S*
 that it lacks.  So S* is searched, and the value is unchanged.  At the
-empty prefix K_S is the whole group, whose orbits also feed counting
-(:func:`orbit_canonical`).  Once K_S acts trivially, the subtree runs the
-plain loop.  The search runs in one process, so the value, the witness
-and the node count are the same on every run; a node budget stops it at
-the same node every time.
+empty prefix K_S is the whole group, whose orbit table
+(:meth:`_Symmetry.orbits`) also gives counting its roots.  Once K_S acts
+trivially, the subtree runs the plain loop.  The search runs in one
+process, so the value, the witness and the node count are the same on
+every run; a node budget stops it at the same node every time.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -79,13 +79,12 @@ the sets themselves and keeps one root over every vertex.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError
-from .position import GpSet
+from .position import GpSet, between
 
 DEFAULT_SEARCH_CAP = 200
 DEFAULT_ENUM_CAP = 64
@@ -156,21 +155,18 @@ class BadTripleIndex:
         self._allowed = allowed
 
     @classmethod
-    def build(cls, g: ProductGraph | np.ndarray, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
-        if isinstance(g, np.ndarray):
-            D = g
-        else:
-            D = flat_distance_matrix(g, cap=cap)
+    def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
+        D = flat_distance_matrix(g, cap=cap)
         n = D.shape[0]
-        # btw[x, y, z]: x strictly between y and z
-        btw = D[None, :, :] == D[:, :, None] + D[:, None, :]
+        btw = between(D, slice(None))  # btw[y, x, z]: x between y and z
         idx = np.arange(n)
         btw[idx, idx, :] = False
-        btw[idx, :, idx] = False
+        btw[:, idx, idx] = False
+        # bad[a, b, u]: u between a and b, a between u and b, or b between a and u
         bad = (
-            np.transpose(btw, (1, 2, 0))
-            | np.transpose(btw, (0, 2, 1))
-            | np.transpose(btw, (1, 0, 2))
+            np.transpose(btw, (0, 2, 1))
+            | np.transpose(btw, (1, 2, 0))
+            | btw
         ).reshape(n * n, n)
         # packbits pads with zero bits, so no mask reaches past vertex n-1
         allowed_flat = _pack_rows(~bad)
@@ -288,7 +284,6 @@ class _Symmetry:
         self._states: dict[tuple, _Prefix] = {}
         self._strides = np.array([stride for stride, _ in self.radix])
         self._grid = None  # coordinates of every vertex, one row each
-        self.root_lows = [self.lows(p, 0) for p in range(len(g.factors))]
 
     def lows(self, p: int, fixed: int) -> tuple[int, ...]:
         f = self.g.factors[p]
@@ -296,16 +291,6 @@ class _Symmetry:
         if key not in self._lows:
             self._lows[key] = _orbit_lows(f, fixed)
         return self._lows[key]
-
-    def canonical(self, v: Coord) -> Coord:
-        """The smallest vertex in the orbit of ``v`` under the whole group:
-        each coordinate goes to its factor orbit's smallest vertex, then
-        each class's values are sorted ascending."""
-        out = [lows[c] for lows, c in zip(self.root_lows, v)]
-        for cls in self.classes:
-            for p, c in zip(cls, sorted([out[p] for p in cls])):
-                out[p] = c
-        return tuple(out)
 
     def root(self) -> _Prefix | None:
         """State of the empty prefix."""
@@ -376,8 +361,9 @@ class _Symmetry:
         under the state's group), ``state.orbit`` (each orbit's bitset, by
         its smallest vertex) and ``state.keep`` (by the same key t, the
         bitset of the vertices whose orbit's smallest vertex is at least t).
-        The minima follow :meth:`canonical`'s rule, applied to every vertex
-        at once in numpy."""
+        A vertex's minimum takes each coordinate to the smallest vertex of
+        its factor orbit, then sorts each class's values ascending; numpy
+        does this for every vertex at once."""
         if self._grid is None:
             flat = np.arange(self.g.total_vertices)[:, None]
             self._grid = flat // self._strides % [size for _, size in self.radix]
@@ -524,21 +510,17 @@ def _factor_move(f: FactorGraph, x: int, lo: int) -> tuple[int, ...]:
     return tuple(h)
 
 
-def orbit_canonical(g: ProductGraph, v: Coord) -> Coord:
-    """Lexicographically smallest vertex in the orbit of ``v`` under the
-    factor automorphisms and the permutations of same-label factors.
-
-    ``v`` is orbit-minimal iff it equals the result.
-    """
-    return _Symmetry(g).canonical(tuple(v))
-
-
-def _root_orbits(g: ProductGraph) -> dict[int, int]:
-    """Orbit size of each orbit-minimal vertex, keyed by flat index in
-    ascending order: the only first vertices counting branches on."""
-    sizes = Counter(map(_Symmetry(g).canonical, g.vertices()))
-    # a vertex's canonical form is never after it, so keys arrive ascending
-    return {g.encode(c): k for c, k in sizes.items()}
+def _root_orbits(n: int, root: _Prefix | None) -> dict[int, int]:
+    """Orbit size of each orbit-minimal vertex under the whole group, keyed
+    by flat index in ascending order: the only first vertices counting
+    branches on.  ``root`` is the state of the empty prefix on ``n``
+    vertices; when it is None, every vertex is its own orbit."""
+    if root is None:
+        return dict.fromkeys(range(n), 1)
+    if root.low is None:
+        root.sym.orbits(root)
+    # low[x] <= x, so each orbit's key is first met at the key itself
+    return {r: orbit.bit_count() for r, orbit in root.orbit.items()}
 
 
 # ----------------------------------------------------------------------
@@ -771,7 +753,7 @@ def count_maximum_gp_sets(
     full = (1 << n) - 1
     root = _Symmetry(g).root()
     starts = [([r], full ^ (1 << r), size, None if root is None else root[r])
-              for r, size in _root_orbits(g).items()]
+              for r, size in _root_orbits(n, root).items()]
     best, count, _, _, complete = _dfs(allowed, starts, [], limits, slack=0)
     if not complete:
         raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")

@@ -92,17 +92,21 @@ def _search_value(spec: str, ctx: RunContext):
 # ----------------------------------------------------------------------
 # claim runners: each returns (expected, computed, status)
 
-def _claim_grid_gp(ctx: RunContext):
+def _search_table(ctx: RunContext, shown, values: dict[str, int]):
+    """Search each spec of ``values`` in order and compare with its value;
+    the first incomplete search stops the claim as skipped-budget.
+    ``shown`` is the record's expected field."""
     computed = {}
-    ok = True
-    for r in range(3, 7):
-        for s in range(3, 7):
-            value, complete = _search_value(f"P{r}xP{s}", ctx)
-            computed[f"P{r}xP{s}"] = value
-            if not complete:
-                return 4, computed, SKIPPED
-            ok &= value == 4
-    return 4, computed, PASS if ok else FAIL
+    for spec in values:
+        value, complete = _search_value(spec, ctx)
+        computed[spec] = value
+        if not complete:
+            return shown, computed, SKIPPED
+    return shown, computed, PASS if computed == values else FAIL
+
+
+def _claim_grid_gp(ctx: RunContext):
+    return _search_table(ctx, 4, {f"P{r}xP{s}": 4 for r in range(3, 7) for s in range(3, 7)})
 
 
 # Enumerations where the published closed form is provably short: its case
@@ -147,15 +151,8 @@ CYLINDER_TABLE = [
 
 
 def _claim_cylinders(ctx: RunContext):
-    computed = {}
-    ok = True
-    for r, s, expected in CYLINDER_TABLE:
-        value, complete = _search_value(f"P{r}xC{s}", ctx)
-        computed[f"P{r}xC{s}"] = value
-        if not complete:
-            return {f"P{r}xC{s}": e for r, s, e in CYLINDER_TABLE}, computed, SKIPPED
-        ok &= value == expected
-    return {f"P{r}xC{s}": e for r, s, e in CYLINDER_TABLE}, computed, PASS if ok else FAIL
+    values = {f"P{r}xC{s}": e for r, s, e in CYLINDER_TABLE}
+    return _search_table(ctx, values, values)
 
 
 def _torus_claim(spec: str, expected: int):
@@ -212,16 +209,8 @@ def _claim_torus7(ctx: RunContext):
 
 
 def _claim_hamming(ctx: RunContext):
-    computed = {}
-    ok = True
-    for n1 in range(2, 6):
-        for n2 in range(2, 6):
-            value, complete = _search_value(f"K{n1}xK{n2}", ctx)
-            computed[f"K{n1}xK{n2}"] = value
-            if not complete:
-                return "n1 + n2 - 2", computed, SKIPPED
-            ok &= value == n1 + n2 - 2
-    return "n1 + n2 - 2", computed, PASS if ok else FAIL
+    values = {f"K{n1}xK{n2}": n1 + n2 - 2 for n1 in range(2, 6) for n2 in range(2, 6)}
+    return _search_table(ctx, "n1 + n2 - 2", values)
 
 
 def _claim_probability_forms(ctx: RunContext):

@@ -153,6 +153,27 @@ def test_build_cap():
         build("K2^1000000")
 
 
+def test_a_huge_power_is_refused_without_its_vertex_count():
+    # computing 2^1000000000 itself took 7.4 s and 441 MB
+    started = time.monotonic()
+    with pytest.raises(VertexCapError, match=r"K2\^1000000000 has 2\^1000000000 or more vertices"):
+        build("K2^1000000000")
+    assert time.monotonic() - started < 0.01
+    # C5 has 5 >= 2^2 vertices; an exponent within the cap's bit length
+    # still gets the exact count
+    with pytest.raises(VertexCapError, match=r"C5\^30 has 2\^60 or more vertices"):
+        build("C5^30")
+    with pytest.raises(VertexCapError, match=r"C5\^9 has 1953125 vertices"):
+        build("C5^9")
+    # at the bound: 2^e is counted exactly while e is at most the cap's
+    # bit length, and a power below the cap builds
+    assert build("K2^7", cap=128).total_vertices == 128
+    with pytest.raises(VertexCapError, match=r"K2\^8 has 256 vertices, above the cap of 255"):
+        build("K2^8", cap=255)
+    with pytest.raises(VertexCapError, match=r"K2\^9 has 2\^9 or more vertices, above the cap of 255"):
+        build("K2^9", cap=255)
+
+
 @pytest.mark.parametrize("cap", [None, 10**6])
 def test_a_long_power_is_refused_before_its_factors_are_built(cap, monkeypatch):
     # P1^100000 has one vertex, so no vertex cap stops it; building it

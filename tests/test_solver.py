@@ -31,7 +31,6 @@ from genpos.solver import (
     flat_distance_matrix,
     gp_exact,
     isometric_cover_bound,
-    orbit_canonical,
 )
 from helpers import (
     bfs_distance_table,
@@ -124,44 +123,58 @@ def test_witness_is_naive_lex_first_maximum_set(name):
     assert (res.gp_value, tuple(res.witness)) == naive_lex_first_max(g)
 
 
+def _root_orbit_table(g):
+    """The whole group's orbit table, as counting reads it: the least flat
+    index of each vertex's orbit, and the orbit size of each orbit-minimal
+    vertex.  A trivial group leaves every vertex its own orbit."""
+    n = g.total_vertices
+    root = _Symmetry(g).root()
+    roots = _root_orbits(n, root)
+    return (list(range(n)) if root is None else root.low), roots
+
+
 @pytest.mark.parametrize("name", SYMMETRY_CORPUS)
 def test_canonical_form_has_the_same_distance_profile(name):
     g = SYMMETRY_CORPUS[name]
     D = bfs_distance_table(g)
+    low, _ = _root_orbit_table(g)
     for i, v in enumerate(g.vertices()):
-        c = orbit_canonical(g, v)
+        c = g.decode(low[i])
         assert c <= v
-        assert sorted(D[i]) == sorted(D[g.encode(c)]), (v, c)
+        assert sorted(D[i]) == sorted(D[low[i]]), (v, c)
 
 
 def test_orbit_minimal_roots():
-    assert _root_orbits(build("C5xC5")) == {0: 25}  # vertex-transitive
-    assert _root_orbits(build("K2^4")) == {0: 16}
+    assert _root_orbit_table(build("C5xC5"))[1] == {0: 25}  # vertex-transitive
+    assert _root_orbit_table(build("K2^4"))[1] == {0: 16}
     g = build("P3xP4")
-    roots = _root_orbits(g)
+    roots = _root_orbit_table(g)[1]
     assert [g.decode(i) for i in roots] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(roots.values()) == [4, 4, 2, 2]
     g = build("P3xP3")  # same-label factors: (0, 1) and (1, 0) share an orbit
-    assert {g.decode(i): k for i, k in _root_orbits(g).items()} == {(0, 0): 4, (0, 1): 4, (1, 1): 1}
+    roots = _root_orbit_table(g)[1]
+    assert {g.decode(i): k for i, k in roots.items()} == {(0, 0): 4, (0, 1): 4, (1, 1): 1}
     explicit = SYMMETRY_CORPUS["C4 x explicit P4"]
-    roots = _root_orbits(explicit)
+    roots = _root_orbit_table(explicit)[1]
     assert [explicit.decode(i) for i in roots] == [(0, j) for j in range(4)]
     assert list(roots.values()) == [4, 4, 4, 4]
 
 
 def _assert_orbits_meet_equally_many_maximum_sets(g):
     """The lemma behind orbit-weighted counting: each vertex lies on as many
-    maximum sets as its canonical form, and the orbits partition V."""
+    maximum sets as the least vertex of its orbit, and the orbits partition
+    V."""
     _, sets = naive_maximum_sets(g)
     on = {v: 0 for v in g.vertices()}
     for members in sets:
         for v in members:
             on[v] += 1
-    for v in g.vertices():
-        assert on[v] == on[orbit_canonical(g, v)], v
-    roots = _root_orbits(g)
+    low, roots = _root_orbit_table(g)
+    for i, v in enumerate(g.vertices()):
+        assert on[v] == on[g.decode(low[i])], v
     assert sum(roots.values()) == g.total_vertices
     assert list(roots) == sorted(roots)
+    assert sorted(set(low)) == list(roots)
 
 
 @pytest.mark.parametrize("name", SYMMETRY_CORPUS)
@@ -265,7 +278,7 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
         if all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(a + 1, n))
     ]
     root = _Symmetry(g).root()
-    assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbits(g))
+    assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbits(n, root))
     rng = random.Random(name)
     for prefix in [[]] + [_random_gp_prefix(D, rng) for _ in range(12)]:
         state = root
@@ -347,7 +360,7 @@ def test_leaf_weight_matches_an_explicit_orbit_closure(name):
         assert all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(n))
     sym = _Symmetry(g)
     root = sym.root()
-    roots = list(_root_orbits(g))
+    roots = list(_root_orbits(n, root))
     rng = random.Random(name)
     for trial in range(30):
         r = roots[trial % len(roots)]
@@ -430,7 +443,7 @@ def test_count_budget_counts_nodes_over_all_roots(monkeypatch):
     # P4^3 has four root orbits; a budget of as many nodes as the complete
     # search takes stops it at its last node, which no single root reaches
     g = build("P4^3")
-    assert len(_root_orbits(g)) == 4
+    assert len(_root_orbit_table(g)[1]) == 4
     full = count_maximum_gp_sets(g)
     total = seen[-1]
     assert count_maximum_gp_sets(g, limits=SearchLimits(max_nodes=total + 1)) == full
@@ -523,13 +536,27 @@ def test_count_oracle_is_the_plain_subset_count(spec):
     assert naive_count_maximum(g) == (value, sizes[value - 1])
 
 
+def test_count_builds_one_symmetry_per_call(monkeypatch):
+    # the root orbits and the root states come from the same _Symmetry
+    built = []
+
+    class Spy(_Symmetry):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(solver, "_Symmetry", Spy)
+    assert count_maximum_gp_sets(build("P4xP4")) == (4, 36)
+    assert len(built) == 1
+
+
 def test_count_refuses_an_orbit_sum_not_divisible_by_gp(monkeypatch):
     # P3xP3's one maximum set holds the four edge midpoints, one orbit of
     # size 4; weighting that orbit 3 gives a sum of 3, which 4 does not divide
     g = build("P3xP3")
-    sizes = _root_orbits(g)
+    sizes = _root_orbit_table(g)[1]
     sizes[g.encode((0, 1))] = 3
-    monkeypatch.setattr(solver, "_root_orbits", lambda _: sizes)
+    monkeypatch.setattr(solver, "_root_orbits", lambda *_: sizes)
     with pytest.raises(RuntimeError, match="not divisible"):
         count_maximum_gp_sets(g)
 

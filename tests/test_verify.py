@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+import genpos.verify as verify
 from genpos.verify import (
     CLAIMS,
     DISCREPANCY,
@@ -89,8 +92,6 @@ def test_corpus_is_the_45_products_capped_at_25_vertices():
 
 
 def test_a_crashing_claim_becomes_a_failed_record(monkeypatch):
-    import genpos.verify as verify
-
     claim = next(c for c in verify.CLAIMS if c.id == "power-bound-k2")
     monkeypatch.setattr(
         verify,
@@ -100,3 +101,24 @@ def test_a_crashing_claim_becomes_a_failed_record(monkeypatch):
     records = verify.run_claims()
     assert records[0].status == FAIL
     assert "error" in records[0].computed
+
+
+@pytest.mark.parametrize(
+    "claim_id,spec,searches",
+    [("grid-gp-values", "P4xP5", 16), ("cylinder-gp-table", "P4xC6", 10), ("hamming-two-factor", "K3xK4", 16)],
+)
+def test_a_search_table_claim_stops_at_a_budget_and_fails_on_a_wrong_value(monkeypatch, claim_id, spec, searches):
+    search = verify._search_value
+    monkeypatch.setattr(verify, "_search_value", lambda s, ctx: (None, False) if s == spec else search(s, ctx))
+    record = run_claims(only={claim_id})[0]
+    assert record.status == SKIPPED
+    assert list(record.computed)[-1] == spec and record.computed[spec] is None
+    assert None not in list(record.computed.values())[:-1]
+
+    def off_by_one(s, ctx):
+        value, complete = search(s, ctx)
+        return value + (s == spec), complete
+
+    monkeypatch.setattr(verify, "_search_value", off_by_one)
+    record = run_claims(only={claim_id})[0]
+    assert record.status == FAIL and len(record.computed) == searches
