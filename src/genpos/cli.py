@@ -96,6 +96,17 @@ def _limits(args) -> SearchLimits | None:
     return None
 
 
+def _seconds(text: str) -> float:
+    """``--time-limit`` value: a number of seconds >= 0 (NaN is refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds >= 0, got {text!r}")
+    return value
+
+
 def _build(args):
     if args.cap is not None:
         return build(args.spec, cap=args.cap)
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON document")
     common.add_argument("--cap", type=int, default=None, help="vertex cap override")
-    common.add_argument("--time-limit", type=float, default=None, help="seconds per exact search")
+    common.add_argument("--time-limit", type=_seconds, default=None, help="seconds per exact search (>= 0)")
     common.add_argument("--strict", action="store_true", help="budget exhaustion becomes exit code 1")
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 

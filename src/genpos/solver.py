@@ -24,12 +24,13 @@ S are identical.  The reported witness is still the lexicographically
 first maximum set S*: along its path, if some sigma in K_S mapped s_{k+1}
 below itself, sigma(S*) would be a lex-smaller maximum set.  It keeps
 s1..sk and gains sigma(s_{k+1}), which lies below every member of S*
-that it lacks.  So S* is searched, and the value is unchanged.  At the
-empty prefix K_S is the whole group, whose orbit table
-(:meth:`_Symmetry.orbits`) also gives counting its roots.  Once K_S acts
-trivially, the subtree runs the plain loop.  The search runs in one
-process, so the value, the witness and the node count are the same on
-every run; a node budget stops it at the same node every time.
+that it lacks.  So S* is searched, and the value is unchanged.  One orbit
+table per prefix state (:meth:`_Symmetry.orbits`) decides which vertices
+are orbit-minimal; at the empty prefix K_S is the whole group, whose table
+also gives counting its roots.  Once K_S acts trivially, the subtree runs
+the plain loop.  The search runs in one process, so the value, the
+witness and the node count are the same on every run; a node budget stops
+it at the same node every time.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -103,6 +104,12 @@ class SearchLimits:
 
     max_nodes: int | None = None
     time_limit: float | None = None  # seconds
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        if self.time_limit is not None and not self.time_limit >= 0:  # refuses NaN too
+            raise ValueError(f"time_limit must be >= 0 seconds, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -227,21 +234,21 @@ def _orbit_lows(f: FactorGraph, fixed: int) -> tuple[int, ...]:
 
 
 class _Prefix(dict):
-    """Stabilizer state of one search prefix.  ``mask`` is the bitset of
-    its orbit-minimal vertices; item v is the state of the prefix extended
-    by v, or None once the stabilizer acts trivially, derived on first use.
-    Counting also fills, on first use, the orbit tables of
-    :meth:`_Symmetry.orbits` and the transversals of
+    """Stabilizer state of one search prefix, with its orbit table
+    (:meth:`_Symmetry.orbits`), built when the state is created: ``mask``
+    is the bitset of its orbit-minimal vertices.  Item v is the state of
+    the prefix extended by v, or None once the stabilizer acts trivially,
+    derived on first use; ``tau`` caches the transversals of
     :meth:`_Symmetry.transversal`."""
 
     __slots__ = ("sym", "fixed", "classes", "mask", "low", "orbit", "keep", "tau")
 
-    def __init__(self, sym: "_Symmetry", fixed, classes, mask: int):
+    def __init__(self, sym: "_Symmetry", fixed, classes):
         self.sym = sym
         self.fixed = fixed
         self.classes = classes
-        self.mask = mask
-        self.low = self.orbit = self.keep = self.tau = None
+        self.tau = {}
+        sym.orbits(self)
 
     def __missing__(self, v: int) -> "_Prefix | None":
         child = self[v] = self.sym.extend(self, v)
@@ -258,10 +265,10 @@ class _Symmetry:
     S are identical; the empty prefix gives the whole group.  A vertex is
     the smallest in its K_S-orbit iff each coordinate is the smallest in
     its factor orbit and the coordinates on each class of positions are
-    non-decreasing.  A prefix's state keeps the values used at each
-    position as bitsets and its classes, so a child's state follows from
-    its parent's in O(#factors).  States, factor orbits and coordinate
-    masks are memoised for the search.
+    non-decreasing; :meth:`orbits` applies that rule to every vertex at
+    once.  A prefix's state keeps the values used at each position as
+    bitsets and its classes, so a child's state follows from its parent's
+    in O(#factors).  States and factor orbits are memoised for the search.
     """
 
     def __init__(self, g: ProductGraph):
@@ -275,15 +282,14 @@ class _Symmetry:
             self.radix.append((stride, f.n))
         groups: dict[str, list[int]] = {}
         for p, f in enumerate(g.factors):
-            if f.label is not None:
+            if f.label is not None and f.n > 1:  # one-vertex positions swap no vertex
                 groups.setdefault(f.label, []).append(p)
         self.classes = tuple(tuple(ps) for ps in groups.values() if len(ps) > 1)
         self._lows: dict[tuple[str, int, int], tuple[int, ...]] = {}  # by (kind, n, fixed)
-        self._minimal: list[dict[int, int]] = [{} for _ in g.factors]
-        self._ordered: dict[tuple[int, int], int] = {}
         self._states: dict[tuple, _Prefix] = {}
         self._strides = np.array([stride for stride, _ in self.radix])
-        self._grid = None  # coordinates of every vertex, one row each
+        # coordinates of every vertex, one row each
+        self._grid = np.arange(n)[:, None] // self._strides % [size for _, size in self.radix]
 
     def lows(self, p: int, fixed: int) -> tuple[int, ...]:
         f = self.g.factors[p]
@@ -308,65 +314,29 @@ class _Symmetry:
 
     def _state(self, fixed, classes) -> _Prefix | None:
         """The state for the given (position, fixed values) pairs and
-        classes.  A position whose factor group is already trivial stays
-        trivial as values are added, so it is dropped from the state."""
-        full = self.full
-        mask = full
-        live = []
-        for p, u in fixed:
-            m = self._minimal[p].get(u)
-            if m is None:
-                values = [x for x, lo in enumerate(self.lows(p, u)) if lo == x]
-                trivial = len(values) == self.radix[p][1]
-                m = self._minimal[p][u] = full if trivial else self._coordinate_mask(p, values)
-            if m != full:
-                mask &= m
-                live.append((p, u))
-        for cls in classes:
-            for p, q in zip(cls, cls[1:]):
-                mask &= self._ordered_at(p, q)
-        if mask == full:
+        classes, or None when its group is trivial.  A position whose
+        factor group is already trivial stays trivial as values are added,
+        so it is dropped from the state."""
+        live = tuple((p, u) for p, u in fixed if self.lows(p, u) != tuple(range(self.radix[p][1])))
+        if not live and not classes:
             return None
-        key = (tuple(live), classes)
+        key = (live, classes)
         state = self._states.get(key)
         if state is None:
-            state = self._states[key] = _Prefix(self, key[0], classes, mask)
+            state = self._states[key] = _Prefix(self, live, classes)
         return state
-
-    def _coordinate_mask(self, p: int, values) -> int:
-        """Bitset of the vertices whose p-th coordinate is in ``values``:
-        one period of the pattern, repeated by a multiplication."""
-        stride, size = self.radix[p]
-        block = (1 << stride) - 1
-        pattern = 0
-        for x in values:
-            pattern |= block << (x * stride)
-        return pattern * (self.full // ((1 << stride * size) - 1))
-
-    def _ordered_at(self, p: int, q: int) -> int:
-        """Bitset of the vertices with v_p <= v_q (same-size factors)."""
-        key = (p, q)
-        if key not in self._ordered:
-            m = self.radix[p][1]
-            mask = 0
-            for a in range(m):
-                mask |= self._coordinate_mask(p, (a,)) & self._coordinate_mask(q, range(a, m))
-            self._ordered[key] = mask
-        return self._ordered[key]
 
     # -- orbit leaders -------------------------------------------------
 
     def orbits(self, state: _Prefix) -> None:
         """Fill ``state.low`` (the smallest vertex of each vertex's orbit
         under the state's group), ``state.orbit`` (each orbit's bitset, by
-        its smallest vertex) and ``state.keep`` (by the same key t, the
-        bitset of the vertices whose orbit's smallest vertex is at least t).
-        A vertex's minimum takes each coordinate to the smallest vertex of
-        its factor orbit, then sorts each class's values ascending; numpy
-        does this for every vertex at once."""
-        if self._grid is None:
-            flat = np.arange(self.g.total_vertices)[:, None]
-            self._grid = flat // self._strides % [size for _, size in self.radix]
+        its smallest vertex), ``state.keep`` (by the same key t, the bitset
+        of the vertices whose orbit's smallest vertex is at least t) and
+        ``state.mask`` (the bitset of those keys, the orbit-minimal
+        vertices).  A vertex's minimum takes each coordinate to the smallest
+        vertex of its factor orbit, then sorts each class's values
+        ascending; numpy does this for every vertex at once."""
         X = self._grid.copy()
         for p, u in state.fixed:
             X[:, p] = np.asarray(self.lows(p, u))[X[:, p]]
@@ -378,10 +348,12 @@ class _Symmetry:
             orbit[c] = orbit.get(c, 0) | 1 << x
         keep = {}
         rest = self.full
+        mask = 0
         for c in sorted(orbit):
             keep[c] = rest
             rest ^= orbit[c]
-        state.low, state.orbit, state.keep = low, orbit, keep
+            mask |= 1 << c
+        state.low, state.orbit, state.keep, state.mask = low, orbit, keep, mask
 
     def transversal(self, state: _Prefix, v: int) -> list[int]:
         """A permutation of the flat indices, taken from ``state``'s group,
@@ -389,8 +361,6 @@ class _Symmetry:
         factor automorphism fixing the prefix's values there moves the
         coordinate to its orbit minimum; then each class's positions are
         permuted so that its values ascend."""
-        if state.tau is None:
-            state.tau = {}
         tau = state.tau.get(v)
         if tau is not None:
             return tau
@@ -436,8 +406,6 @@ class _Symmetry:
         chain: list[_Prefix] = []
         ties = []
         for t in T:  # bits holds T from t on
-            if state.low is None:
-                self.orbits(state)
             keep = state.keep.get(t)
             if keep is None or bits & ~keep:
                 return 0
@@ -517,8 +485,6 @@ def _root_orbits(n: int, root: _Prefix | None) -> dict[int, int]:
     vertices; when it is None, every vertex is its own orbit."""
     if root is None:
         return dict.fromkeys(range(n), 1)
-    if root.low is None:
-        root.sym.orbits(root)
     # low[x] <= x, so each orbit's key is first met at the key itself
     return {r: orbit.bit_count() for r, orbit in root.orbit.items()}
 
@@ -637,8 +603,6 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 nc &= row[v]
             vsize, vtie = size, tie
             if lead is not None and state is not None:
-                if state.low is None:
-                    lead.sym.orbits(state)
                 orbit = state.orbit[v]
                 vsize *= orbit.bit_count()
                 vtie |= orbit ^ bit

@@ -82,10 +82,14 @@ def _frac(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
+def _limits(ctx: RunContext) -> SearchLimits | None:
+    """The search budget of a run; a time limit of 0 is a budget too."""
+    return None if ctx.time_limit is None else SearchLimits(time_limit=ctx.time_limit)
+
+
 def _search_value(spec: str, ctx: RunContext):
     """gp_exact through the budget; returns (value or None, complete)."""
-    limits = SearchLimits(time_limit=ctx.time_limit) if ctx.time_limit else None
-    res = gp_exact(build(spec), limits=limits)
+    res = gp_exact(build(spec), limits=_limits(ctx))
     return (res.gp_value if res.complete else None), res.complete
 
 
@@ -174,8 +178,7 @@ def _claim_torus_8x7(ctx: RunContext):
     expected = 6
     if ctx.quick:
         return expected, None, SKIPPED
-    limits = SearchLimits(time_limit=ctx.time_limit) if ctx.time_limit else None
-    res = gp_exact(build("C8xC7"), limits=limits)
+    res = gp_exact(build("C8xC7"), limits=_limits(ctx))
     if not res.complete:
         return expected, res.gp_value, SKIPPED
     computed = {"gp": res.gp_value, "witness": [list(v) for v in res.witness]}

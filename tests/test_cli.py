@@ -217,6 +217,13 @@ def test_budget_exhaustion_is_not_failure_unless_strict(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "soon"])
+def test_a_negative_or_nan_time_limit_is_a_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, ["gp", "C9xC9", "--time-limit", value])
+    assert code == 2 and out == ""
+    assert "error: argument --time-limit: expected a number of seconds >= 0" in err
+
+
 def test_count_budget_exhaustion_exits_1(capsys):
     code, out, err = run_cli(capsys, ["count", "K4^3", "--time-limit", "0.001"])
     assert code == 1 and out == ""

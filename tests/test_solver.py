@@ -396,6 +396,18 @@ def test_prefix_stabilizers_cut_the_hamming_searches_tenfold(spec, value, parent
     assert res.nodes_explored * 10 <= parent_nodes
 
 
+@pytest.mark.parametrize(
+    "spec,value,nodes",
+    [("C8xC7", 7, 4_261), ("C9xC9", 7, 44_486), ("C10xC10", 6, 50_484),
+     ("P3^4", 8, 33_480), ("K4^3", 16, 23_366)],
+)
+def test_max_search_node_counts_are_pinned(spec, value, nodes):
+    # node counts are deterministic: a change to the stabilizers' branching
+    # shows here, not only in the benchmark
+    res = gp_exact(build(spec))
+    assert (res.complete, res.gp_value, res.nodes_explored) == (True, value, nodes)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(_small_factor, min_size=1, max_size=3).filter(
@@ -481,6 +493,14 @@ def test_time_budget_on_a_larger_search():
     res = gp_exact(build("C7xC7"), limits=SearchLimits(time_limit=1e-4))
     assert not res.complete
     assert res.gp_value <= 7 and res.witness.certified
+
+
+@pytest.mark.parametrize(
+    "fields", [{"time_limit": -1.0}, {"time_limit": float("nan")}, {"max_nodes": -1}]
+)
+def test_limits_refuse_a_negative_or_nan_budget(fields):
+    with pytest.raises(ValueError):
+        SearchLimits(**fields)
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,13 @@ def test_time_limit_marks_searches_skipped():
     assert records[0].status == SKIPPED
 
 
+def test_a_zero_time_limit_is_a_budget():
+    only = {"torus-gp-7x7", "grid-gp-values"}
+    zero, tiny = run_claims(only=only, time_limit=0), run_claims(only=only, time_limit=1e-9)
+    assert [(r.id, r.status) for r in zero] == [(r.id, r.status) for r in tiny]
+    assert [r.status for r in zero] == [SKIPPED, SKIPPED]
+
+
 def test_overall_status_ignores_documented_discrepancies():
     records = run_claims(only={"star-formula-discrepancy", "power-bound-k2"})
     assert {r.status for r in records} == {DISCREPANCY, PASS}
