@@ -187,10 +187,12 @@ class ProductGraph:
 
     Two vertices are adjacent iff they differ in exactly one coordinate
     and that pair is an edge of its factor; distances add coordinate-wise.
+    ``sizes`` holds each factor's order and ``strides`` each position's
+    weight in the flat index (the last position varies fastest).
     """
 
     __slots__ = (
-        "factors", "total_vertices", "_sizes", "_strides", "_factor_dists", "_flat", "_flat_rows",
+        "factors", "total_vertices", "sizes", "strides", "_factor_dists", "_flat", "_flat_rows",
     )
 
     def __init__(self, factors):
@@ -198,12 +200,12 @@ class ProductGraph:
         if not factors:
             raise ValueError("product needs at least one factor")
         self.factors = factors
-        self._sizes = tuple(f.n for f in factors)
+        self.sizes = tuple(f.n for f in factors)
         strides = [1] * len(factors)
         for i in range(len(factors) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self._sizes[i + 1]
-        self._strides = tuple(strides)
-        self.total_vertices = prod(self._sizes)
+            strides[i] = strides[i + 1] * self.sizes[i + 1]
+        self.strides = tuple(strides)
+        self.total_vertices = prod(self.sizes)
         self._factor_dists = None
         self._flat = None
         self._flat_rows = None
@@ -222,7 +224,7 @@ class ProductGraph:
         v = tuple(v)
         if len(v) != len(self.factors):
             raise ValueError(f"coordinate {v} has {len(v)} entries, expected {len(self.factors)}")
-        for c, size in zip(v, self._sizes):
+        for c, size in zip(v, self.sizes):
             if type(c) is not int:
                 # other integer types (numpy.int64) are converted; bool is not
                 # an integer coordinate here
@@ -230,18 +232,18 @@ class ProductGraph:
                     raise ValueError(f"coordinate {v}: entries must be integers")
                 return self.check_coord(tuple(int(x) for x in v))
             if not 0 <= c < size:
-                raise ValueError(f"coordinate {v} out of range for sizes {self._sizes}")
+                raise ValueError(f"coordinate {v} out of range for sizes {self.sizes}")
         return v
 
     def encode(self, coords) -> int:
         coords = self.check_coord(coords)
-        return sum(c * s for c, s in zip(coords, self._strides))
+        return sum(c * s for c, s in zip(coords, self.strides))
 
     def decode(self, index: int) -> Coord:
         if not 0 <= index < self.total_vertices:
             raise ValueError(f"flat index {index} out of range")
         out = []
-        for s, size in zip(self._strides, self._sizes):
+        for s, size in zip(self.strides, self.sizes):
             out.append((index // s) % size)
         return tuple(out)
 
@@ -273,7 +275,7 @@ class ProductGraph:
         n = self.total_vertices
         D = np.zeros((n, n), dtype=np.int32)
         flat = np.arange(n)
-        for t, stride, size in zip(self.factor_dist_tables(), self._strides, self._sizes):
+        for t, stride, size in zip(self.factor_dist_tables(), self.strides, self.sizes):
             c = (flat // stride) % size
             D += np.asarray(t, dtype=np.int32)[c[:, None], c[None, :]]
         D.setflags(write=False)
@@ -294,7 +296,7 @@ class ProductGraph:
         if self.total_vertices <= FLAT_TABLE_MAX_VERTICES:
             if self._flat_rows is None:
                 self._flat_rows = self.flat_matrix().tolist()
-            strides = self._strides
+            strides = self.strides
             return [sum(map(int.__mul__, v, strides)) for v in members], self._flat_rows
         tables = self.factor_dist_tables()
         m = len(members)
@@ -496,7 +498,7 @@ def explicit_adjacency(g: ProductGraph, cap: int | None = DEFAULT_VERTEX_CAP) ->
     for i in range(n):
         coords = g.decode(i)
         for j, f in enumerate(g.factors):
-            stride = g._strides[j]
+            stride = g.strides[j]
             for w in f.adj[coords[j]]:
                 adj[i].append(i + (w - coords[j]) * stride)
     return FactorGraph.explicit(adj)

@@ -13,24 +13,18 @@ Determinism: vertices are branched in increasing flat index, and the
 max-search prunes by symmetry at every depth.  At a node with prefix
 S = (s1..sk) it branches only on vertices that are the smallest in their
 orbit under K_S, a group of automorphisms fixing s1..sk pointwise that is
-read off the spec (see :class:`_Symmetry`).  At each factor position p,
-K_S holds the factor automorphisms that fix every value S uses at p: on
-``C n`` all rotations and reflections while S is empty, then the
-reflection x -> c - x if one fixes them all; on ``K n`` and the leaves of
-``S k`` every permutation of the vertices S does not use there; on ``P n``
-the reversal while every used value is the middle vertex; on explicit
-factors nothing.  K_S also permutes same-label positions whose columns in
-S are identical.  The reported witness is still the lexicographically
-first maximum set S*: along its path, if some sigma in K_S mapped s_{k+1}
-below itself, sigma(S*) would be a lex-smaller maximum set.  It keeps
-s1..sk and gains sigma(s_{k+1}), which lies below every member of S*
-that it lacks.  So S* is searched, and the value is unchanged.  One orbit
-table per prefix state (:meth:`_Symmetry.orbits`) decides which vertices
-are orbit-minimal; at the empty prefix K_S is the whole group, whose table
-also gives counting its roots.  Once K_S acts trivially, the subtree runs
-the plain loop.  The search runs in one process, so the value, the
-witness and the node count are the same on every run; a node budget stops
-it at the same node every time.
+read off the spec (see :class:`_Symmetry`).  The reported witness is
+still the lexicographically first maximum set S*: along its path, if some
+sigma in K_S mapped s_{k+1} below itself, sigma(S*) would be a
+lex-smaller maximum set.  It keeps s1..sk and gains sigma(s_{k+1}), which
+lies below every member of S* that it lacks.  So S* is searched, and the
+value is unchanged.  One orbit table per prefix state
+(:meth:`_Symmetry.orbits`) decides which vertices are orbit-minimal; at
+the empty prefix K_S is the whole group, whose table also gives counting
+its roots.  Once K_S acts trivially, the subtree runs the plain loop.
+The search runs in one process, so the value, the witness and the node
+count are the same on every run; a node budget stops it at the same node
+every time.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -95,7 +89,8 @@ _NO_LIMIT = 1 << 62  # a node count no search reaches
 
 
 class BudgetExhausted(Exception):
-    """Internal: unwinds the search when a node/time budget runs out."""
+    """A node/time budget ran out: unwinds the search, and is raised by the
+    operations that have no partial answer (counting, cover bounds)."""
 
 
 @dataclass(frozen=True)
@@ -275,11 +270,6 @@ class _Symmetry:
         self.g = g
         n = g.total_vertices
         self.full = (1 << n) - 1
-        self.radix = []  # (stride, size) per position
-        stride = n
-        for f in g.factors:
-            stride //= f.n
-            self.radix.append((stride, f.n))
         groups: dict[str, list[int]] = {}
         for p, f in enumerate(g.factors):
             if f.label is not None and f.n > 1:  # one-vertex positions swap no vertex
@@ -287,9 +277,8 @@ class _Symmetry:
         self.classes = tuple(tuple(ps) for ps in groups.values() if len(ps) > 1)
         self._lows: dict[tuple[str, int, int], tuple[int, ...]] = {}  # by (kind, n, fixed)
         self._states: dict[tuple, _Prefix] = {}
-        self._strides = np.array([stride for stride, _ in self.radix])
         # coordinates of every vertex, one row each
-        self._grid = np.arange(n)[:, None] // self._strides % [size for _, size in self.radix]
+        self._grid = np.arange(n)[:, None] // g.strides % g.sizes
 
     def lows(self, p: int, fixed: int) -> tuple[int, ...]:
         f = self.g.factors[p]
@@ -300,10 +289,10 @@ class _Symmetry:
 
     def root(self) -> _Prefix | None:
         """State of the empty prefix."""
-        return self._state([(p, 0) for p in range(len(self.radix))], self.classes)
+        return self._state([(p, 0) for p in range(len(self.g.factors))], self.classes)
 
     def extend(self, state: _Prefix, v: int) -> _Prefix | None:
-        coords = [v // stride % size for stride, size in self.radix]
+        coords = self.g.decode(v)
         classes = []
         for cls in state.classes:
             by_value: dict[int, list[int]] = {}
@@ -317,7 +306,7 @@ class _Symmetry:
         classes, or None when its group is trivial.  A position whose
         factor group is already trivial stays trivial as values are added,
         so it is dropped from the state."""
-        live = tuple((p, u) for p, u in fixed if self.lows(p, u) != tuple(range(self.radix[p][1])))
+        live = tuple((p, u) for p, u in fixed if self.lows(p, u) != tuple(range(self.g.sizes[p])))
         if not live and not classes:
             return None
         key = (live, classes)
@@ -342,7 +331,7 @@ class _Symmetry:
             X[:, p] = np.asarray(self.lows(p, u))[X[:, p]]
         for cls in state.classes:
             X[:, cls] = np.sort(X[:, cls], axis=1)
-        low = (X @ self._strides).tolist()
+        low = (X @ self.g.strides).tolist()
         orbit: dict[int, int] = {}
         for x, c in enumerate(low):
             orbit[c] = orbit.get(c, 0) | 1 << x
@@ -364,20 +353,20 @@ class _Symmetry:
         tau = state.tau.get(v)
         if tau is not None:
             return tau
-        maps: list = [range(size) for _, size in self.radix]
-        w = [v // stride % size for stride, size in self.radix]
+        maps: list = [range(size) for size in self.g.sizes]
+        w = list(self.g.decode(v))
         for p, u in state.fixed:
             lo = self.lows(p, u)[w[p]]
             if lo != w[p]:
                 maps[p] = _factor_move(self.g.factors[p], w[p], lo)
                 w[p] = lo
-        dest = list(range(len(self.radix)))
+        dest = list(range(len(maps)))
         for cls in state.classes:
             for q, p in zip(cls, sorted(cls, key=lambda p: (w[p], p))):
                 dest[p] = q
         tau = [0]
         for p, h in enumerate(maps):
-            stride = self.radix[dest[p]][0]
+            stride = self.g.strides[dest[p]]
             tau = [a + b * stride for a in tau for b in h]
         state.tau[v] = tau
         return tau
@@ -465,28 +454,15 @@ class _Symmetry:
 def _factor_move(f: FactorGraph, x: int, lo: int) -> tuple[int, ...]:
     """An automorphism of ``f`` taking x to lo, where lo != x is the least
     of x's orbit under a group of :func:`_orbit_lows`, chosen from that
-    group: on a cycle the reflection a -> x + lo - a (the only one moving a
-    vertex once some vertex is fixed), on a path the reversal, and on
-    ``K n`` and the leaves of ``S k`` the transposition of x and lo."""
+    group: on a cycle or a path the reflection a -> x + lo - a (on a cycle
+    the only one moving a vertex once some vertex is fixed, on a path the
+    reversal), and on ``K n`` and the leaves of ``S k`` the transposition."""
     n = f.n
-    if f.kind == "cycle":
+    if f.kind in ("cycle", "path"):
         return tuple((x + lo - a) % n for a in range(n))
-    if f.kind == "path":
-        return tuple(range(n - 1, -1, -1))
     h = list(range(n))
     h[x], h[lo] = lo, x
     return tuple(h)
-
-
-def _root_orbits(n: int, root: _Prefix | None) -> dict[int, int]:
-    """Orbit size of each orbit-minimal vertex under the whole group, keyed
-    by flat index in ascending order: the only first vertices counting
-    branches on.  ``root`` is the state of the empty prefix on ``n``
-    vertices; when it is None, every vertex is its own orbit."""
-    if root is None:
-        return dict.fromkeys(range(n), 1)
-    # low[x] <= x, so each orbit's key is first met at the key itself
-    return {r: orbit.bit_count() for r, orbit in root.orbit.items()}
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +480,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     every set of the final best size reached, in the order reached
     (lexicographic).  Until a larger set resets it, ``sets`` also holds the
     ties of each smaller best size met on the way.  The node budget in
-    ``limits`` counts the nodes of all roots together.
+    ``limits`` counts the nodes of all roots together; 0 stops before any.
 
     ``state`` is None, or the :class:`_Prefix` of S: then each node
     branches only on the orbit-minimal vertices of its prefix's stabilizer,
@@ -516,9 +492,11 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     nothing.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
-    weight of each set of size best reached,
-    ``witness`` is the first of them (the given one if none beat it), and
-    ``complete`` is False when the budget ran out.
+    weight of each set of size best reached, an argument of ``rec`` and
+    ``rec_sym``: the start's weight, times T's orbit sizes once a counting
+    subtree runs the plain loop.  ``witness`` is the first of those sets
+    (the given one if none beat it), and ``complete`` is False when the
+    budget ran out.
     """
     best = len(witness)
     bar = best + slack
@@ -535,7 +513,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     step = _TIME_CHECK_EVERY if deadline is not None else _NO_LIMIT
     check_at = min(max_nodes, step)  # next node count at which the budget is polled
 
-    def rec(S, rows, cand):
+    def rec(S, rows, cand, weight):
         nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
@@ -567,11 +545,11 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
             if nc and k1 + nc.bit_count() >= bar:
                 S.append(v)
                 rows.append(allowed[v])
-                rec(S, rows, nc)
+                rec(S, rows, nc, weight)
                 rows.pop()
                 S.pop()
 
-    def rec_sym(S, rows, cand, state, size, tie, chosen):
+    def rec_sym(S, rows, cand, state, size, tie, chosen, weight):
         # rec for a prefix whose stabilizer moves some vertex: branch only
         # on the orbit-minimal candidates.  When counting (lead is set), T
         # is S without its root and ``chosen`` is T as a bitset; ``size``
@@ -581,7 +559,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
         # leader of an orbit of ``size`` sets; one that does goes to
         # orbit_weight.  Below a trivial stabilizer with a tie still within
         # reach, state is None.
-        nonlocal best, bar, count, weight, witness, nodes, check_at
+        nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
         branch = cand if state is None else cand & state.mask
@@ -623,28 +601,25 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 rows.append(allowed[v])
                 child = None if state is None else state[v]
                 if child is not None or vtie & (chosen | bit | nc):
-                    rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit)
-                elif lead is None:
-                    rec(S, rows, nc)
+                    rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit, weight)
                 else:  # no symmetry and no tie within reach: every set below weighs the same
-                    root_weight = weight
-                    weight *= vsize
-                    rec(S, rows, nc)
-                    weight = root_weight
+                    rec(S, rows, nc, weight * vsize)
                 rows.pop()
                 S.pop()
 
     lead = orbit_weight = None  # when counting, the root's state and its weigher
     try:
+        if max_nodes == 0:
+            raise BudgetExhausted
         for S, cand, weight, state in starts:
             lead = state if slack == 0 else None
             if lead is not None:
                 orbit_weight = lead.sym.orbit_weight
             rows = [allowed[v] for v in S]
             if state is None:
-                rec(list(S), rows, cand)
+                rec(list(S), rows, cand, weight)
             else:
-                rec_sym(list(S), rows, cand, state, 1, 0, 0)
+                rec_sym(list(S), rows, cand, state, 1, 0, 0, weight)
     except BudgetExhausted:
         complete = False
     return best, count, witness, nodes, complete
@@ -716,8 +691,10 @@ def count_maximum_gp_sets(
         return 1, 1
     full = (1 << n) - 1
     root = _Symmetry(g).root()
-    starts = [([r], full ^ (1 << r), size, None if root is None else root[r])
-              for r, size in _root_orbits(n, root).items()]
+    # keys ascend, as low[x] <= x; a trivial group leaves every vertex its own orbit
+    orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
+    starts = [([r], full ^ (1 << r), orbit.bit_count(), None if root is None else root[r])
+              for r, orbit in orbits.items()]
     best, count, _, _, complete = _dfs(allowed, starts, [], limits, slack=0)
     if not complete:
         raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")
@@ -776,7 +753,8 @@ def isometric_cover_bound(
     Each element of ``cover`` is a collection of coordinate tuples.  Every
     set must induce a connected isometric subgraph and together they must
     cover all vertices; the bound is the sum of the exact gp values of the
-    induced subgraphs.
+    induced subgraphs.  Raises :class:`BudgetExhausted` when ``limits``
+    stops the search of any of them.
     """
     g = _as_product(g)
     D = flat_distance_matrix(g)
@@ -793,6 +771,8 @@ def isometric_cover_bound(
         raise ValueError(f"cover misses vertex {g.decode(missing)}")
     total = 0
     for flats in flat_sets:
-        sub = _induced_subgraph(g, D, flats)
-        total += gp_exact(ProductGraph([sub]), limits=limits).gp_value
+        res = gp_exact(ProductGraph([_induced_subgraph(g, D, flats)]), limits=limits)
+        if not res.complete:  # a piece's best found is no upper bound
+            raise BudgetExhausted(f"cover bound budget exhausted on a piece of {len(flats)} vertices")
+        total += res.gp_value
     return total

@@ -246,14 +246,27 @@ def test_unknown_subcommand_exits_2(capsys):
 # ----------------------------------------------------------------------
 # verification report
 
-def test_verify_paper_quick(capsys):
-    code, payload, _ = run_json(capsys, ["verify-paper", "--quick"])
+@pytest.fixture(scope="module")
+def quick_report():
+    """Exit code and payload of one ``verify-paper --quick --json`` run,
+    shared by the tests that read it: the registry takes seconds."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-paper", "--quick", "--json"])
+    return code, json.loads(out.getvalue())
+
+
+def test_verify_paper_quick(capsys, quick_report):
+    code, payload = quick_report
     assert code == 0
     claims = {r["id"]: r for r in payload["result"]["claims"]}
     # every registry id exactly once
     assert len(claims) == len(payload["result"]["claims"]) == 15
     assert claims["torus-gp-7x7"]["status"] == "skipped-budget"
     assert claims["torus-gp-8x7"]["status"] == "skipped-budget"
+    # --quick skips exactly the two torus searches
+    skipped = {cid for cid, r in claims.items() if r["status"] == "skipped-budget"}
+    assert skipped == {"torus-gp-7x7", "torus-gp-8x7"}
     assert claims["star-formula-discrepancy"]["status"] == "discrepancy-documented"
     assert claims["grid-count-formula"]["status"] == "discrepancy-documented"
     assert claims["grid-gp-values"]["status"] == "pass"
@@ -264,8 +277,8 @@ def test_verify_paper_quick(capsys):
     assert code2 == 1
 
 
-def test_verify_paper_human_rendering_matches_payload(capsys):
-    code, payload, _ = run_json(capsys, ["verify-paper", "--quick"])
+def test_verify_paper_human_rendering_matches_payload(quick_report):
+    _, payload = quick_report
     text = render_human(payload)
     for record in payload["result"]["claims"]:
         assert record["id"] in text

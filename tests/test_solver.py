@@ -24,7 +24,6 @@ from genpos.solver import (
     BadTripleIndex,
     BudgetExhausted,
     SearchLimits,
-    _root_orbits,
     _Symmetry,
     count_maximum_gp_sets,
     enumerate_maximum_gp_sets,
@@ -129,8 +128,9 @@ def _root_orbit_table(g):
     vertex.  A trivial group leaves every vertex its own orbit."""
     n = g.total_vertices
     root = _Symmetry(g).root()
-    roots = _root_orbits(n, root)
-    return (list(range(n)) if root is None else root.low), roots
+    if root is None:
+        return list(range(n)), dict.fromkeys(range(n), 1)
+    return root.low, {r: orbit.bit_count() for r, orbit in root.orbit.items()}
 
 
 @pytest.mark.parametrize("name", SYMMETRY_CORPUS)
@@ -278,7 +278,7 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
         if all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(a + 1, n))
     ]
     root = _Symmetry(g).root()
-    assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbits(n, root))
+    assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbit_table(g)[1])
     rng = random.Random(name)
     for prefix in [[]] + [_random_gp_prefix(D, rng) for _ in range(12)]:
         state = root
@@ -360,7 +360,7 @@ def test_leaf_weight_matches_an_explicit_orbit_closure(name):
         assert all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(n))
     sym = _Symmetry(g)
     root = sym.root()
-    roots = list(_root_orbits(n, root))
+    roots = list(_root_orbit_table(g)[1])
     rng = random.Random(name)
     for trial in range(30):
         r = roots[trial % len(roots)]
@@ -437,6 +437,15 @@ def test_node_budget_reports_incomplete_but_certified():
     res = gp_exact(build("P4xP4"), limits=SearchLimits(max_nodes=3))
     assert not res.complete and res.nodes_explored == 3
     assert res.witness.certified and len(res.witness) == res.gp_value
+
+
+def test_a_zero_node_budget_explores_no_node():
+    res = gp_exact(build("P4xP4"), limits=SearchLimits(max_nodes=0))
+    assert res.nodes_explored == 0 and res.complete is False
+    assert res.witness.certified and len(res.witness) == res.gp_value
+    assert gp_exact(build("P4xP4"), limits=SearchLimits(max_nodes=1)).nodes_explored == 1
+    with pytest.raises(BudgetExhausted):
+        count_maximum_gp_sets(build("P2xP2"), limits=SearchLimits(max_nodes=0))
 
 
 def test_count_budget_counts_nodes_over_all_roots(monkeypatch):
@@ -572,11 +581,16 @@ def test_count_builds_one_symmetry_per_call(monkeypatch):
 
 def test_count_refuses_an_orbit_sum_not_divisible_by_gp(monkeypatch):
     # P3xP3's one maximum set holds the four edge midpoints, one orbit of
-    # size 4; weighting that orbit 3 gives a sum of 3, which 4 does not divide
+    # size 4, so its orbit-weighted sum is 4; one more is not divisible by 4
     g = build("P3xP3")
-    sizes = _root_orbit_table(g)[1]
-    sizes[g.encode((0, 1))] = 3
-    monkeypatch.setattr(solver, "_root_orbits", lambda *_: sizes)
+    dfs = solver._dfs
+
+    def off_by_one(*args, **kwargs):
+        best, count, *rest = dfs(*args, **kwargs)
+        assert (best, count) == (4, 4)
+        return (best, count + 1, *rest)
+
+    monkeypatch.setattr(solver, "_dfs", off_by_one)
     with pytest.raises(RuntimeError, match="not divisible"):
         count_maximum_gp_sets(g)
 
@@ -719,6 +733,15 @@ def test_cover_bound_torus_quadrants():
     bound = isometric_cover_bound(g, torus_quadrant_cover(6, 6))
     assert bound == 16
     assert bound >= gp_exact(g).gp_value
+
+
+def test_cover_bound_refuses_a_partial_sum_under_a_budget():
+    # one node per piece would have summed four best-found values to 4,
+    # below gp(C6xC6) = 6
+    g = build("C6xC6")
+    with pytest.raises(BudgetExhausted):
+        isometric_cover_bound(g, torus_quadrant_cover(6, 6), limits=SearchLimits(max_nodes=1))
+    assert isometric_cover_bound(g, torus_quadrant_cover(6, 6), limits=SearchLimits(max_nodes=10_000)) == 16
 
 
 def test_cover_bound_rejects_non_isometric_subgraph():

@@ -15,17 +15,13 @@ from genpos.verify import (
     overall_status,
     run_claims,
 )
+from genpos.solver import SearchLimits
 
 
 def test_registry_ids_unique():
     ids = [c.id for c in CLAIMS]
     assert len(ids) == len(set(ids))
     assert all(c.claim for c in CLAIMS)
-
-
-def test_heavy_flags_mark_exactly_the_torus_searches():
-    heavy = {c.id for c in CLAIMS if c.heavy}
-    assert heavy == {"torus-gp-7x7", "torus-gp-8x7"}
 
 
 def test_quick_mode_skips_only_the_torus_searches():
@@ -61,6 +57,25 @@ def test_a_zero_time_limit_is_a_budget():
     zero, tiny = run_claims(only=only, time_limit=0), run_claims(only=only, time_limit=1e-9)
     assert [(r.id, r.status) for r in zero] == [(r.id, r.status) for r in tiny]
     assert [r.status for r in zero] == [SKIPPED, SKIPPED]
+
+
+def test_the_time_limit_bounds_the_grid_counts():
+    # the P2xP3 count stops at its first leaf test, which polls the clock
+    (record,) = run_claims(only={"grid-count-formula"}, time_limit=0)
+    assert record.status == SKIPPED
+    assert record.computed == {"2x2": {"formula": 6, "enumerated": 6}}
+
+
+@pytest.mark.parametrize(
+    "max_nodes,computed",
+    # one node stops the first cover piece; 200 finish every piece (explicit
+    # graphs, so no symmetry) but not the 324-node search of C6xC6 itself
+    [(1, None), (200, {"cover_bound": 16, "gp_exact": None})],
+)
+def test_the_budget_bounds_the_cover_bound_searches(monkeypatch, max_nodes, computed):
+    monkeypatch.setattr(verify, "_limits", lambda ctx: SearchLimits(max_nodes=max_nodes))
+    (record,) = run_claims(only={"cover-bound-torus6"})
+    assert (record.status, record.computed) == (SKIPPED, computed)
 
 
 def test_overall_status_ignores_documented_discrepancies():
