@@ -12,11 +12,17 @@ path between two others.  Two independent deciders are provided:
 The two must agree on every input; the test suite checks this
 exhaustively on a corpus of small products.
 
-Distances come from :meth:`ProductGraph.distance_table`, looked up once
-per pair, and every bad-triple test on a member list goes through
-:func:`bad_triples`.  Whole-graph counts work on a numpy distance matrix
-instead: :func:`between` is the one betweenness test behind the solver's
-bad-triple index and the exact bad-triple probability.
+Each decider is a public wrapper around a core.  The wrappers
+(:func:`is_general_position`, :func:`find_violating_triple` and
+:func:`characterization_check`) validate their input once, take its
+``(ids, D)`` from :meth:`ProductGraph.distance_table` and call the core:
+:func:`bad_triples` for the direct test, :func:`_clique_partition` for the
+structural one.  The cores trust their ids and never look at coordinates,
+so a caller that already holds a host's flat ids (the
+``checker-equivalence`` claim) runs them on subsets of those ids without
+validating each subset again.  Whole-graph counts work on a numpy
+distance matrix instead: :func:`between` is the one betweenness test
+behind the solver's bad-triple index and the exact bad-triple probability.
 """
 
 from __future__ import annotations
@@ -111,6 +117,41 @@ class PartitionCertificate:
     part_distances: tuple[tuple[int, ...], ...]
 
 
+def _clique_partition(ids, D):
+    """Structural core on the members behind ``g.distance_table``'s ``(ids, D)``.
+
+    Returns ``(parts, dists)`` when the members are in general position:
+    the components of the induced subgraph as sorted lists of member
+    positions, in the order of their lowest member, and the constant
+    distances between them (0 on the diagonal).  Returns None otherwise.
+    """
+    rows = [D[i] for i in ids]  # rows[a][ids[b]]: distance of members a, b
+
+    # Components of the induced subgraph (edges = distance 1).  They are
+    # cliques iff adjacent members have the same closed neighbourhood in S;
+    # then each component is the neighbourhood of its lowest member.
+    nbrs = [[b for b, x in enumerate(ids) if row[x] <= 1] for row in rows]
+    if any(nbrs[b] != nb for nb in nbrs for b in nb):
+        return None
+    parts = [nb for a, nb in enumerate(nbrs) if nb[0] == a]
+
+    p = len(parts)
+    dists = [[0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            base = rows[parts[i][0]][ids[parts[j][0]]]
+            for a in parts[i]:
+                for b in parts[j]:
+                    if rows[a][ids[b]] != base:
+                        return None
+            dists[i][j] = dists[j][i] = base
+
+    # no part between two others: the bad-triple test on the part distances
+    if next(bad_triples(range(p), dists), None) is not None:
+        return None
+    return parts, dists
+
+
 def characterization_check(
     g: ProductGraph, S
 ) -> tuple[bool, PartitionCertificate | None]:
@@ -123,33 +164,11 @@ def characterization_check(
     input.
     """
     members = _validated_members(g, S)
-    ids, D = g.distance_table(members)
-    rows = [D[i] for i in ids]  # rows[a][ids[b]]: distance of members a, b
-
-    # Components of the induced subgraph (edges = distance 1).  They are
-    # cliques iff adjacent members have the same closed neighbourhood in S;
-    # then each component is the neighbourhood of its lowest member.  Parts
-    # are sorted member positions, which sort like the members themselves.
-    nbrs = [[b for b, x in enumerate(ids) if row[x] <= 1] for row in rows]
-    if any(nbrs[b] != nb for nb in nbrs for b in nb):
+    found = _clique_partition(*g.distance_table(members))
+    if found is None:
         return False, None
-    parts = [nb for a, nb in enumerate(nbrs) if nb[0] == a]
-
-    p = len(parts)
-    dists = [[0] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            base = rows[parts[i][0]][ids[parts[j][0]]]
-            for a in parts[i]:
-                for b in parts[j]:
-                    if rows[a][ids[b]] != base:
-                        return False, None
-            dists[i][j] = dists[j][i] = base
-
-    # no part between two others: the bad-triple test on the part distances
-    if next(bad_triples(range(p), dists), None) is not None:
-        return False, None
-
+    parts, dists = found
+    # parts are sorted member positions, which sort like the members
     cert = PartitionCertificate(
         parts=tuple(tuple(members[a] for a in part) for part in parts),
         part_distances=tuple(tuple(row) for row in dists),

@@ -245,6 +245,9 @@ class _Prefix(dict):
         self.tau = {}
         sym.orbits(self)
 
+    def __bool__(self):
+        return True  # a state is a state even before any child is derived
+
     def __missing__(self, v: int) -> "_Prefix | None":
         child = self[v] = self.sym.extend(self, v)
         return child
@@ -511,7 +514,9 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
         if limits.time_limit is not None:
             deadline = time.monotonic() + limits.time_limit
     step = _TIME_CHECK_EVERY if deadline is not None else _NO_LIMIT
-    check_at = min(max_nodes, step)  # next node count at which the budget is polled
+    # next node count at which the budget is polled: under a deadline the
+    # first node polls the clock, so an expired limit stops a small search
+    check_at = min(max_nodes, 1 if deadline is not None else step)
 
     def rec(S, rows, cand, weight):
         nonlocal best, bar, count, witness, nodes, check_at

@@ -270,6 +270,9 @@ def test_verify_paper_quick(capsys, quick_report):
     assert claims["star-formula-discrepancy"]["status"] == "discrepancy-documented"
     assert claims["grid-count-formula"]["status"] == "discrepancy-documented"
     assert claims["grid-gp-values"]["status"] == "pass"
+    # both deciders ran on every subset of the corpus and agreed
+    assert claims["checker-equivalence"]["status"] == "pass"
+    assert claims["checker-equivalence"]["computed"] == {"subsets_tested": 209230, "mismatches": 0}
     assert payload["result"]["overall"] == "pass"
 
     # --strict turns the skipped torus searches into a failure exit

@@ -4,6 +4,7 @@ import random
 from functools import cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,11 +78,28 @@ def test_violating_triple_is_lex_first_and_middle_first():
 
 
 def test_input_validation():
+    # every public entry point validates its input before any core runs
     g = build("P3xP3")
-    with pytest.raises(ValueError, match="duplicate"):
-        is_general_position(g, [(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
-        is_general_position(g, [(0, 3)])
+    for check in (is_general_position, find_violating_triple, characterization_check, GpSet.certify):
+        with pytest.raises(ValueError, match="duplicate"):
+            check(g, [(0, 0), (1, 2), (0, 0)])
+        with pytest.raises(ValueError, match="out of range"):
+            check(g, [(0, 0), (0, 3)])
+        with pytest.raises(ValueError, match="out of range"):
+            check(g, [(-1, 0)])
+        for wrong_arity in [(0,), (0, 0, 0)]:
+            with pytest.raises(ValueError, match="expected 2"):
+                check(g, [(1, 1), wrong_arity])
+        for not_int in [(True, 0), (0, 1.0)]:
+            with pytest.raises(ValueError, match="must be integers"):
+                check(g, [(1, 1), not_int])
+        # numpy integers are converted
+        check(g, [(np.int64(0), np.int64(0)), (np.int64(1), 2)])
+    assert is_general_position(g, [(np.int64(0), np.int64(0)), (np.int64(1), 2)])
+    assert find_violating_triple(g, [(np.int64(0), 0), (0, 1), (np.int64(0), 2)]) == ((0, 1), (0, 0), (0, 2))
+    ok, cert = characterization_check(g, [(np.int64(0), np.int64(0)), (0, 1)])
+    assert ok and cert.parts == (((0, 0), (0, 1)),) and type(cert.parts[0][0][0]) is int
+    assert GpSet.certify(g, [(np.int64(2), np.int64(2))]).members == ((2, 2),)
 
 
 def test_monotonicity_subsets_stay_general_position():

@@ -448,6 +448,25 @@ def test_a_zero_node_budget_explores_no_node():
         count_maximum_gp_sets(build("P2xP2"), limits=SearchLimits(max_nodes=0))
 
 
+def test_an_expired_time_limit_stops_a_small_search_at_its_first_node():
+    # P4xP4 takes 69 nodes, fewer than the clock poll interval
+    g = build("P4xP4")
+    res = gp_exact(g, limits=SearchLimits(time_limit=0))
+    assert res.complete is False and res.nodes_explored == 1
+    assert res.witness.certified and len(res.witness) == res.gp_value
+    # polling the clock changes no node count
+    full = gp_exact(g)
+    assert full.nodes_explored == 69
+    assert gp_exact(g, limits=SearchLimits(time_limit=60)).nodes_explored == 69
+    assert gp_exact(g, limits=SearchLimits(max_nodes=3, time_limit=60)).nodes_explored == 3
+
+
+def test_every_prefix_state_is_truthy():
+    # a state with no child derived yet is an empty dict, and still a state
+    root = _Symmetry(build("P3^4")).root()
+    assert len(root) == 0 and root
+
+
 def test_count_budget_counts_nodes_over_all_roots(monkeypatch):
     seen: list[int] = []  # nodes explored by each _dfs call
     dfs = solver._dfs
@@ -482,7 +501,7 @@ def test_k8xk8_count_finishes_within_the_benchmark_budget():
     assert count_maximum_gp_sets(build("K8xK8"), limits=SearchLimits(max_nodes=400_000)) == (14, 64)
 
 
-def test_leaf_tests_run_under_the_time_budget():
+def test_leaf_tests_run_under_the_time_budget(monkeypatch):
     # the four edge midpoints of P3xP3 through its centre: each is a tie
     # of the first under the centre's stabilizer, the whole group
     g = build("P3xP3")
@@ -492,8 +511,18 @@ def test_leaf_tests_run_under_the_time_budget():
     assert sym.orbit_weight(state, T) == 1
     with pytest.raises(BudgetExhausted):
         sym.orbit_weight(state, T, deadline=time.monotonic() - 1)
-    # K8xK8's count takes fewer nodes than the clock poll interval, so only
-    # its leaf tests can see the deadline
+    # a count hands its deadline to every leaf test
+    deadlines = []
+    weigh = _Symmetry.orbit_weight
+
+    def spy(self, state, T, deadline=None):
+        deadlines.append(deadline)
+        return weigh(self, state, T, deadline)
+
+    monkeypatch.setattr(_Symmetry, "orbit_weight", spy)
+    assert count_maximum_gp_sets(build("K8xK8"), limits=SearchLimits(time_limit=60)) == (14, 64)
+    assert deadlines and None not in deadlines
+    # an expired deadline stops the count at its first node
     with pytest.raises(BudgetExhausted):
         count_maximum_gp_sets(build("K8xK8"), limits=SearchLimits(time_limit=1e-9))
 

@@ -53,17 +53,18 @@ def test_time_limit_marks_searches_skipped():
 
 
 def test_a_zero_time_limit_is_a_budget():
-    only = {"torus-gp-7x7", "grid-gp-values"}
+    # the cover-bound searches take fewer nodes than the clock poll interval
+    only = {"torus-gp-7x7", "grid-gp-values", "cover-bound-torus6"}
     zero, tiny = run_claims(only=only, time_limit=0), run_claims(only=only, time_limit=1e-9)
     assert [(r.id, r.status) for r in zero] == [(r.id, r.status) for r in tiny]
-    assert [r.status for r in zero] == [SKIPPED, SKIPPED]
+    assert [r.status for r in zero] == [SKIPPED, SKIPPED, SKIPPED]
 
 
 def test_the_time_limit_bounds_the_grid_counts():
-    # the P2xP3 count stops at its first leaf test, which polls the clock
+    # the first count, P2xP2, stops at its first node, which polls the clock
     (record,) = run_claims(only={"grid-count-formula"}, time_limit=0)
     assert record.status == SKIPPED
-    assert record.computed == {"2x2": {"formula": 6, "enumerated": 6}}
+    assert record.computed == {}
 
 
 @pytest.mark.parametrize(
@@ -76,6 +77,18 @@ def test_the_budget_bounds_the_cover_bound_searches(monkeypatch, max_nodes, comp
     monkeypatch.setattr(verify, "_limits", lambda ctx: SearchLimits(max_nodes=max_nodes))
     (record,) = run_claims(only={"cover-bound-torus6"})
     assert (record.status, record.computed) == (SKIPPED, computed)
+
+
+def test_checker_equivalence_runs_the_structural_core(monkeypatch):
+    # P2xP2 has 16 subsets of at most 5 vertices, 11 of them (every set of
+    # at most two) in general position: a structural core that rejects
+    # every set disagrees with the direct one on exactly those
+    monkeypatch.setattr(verify, "corpus_products", lambda: [("P2xP2", verify.build("P2xP2"))])
+    (record,) = run_claims(only={"checker-equivalence"})
+    assert (record.status, record.computed) == (PASS, {"subsets_tested": 16, "mismatches": 0})
+    monkeypatch.setattr(verify, "_clique_partition", lambda ids, D: None)
+    (record,) = run_claims(only={"checker-equivalence"})
+    assert (record.status, record.computed) == (FAIL, {"subsets_tested": 16, "mismatches": 11})
 
 
 def test_overall_status_ignores_documented_discrepancies():
