@@ -7,7 +7,8 @@ path between two others.  Two independent deciders are provided:
 * :func:`is_general_position` tests all 3-subsets directly;
 * :func:`characterization_check` tests the structural criterion: the
   components induced by S must be cliques forming an intransitive,
-  distance-constant partition of S.
+  distance-constant partition of S, read off the classes of members with
+  equal distance rows.
 
 The two must agree on every input; the test suite checks this
 exhaustively on a corpus of small products.
@@ -124,30 +125,26 @@ def _clique_partition(ids, D):
     the components of the induced subgraph as sorted lists of member
     positions, in the order of their lowest member, and the constant
     distances between them (0 on the diagonal).  Returns None otherwise.
+
+    Members with equal signatures (distance rows over the members, own 0
+    read as 1) form classes.  They are the clique components of a
+    distance-constant partition iff each class's signature holds exactly
+    |class| ones: equal signatures force distance at most 1, the count of
+    ones forbids an edge to another class, and equal rows make every
+    cross-part distance constant (conversely, such components give their
+    members equal signatures with ones on the component only).
     """
-    rows = [D[i] for i in ids]  # rows[a][ids[b]]: distance of members a, b
-
-    # Components of the induced subgraph (edges = distance 1).  They are
-    # cliques iff adjacent members have the same closed neighbourhood in S;
-    # then each component is the neighbourhood of its lowest member.
-    nbrs = [[b for b, x in enumerate(ids) if row[x] <= 1] for row in rows]
-    if any(nbrs[b] != nb for nb in nbrs for b in nb):
+    classes = {}  # signature -> member positions, keyed in order of lowest member
+    for a, x in enumerate(ids):
+        row = D[x]
+        classes.setdefault(tuple([row[y] or 1 for y in ids]), []).append(a)
+    if any(sig.count(1) != len(part) for sig, part in classes.items()):
         return None
-    parts = [nb for a, nb in enumerate(nbrs) if nb[0] == a]
-
-    p = len(parts)
-    dists = [[0] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            base = rows[parts[i][0]][ids[parts[j][0]]]
-            for a in parts[i]:
-                for b in parts[j]:
-                    if rows[a][ids[b]] != base:
-                        return None
-            dists[i][j] = dists[j][i] = base
+    parts = list(classes.values())
+    dists = [[0 if q is part else sig[q[0]] for q in parts] for sig, part in classes.items()]
 
     # no part between two others: the bad-triple test on the part distances
-    if next(bad_triples(range(p), dists), None) is not None:
+    if next(bad_triples(range(len(parts)), dists), None) is not None:
         return None
     return parts, dists
 

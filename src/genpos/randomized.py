@@ -55,9 +55,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randbelow(self, k: int) -> int:
-        """Uniform integer in [0, k) by rejection; no modulo bias."""
+        """Uniform integer in [0, k) by rejection; no modulo bias.  Needs
+        0 < k <= 2^64: one 64-bit draw cannot cover a larger range."""
         if k <= 0:
             raise ValueError("k must be positive")
+        if k > 1 << 64:
+            raise ValueError("k must be at most 2^64")
         limit = (1 << 64) - ((1 << 64) % k)
         while True:
             r = self.next64()

@@ -723,27 +723,22 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     return best, [tuple(g.decode(i) for i in s) for s in sets]
 
 
-def _induced_subgraph(g: ProductGraph, D: np.ndarray, flats: list[int]):
-    """Explicit induced subgraph on the given flat indices; raises if it is
-    disconnected or not isometric in g (reporting a violating pair)."""
-    pos = {v: i for i, v in enumerate(flats)}
-    adj = [[] for _ in flats]
-    for i, u in enumerate(flats):
-        for v in flats[i + 1:]:
-            if D[u, v] == 1:
-                adj[i].append(pos[v])
-                adj[pos[v]].append(i)
+def _induced_subgraph(g: ProductGraph, members: list[Coord]):
+    """Explicit induced subgraph on the given validated coordinates; raises
+    if it is disconnected or not isometric in g (reporting a violating pair)."""
+    ids, D = g.distance_table(members)
+    adj = [[j for j, y in enumerate(ids) if D[x][y] == 1] for x in ids]
     try:
         sub = FactorGraph.explicit(adj)
     except ValueError as exc:
         raise ValueError(f"cover set is not usable: {exc}") from exc
-    for i, u in enumerate(flats):
-        row = sub.dist[i]
-        for j in range(i + 1, len(flats)):
-            if row[j] != D[u, flats[j]]:
+    for i, x in enumerate(ids):
+        row, host = sub.dist[i], D[x]
+        for j in range(i + 1, len(ids)):
+            if row[j] != host[ids[j]]:
                 raise ValueError(
-                    f"subgraph not isometric: pair {g.decode(u)}, {g.decode(flats[j])} "
-                    f"has induced distance {row[j]} but host distance {D[u, flats[j]]}"
+                    f"subgraph not isometric: pair {members[i]}, {members[j]} "
+                    f"has induced distance {row[j]} but host distance {host[ids[j]]}"
                 )
     return sub
 
@@ -762,7 +757,6 @@ def isometric_cover_bound(
     stops the search of any of them.
     """
     g = _as_product(g)
-    D = flat_distance_matrix(g)
     flat_sets = []
     covered: set[int] = set()
     for raw in cover:
@@ -776,7 +770,8 @@ def isometric_cover_bound(
         raise ValueError(f"cover misses vertex {g.decode(missing)}")
     total = 0
     for flats in flat_sets:
-        res = gp_exact(ProductGraph([_induced_subgraph(g, D, flats)]), limits=limits)
+        piece = _induced_subgraph(g, [g.decode(i) for i in flats])
+        res = gp_exact(ProductGraph([piece]), limits=limits)
         if not res.complete:  # a piece's best found is no upper bound
             raise BudgetExhausted(f"cover bound budget exhausted on a piece of {len(flats)} vertices")
         total += res.gp_value

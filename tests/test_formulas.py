@@ -145,10 +145,10 @@ def test_cylinder_witness_explicit_sets():
     assert list(cylinder_witness(3, 3)) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
-def test_cylinder_witness_2x3_is_solver_derived():
+def test_cylinder_witness_2x3_is_the_triangle_layer():
     w = cylinder_witness(2, 3)
-    assert len(w) == 3 and w.certified
-    assert w.note == "solver-derived"
+    assert list(w) == [(0, 0), (0, 1), (0, 2)] and w.certified
+    assert w.note == "triangle layer"
 
 
 @pytest.mark.parametrize("r", range(2, 7))

@@ -215,6 +215,53 @@ def test_checkers_match_bfs_oracle_on_both_table_paths(spec, data):
         assert cert is None
 
 
+def _assert_certificate_matches_bfs(spec, members):
+    g, D = _host_and_bfs(spec)
+    flats = sorted(g.encode(v) for v in members)
+    ok, cert = characterization_check(g, members)
+    assert ok
+    parts, dists = _naive_certificate(D, flats)
+    assert [[g.encode(v) for v in part] for part in cert.parts] == parts
+    assert [list(row) for row in cert.part_distances] == dists
+    return cert
+
+
+@pytest.mark.parametrize("spec", ["K4xK4", "P2xK4"])
+def test_maximum_sets_with_clique_parts_match_the_bfs_oracle(spec):
+    # every maximum set of these hosts has a part of two or more vertices
+    _, sets = enumerate_maximum_gp_sets(build(spec))
+    assert sets
+    for members in sets:
+        cert = _assert_certificate_matches_bfs(spec, list(members))
+        assert max(len(part) for part in cert.parts) >= 2
+
+
+def test_clique_parts_above_the_split_match_the_bfs_oracle():
+    # two 3-cliques of K4^4 at distance 2, on the members-only table path
+    assert _host_and_bfs("K4^4")[0].total_vertices > FLAT_TABLE_MAX_VERTICES
+    members = [(0, 0, 0, i) for i in (1, 2, 3)] + [(0, 0, i, 0) for i in (1, 2, 3)]
+    cert = _assert_certificate_matches_bfs("K4^4", members)
+    assert [len(part) for part in cert.parts] == [3, 3]
+    assert cert.part_distances == ((0, 2), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "spec, members",
+    [
+        # an induced path: its component is not a clique
+        ("K4xK4", [(0, 1), (0, 0), (1, 0)]),
+        ("K4^4", [(0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 0)]),
+        # the hub (0, ..., 0) is adjacent to both 3-cliques
+        ("K4xK4", [(0, 0)] + [(0, i) for i in (1, 2, 3)] + [(i, 0) for i in (1, 2, 3)]),
+        ("K4^4", [(0, 0, 0, 0)] + [(0, 0, 0, i) for i in (1, 2, 3)] + [(0, 0, i, 0) for i in (1, 2, 3)]),
+    ],
+)
+def test_characterization_rejects_non_clique_components(spec, members):
+    g = build(spec)
+    assert characterization_check(g, members) == (False, None)
+    assert not is_general_position(g, members)
+
+
 @pytest.mark.parametrize("spec", TABLE_HOSTS)
 def test_distance_table_matches_bfs(spec):
     g, D = _host_and_bfs(spec)

@@ -65,6 +65,14 @@ def test_splitmix64_determinism_and_range():
         SplitMix64(1).randbelow(0)
 
 
+def test_randbelow_refuses_a_range_above_two_to_the_64():
+    # one 64-bit draw covers at most 2^64 values; for a larger k the
+    # rejection limit would be 0 and no draw would ever be accepted
+    assert 0 <= SplitMix64(7).randbelow(1 << 64) < 1 << 64
+    with pytest.raises(ValueError, match="at most 2"):
+        SplitMix64(7).randbelow((1 << 64) + 1)
+
+
 # ----------------------------------------------------------------------
 # exact probabilities
 

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -785,6 +785,26 @@ def test_cover_bound_rejects_non_covering_family():
     g = build("P3xP3")
     with pytest.raises(ValueError, match="misses"):
         isometric_cover_bound(g, [[(0, 0), (0, 1)]])
+
+
+def test_cover_bound_rejects_empty_and_disconnected_pieces():
+    g = build("P3xP3")
+    whole = list(g.vertices())
+    with pytest.raises(ValueError, match="empty cover set"):
+        isometric_cover_bound(g, [whole, []])
+    with pytest.raises(ValueError, match="not usable"):
+        isometric_cover_bound(g, [whole, [(0, 0), (2, 2)]])
+
+
+def test_cover_bound_above_the_flat_table_split():
+    # the 16 subcubes K2^4 of K2^8, one per value of the first four
+    # coordinates, on a host whose flat matrix is not cached
+    g = build("K2^8")
+    assert g.total_vertices > FLAT_TABLE_MAX_VERTICES
+    cubes = list(product(range(2), repeat=4))
+    cover = [[head + tail for tail in cubes] for head in cubes]
+    piece = gp_exact(build("K2^4")).gp_value
+    assert isometric_cover_bound(g, cover) == 16 * piece == 80
 
 
 def test_quadrants_cover_and_have_grid_shape():
