@@ -441,8 +441,12 @@ def main(argv=None) -> int:
 
     text = emit_json(payload) if args.json else render_human(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         return code
     try:
         print(text)

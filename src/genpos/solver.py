@@ -18,13 +18,19 @@ still the lexicographically first maximum set S*: along its path, if some
 sigma in K_S mapped s_{k+1} below itself, sigma(S*) would be a
 lex-smaller maximum set.  It keeps s1..sk and gains sigma(s_{k+1}), which
 lies below every member of S* that it lacks.  So S* is searched, and the
-value is unchanged.  One orbit table per prefix state
-(:meth:`_Symmetry.orbits`) decides which vertices are orbit-minimal; at
-the empty prefix K_S is the whole group, whose table also gives counting
-its roots.  Once K_S acts trivially, the subtree runs the plain loop.
-The search runs in one process, so the value, the witness and the node
-count are the same on every run; a node budget stops it at the same node
-every time.
+value is unchanged.  For the same reason a node branching on v drops
+every candidate whose orbit under K_S starts below v.  Let S* be the
+lex-first maximum set through S + v, and suppose some sigma in K_S maps a
+later member t of S* to sigma(t) < v.  As sigma fixes S pointwise,
+sigma(t) is not in S, so sigma(S*) holds S + sigma(t) and is a lex-smaller
+maximum set than S*, which holds S + v.  So no member of S* is dropped,
+and the witness and the value do not change.  One orbit table per prefix
+state (:meth:`_Symmetry.orbits`) decides which vertices are orbit-minimal
+and which candidates each branch keeps; at the empty prefix K_S is the
+whole group, whose table also gives counting its roots.  Once K_S acts
+trivially, the subtree runs the plain loop.  The search runs in one
+process, so the value, the witness and the node count are the same on
+every run; a node budget stops it at the same node every time.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -58,17 +64,17 @@ where reach_i counts the members of T that some element of K_i maps onto
 t_{i+1} while mapping T onto itself.  No group order is computed and no
 group element is enumerated.  A member with an image below t_{i+1} under
 K_i would show that T is no leader, so each node drops the candidates
-whose orbit under its state starts below the vertex it branches on.
-Another member in t_{i+1}'s orbit under K_i is a tie.  A set without
-ties has every
-reach_i = 1 and weighs the product of its members' orbit sizes, carried
-down the search; a set with one runs the leaf test
-(:meth:`_Symmetry.orbit_weight`), a min-image backtrack over the states'
-orbit tables and cached transversal permutations that stops at the first
-element mapping T onto itself.  A root whose stabilizer moves nothing
-weighs |orbit(r)| per set, and once no stabilizer and no tie is left, a
-subtree runs the plain loop with its constant weight.  Enumeration lists
-the sets themselves and keeps one root over every vertex.
+whose orbit under its state starts below the vertex it branches on, the
+filter the max-search applies too.  Another member in t_{i+1}'s orbit
+under K_i is a tie.  A set without ties has every reach_i = 1 and weighs
+the product of its members' orbit sizes, carried down the search; a set
+with one runs the leaf test (:meth:`_Symmetry.orbit_weight`), a min-image
+backtrack over the states' orbit tables and cached transversal
+permutations that stops at the first element mapping T onto itself.  A
+root whose stabilizer moves nothing weighs |orbit(r)| per set, and once
+no stabilizer and no tie is left, a subtree runs the plain loop with its
+constant weight.  Enumeration lists the sets themselves and keeps one
+root over every vertex.
 """
 
 from __future__ import annotations
@@ -164,15 +170,17 @@ class BadTripleIndex:
         idx = np.arange(n)
         btw[idx, idx, :] = False
         btw[:, idx, idx] = False
-        # bad[a, b, u]: u between a and b, a between u and b, or b between a and u
-        bad = (
-            np.transpose(btw, (0, 2, 1))
-            | np.transpose(btw, (1, 2, 0))
-            | btw
-        ).reshape(n * n, n)
+        # the relation is symmetric in the pair, so each pair a < b is
+        # packed once; bad[i, u] for the i-th pair: u between a and b, b
+        # between a and u, or a between b and u
+        a, b = np.triu_indices(n, 1)
+        bad = btw[a, :, b] | btw[a, b, :] | btw[b, a, :]
+        full = (1 << n) - 1  # a vertex paired with itself forbids nothing
+        allowed = [[full] * n for _ in range(n)]
         # packbits pads with zero bits, so no mask reaches past vertex n-1
-        allowed_flat = _pack_rows(~bad)
-        return cls(n, [allowed_flat[i * n:(i + 1) * n] for i in range(n)])
+        for x, y, mask in zip(a.tolist(), b.tolist(), _pack_rows(~bad)):
+            allowed[x][y] = allowed[y][x] = mask
+        return cls(n, allowed)
 
     def bad_with(self, a: int, b: int) -> set[int]:
         return _bits(((1 << self.n) - 1) ^ self._allowed[a][b])
@@ -486,13 +494,15 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     ``limits`` counts the nodes of all roots together; 0 stops before any.
 
     ``state`` is None, or the :class:`_Prefix` of S: then each node
-    branches only on the orbit-minimal vertices of its prefix's stabilizer,
+    branches only on the orbit-minimal vertices of its prefix's stabilizer
+    and drops the candidates whose orbit starts below the branch vertex,
     until a prefix's stabilizer acts trivially and its subtree runs the
-    plain loop.  Keeping ties under a state (``slack=0``: counting, with
-    S = [r]) needs orbit leaders, as the module docstring describes: a set
-    S + T adds its root's weight times the size of T's orbit under the
-    state's group if T is the orbit's lexicographically least set, else
-    nothing.
+    plain loop.  The filter keeps the lex-first maximum set for the
+    max-search and the orbit leaders for counting (see the module
+    docstring).  Keeping ties under a state (``slack=0``: counting, with
+    S = [r]) needs orbit leaders: a set S + T adds its root's weight times
+    the size of T's orbit under the state's group if T is the orbit's
+    lexicographically least set, else nothing.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
     weight of each set of size best reached, an argument of ``rec`` and
@@ -556,12 +566,13 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
 
     def rec_sym(S, rows, cand, state, size, tie, chosen, weight):
         # rec for a prefix whose stabilizer moves some vertex: branch only
-        # on the orbit-minimal candidates.  When counting (lead is set), T
-        # is S without its root and ``chosen`` is T as a bitset; ``size``
-        # is the product of the orbit sizes of T's members, each under the
-        # state it was chosen in, and ``tie`` the union of those orbits
-        # less the members themselves.  A set that meets no tie is the
-        # leader of an orbit of ``size`` sets; one that does goes to
+        # on the orbit-minimal candidates, and pass down from v only the
+        # candidates whose orbit starts at or above v.  When counting (lead
+        # is set), T is S without its root and ``chosen`` is T as a bitset;
+        # ``size`` is the product of the orbit sizes of T's members, each
+        # under the state it was chosen in, and ``tie`` the union of those
+        # orbits less the members themselves.  A set that meets no tie is
+        # the leader of an orbit of ``size`` sets; one that does goes to
         # orbit_weight.  Below a trivial stabilizer with a tie still within
         # reach, state is None.
         nonlocal best, bar, count, witness, nodes, check_at
@@ -585,11 +596,12 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
             for row in rows:
                 nc &= row[v]
             vsize, vtie = size, tie
-            if lead is not None and state is not None:
-                orbit = state.orbit[v]
-                vsize *= orbit.bit_count()
-                vtie |= orbit ^ bit
+            if state is not None:
                 nc &= state.keep[v]  # a set with a member below v's orbit is not least
+                if lead is not None:
+                    orbit = state.orbit[v]
+                    vsize *= orbit.bit_count()
+                    vtie |= orbit ^ bit
             if k1 >= best:
                 w = weight
                 if lead is not None:

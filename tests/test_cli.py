@@ -239,6 +239,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["result"]["gp"] == 4
 
 
+@pytest.mark.parametrize(
+    "where,reason",
+    [("missing/result.json", "No such file or directory"), ("", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_unwritable_out_path_exits_1_without_a_traceback(tmp_path, capsys, where, reason):
+    target = str(tmp_path / where) if where else str(tmp_path)
+    code, out, err = run_cli(capsys, ["gp", "P3", "--out", target])
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -69,14 +69,24 @@ def test_the_time_limit_bounds_the_grid_counts():
 
 @pytest.mark.parametrize(
     "max_nodes,computed",
-    # one node stops the first cover piece; 200 finish every piece (explicit
-    # graphs, so no symmetry) but not the 324-node search of C6xC6 itself
-    [(1, None), (200, {"cover_bound": 16, "gp_exact": None})],
+    # one node stops the first cover piece; 150 would finish the 133-node
+    # search of C6xC6 itself, but each piece takes 169-185 nodes (explicit
+    # graphs, so no symmetry)
+    [(1, None), (150, None)],
 )
 def test_the_budget_bounds_the_cover_bound_searches(monkeypatch, max_nodes, computed):
     monkeypatch.setattr(verify, "_limits", lambda ctx: SearchLimits(max_nodes=max_nodes))
     (record,) = run_claims(only={"cover-bound-torus6"})
     assert (record.status, record.computed) == (SKIPPED, computed)
+
+
+def test_a_budget_that_stops_only_the_exact_search_keeps_the_cover_bound(monkeypatch):
+    # the claim takes the cover bound's limits first and the search's second:
+    # 200 nodes finish every piece, 100 stop the 133-node search of C6xC6
+    budgets = iter([200, 100])
+    monkeypatch.setattr(verify, "_limits", lambda ctx: SearchLimits(max_nodes=next(budgets)))
+    (record,) = run_claims(only={"cover-bound-torus6"})
+    assert (record.status, record.computed) == (SKIPPED, {"cover_bound": 16, "gp_exact": None})
 
 
 def test_checker_equivalence_runs_the_structural_core(monkeypatch):
