@@ -73,8 +73,15 @@ backtrack over the states' orbit tables and cached transversal
 permutations that stops at the first element mapping T onto itself.  A
 root whose stabilizer moves nothing weighs |orbit(r)| per set, and once
 no stabilizer and no tie is left, a subtree runs the plain loop with its
-constant weight.  Enumeration lists the sets themselves and keeps one
-root over every vertex.
+constant weight.
+
+Enumeration runs the max-search's symmetric DFS from the empty prefix,
+keeping ties.  By the argument above the lexicographically least set of
+each orbit of maximum sets under the whole group is reached, as its path
+is never cut, so closing the reached sets under the group's generators
+(:meth:`_Symmetry.generators`) lists every maximum set.  The closure walks
+the orbits of the sets themselves, so its cost is the size of the output;
+no group element beyond the generators is formed.
 """
 
 from __future__ import annotations
@@ -375,11 +382,34 @@ class _Symmetry:
         for cls in state.classes:
             for q, p in zip(cls, sorted(cls, key=lambda p: (w[p], p))):
                 dest[p] = q
+        tau = state.tau[v] = self._flat_map(maps, dest)
+        return tau
+
+    def generators(self) -> list[list[int]]:
+        """Permutations of the flat indices that generate the whole group
+        (the root's): per position the generators of
+        :func:`_factor_generators`, and per class the transpositions of
+        adjacent positions.  Empty when the group is trivial."""
+        same = list(range(len(self.g.sizes)))
+        plain = [range(size) for size in self.g.sizes]
+        gens = []
+        for p, f in enumerate(self.g.factors):
+            for h in _factor_generators(f):
+                gens.append(self._flat_map(plain[:p] + [h] + plain[p + 1:], same))
+        for cls in self.classes:
+            for p, q in zip(cls, cls[1:]):
+                dest = list(same)
+                dest[p], dest[q] = q, p
+                gens.append(self._flat_map(plain, dest))
+        return gens
+
+    def _flat_map(self, maps, dest) -> list[int]:
+        """The permutation of the flat indices that takes a vertex x to the
+        vertex whose coordinate at position dest[p] is maps[p][x_p]."""
         tau = [0]
         for p, h in enumerate(maps):
             stride = self.g.strides[dest[p]]
             tau = [a + b * stride for a in tau for b in h]
-        state.tau[v] = tau
         return tau
 
     def orbit_weight(self, state: _Prefix, T: list[int], deadline: float | None = None) -> int:
@@ -476,6 +506,29 @@ def _factor_move(f: FactorGraph, x: int, lo: int) -> tuple[int, ...]:
     return tuple(h)
 
 
+def _factor_generators(f: FactorGraph) -> list[tuple[int, ...]]:
+    """Generators of the group of ``_orbit_lows(f, 0)``: the rotation and a
+    reflection of ``C n``, the reversal of ``P n``, and a transposition and
+    a cycle of the vertices of ``K n`` or of the leaves of ``S k`` (one
+    permutation when two are moved).  None for an explicit factor or a
+    one-vertex one."""
+    n = f.n
+    if f.kind == "cycle":
+        return [tuple((a + 1) % n for a in range(n)), tuple(-a % n for a in range(n))]
+    if f.kind == "path":
+        return [tuple(range(n - 1, -1, -1))] if n > 1 else []
+    if f.kind not in ("complete", "star"):
+        return []
+    moved = list(range(f.kind == "star", n))  # a star's centre stays put
+    if len(moved) < 2:
+        return []
+    swap = _factor_move(f, moved[1], moved[0])
+    cycle = list(range(n))
+    for a, b in zip(moved, moved[1:] + moved[:1]):
+        cycle[a] = b
+    return [swap] if len(moved) == 2 else [swap, tuple(cycle)]
+
+
 # ----------------------------------------------------------------------
 # search core
 
@@ -498,11 +551,14 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     and drops the candidates whose orbit starts below the branch vertex,
     until a prefix's stabilizer acts trivially and its subtree runs the
     plain loop.  The filter keeps the lex-first maximum set for the
-    max-search and the orbit leaders for counting (see the module
-    docstring).  Keeping ties under a state (``slack=0``: counting, with
-    S = [r]) needs orbit leaders: a set S + T adds its root's weight times
-    the size of T's orbit under the state's group if T is the orbit's
-    lexicographically least set, else nothing.
+    max-search and the orbit leaders for counting and enumeration (see the
+    module docstring).  Counting keeps ties under a state (``slack=0``
+    without ``sets``, with S = [r]) by orbit leaders: a set S + T adds its
+    root's weight times the size of T's orbit under the state's group if T
+    is the orbit's lexicographically least set, else nothing.  Under a
+    state, ``sets`` receives only the sets the filter reaches, the least
+    set of every orbit among them, for the caller to close under the
+    group.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
     weight of each set of size best reached, an argument of ``rec`` and
@@ -611,8 +667,12 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                     bar = best + slack
                     count = w
                     witness = S + [v]
+                    if sets is not None:
+                        sets[:] = [witness]
                 else:
                     count += w
+                    if sets is not None:
+                        sets.append(S + [v])
             if nc and k1 + nc.bit_count() >= bar:
                 S.append(v)
                 rows.append(allowed[v])
@@ -629,7 +689,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
         if max_nodes == 0:
             raise BudgetExhausted
         for S, cand, weight, state in starts:
-            lead = state if slack == 0 else None
+            lead = state if slack == 0 and sets is None else None
             if lead is not None:
                 orbit_weight = lead.sym.orbit_weight
             rows = [allowed[v] for v in S]
@@ -725,14 +785,28 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
 
     Convenience for property checks on small hosts; the count always
     matches :func:`count_maximum_gp_sets`, and the sets come in
-    lexicographic order.
+    lexicographic order.  The symmetric DFS reaches the least set of every
+    orbit of maximum sets, and a closure under the group's generators adds
+    the rest of each orbit (see the module docstring).
     """
     g = _as_product(g)
     allowed = _allowed_tables(g, cap, "enumeration")
-    root = ([], (1 << g.total_vertices) - 1, 1, None)
+    sym = _Symmetry(g)
+    start = ([], (1 << g.total_vertices) - 1, 1, sym.root())
     sets: list[list[int]] = []
-    best = _dfs(allowed, [root], [], None, slack=0, sets=sets)[0]
-    return best, [tuple(g.decode(i) for i in s) for s in sets]
+    best = _dfs(allowed, [start], [], None, slack=0, sets=sets)[0]
+    seen = set(map(tuple, sets))  # each set as its ascending tuple
+    todo = list(seen)
+    gens = sym.generators()
+    while todo:
+        members = todo.pop()
+        for h in gens:
+            image = tuple(sorted(map(h.__getitem__, members)))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    coords = list(g.vertices())
+    return best, [tuple(map(coords.__getitem__, s)) for s in sorted(seen)]
 
 
 def _induced_subgraph(g: ProductGraph, members: list[Coord]):

@@ -50,28 +50,9 @@ def naive_gp(g: ProductGraph) -> int:
 
 
 def naive_count_maximum(g: ProductGraph) -> tuple[int, int]:
-    """(gp value, count of maximum sets) by plain subset enumeration.
-
-    The subsets are walked in ``itertools.combinations`` order by
-    backtracking, which skips every subset whose chosen prefix already
-    holds a bad triple: subsets of general position sets stay in general
-    position, so every general position subset is still met exactly once.
-    """
-    D = bfs_distance_table(g)
-    n = len(D)
-    counts = [1]  # counts[k]: general position k-subsets
-
-    def walk(chosen: list[int], start: int):
-        k = len(chosen) + 1
-        for v in range(start, n):
-            if not any(triple_is_bad(D, a, b, v) for a, b in combinations(chosen, 2)):
-                if k == len(counts):
-                    counts.append(0)
-                counts[k] += 1
-                walk(chosen + [v], v + 1)
-
-    walk([], 0)
-    return len(counts) - 1, counts[-1]
+    """(gp value, count of maximum sets), read off :func:`naive_maximum_sets`."""
+    value, sets = naive_maximum_sets(g)
+    return value, len(sets)
 
 
 def naive_lex_first_max(g: ProductGraph) -> tuple[int, tuple]:
@@ -107,15 +88,30 @@ def naive_lex_first_max(g: ProductGraph) -> tuple[int, tuple]:
 
 def naive_maximum_sets(g: ProductGraph) -> tuple[int, list[tuple]]:
     """(gp value, every maximum set as a tuple of coordinate tuples), the sets
-    in ``itertools.combinations`` order, i.e. lexicographic on flat indices."""
+    in ``itertools.combinations`` order, i.e. lexicographic on flat indices.
+
+    The subsets are walked in lexicographic order by backtracking, which
+    skips every subset whose chosen prefix already holds a bad triple:
+    subsets of general position sets stay in general position, so every
+    general position subset is still met exactly once, and those of one
+    size in ``itertools.combinations`` order.  Only the sets of the largest
+    size met so far are kept.
+    """
     D = bfs_distance_table(g)
     n = len(D)
-    best: list[tuple[int, ...]] = []
-    for k in range(1, n + 1):
-        found = [sub for sub in combinations(range(n), k) if subset_in_general_position(D, sub)]
-        if not found:
-            break
-        best = found
+    best: list[tuple[int, ...]] = [()]
+
+    def walk(chosen: list[int], start: int):
+        for v in range(start, n):
+            if not any(triple_is_bad(D, a, b, v) for a, b in combinations(chosen, 2)):
+                sub = chosen + [v]
+                if len(sub) > len(best[0]):
+                    best[:] = [tuple(sub)]
+                elif len(sub) == len(best[0]):
+                    best.append(tuple(sub))
+                walk(sub, v + 1)
+
+    walk([], 0)
     return len(best[0]), [tuple(g.decode(i) for i in sub) for sub in best]
 
 

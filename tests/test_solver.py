@@ -86,10 +86,11 @@ def test_factor_order_symmetry(a, b):
 
 
 def test_witness_is_lex_first_maximum_set():
-    # enumeration branches on every vertex with no symmetry, so the
-    # max-search's pruning by orbits cannot touch it; the last four hosts
-    # are above the naive oracle's reach, with stabilizer chains several
-    # levels deep
+    # enumeration closes the sets it reaches under the group's generators,
+    # so it lists the lex-first maximum set whenever the filter reaches any
+    # set of that set's orbit, while the max-search must reach the set
+    # itself; the last four hosts are above the naive oracle's reach, with
+    # stabilizer chains several levels deep
     for spec in ["P3xC4", "K3xK3", "P4xP4", "K3^3", "K4xK4xK2", "C6xC6", "C7xC7"]:
         g = build(spec)
         res = gp_exact(g)
@@ -327,6 +328,37 @@ def _spec_group_generators(g):
                 v[q] if i == p else v[p] if i == q else c for i, c in enumerate(v)
             )))
     return out
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CORPUS)
+def test_generators_are_automorphisms_closing_to_the_root_orbits(name):
+    g = SYMMETRY_CORPUS[name]
+    D = bfs_distance_table(g)
+    n = g.total_vertices
+    sym = _Symmetry(g)
+    gens = sym.generators()
+    for h in gens:
+        assert sorted(h) == list(range(n))
+        assert all(D[h[x]][h[y]] == D[x][y] for x in range(n) for y in range(n))
+    root = sym.root()
+    orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
+    low = range(n) if root is None else root.low
+    for x in range(n):
+        closure, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for h in gens:
+                if h[y] not in closure:
+                    closure.add(h[y])
+                    todo.append(h[y])
+        assert sum(1 << y for y in closure) == orbits[low[x]], g.decode(x)
+
+
+@pytest.mark.parametrize("spec", ["P1", "K1xP1", "P1^3", "S1xP1"])
+def test_a_trivial_group_has_no_generators(spec):
+    # one-vertex factors, and a star whose one leaf has no other leaf to swap with
+    sym = _Symmetry(build(spec))
+    assert sym.root() is None and sym.generators() == []
 
 
 def _stabilizer_orbit(gens, r, members):
@@ -660,10 +692,41 @@ def test_enumerate_returns_all_maximum_sets():
         assert is_general_position(g, members)
 
 
-@pytest.mark.parametrize("spec", ["P3xP4", "P3xC5", "K2xK3", "C3xP2xC3"])
+ENUMERATION_HOSTS = {
+    **{spec: build(spec) for spec in
+       ("P3xP4", "P3xC5", "K2xK3", "C3xP2xC3", "K2^4", "C4xC4", "S3xS3", "C3xC3xK2", "P2^5")},
+    # explicit factors; the second host's group is trivial, so nothing is closed
+    **{name: SYMMETRY_CORPUS[name] for name in ("C4 x explicit P4", "paw x explicit P4")},
+}
+
+
+@pytest.mark.parametrize("spec", ENUMERATION_HOSTS)
 def test_enumeration_matches_naive_list(spec):
-    g = build(spec)
+    g = ENUMERATION_HOSTS[spec]
     assert enumerate_maximum_gp_sets(g) == naive_maximum_sets(g)
+
+
+@pytest.mark.parametrize("spec", ["P3xP4", "K2^4", "S2xS2", "C3xP2xC3", "P1xC5xP1"])
+def test_maximum_sets_oracle_is_the_plain_subset_list(spec):
+    g = build(spec)
+    D = bfs_distance_table(g)
+    value, sets = naive_maximum_sets(g)
+    plain = [s for s in combinations(range(len(D)), value) if subset_in_general_position(D, s)]
+    assert sets == [tuple(g.decode(i) for i in s) for s in plain]
+    assert not any(subset_in_general_position(D, s) for s in combinations(range(len(D)), value + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(st.lists(_small_factor, min_size=1, max_size=3), _small_power).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 27
+    )
+)
+def test_enumeration_matches_naive_on_random_products(factors):
+    g = ProductGraph([f.build() for f in factors])
+    value, sets = enumerate_maximum_gp_sets(g)
+    assert (value, sets) == naive_maximum_sets(g)
+    assert count_maximum_gp_sets(g) == (value, len(sets))
 
 
 @settings(max_examples=30, deadline=None)
