@@ -85,17 +85,27 @@ def test_factor_order_symmetry(a, b):
     assert gp_exact(build(a)).gp_value == gp_exact(build(b)).gp_value
 
 
+def _plain_maximum_sets(g):
+    """(gp, every maximum set in lexicographic order) from the search core
+    run with no symmetry state: every node branches on every candidate, so
+    no keep filter can drop a set."""
+    n = g.total_vertices
+    allowed = BadTripleIndex.build(g).allowed_tables()
+    sets: list[list[int]] = []
+    best = solver._dfs(allowed, [([], (1 << n) - 1, 1, None)], [], None, slack=0, sets=sets)[0]
+    return best, [tuple(map(g.decode, s)) for s in sets]
+
+
 def test_witness_is_lex_first_maximum_set():
-    # enumeration closes the sets it reaches under the group's generators,
-    # so it lists the lex-first maximum set whenever the filter reaches any
-    # set of that set's orbit, while the max-search must reach the set
-    # itself; the last four hosts are above the naive oracle's reach, with
-    # stabilizer chains several levels deep
+    # gp_exact and enumeration both run the keep filter, so both are checked
+    # against the plain all-vertex search; the last four hosts are above the
+    # naive oracles' reach, with stabilizer chains several levels deep
     for spec in ["P3xC4", "K3xK3", "P4xP4", "K3^3", "K4xK4xK2", "C6xC6", "C7xC7"]:
         g = build(spec)
+        best, plain = _plain_maximum_sets(g)
         res = gp_exact(g)
-        _, sets = enumerate_maximum_gp_sets(g)
-        assert tuple(res.witness) == sets[0]  # enumeration emits lex order
+        assert (res.gp_value, tuple(res.witness)) == (best, plain[0])
+        assert enumerate_maximum_gp_sets(g) == (best, plain)
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +340,36 @@ def _spec_group_generators(g):
     return out
 
 
+def _closure(gens, start, act):
+    """Every image of ``start`` under the group generated by ``gens``, where
+    act(s, x) is the image of x under the permutation s."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            image = act(s, x)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def _move_vertex(s, x):
+    return s[x]
+
+
+def _move_set(s, U):
+    return frozenset(s[u] for u in U)
+
+
 @pytest.mark.parametrize("name", SYMMETRY_CORPUS)
 def test_generators_are_automorphisms_closing_to_the_root_orbits(name):
+    """Each generator preserves every BFS distance, each vertex's closure is
+    its orbit in ``root.orbit``, and random general position sets have the
+    same orbits under the generators as under the engine-free
+    :func:`_spec_group_generators` (equal vertex orbits alone would miss a
+    lost reflection, say, as a cycle's rotation reaches all its vertices)."""
     g = SYMMETRY_CORPUS[name]
     D = bfs_distance_table(g)
     n = g.total_vertices
@@ -344,14 +382,13 @@ def test_generators_are_automorphisms_closing_to_the_root_orbits(name):
     orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
     low = range(n) if root is None else root.low
     for x in range(n):
-        closure, todo = {x}, [x]
-        while todo:
-            y = todo.pop()
-            for h in gens:
-                if h[y] not in closure:
-                    closure.add(h[y])
-                    todo.append(h[y])
+        closure = _closure(gens, x, _move_vertex)
         assert sum(1 << y for y in closure) == orbits[low[x]], g.decode(x)
+    spec_gens = _spec_group_generators(g)
+    rng = random.Random(name)
+    for _ in range(8):
+        members = frozenset(_random_gp_prefix(D, rng))
+        assert _closure(gens, members, _move_set) == _closure(spec_gens, members, _move_set), sorted(members)
 
 
 @pytest.mark.parametrize("spec", ["P1", "K1xP1", "P1^3", "S1xP1"])
@@ -365,17 +402,8 @@ def _stabilizer_orbit(gens, r, members):
     """The images of the set ``members`` under the elements fixing r of the
     group generated by ``gens``: close the pair (r, members) under the
     generators and keep the pairs that still start with r."""
-    start = (r, frozenset(members))
-    seen = {start}
-    todo = [start]
-    while todo:
-        x, U = todo.pop()
-        for s in gens:
-            image = (s[x], frozenset(s[u] for u in U))
-            if image not in seen:
-                seen.add(image)
-                todo.append(image)
-    return {U for x, U in seen if x == r}
+    pairs = _closure(gens, (r, frozenset(members)), lambda s, xU: (s[xU[0]], _move_set(s, xU[1])))
+    return {U for x, U in pairs if x == r}
 
 
 ORBIT_ORACLE_HOSTS = {**SYMMETRY_CORPUS, **{spec: build(spec) for spec in ("K3^3", "K2^4", "S2^3")}}
