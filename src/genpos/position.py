@@ -21,9 +21,10 @@ Each decider is a public wrapper around a core.  The wrappers
 structural one.  The cores trust their ids and never look at coordinates,
 so a caller that already holds a host's flat ids (the
 ``checker-equivalence`` claim) runs them on subsets of those ids without
-validating each subset again.  Whole-graph counts work on a numpy
-distance matrix instead: :func:`between` is the one betweenness test
-behind the solver's bad-triple index and the exact bad-triple probability.
+validating each subset again.  The exact bad-triple probability counts
+on a numpy distance matrix instead, one :func:`between` table per vertex;
+the solver's bad-triple index reads the same distance test off pairs of
+matrix rows.
 """
 
 from __future__ import annotations
@@ -78,16 +79,14 @@ def bad_triples(ids, D):
                     yield c, a, b
 
 
-def between(D, ys):
-    """Betweenness on a numpy distance matrix ``D``, from the rows ``ys``.
+def between(D, y):
+    """Betweenness from the vertex ``y`` on a numpy distance matrix ``D``.
 
-    The result is True at ``[..., x, z]`` when x lies on a shortest
-    y,z-path for the row y it belongs to, endpoints included:
-    ``D[y, z] == D[y, x] + D[x, z]``.  An int ``ys`` gives an (n, n) table,
-    a row selection (a slice or index array) one (len(ys), n, n) cube.
+    The (n, n) result is True at ``[x, z]`` when x lies on a shortest
+    y,z-path, endpoints included: ``D[y, z] == D[y, x] + D[x, z]``.
     """
-    R = D[ys]
-    return R[..., None, :] == R[..., :, None] + D
+    R = D[y]
+    return R[None, :] == R[:, None] + D
 
 
 def _first_violation(g: ProductGraph, members: list[Coord]) -> tuple[Coord, Coord, Coord] | None:

@@ -92,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError
-from .position import GpSet, between
+from .position import GpSet
 
 DEFAULT_SEARCH_CAP = 200
 DEFAULT_ENUM_CAP = 64
@@ -139,7 +139,7 @@ class SearchResult:
         return f"gp = {self.gp_value}{status}, witness {list(self.witness)}"
 
 
-def flat_distance_matrix(g: ProductGraph, cap: int | None = 20000) -> np.ndarray:
+def flat_distance_matrix(g: ProductGraph, cap: int | None) -> np.ndarray:
     """Read-only distance matrix on flat indices (``ProductGraph.flat_matrix``),
     refused above ``cap`` vertices.  On hosts of at most
     ``FLAT_TABLE_MAX_VERTICES`` vertices it is the host's cached matrix, so
@@ -150,17 +150,38 @@ def flat_distance_matrix(g: ProductGraph, cap: int | None = 20000) -> np.ndarray
     return g.flat_matrix()
 
 
+# (pair, vertex) cells per chunk of the index build: its numpy buffers stay
+# under a megabyte on every host instead of growing with n^3
+INDEX_CHUNK_CELLS = 1 << 16
+
+
 def _pack_rows(rows: np.ndarray) -> list[int]:
-    """Pack boolean rows into Python-int bitsets (bit i = row[i])."""
+    """Pack boolean rows into Python-int bitsets (bit i = row[i]).
+
+    The packed bytes are zero-padded to whole 64-bit words, read as
+    little-endian words, and a row of several words is combined from its
+    top word down."""
     packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    width = packed.shape[1]
+    if width % 8:
+        padded = np.zeros((len(packed), width + (-width % 8)), np.uint8)
+        padded[:, :width] = packed
+        packed = padded
+    words = packed.view("<u8")
+    out = words[:, -1].tolist()
+    for k in range(words.shape[1] - 2, -1, -1):
+        out = [x << 64 | w for x, w in zip(out, words[:, k].tolist())]
+    return out
 
 
 class BadTripleIndex:
     """Pair-indexed bitsets describing all bad triples of a host graph.
 
     ``bad_with(a, b)`` holds every u such that {a, b, u} is a bad triple,
-    whichever of the three is in the middle.
+    whichever of the three is in the middle.  The build walks the pairs
+    a < b in chunks of about ``INDEX_CHUNK_CELLS`` (pair, vertex) cells,
+    reading each pair's two distance rows, so besides the tables themselves
+    it holds the distance matrix and one chunk at a time.
     """
 
     __slots__ = ("n", "_allowed")
@@ -171,22 +192,34 @@ class BadTripleIndex:
 
     @classmethod
     def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
-        D = flat_distance_matrix(g, cap=cap)
+        D = flat_distance_matrix(g, cap)
         n = D.shape[0]
-        btw = between(D, slice(None))  # btw[y, x, z]: x between y and z
-        idx = np.arange(n)
-        btw[idx, idx, :] = False
-        btw[:, idx, idx] = False
-        # the relation is symmetric in the pair, so each pair a < b is
-        # packed once; bad[i, u] for the i-th pair: u between a and b, b
-        # between a and u, or a between b and u
-        a, b = np.triu_indices(n, 1)
-        bad = btw[a, :, b] | btw[a, b, :] | btw[b, a, :]
+        # the narrowest signed type holding the sum of two distances
+        D = D.astype(np.min_scalar_type(-2 * int(D.max()) - 1))
+        v = np.arange(n)
+        a, b = np.nonzero(v[:, None] < v)  # the pairs a < b, row by row
         full = (1 << n) - 1  # a vertex paired with itself forbids nothing
         allowed = [[full] * n for _ in range(n)]
-        # packbits pads with zero bits, so no mask reaches past vertex n-1
-        for x, y, mask in zip(a.tolist(), b.tolist(), _pack_rows(~bad)):
-            allowed[x][y] = allowed[y][x] = mask
+        step = max(1, INDEX_CHUNK_CELLS // n)
+        rows = np.arange(step)
+        for lo in range(0, len(a), step):
+            A = a[lo:lo + step]
+            B = b[lo:lo + step]
+            DA = D[A]
+            DB = D[B]
+            dab = D[A, B][:, None]
+            # u completes a bad triple with (a, b) when it lies between them
+            # (DA + DB == dab) or one of them lies between it and the other
+            # (|DA - DB| == dab); a and b themselves are never forbidden
+            ok = DA + DB != dab
+            DA -= DB
+            np.abs(DA, out=DA)
+            ok &= DA != dab
+            r = rows[:len(A)]
+            ok[r, A] = True
+            ok[r, B] = True
+            for x, y, mask in zip(A.tolist(), B.tolist(), _pack_rows(ok)):
+                allowed[x][y] = allowed[y][x] = mask
         return cls(n, allowed)
 
     def bad_with(self, a: int, b: int) -> set[int]:
@@ -718,7 +751,7 @@ def _allowed_tables(g: ProductGraph, cap: int | None, what: str) -> list[list[in
     n = g.total_vertices
     if cap is not None and n > cap:
         raise VertexCapError(f"{what} refused for {n} vertices (cap {cap})")
-    return BadTripleIndex.build(g, cap=cap).allowed_tables()
+    return BadTripleIndex.build(g, cap=None).allowed_tables()  # cap checked above
 
 
 def gp_exact(

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 from math import prod
 
@@ -829,8 +830,9 @@ def test_between_sets_on_small_graphs():
 
 
 def test_index_against_direct_betweenness():
-    # P3xC5xK4 has 60 vertices, so every mask ends mid-byte
-    for spec in ("P3xC4", "P3xC5xK4"):
+    # P3xC5xK4 has 60 vertices, so every mask ends mid-byte; P3xC5xK3xK2
+    # has 90, so every mask spans two 64-bit words, the last one partial
+    for spec in ("P3xC4", "P3xC5xK4", "P3xC5xK3xK2"):
         g = build(spec)
         D = bfs_distance_table(g)
         idx = BadTripleIndex.build(g)
@@ -840,6 +842,34 @@ def test_index_against_direct_betweenness():
             for b in range(a + 1, g.total_vertices):
                 assert idx.bad_with(a, b) == _bad_with_oracle(D, a, b)
                 assert allowed[a][b] is allowed[b][a]  # one mask per pair
+    # P3xC5xK3xK2's pairs fill more than two chunks of the build
+    n = g.total_vertices
+    assert n % 64 and n * (n - 1) // 2 > 2 * (solver.INDEX_CHUNK_CELLS // n)
+
+
+def test_index_past_the_narrow_distance_types():
+    # C260 has diameter 130, past int8, so the build keeps its distances in
+    # int16; the masks of the pairs through four vertices are checked
+    g = build("C260")
+    D = bfs_distance_table(g)
+    idx = BadTripleIndex.build(g, cap=None)
+    for a in (0, 1, 65, 130):
+        for b in range(g.total_vertices):
+            assert idx.bad_with(a, b) == _bad_with_oracle(D, a, b)
+
+
+def test_index_build_never_holds_a_betweenness_cube():
+    # tracemalloc sees numpy's buffers: an n^3 boolean cube of C16xC16 alone
+    # is 16 MB, and a build through one peaked at 80 MB; the tables, the
+    # distance matrix and one chunk take about 3 MB
+    g = build("C16xC16")
+    tracemalloc.start()
+    try:
+        BadTripleIndex.build(g, cap=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ----------------------------------------------------------------------
@@ -928,22 +958,22 @@ def test_independence_of_five_point_maximum_sets():
 
 def test_flat_distance_matrix_is_cached_and_read_only():
     g = build("P3xC5xK4")
-    D = flat_distance_matrix(g)
-    assert flat_distance_matrix(g) is D
+    D = flat_distance_matrix(g, cap=None)
+    assert flat_distance_matrix(g, cap=None) is D
     assert not D.flags.writeable
     with pytest.raises(ValueError):
         D[0, 1] = 7
     assert D.tolist() == [list(row) for row in bfs_distance_table(g)]
     # the index build and the witness certification read the same matrix
     gp_exact(g)
-    assert flat_distance_matrix(g) is D
+    assert flat_distance_matrix(g, cap=None) is D
 
 
 def test_flat_distance_matrix_above_the_split_is_built_per_call():
     g = build("P3^5")
     assert g.total_vertices > FLAT_TABLE_MAX_VERTICES
-    D = flat_distance_matrix(g)
+    D = flat_distance_matrix(g, cap=None)
     assert not D.flags.writeable
-    assert flat_distance_matrix(g) is not D
+    assert flat_distance_matrix(g, cap=None) is not D
     with pytest.raises(VertexCapError):
         flat_distance_matrix(g, cap=200)
