@@ -96,15 +96,20 @@ def _limits(args) -> SearchLimits | None:
     return None
 
 
-def _seconds(text: str) -> float:
-    """``--time-limit`` value: a number of seconds >= 0 (NaN is refused)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a number of seconds >= 0, got {text!r}")
-    return value
+def _at_least(lo, kind=int, what="an integer"):
+    """An argparse type for numbers of ``kind`` >= ``lo`` (NaN is refused),
+    so an out-of-range option or argument is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = float("nan")
+        if not value >= lo:
+            raise argparse.ArgumentTypeError(f"expected {what} >= {lo}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build(args):
@@ -358,8 +363,9 @@ def render_human(payload: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON document")
-    common.add_argument("--cap", type=int, default=None, help="vertex cap override")
-    common.add_argument("--time-limit", type=_seconds, default=None, help="seconds per exact search (>= 0)")
+    common.add_argument("--cap", type=_at_least(0), default=None, help="vertex cap override")
+    common.add_argument("--time-limit", type=_at_least(0, float, "a number of seconds"), default=None,
+                        help="seconds per exact search (>= 0)")
     common.add_argument("--strict", action="store_true", help="budget exhaustion becomes exit code 1")
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
@@ -399,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power-sample", parents=[common], help="first-moment construction on a power")
     p.add_argument("factor")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--retries", type=int, default=20)
+    p.add_argument("--retries", type=_at_least(0), default=20)
     p.set_defaults(fn=_cmd_power_sample)
 
     p = sub.add_parser("verify-paper", parents=[common], help="run the full claims registry")

@@ -75,9 +75,10 @@ def cylinder_gp_value(r: int, s: int) -> int:
 def torus_gp_bounds(r: int, s: int) -> TorusBounds:
     """Bounds on gp for the torus (product of an r- and an s-cycle).
 
-    The upper bound 7 always holds.  The lower bound 6 is claimed only
-    when, after sorting so the larger cycle is first, the smaller length
-    is not 4 and the larger is at least 6.
+    The upper bound 7 is the paper's theorem, quoted as a constant (the
+    quadrant cover certifies only 16 on C7xC7).  The lower bound 6 is
+    claimed only when, after sorting so the larger cycle is first, the
+    smaller length is not 4 and the larger is at least 6.
     """
     if r < 3 or s < 3:
         raise ValueError(f"torus needs r, s >= 3 (got {r}, {s})")

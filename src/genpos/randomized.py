@@ -260,6 +260,8 @@ def first_moment_construct(
         raise ValueError("power needs n >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
+    if sample_size is not None and sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     if sample_size is not None:
         M = sample_size
     else:

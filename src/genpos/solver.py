@@ -13,10 +13,12 @@ Determinism: vertices are branched in increasing flat index, and the
 max-search prunes by symmetry at every depth.  At a node with prefix
 S = (s1..sk) it branches only on vertices that are the smallest in their
 orbit under K_S, a group of automorphisms fixing s1..sk pointwise that is
-read off the spec (see :class:`_Symmetry`).  The reported witness is
-still the lexicographically first maximum set S*: along its path, if some
-sigma in K_S mapped s_{k+1} below itself, sigma(S*) would be a
-lex-smaller maximum set.  It keeps s1..sk and gains sigma(s_{k+1}), which
+read off the spec (see :class:`_Symmetry`); each factor family's group is
+named once, by generators (:func:`_factor_generators`), and its orbits are
+derived from them (:func:`_factor_orbits`).  The reported witness is still
+the lexicographically first maximum set S*: along its path, if some sigma
+in K_S mapped s_{k+1} below itself, sigma(S*) would be a lex-smaller
+maximum set.  It keeps s1..sk and gains sigma(s_{k+1}), which
 lies below every member of S* that it lacks.  So S* is searched, and the
 value is unchanged.  For the same reason a node branching on v drops
 every candidate whose orbit under K_S starts below v.  Let S* be the
@@ -86,6 +88,7 @@ no group element beyond the generators is formed.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -244,36 +247,66 @@ def _bits(mask: int) -> set[int]:
 # ----------------------------------------------------------------------
 # symmetry
 
-def _orbit_lows(f: FactorGraph, fixed: int) -> tuple[int, ...]:
-    """``lo[x]`` is the smallest vertex in the orbit of x under the
-    automorphisms of ``f`` used here that fix every vertex in the bitset
-    ``fixed``.
+@functools.cache
+def _factor_generators(kind: str, n: int, fixed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphisms of a ``kind`` factor on n vertices
+    that the search uses, restricted to those fixing every vertex in the
+    bitset ``fixed``; the only place a factor family's group is named.
 
-    ``C n``: all rotations and reflections while nothing is fixed, then the
+    ``C n``: the rotation and a reflection while nothing is fixed, then the
     reflection x -> c - x (mod n) if one fixes every fixed vertex.  ``P n``:
     the reversal, while every fixed vertex is the middle one.  ``K n`` and
-    the leaves of ``S k``: every permutation of the vertices not fixed.  An
-    explicit factor is taken as asymmetric.
+    the leaves of ``S k``: a transposition and a cycle of the vertices not
+    fixed (one permutation when two are moved).  An explicit factor is
+    taken as asymmetric.  No generator is the identity, so the group is
+    trivial exactly when there is none.
     """
-    n = f.n
-    if f.kind == "cycle":
-        if not fixed:
-            return (0,) * n
-        centres = {2 * u % n for u in range(n) if fixed >> u & 1}
-        if len(centres) == 1:
-            c = centres.pop()
-            return tuple([min(x, (c - x) % n) for x in range(n)])
-    elif f.kind == "path":
-        if all(2 * u == n - 1 for u in range(n) if fixed >> u & 1):
-            return tuple([min(x, n - 1 - x) for x in range(n)])
-    elif f.kind in ("complete", "star"):
-        first = 1 if f.kind == "star" else 0  # a star's centre stays put
-        moved = [x for x in range(first, n) if not fixed >> x & 1]
-        lows = list(range(n))
-        for x in moved:
-            lows[x] = moved[0]
-        return tuple(lows)
-    return tuple(range(n))
+    fixed_at = [u for u in range(n) if fixed >> u & 1]
+    if kind == "cycle":
+        if not fixed_at:
+            return tuple((a + 1) % n for a in range(n)), tuple(-a % n for a in range(n))
+        c = 2 * fixed_at[0] % n
+        if all(2 * u % n == c for u in fixed_at):
+            return (tuple((c - a) % n for a in range(n)),)
+    elif kind == "path":
+        if n > 1 and all(2 * u == n - 1 for u in fixed_at):
+            return (tuple(range(n - 1, -1, -1)),)
+    elif kind in ("complete", "star"):
+        moved = [a for a in range(kind == "star", n) if not fixed >> a & 1]  # a star's centre stays put
+        if len(moved) >= 2:
+            swap, cycle = list(range(n)), list(range(n))
+            swap[moved[0]], swap[moved[1]] = moved[1], moved[0]
+            for a, b in zip(moved, moved[1:] + moved[:1]):
+                cycle[a] = b
+            return (tuple(swap),) if len(moved) == 2 else (tuple(swap), tuple(cycle))
+    return ()
+
+
+@functools.cache
+def _factor_orbits(kind: str, n: int, fixed: int) -> tuple[tuple[int, ...], tuple]:
+    """(lows, steps) for the group of :func:`_factor_generators`.  ``lows[x]``
+    is the smallest vertex of x's orbit.  ``steps`` is a Schreier vector:
+    None at each orbit's smallest vertex, else (h, h[x]) for a generator h,
+    one step nearer to it, so following the steps from x composes a product
+    of generators taking x to ``lows[x]``.  A walk from each smallest vertex
+    over the generators' inverse images records both, in O(n) memory where
+    whole permutations per vertex would take O(n^2)."""
+    gens = _factor_generators(kind, n, fixed)
+    inverses = [sorted(range(n), key=h.__getitem__) for h in gens]
+    lows = [-1] * n
+    steps: list = [None] * n
+    for x in range(n):
+        if lows[x] < 0:
+            lows[x] = x
+            todo = [x]
+            for y in todo:
+                for h, inv in zip(gens, inverses):
+                    z = inv[y]
+                    if lows[z] < 0:
+                        lows[z] = x
+                        steps[z] = (h, y)
+                        todo.append(z)
+    return tuple(lows), tuple(steps)
 
 
 class _Prefix(dict):
@@ -306,15 +339,16 @@ class _Symmetry:
     stabilizers of search prefixes.
 
     For a prefix S, the group K_S is generated by the factor automorphisms
-    of :func:`_orbit_lows` at each position p that fix every value S uses
-    at p, and by the permutations of same-label positions whose columns in
-    S are identical; the empty prefix gives the whole group.  A vertex is
+    of :func:`_factor_generators` at each position p that fix every value S
+    uses at p, and by the permutations of same-label positions whose columns
+    in S are identical; the empty prefix gives the whole group.  A vertex is
     the smallest in its K_S-orbit iff each coordinate is the smallest in
     its factor orbit and the coordinates on each class of positions are
     non-decreasing; :meth:`orbits` applies that rule to every vertex at
     once.  A prefix's state keeps the values used at each position as
     bitsets and its classes, so a child's state follows from its parent's
-    in O(#factors).  States and factor orbits are memoised for the search.
+    in O(#factors).  States are memoised for the search, and the factor
+    orbits of :func:`_factor_orbits` for the process.
     """
 
     def __init__(self, g: ProductGraph):
@@ -326,17 +360,10 @@ class _Symmetry:
             if f.label is not None and f.n > 1:  # one-vertex positions swap no vertex
                 groups.setdefault(f.label, []).append(p)
         self.classes = tuple(tuple(ps) for ps in groups.values() if len(ps) > 1)
-        self._lows: dict[tuple[str, int, int], tuple[int, ...]] = {}  # by (kind, n, fixed)
+        self.families = [(f.kind, f.n) for f in g.factors]
         self._states: dict[tuple, _Prefix] = {}
         # coordinates of every vertex, one row each
         self._grid = np.arange(n)[:, None] // g.strides % g.sizes
-
-    def lows(self, p: int, fixed: int) -> tuple[int, ...]:
-        f = self.g.factors[p]
-        key = (f.kind, f.n, fixed)
-        if key not in self._lows:
-            self._lows[key] = _orbit_lows(f, fixed)
-        return self._lows[key]
 
     def root(self) -> _Prefix | None:
         """State of the empty prefix."""
@@ -357,7 +384,7 @@ class _Symmetry:
         classes, or None when its group is trivial.  A position whose
         factor group is already trivial stays trivial as values are added,
         so it is dropped from the state."""
-        live = tuple((p, u) for p, u in fixed if self.lows(p, u) != tuple(range(self.g.sizes[p])))
+        live = tuple((p, u) for p, u in fixed if _factor_generators(*self.families[p], u))
         if not live and not classes:
             return None
         key = (live, classes)
@@ -379,7 +406,7 @@ class _Symmetry:
         ascending; numpy does this for every vertex at once."""
         X = self._grid.copy()
         for p, u in state.fixed:
-            X[:, p] = np.asarray(self.lows(p, u))[X[:, p]]
+            X[:, p] = np.asarray(_factor_orbits(*self.families[p], u)[0])[X[:, p]]
         for cls in state.classes:
             X[:, cls] = np.sort(X[:, cls], axis=1)
         low = (X @ self.g.strides).tolist()
@@ -397,20 +424,20 @@ class _Symmetry:
 
     def transversal(self, state: _Prefix, v: int) -> list[int]:
         """A permutation of the flat indices, taken from ``state``'s group,
-        that maps ``v`` to the smallest vertex of its orbit.  Per position a
-        factor automorphism fixing the prefix's values there moves the
-        coordinate to its orbit minimum; then each class's positions are
-        permuted so that its values ascend."""
+        that maps ``v`` to the smallest vertex of its orbit.  Per position
+        the product of generators along the steps of :func:`_factor_orbits`
+        takes the coordinate to its orbit minimum; then each class's
+        positions are permuted so that its values ascend."""
         tau = state.tau.get(v)
         if tau is not None:
             return tau
         maps: list = [range(size) for size in self.g.sizes]
         w = list(self.g.decode(v))
         for p, u in state.fixed:
-            lo = self.lows(p, u)[w[p]]
-            if lo != w[p]:
-                maps[p] = _factor_move(self.g.factors[p], w[p], lo)
-                w[p] = lo
+            steps = _factor_orbits(*self.families[p], u)[1]
+            while steps[w[p]] is not None:
+                h, w[p] = steps[w[p]]
+                maps[p] = [h[a] for a in maps[p]]
         dest = list(range(len(maps)))
         for cls in state.classes:
             for q, p in zip(cls, sorted(cls, key=lambda p: (w[p], p))):
@@ -426,8 +453,8 @@ class _Symmetry:
         same = list(range(len(self.g.sizes)))
         plain = [range(size) for size in self.g.sizes]
         gens = []
-        for p, f in enumerate(self.g.factors):
-            for h in _factor_generators(f):
+        for p, family in enumerate(self.families):
+            for h in _factor_generators(*family):
                 gens.append(self._flat_map(plain[:p] + [h] + plain[p + 1:], same))
         for cls in self.classes:
             for p, q in zip(cls, cls[1:]):
@@ -523,43 +550,6 @@ class _Symmetry:
                 if found:
                     return found
         return 0
-
-
-def _factor_move(f: FactorGraph, x: int, lo: int) -> tuple[int, ...]:
-    """An automorphism of ``f`` taking x to lo, where lo != x is the least
-    of x's orbit under a group of :func:`_orbit_lows`, chosen from that
-    group: on a cycle or a path the reflection a -> x + lo - a (on a cycle
-    the only one moving a vertex once some vertex is fixed, on a path the
-    reversal), and on ``K n`` and the leaves of ``S k`` the transposition."""
-    n = f.n
-    if f.kind in ("cycle", "path"):
-        return tuple((x + lo - a) % n for a in range(n))
-    h = list(range(n))
-    h[x], h[lo] = lo, x
-    return tuple(h)
-
-
-def _factor_generators(f: FactorGraph) -> list[tuple[int, ...]]:
-    """Generators of the group of ``_orbit_lows(f, 0)``: the rotation and a
-    reflection of ``C n``, the reversal of ``P n``, and a transposition and
-    a cycle of the vertices of ``K n`` or of the leaves of ``S k`` (one
-    permutation when two are moved).  None for an explicit factor or a
-    one-vertex one."""
-    n = f.n
-    if f.kind == "cycle":
-        return [tuple((a + 1) % n for a in range(n)), tuple(-a % n for a in range(n))]
-    if f.kind == "path":
-        return [tuple(range(n - 1, -1, -1))] if n > 1 else []
-    if f.kind not in ("complete", "star"):
-        return []
-    moved = list(range(f.kind == "star", n))  # a star's centre stays put
-    if len(moved) < 2:
-        return []
-    swap = _factor_move(f, moved[1], moved[0])
-    cycle = list(range(n))
-    for a, b in zip(moved, moved[1:] + moved[:1]):
-        cycle[a] = b
-    return [swap] if len(moved) == 2 else [swap, tuple(cycle)]
 
 
 # ----------------------------------------------------------------------

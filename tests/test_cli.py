@@ -224,6 +224,20 @@ def test_a_negative_or_nan_time_limit_is_a_usage_error(capsys, value):
     assert "error: argument --time-limit: expected a number of seconds >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [(["gp", "P3", "--cap", "-1"], "--cap"),
+     (["power-sample", "K2", "0", "--seed", "1"], "n"),
+     (["power-sample", "K2", "5", "--seed", "1", "--retries", "-1"], "--retries")],
+    ids=["negative-cap", "zero-power", "negative-retries"],
+)
+def test_an_out_of_range_integer_is_a_usage_error(capsys, argv, option):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"error: argument {option}: expected an integer >= " in err
+    assert "Traceback" not in err
+
+
 def test_count_budget_exhaustion_exits_1(capsys):
     code, out, err = run_cli(capsys, ["count", "K4^3", "--time-limit", "0.001"])
     assert code == 1 and out == ""
@@ -340,7 +354,8 @@ def test_closed_pipe_in_a_real_process():
         stderr=subprocess.PIPE,
     )
     proc.stdout.close()  # the reader leaves before genpos has imported
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
 

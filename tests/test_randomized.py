@@ -269,6 +269,12 @@ def test_sampler_whole_triangle_sample_works():
     assert run.success and run.bad_triples <= 1 and len(run.result) >= 1
 
 
+@pytest.mark.parametrize("sample_size", [0, -5])
+def test_sampler_refuses_a_sample_size_below_one(sample_size):
+    with pytest.raises(ValueError, match="sample_size must be >= 1"):
+        first_moment_construct(FactorGraph.path(3), 2, seed=0, sample_size=sample_size)
+
+
 def test_sampler_retries_exhaust_gracefully():
     # an oversized sample on a path power cannot reach its target
     run = first_moment_construct(FactorGraph.path(3), 1, seed=0, retries=2, sample_size=27)

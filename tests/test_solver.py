@@ -285,7 +285,8 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
     """Soundness of the per-prefix filter against an engine-free oracle: for
     each vertex a prefix's state drops, some explicit permutation preserves
     every BFS distance, fixes the prefix pointwise and maps the vertex
-    below itself."""
+    below itself.  The state's transversal of every vertex is such a
+    permutation too, and maps the vertex onto the least of its orbit."""
     g = STABILIZER_HOSTS[name]
     D = bfs_distance_table(g)
     n = g.total_vertices
@@ -293,7 +294,8 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
         s for s in _lowering_candidates(g)
         if all(D[s[a]][s[b]] == D[a][b] for a in range(n) for b in range(a + 1, n))
     ]
-    root = _Symmetry(g).root()
+    sym = _Symmetry(g)
+    root = sym.root()
     assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbit_table(g)[1])
     rng = random.Random(name)
     for prefix in [[]] + [_random_gp_prefix(D, rng) for _ in range(12)]:
@@ -307,6 +309,9 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
                 assert any(
                     s[v] < v and all(s[u] == u for u in prefix) for s in automorphisms
                 ), (prefix, g.decode(v))
+            tau = sym.transversal(state, v)
+            assert tau[v] == state.low[v] and all(tau[u] == u for u in prefix), (prefix, g.decode(v))
+            assert all(D[tau[a]][tau[b]] == D[a][b] for a in range(n) for b in range(a + 1, n))
 
 
 def _spec_group_generators(g):
@@ -397,6 +402,53 @@ def test_a_trivial_group_has_no_generators(spec):
     # one-vertex factors, and a star whose one leaf has no other leaf to swap with
     sym = _Symmetry(build(spec))
     assert sym.root() is None and sym.generators() == []
+
+
+def _compose(s, h):
+    return tuple(s[a] for a in h)
+
+
+NAMED_FACTORS = (
+    [FactorGraph.cycle(n) for n in range(3, 9)]
+    + [FactorGraph.path(n) for n in range(1, 9)]
+    + [FactorGraph.complete(n) for n in range(1, 9)]
+    + [FactorGraph.star(k) for k in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("f", NAMED_FACTORS, ids=lambda f: f.label)
+def test_factor_orbits_are_the_pointwise_stabilizer_orbits(f):
+    """For every bitset of fixed vertices, ``_factor_orbits`` against an
+    engine-free oracle: the pointwise stabilizer is every element of the
+    closure of :func:`_spec_group_generators` on the factor alone that
+    fixes the bitset.  Each low is the least image of its vertex under that
+    stabilizer, each move (the product of generators along a vertex's
+    steps) is an element of it taking its vertex to the low and preserving
+    every BFS distance, and the generators of ``_factor_generators``
+    generate exactly that stabilizer."""
+    n = f.n
+    g = ProductGraph([f])  # flat indices are the factor's vertices
+    D = bfs_distance_table(g)
+    group = _closure(_spec_group_generators(g), tuple(range(n)), _compose)
+    by_fixed_points: dict[int, list] = {}
+    for s in group:
+        by_fixed_points.setdefault(sum(1 << a for a in range(n) if s[a] == a), []).append(s)
+    for fixed in range(1 << n):
+        stabilizer = {s for points, elements in by_fixed_points.items()
+                      if points & fixed == fixed for s in elements}
+        gens = solver._factor_generators(f.kind, n, fixed)
+        assert _closure(gens, tuple(range(n)), _compose) == stabilizer, fixed
+        lows, steps = solver._factor_orbits(f.kind, n, fixed)
+        assert list(lows) == [min(s[x] for s in stabilizer) for x in range(n)], fixed
+        for x in range(n):
+            h, y = tuple(range(n)), x
+            while steps[y] is not None:
+                s, y = steps[y]
+                assert s in gens
+                h = _compose(s, h)
+            assert h in stabilizer and h[x] == lows[x], (fixed, x)
+            assert all(h[u] == u for u in range(n) if fixed >> u & 1)
+            assert all(D[h[a]][h[b]] == D[a][b] for a in range(n) for b in range(n))
 
 
 def _stabilizer_orbit(gens, r, members):
