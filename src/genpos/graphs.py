@@ -469,8 +469,9 @@ def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> Produc
     if cap is not None:
         base = prod(f.vertex_count() for f in spec.factors)
         e = spec.exponent
-        if base > 1 and e > cap.bit_length():
-            # base^e >= 2^e > cap; base^e itself can take seconds to compute
+        if base > 1 and e > max(1, cap.bit_length()):
+            # a true power with base^e >= 2^e > cap; base^e itself can take
+            # seconds to compute
             shown = f"2^{e * (base.bit_length() - 1)} or more"
         else:
             total = base**e

@@ -22,9 +22,10 @@ structural one.  The cores trust their ids and never look at coordinates,
 so a caller that already holds a host's flat ids (the
 ``checker-equivalence`` claim) runs them on subsets of those ids without
 validating each subset again.  The exact bad-triple probability counts
-on a numpy distance matrix instead, one :func:`between` table per vertex;
-the solver's bad-triple index reads the same distance test off pairs of
-matrix rows.
+on a numpy distance matrix instead, one :func:`between` table per vertex.
+:func:`bad_pair_rows` is the triple test on pairs of numpy matrix rows:
+the solver's bad-triple index is packed from it, and the sampler finds a
+sample's bad triples with it.  Certification always runs the Python core.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Coord, ProductGraph
+
+# (pair, vertex) cells per chunk of :func:`bad_pair_rows`: its numpy buffers
+# stay under a megabyte on every matrix instead of growing with n^3
+PAIR_CHUNK_CELLS = 1 << 16
 
 
 def _validated_members(g: ProductGraph, S) -> list[Coord]:
@@ -77,6 +82,37 @@ def bad_triples(ids, D):
                     yield a, b, c
                 elif dab == dac + dbc:
                     yield c, a, b
+
+
+def bad_pair_rows(D):
+    """The bad-triple test on pairs of rows of a numpy distance matrix ``D``.
+
+    Yields ``(A, B, bad)`` for the pairs a < b in lexicographic order, in
+    chunks of about ``PAIR_CHUNK_CELLS`` (pair, vertex) cells: ``A`` and
+    ``B`` hold the chunk's pairs, and ``bad[i, u]`` is True when u
+    completes a bad triple with ``A[i]`` and ``B[i]``.  Either u lies
+    between them (``DA + DB == dab``) or one of them lies between u and
+    the other (``|DA - DB| == dab``), which holds at u = a and u = b too.
+    The test runs on the narrowest signed type holding two distances.
+    """
+    import numpy as np  # only the pair-row test needs numpy
+
+    n = D.shape[0]
+    D = D.astype(np.min_scalar_type(-2 * int(D.max()) - 1), copy=False)
+    v = np.arange(n)
+    a, b = np.nonzero(v[:, None] < v)  # the pairs a < b, row by row
+    step = max(1, PAIR_CHUNK_CELLS // n)
+    for lo in range(0, len(a), step):
+        A = a[lo:lo + step]
+        B = b[lo:lo + step]
+        DA = D[A]
+        DB = D[B]
+        dab = D[A, B][:, None]
+        bad = DA + DB == dab
+        DA -= DB
+        np.abs(DA, out=DA)
+        bad |= DA == dab
+        yield A, B, bad
 
 
 def between(D, y):

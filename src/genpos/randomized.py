@@ -17,6 +17,7 @@ alone, independent of platform and Python version.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, isqrt, log, log2
@@ -25,14 +26,15 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
-from .position import GpSet, bad_triples, between
+from .position import GpSet, bad_pair_rows, between
 
 DEFAULT_DIRECT_CAP = 10**4
 
-# The deletion step scans all M^3/6 sample triples in Python, as lookups into
-# a table of the sample's pair distances.  One attempt on C7^30 took 0.08 s at
-# M = 115, 0.7 s at M = 250 and 6.1 s at M = 500 (2-core x86-64 VM, Python
-# 3.11), so larger samples are refused.
+# Both steps of a run are cubic in M: the numpy pair-row test finds the
+# sample's bad triples, and certifying the remainder checks all its triples
+# in Python.  One attempt on C7^30 took 0.07 s at M = 115, 0.5 s at M = 250
+# and 3.7 s at M = 500, the certify scan 3.3 s of it (2-core x86-64 VM,
+# Python 3.11), so larger samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
@@ -78,12 +80,18 @@ def _count_bad_triples(D: np.ndarray) -> int:
     return sum(int(np.count_nonzero(between(D, y))) for y in range(D.shape[0]))
 
 
+@functools.cache
+def _p_of_table(dist: tuple[tuple[int, ...], ...]) -> Fraction:
+    """p of the factor with all-pairs table ``dist``, counted once per table."""
+    return Fraction(_count_bad_triples(np.asarray(dist, dtype=np.int64)), len(dist) ** 3)
+
+
 def p_exact(g: FactorGraph | ProductGraph, cap: int | None = DEFAULT_DIRECT_CAP) -> Fraction:
     """Exact bad-triple probability.
 
     Factor graphs are counted directly (all n^3 ordered triples, subject
-    to ``cap``); products multiply the factor probabilities instead of
-    materializing anything.
+    to ``cap``), once per distance table in a process; products multiply
+    the factor probabilities instead of materializing anything.
     """
     if isinstance(g, ProductGraph):
         p = Fraction(1)
@@ -94,8 +102,7 @@ def p_exact(g: FactorGraph | ProductGraph, cap: int | None = DEFAULT_DIRECT_CAP)
         raise TypeError(f"expected FactorGraph or ProductGraph, got {type(g).__name__}")
     if cap is not None and g.n > cap:
         raise VertexCapError(f"direct triple count refused for {g.n} vertices (cap {cap})")
-    D = _distance_matrix(g)
-    return Fraction(_count_bad_triples(D), g.n**3)
+    return _p_of_table(g.dist)
 
 
 def p_exact_restricted(g: FactorGraph, vertices: Iterable[int]) -> Fraction:
@@ -162,11 +169,13 @@ def p_power(g: FactorGraph, n: int) -> Fraction:
     return p_exact(g) ** n
 
 
+@functools.cache
 def choose_M(p: Fraction, n: int) -> int:
     """Largest sample size M >= 3 with (M-1)(M-2) <= p^-n.
 
     Returns 2 (the trivial guarantee: any two vertices are in general
-    position) when even M = 3 fails, i.e. when p^-n < 2.
+    position) when even M = 3 fails, i.e. when p^-n < 2.  Computed once
+    per (p, n) in a process: the exact power p^-n is the costly part.
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -208,11 +217,30 @@ class SampleRun:
     attempts: int
 
 
+def _power_matrix(g: FactorGraph, n: int, members: list[Coord]) -> np.ndarray:
+    """Distance matrix of ``members`` in g^n: one gather from the factor
+    table, summed over the n coordinates in the narrowest signed type that
+    holds twice the power's diameter."""
+    diam = max(map(max, g.dist))
+    T = np.asarray(g.dist, dtype=np.min_scalar_type(-diam - 1))
+    X = np.array(members, dtype=np.intp)
+    return T[X[:, None, :], X[None, :, :]].sum(2, dtype=np.min_scalar_type(-2 * n * diam - 1))
+
+
+def _sorted_bad_triples(D: np.ndarray):
+    """The bad triples of :func:`~genpos.position.bad_triples` on the numpy
+    matrix ``D``, each as its sorted position triple, in the same order."""
+    cols = np.arange(D.shape[0])
+    for A, B, bad in bad_pair_rows(D):
+        i, c = np.nonzero(bad & (cols > B[:, None]))
+        yield from zip(A[i].tolist(), B[i].tolist(), c.tolist())
+
+
 def _one_run(g: FactorGraph, n: int, seed: int, M: int, host: ProductGraph, attempts: int) -> SampleRun:
     rng = SplitMix64(seed)
     samples = tuple(tuple(rng.randbelow(g.n) for _ in range(n)) for _ in range(M))
     distinct = sorted(set(samples))
-    bad = list(bad_triples(*host.distance_table(distinct)))
+    bad = list(_sorted_bad_triples(_power_matrix(g, n, distinct)))
 
     alive = [True] * len(distinct)
     deletions = []

@@ -2,10 +2,12 @@
 
 The search is a depth-first branch and bound over vertices in flat-index
 order.  A precomputed :class:`BadTripleIndex` stores, for every vertex
-pair, the bitset of vertices completing a bad triple with that pair;
-extending the current set by v filters the candidate set with one AND per
-already-chosen vertex.  Subtrees that cannot beat (or, when counting,
-cannot tie) the incumbent are cut with the bound |S| + |candidates|.
+pair, the bitset of vertices completing a bad triple with that pair,
+packed from the pair-row test :func:`~genpos.position.bad_pair_rows` that
+the sampler shares; extending the current set by v filters the candidate
+set with one AND per already-chosen vertex.  Subtrees that cannot beat
+(or, when counting, cannot tie) the incumbent are cut with the bound
+|S| + |candidates|.
 One DFS core, :func:`_dfs`, serves the max-search, counting and
 enumeration.
 
@@ -95,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError
-from .position import GpSet
+from .position import PAIR_CHUNK_CELLS as INDEX_CHUNK_CELLS, GpSet, bad_pair_rows
 
 DEFAULT_SEARCH_CAP = 200
 DEFAULT_ENUM_CAP = 64
@@ -153,11 +155,6 @@ def flat_distance_matrix(g: ProductGraph, cap: int | None) -> np.ndarray:
     return g.flat_matrix()
 
 
-# (pair, vertex) cells per chunk of the index build: its numpy buffers stay
-# under a megabyte on every host instead of growing with n^3
-INDEX_CHUNK_CELLS = 1 << 16
-
-
 def _pack_rows(rows: np.ndarray) -> list[int]:
     """Pack boolean rows into Python-int bitsets (bit i = row[i]).
 
@@ -181,10 +178,10 @@ class BadTripleIndex:
     """Pair-indexed bitsets describing all bad triples of a host graph.
 
     ``bad_with(a, b)`` holds every u such that {a, b, u} is a bad triple,
-    whichever of the three is in the middle.  The build walks the pairs
-    a < b in chunks of about ``INDEX_CHUNK_CELLS`` (pair, vertex) cells,
-    reading each pair's two distance rows, so besides the tables themselves
-    it holds the distance matrix and one chunk at a time.
+    whichever of the three is in the middle.  The build packs the chunks of
+    :func:`~genpos.position.bad_pair_rows`, about ``INDEX_CHUNK_CELLS``
+    (pair, vertex) cells each, so besides the tables themselves it holds
+    the distance matrix and one chunk at a time.
     """
 
     __slots__ = ("n", "_allowed")
@@ -197,28 +194,12 @@ class BadTripleIndex:
     def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
         D = flat_distance_matrix(g, cap)
         n = D.shape[0]
-        # the narrowest signed type holding the sum of two distances
-        D = D.astype(np.min_scalar_type(-2 * int(D.max()) - 1))
-        v = np.arange(n)
-        a, b = np.nonzero(v[:, None] < v)  # the pairs a < b, row by row
         full = (1 << n) - 1  # a vertex paired with itself forbids nothing
         allowed = [[full] * n for _ in range(n)]
-        step = max(1, INDEX_CHUNK_CELLS // n)
-        rows = np.arange(step)
-        for lo in range(0, len(a), step):
-            A = a[lo:lo + step]
-            B = b[lo:lo + step]
-            DA = D[A]
-            DB = D[B]
-            dab = D[A, B][:, None]
-            # u completes a bad triple with (a, b) when it lies between them
-            # (DA + DB == dab) or one of them lies between it and the other
-            # (|DA - DB| == dab); a and b themselves are never forbidden
-            ok = DA + DB != dab
-            DA -= DB
-            np.abs(DA, out=DA)
-            ok &= DA != dab
-            r = rows[:len(A)]
+        for A, B, bad in bad_pair_rows(D):
+            ok = np.logical_not(bad, out=bad)
+            # a and b themselves are never forbidden
+            r = np.arange(len(A))
             ok[r, A] = True
             ok[r, B] = True
             for x, y, mask in zip(A.tolist(), B.tolist(), _pack_rows(ok)):

@@ -189,6 +189,16 @@ def test_power_sample_refuses_an_oversized_sample(capsys):
     assert "M = 2^6833911 or more is above the cap of 500" in err
 
 
+@pytest.mark.parametrize(
+    "spec,shown",
+    [("P3", "3 vertices"), ("P3xC5", "15 vertices"), ("K2^2", "2^2 or more vertices")],
+)
+def test_a_zero_cap_shows_a_power_of_two_bound_only_for_a_true_power(capsys, spec, shown):
+    code, out, err = run_cli(capsys, ["gp", spec, "--cap", "0"])
+    assert code == 1 and out == ""
+    assert err == f"error: {spec} has {shown}, above the cap of 0\n"
+
+
 # ----------------------------------------------------------------------
 # exit codes and budgets
 

@@ -16,7 +16,8 @@ from genpos.graphs import (
     explicit_adjacency,
     show_count,
 )
-from genpos.position import is_general_position
+from genpos import randomized
+from genpos.position import bad_triples, is_general_position
 from genpos.randomized import (
     MAX_SAMPLE_SIZE,
     SplitMix64,
@@ -107,6 +108,16 @@ def test_p_exact_matches_triple_census(factor):
 
 
 def test_p_exact_cap():
+    with pytest.raises(VertexCapError):
+        p_exact(FactorGraph.path(11), cap=10)
+
+
+def test_p_exact_is_counted_once_per_table(monkeypatch):
+    p = p_exact(FactorGraph.path(11))
+    # a second graph with the same table is served without a new count
+    monkeypatch.setattr(randomized, "_count_bad_triples", lambda D: pytest.fail("counted again"))
+    assert p_exact(FactorGraph.path(11)) == p == brute_force_p(FactorGraph.path(11))
+    # the cap is checked before the cached value is read
     with pytest.raises(VertexCapError):
         p_exact(FactorGraph.path(11), cap=10)
 
@@ -301,6 +312,49 @@ def test_sampler_deletions_match_bfs_oracle_above_the_split(factor, n):
         assert run.bad_triples == len(bad)
         assert [host.encode(v) for v in run.deletions] == deletions
         assert [host.encode(v) for v in run.result] == sorted(alive)
+
+
+@pytest.mark.parametrize(
+    "factor,n,line",
+    [
+        # 125 vertices: flat ids into the cached matrix
+        (FactorGraph.cycle(5), 3, [(0, 0, 0), (1, 0, 0), (2, 1, 0)]),
+        # 256 vertices: a table over the members
+        (FactorGraph.complete(2), 8, [(0,) * 8, (1,) * 4 + (0,) * 4, (1,) * 8]),
+        (FactorGraph.path(3), 5, [(0,) * 5, (1,) * 5, (2,) * 5]),
+        # twice the diameter of the power is past int8
+        (FactorGraph.cycle(7), 30, [(0,) * 30, (3,) * 15 + (0,) * 15, (3,) * 30]),
+        # the factor's own diameter is past int8
+        (FactorGraph.cycle(260), 1, [(0,), (65,), (130,)]),
+    ],
+)
+def test_sample_scan_matches_the_python_core(factor, n, line):
+    host = ProductGraph([factor] * n)
+
+    def both_scans(distinct):
+        core = [tuple(sorted(t)) for t in bad_triples(*host.distance_table(distinct))]
+        scan = list(randomized._sorted_bad_triples(randomized._power_matrix(factor, n, distinct)))
+        assert scan == core
+        return scan
+
+    # three members on one shortest path form one bad triple
+    assert both_scans(line) == [(0, 1, 2)]
+    rng = SplitMix64(n)
+    for M in (1, 2, 3, 4, 12, 40):
+        # samples drawn with repetition, so the larger ones hold duplicates
+        both_scans(sorted({tuple(rng.randbelow(factor.n) for _ in range(n)) for _ in range(M)}))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 10])
+def test_sampler_on_samples_with_duplicates(M):
+    # K2^2 has four vertices, so ten draws repeat some
+    host = ProductGraph([FactorGraph.complete(2)] * 2)
+    for seed in range(8):
+        run = first_moment_construct(FactorGraph.complete(2), 2, seed=seed, retries=0, sample_size=M)
+        distinct = sorted(set(run.samples))
+        assert run.duplicates == M - len(distinct)
+        assert run.bad_triples == len(list(bad_triples(*host.distance_table(distinct))))
+        assert len(run.result) + len(run.deletions) == len(distinct)
 
 
 def test_sample_size_refusal_names_the_power_of_two_of_the_exact_M():
