@@ -4,10 +4,12 @@ Factor graphs (paths, cycles, complete graphs, stars, or explicit
 adjacency) are small; their all-pairs distances come from per-source BFS
 and are cached on first use.  Products are never materialized for metric
 queries: the distance between two product vertices is the sum of the
-factor distances, coordinate by coordinate.  A product with at most
-``FLAT_TABLE_MAX_VERTICES`` vertices caches the resulting flat all-pairs
-matrix; ``ProductGraph.distance_table`` serves the checkers from it, or
-from the pair sums of the queried vertices on larger products.
+factor distances, coordinate by coordinate.  ``ProductGraph.flat_matrix``
+is the only code that sums them into a numpy matrix, over all vertices
+(cached on products with at most ``FLAT_TABLE_MAX_VERTICES`` vertices) or
+over given members; ``ProductGraph.distance_table`` serves the checkers
+from the cached one, or from the pair sums of the queried vertices on
+larger products.
 
 Vertex conventions: ``P n`` has vertices 0..n-1 in path order, ``C n``
 has vertices 0..n-1 in cyclic order (arithmetic mod n), ``S k`` is the
@@ -100,7 +102,8 @@ class FactorGraph:
     __slots__ = ("kind", "n", "adj", "label", "_dist")
 
     def __init__(self, kind: str, adjacency, label: str | None = None):
-        adj = tuple(tuple(sorted(set(ns))) for ns in adjacency)
+        sets = [set(ns) for ns in adjacency]
+        adj = tuple(tuple(sorted(ns)) for ns in sets)
         n = len(adj)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -110,7 +113,7 @@ class FactorGraph:
                     raise ValueError(f"neighbor {w} of vertex {u} out of range")
                 if w == u:
                     raise ValueError(f"self-loop at vertex {u}")
-                if u not in adj[w]:
+                if u not in sets[w]:
                     raise ValueError(f"adjacency not symmetric: {u}->{w}")
         if -1 in _bfs_lengths(adj, 0):
             raise ValueError("graph is not connected")
@@ -264,22 +267,27 @@ class ProductGraph:
         tables = self.factor_dist_tables()
         return sum(t[a][b] for t, a, b in zip(tables, u, v))
 
-    def flat_matrix(self):
-        """Read-only numpy matrix of all distances on flat indices, assembled
-        additively from the factor tables.  Cached on hosts with at most
-        ``FLAT_TABLE_MAX_VERTICES`` vertices, built afresh above that."""
-        if self._flat is not None:
+    def flat_matrix(self, members=None):
+        """Read-only numpy matrix of distances, summed over the factor
+        tables: between all vertices on flat indices, or between the given
+        valid coordinate tuples in their order.  The all-vertex matrix is
+        cached on hosts with at most ``FLAT_TABLE_MAX_VERTICES`` vertices;
+        every other matrix is built afresh."""
+        if members is None and self._flat is not None:
             return self._flat
         import numpy as np  # only the flat matrix needs numpy
 
-        n = self.total_vertices
-        D = np.zeros((n, n), dtype=np.int32)
-        flat = np.arange(n)
-        for t, stride, size in zip(self.factor_dist_tables(), self.strides, self.sizes):
-            c = (flat // stride) % size
+        if members is None:
+            flat = np.arange(self.total_vertices)
+            columns = [(flat // stride) % size for stride, size in zip(self.strides, self.sizes)]
+        else:
+            columns = np.array(members, dtype=np.intp).reshape(-1, len(self.sizes)).T
+        m = len(columns[0])
+        D = np.zeros((m, m), dtype=np.int32)
+        for t, c in zip(self.factor_dist_tables(), columns):
             D += np.asarray(t, dtype=np.int32)[c[:, None], c[None, :]]
         D.setflags(write=False)
-        if n <= FLAT_TABLE_MAX_VERTICES:
+        if members is None and m <= FLAT_TABLE_MAX_VERTICES:
             self._flat = D
         return D
 

@@ -21,11 +21,11 @@ Each decider is a public wrapper around a core.  The wrappers
 structural one.  The cores trust their ids and never look at coordinates,
 so a caller that already holds a host's flat ids (the
 ``checker-equivalence`` claim) runs them on subsets of those ids without
-validating each subset again.  The exact bad-triple probability counts
-on a numpy distance matrix instead, one :func:`between` table per vertex.
-:func:`bad_pair_rows` is the triple test on pairs of numpy matrix rows:
-the solver's bad-triple index is packed from it, and the sampler finds a
-sample's bad triples with it.  Certification always runs the Python core.
+validating each subset again.  :func:`bad_pair_rows` is the same triple
+test on pairs of rows of a numpy distance matrix: the solver's bad-triple
+index is packed from it, the sampler finds a sample's bad triples with
+it, and the exact bad-triple probability counts its cells.
+Certification always runs the Python core.
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ def bad_pair_rows(D):
         np.abs(DA, out=DA)
         bad |= DA == dab
         yield A, B, bad
-
-
-def between(D, y):
-    """Betweenness from the vertex ``y`` on a numpy distance matrix ``D``.
-
-    The (n, n) result is True at ``[x, z]`` when x lies on a shortest
-    y,z-path, endpoints included: ``D[y, z] == D[y, x] + D[x, z]``.
-    """
-    R = D[y]
-    return R[None, :] == R[:, None] + D
 
 
 def _first_violation(g: ProductGraph, members: list[Coord]) -> tuple[Coord, Coord, Coord] | None:

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
-from .position import GpSet, bad_pair_rows, between
+from .position import GpSet, bad_pair_rows
 
 DEFAULT_DIRECT_CAP = 10**4
 
@@ -70,20 +70,22 @@ class SplitMix64:
                 return r % k
 
 
-def _distance_matrix(g: FactorGraph) -> np.ndarray:
-    return np.asarray(g.dist, dtype=np.int64)
-
-
 def _count_bad_triples(D: np.ndarray) -> int:
-    """Ordered bad triples over the vertex set of the given distance matrix,
-    one row y at a time so that memory stays quadratic."""
-    return sum(int(np.count_nonzero(between(D, y))) for y in range(D.shape[0]))
+    """Ordered bad triples (x, y, z) over the n vertices of ``D``.
+
+    The 2n^2 - n with x = y or x = z are bad.  Three distinct vertices have
+    at most one middle, so each bad 3-set gives two more.  The cells of
+    :func:`bad_pair_rows` mark each pair's own two vertices, and each bad
+    3-set once at each of its three pairs."""
+    n = D.shape[0]
+    hits = sum(int(np.count_nonzero(bad)) for _, _, bad in bad_pair_rows(D))
+    return 2 * n * n - n + (hits - n * (n - 1)) // 3 * 2
 
 
 @functools.cache
 def _p_of_table(dist: tuple[tuple[int, ...], ...]) -> Fraction:
     """p of the factor with all-pairs table ``dist``, counted once per table."""
-    return Fraction(_count_bad_triples(np.asarray(dist, dtype=np.int64)), len(dist) ** 3)
+    return Fraction(_count_bad_triples(np.asarray(dist)), len(dist) ** 3)
 
 
 def p_exact(g: FactorGraph | ProductGraph, cap: int | None = DEFAULT_DIRECT_CAP) -> Fraction:
@@ -107,12 +109,13 @@ def p_exact(g: FactorGraph | ProductGraph, cap: int | None = DEFAULT_DIRECT_CAP)
 
 def p_exact_restricted(g: FactorGraph, vertices: Iterable[int]) -> Fraction:
     """Bad-triple probability when all three picks are restricted to the
-    given vertex subset (e.g. the leaves of a star)."""
-    idx = sorted(set(vertices))
-    if not idx:
+    given vertex subset (e.g. the leaves of a star).  The vertices must be
+    integers in ``range(g.n)``; bool is refused."""
+    host = ProductGraph([g])
+    members = sorted({host.check_coord((v,)) for v in vertices})
+    if not members:
         raise ValueError("restricted vertex set is empty")
-    D = _distance_matrix(g)[np.ix_(idx, idx)]
-    return Fraction(_count_bad_triples(D), len(idx) ** 3)
+    return Fraction(_count_bad_triples(host.flat_matrix(members)), len(members) ** 3)
 
 
 def p_closed_form(family: str, size: int) -> Fraction:
@@ -217,16 +220,6 @@ class SampleRun:
     attempts: int
 
 
-def _power_matrix(g: FactorGraph, n: int, members: list[Coord]) -> np.ndarray:
-    """Distance matrix of ``members`` in g^n: one gather from the factor
-    table, summed over the n coordinates in the narrowest signed type that
-    holds twice the power's diameter."""
-    diam = max(map(max, g.dist))
-    T = np.asarray(g.dist, dtype=np.min_scalar_type(-diam - 1))
-    X = np.array(members, dtype=np.intp)
-    return T[X[:, None, :], X[None, :, :]].sum(2, dtype=np.min_scalar_type(-2 * n * diam - 1))
-
-
 def _sorted_bad_triples(D: np.ndarray):
     """The bad triples of :func:`~genpos.position.bad_triples` on the numpy
     matrix ``D``, each as its sorted position triple, in the same order."""
@@ -240,7 +233,7 @@ def _one_run(g: FactorGraph, n: int, seed: int, M: int, host: ProductGraph, atte
     rng = SplitMix64(seed)
     samples = tuple(tuple(rng.randbelow(g.n) for _ in range(n)) for _ in range(M))
     distinct = sorted(set(samples))
-    bad = list(_sorted_bad_triples(_power_matrix(g, n, distinct)))
+    bad = list(_sorted_bad_triples(host.flat_matrix(distinct)))
 
     alive = [True] * len(distinct)
     deletions = []

@@ -257,6 +257,28 @@ def test_additive_distance_equals_bfs_sampled_hypercube():
         assert ex.dist[i][j] == expected
 
 
+def test_flat_matrix_of_members_equals_bfs():
+    g = build("P3xC5xK4")
+    D = bfs_distance_table(g)
+    members = [(2, 4, 3), (0, 0, 0), (1, 3, 0), (2, 4, 3), (0, 2, 1), (1, 0, 2)]
+    M = g.flat_matrix(members)
+    assert M.shape == (6, 6) and not M.flags.writeable
+    ids = [g.encode(v) for v in members]
+    assert M.tolist() == [[D[a][b] for b in ids] for a in ids]
+    # the member matrix is not cached, and the all-vertex matrix agrees
+    assert g.flat_matrix(members) is not M
+    assert g.flat_matrix().tolist() == [list(row) for row in D]
+    assert g.flat_matrix([]).shape == (0, 0)
+
+
+def test_flat_matrix_of_a_product_of_more_factors_than_numpy_dimensions():
+    # numpy arrays have at most 64 axes; the matrix never needs one per factor
+    g = ProductGraph([FactorGraph.complete(2)] * 2 + [FactorGraph.path(1)] * 70 + [FactorGraph.path(2)])
+    members = [(1, 0) + (0,) * 70 + (1,), (0, 0) + (0,) * 70 + (0,)]
+    assert g.flat_matrix()[[5, 0], [0, 5]].tolist() == [2, 2]
+    assert g.flat_matrix(members).tolist() == [[0, 2], [2, 0]]
+
+
 def test_distance_examples():
     assert build("P5xC7").distance((0, 0), (4, 3)) == 7
     assert build("C7").distance((0,), (5,)) == 2
@@ -332,6 +354,32 @@ def test_factor_validation():
         FactorGraph.cycle(2)
     with pytest.raises(ValueError):
         FactorGraph.path(0)
+
+
+@pytest.mark.parametrize(
+    "adjacency,message",
+    [
+        # vertices in order, each vertex's neighbours in sorted order; the
+        # first fault found is the one reported
+        ([[2, 1], [], [0, 0]], "adjacency not symmetric: 0->1"),
+        ([[1], [0, 7, 1]], "self-loop at vertex 1"),
+        ([[1], [0, 7], [9]], "neighbor 7 of vertex 1 out of range"),
+        ([[1], [0, 2], [0]], "adjacency not symmetric: 1->2"),
+    ],
+)
+def test_factor_validation_reports_the_first_fault(adjacency, message):
+    with pytest.raises(ValueError) as info:
+        FactorGraph.explicit(adjacency)
+    assert str(info.value) == message
+
+
+def test_a_large_complete_factor_builds_in_quadratic_time():
+    # the symmetry check reads one set per vertex; a scan of each
+    # neighbour tuple made this cubic, about 9 s at n = 1000 on a 2-core VM
+    started = time.monotonic()
+    k = FactorGraph.complete(1000)
+    assert time.monotonic() - started < 3
+    assert k.degree(0) == 999 and k.adj[999][-1] == 998
 
 
 def test_product_needs_factors():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,16 +34,21 @@ from genpos.randomized import (
 from helpers import bfs_distance_table, triple_is_bad
 
 
-def brute_force_p(g: FactorGraph) -> Fraction:
-    """Ordered-triple census straight from the definition."""
+def brute_force_p(g: FactorGraph, vertices=None) -> Fraction:
+    """Ordered-triple census straight from the definition, over all of g's
+    vertices or over the given ones."""
     d = g.dist
-    n = g.n
+    vs = range(g.n) if vertices is None else sorted(set(vertices))
     bad = sum(
         1
-        for x, y, z in product(range(n), repeat=3)
+        for x, y, z in product(vs, repeat=3)
         if d[y][z] == d[y][x] + d[x][z]
     )
-    return Fraction(bad, n**3)
+    return Fraction(bad, len(vs) ** 3)
+
+
+# a 6-cycle with one chord and a pendant vertex: not one of the named families
+CHORDED_CYCLE = FactorGraph.explicit([[1, 5, 3], [0, 2], [1, 3], [2, 4, 0, 6], [3, 5], [4, 0], [3]])
 
 
 # ----------------------------------------------------------------------
@@ -95,16 +101,55 @@ def test_p_exact_frozen_values(factor, expected):
 @pytest.mark.parametrize(
     "factor",
     [
+        FactorGraph.path(1),
+        FactorGraph.complete(1),
         FactorGraph.path(3),
         FactorGraph.path(4),
         FactorGraph.cycle(5),
         FactorGraph.cycle(6),
         FactorGraph.complete(4),
         FactorGraph.star(3),
+        CHORDED_CYCLE,
     ],
 )
 def test_p_exact_matches_triple_census(factor):
     assert p_exact(factor) == brute_force_p(factor)
+
+
+@pytest.mark.parametrize(
+    "factor,vertices",
+    [
+        (FactorGraph.path(1), [0]),
+        (FactorGraph.cycle(7), [4]),
+        (FactorGraph.cycle(7), [0, 1]),
+        (FactorGraph.cycle(8), [6, 0, 3, 5]),
+        (FactorGraph.path(9), [8, 2, 5, 5, 0]),
+        (FactorGraph.star(4), [1, 2, 3, 4]),
+        (FactorGraph.star(4), [0, 2, 4]),
+        (FactorGraph.star(4), np.arange(1, 4)),  # numpy integers are vertices too
+        (FactorGraph.complete(5), [1, 3]),
+        (CHORDED_CYCLE, [6, 1, 4]),
+        (CHORDED_CYCLE, range(7)),
+    ],
+)
+def test_p_exact_restricted_matches_triple_census(factor, vertices):
+    assert p_exact_restricted(factor, vertices) == brute_force_p(factor, vertices)
+
+
+@pytest.mark.parametrize(
+    "vertices,match",
+    [
+        ([-1, 1], "out of range"),  # numpy would read -1 as the last vertex
+        ([1, 3], "out of range"),
+        ([True, 2], "must be integers"),
+        ([1.0, 2], "must be integers"),
+        (["1"], "must be integers"),
+        ([], "empty"),
+    ],
+)
+def test_p_exact_restricted_refuses_bad_vertices(vertices, match):
+    with pytest.raises(ValueError, match=match):
+        p_exact_restricted(FactorGraph.star(2), vertices)
 
 
 def test_p_exact_cap():
@@ -333,7 +378,7 @@ def test_sample_scan_matches_the_python_core(factor, n, line):
 
     def both_scans(distinct):
         core = [tuple(sorted(t)) for t in bad_triples(*host.distance_table(distinct))]
-        scan = list(randomized._sorted_bad_triples(randomized._power_matrix(factor, n, distinct)))
+        scan = list(randomized._sorted_bad_triples(host.flat_matrix(distinct)))
         assert scan == core
         return scan
 
