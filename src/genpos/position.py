@@ -19,9 +19,12 @@ Each decider is a public wrapper around a core.  The wrappers
 ``(ids, D)`` from :meth:`ProductGraph.distance_table` and call the core:
 :func:`bad_triples` for the direct test, :func:`_clique_partition` for the
 structural one.  The cores trust their ids and never look at coordinates,
-so a caller that already holds a host's flat ids (the
-``checker-equivalence`` claim) runs them on subsets of those ids without
-validating each subset again.  :func:`bad_pair_rows` is the same triple
+and they read ``D`` only at pairs of their ids: on a symmetric table with a
+zero diagonal, a core's verdict depends only on the ordered upper-triangle
+distances of its members.  The ``checker-equivalence`` claim relies on
+both facts: it runs the cores on subsets of a host's flat ids without
+validating each subset, once per distinct distance pattern, and gives
+every subset its pattern's verdict.  :func:`bad_pair_rows` is the same triple
 test on pairs of rows of a numpy distance matrix: the solver's bad-triple
 index is packed from it, the sampler finds a sample's bad triples with
 it, and the exact bad-triple probability counts its cells.

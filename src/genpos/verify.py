@@ -315,19 +315,62 @@ def corpus_products(max_vertices: int = 25):
     return out
 
 
+def _distance_patterns(ids, D, width: int):
+    """Yield ``(subset, code)`` for every subset of ``ids`` with at most 5
+    members, each once, as an ascending tuple.
+
+    ``code`` packs the subset's ordered upper-triangle distances: member
+    by member, the new member's distances to the earlier ones in
+    ``width``-bit digits, then a 1 separator bit.  Its bit length fixes
+    the size, so two subsets get equal codes iff they have the same size
+    and the same distances at the same position pairs, provided every
+    distance is below ``2**width``.  The walk is depth-first and extends
+    a prefix's code one member at a time.
+    """
+    yield (), 0
+    stack = [((), 0, list(ids), [0] * len(ids))]
+    while stack:
+        # digits[i]: cand[i]'s distances to the prefix, packed
+        prefix, code, cand, digits = stack.pop()
+        shift = width * len(prefix) + 1
+        for i, x in enumerate(cand):
+            subset = prefix + (x,)
+            key = code << shift | digits[i] << 1 | 1
+            yield subset, key
+            if len(subset) < 5:
+                row = D[x]
+                rest = cand[i + 1:]
+                stack.append((subset, key, rest, [d << width | row[y] for d, y in zip(digits[i + 1:], rest)]))
+
+
 def _claim_checker_equivalence(ctx: RunContext):
     # Both deciders' cores on every subset of each host's flat ids: flat
     # order is coordinate order, so the subsets and verdicts are those of
-    # the public wrappers, without validating each subset again.
-    tested = mismatches = 0
-    for _, g in corpus_products():
+    # the public wrappers, without validating each subset again.  Each
+    # core reads D only at pairs of the subset's ids, and on a symmetric
+    # table with a zero diagonal its verdict depends only on the subset's
+    # ordered upper-triangle distances.  So the cores run once per
+    # distinct distance pattern (19,266 of the 209,230 subsets), and each
+    # subset adds its pattern's verdict.  One digit width for the whole
+    # corpus keeps codes from different hosts apart.
+    tables = []
+    for name, g in corpus_products():
         ids, D = g.distance_table(list(g.vertices()))
-        for size in range(6):
-            for subset in combinations(ids, size):
+        if any(D[x][x] or any(D[x][y] != D[y][x] for y in ids) for x in ids):
+            raise RuntimeError(f"{name}: distance table is not symmetric with a zero diagonal")
+        tables.append((ids, D))
+    width = max((D[x][y] for ids, D in tables for x in ids for y in ids), default=0).bit_length()
+    disagree = {}  # pattern code -> whether the two cores disagree on it
+    tested = mismatches = 0
+    for ids, D in tables:
+        for subset, code in _distance_patterns(ids, D, width):
+            verdict = disagree.get(code)
+            if verdict is None:
                 direct = next(bad_triples(subset, D), None) is None
                 structural = _clique_partition(subset, D) is not None
-                tested += 1
-                mismatches += direct != structural
+                verdict = disagree[code] = direct != structural
+            tested += 1
+            mismatches += verdict
     computed = {"subsets_tested": tested, "mismatches": mismatches}
     return {"mismatches": 0}, computed, PASS if not mismatches else FAIL
 
@@ -462,7 +505,12 @@ def run_claims(
     time_limit: float | None = None,
     only: set[str] | None = None,
 ) -> list[ClaimRecord]:
-    """Execute the registry; every claim id appears exactly once."""
+    """Execute the registry; every claim id appears exactly once.  An id in
+    ``only`` that names no claim raises ValueError."""
+    if only is not None:
+        unknown = set(only) - {claim.id for claim in CLAIMS}
+        if unknown:
+            raise ValueError(f"unknown claim id(s): {', '.join(sorted(unknown))}")
     ctx = RunContext(time_limit=time_limit, quick=quick)
     records = []
     for claim in CLAIMS:

@@ -1,6 +1,8 @@
 """Structure and semantics of the claims registry."""
 
 import json
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +17,7 @@ from genpos.verify import (
     overall_status,
     run_claims,
 )
+from genpos.position import bad_triples
 from genpos.solver import SearchLimits
 
 
@@ -99,6 +102,90 @@ def test_checker_equivalence_runs_the_structural_core(monkeypatch):
     monkeypatch.setattr(verify, "_clique_partition", lambda ids, D: None)
     (record,) = run_claims(only={"checker-equivalence"})
     assert (record.status, record.computed) == (FAIL, {"subsets_tested": 16, "mismatches": 11})
+
+
+PATTERN_HOSTS = ["P2xP2", "P4xP3", "C5xK3", "P4xC4", "K4xP3"]
+
+
+def _plain_equivalence(hosts):
+    """The claim's counts from both cores on every subset, with no memo."""
+    tested = mismatches = 0
+    for _, g in hosts:
+        ids, D = g.distance_table(list(g.vertices()))
+        for size in range(6):
+            for subset in combinations(ids, size):
+                direct = next(bad_triples(subset, D), None) is None
+                structural = verify._clique_partition(subset, D) is not None
+                tested += 1
+                mismatches += direct != structural
+    return {"subsets_tested": tested, "mismatches": mismatches}
+
+
+def test_checker_equivalence_counts_every_subset_from_its_pattern(monkeypatch):
+    hosts = [(spec, verify.build(spec)) for spec in PATTERN_HOSTS]
+    monkeypatch.setattr(verify, "corpus_products", lambda: hosts)
+    (record,) = run_claims(only={"checker-equivalence"})
+    assert record.status == PASS
+    assert record.computed == _plain_equivalence(hosts) == {"subsets_tested": 15017, "mismatches": 0}
+
+    # a structural core that also rejects every 4-set holding a distance of
+    # 3: it disagrees on some patterns only, and each of their subsets counts
+    real = verify._clique_partition
+
+    def mutant(ids, D):
+        if len(ids) == 4 and any(D[x][y] == 3 for x, y in combinations(ids, 2)):
+            return None
+        return real(ids, D)
+
+    monkeypatch.setattr(verify, "_clique_partition", mutant)
+    (record,) = run_claims(only={"checker-equivalence"})
+    plain = _plain_equivalence(hosts)
+    assert record.status == FAIL
+    assert record.computed == plain == {"subsets_tested": 15017, "mismatches": 271}
+    assert 271 < sum(1 for _, g in hosts for _ in combinations(range(g.total_vertices), 4))
+
+
+def test_distance_pattern_codes_match_the_upper_triangles(monkeypatch):
+    # the claim's walk, with the claim's digit width: every subset of at
+    # most 5 vertices once, and equal codes iff equal size and ordered
+    # upper-triangle distances, across hosts too
+    hosts = [(spec, verify.build(spec)) for spec in PATTERN_HOSTS]
+    monkeypatch.setattr(verify, "corpus_products", lambda: hosts)
+    walks = []
+    patterns = verify._distance_patterns
+
+    def recording(ids, D, width):
+        walks.append((ids, D, list(patterns(ids, D, width))))
+        return iter(walks[-1][2])
+
+    monkeypatch.setattr(verify, "_distance_patterns", recording)
+    run_claims(only={"checker-equivalence"})
+    code_of, pattern_of = {}, {}  # (host, subset) -> code, size and distances
+    for h, (ids, D, walked) in enumerate(walks):
+        assert sorted(s for s, _ in walked) == sorted(s for k in range(6) for s in combinations(ids, k))
+        for s, code in walked:
+            code_of[h, s] = code
+            pattern_of[h, s] = len(s), tuple(D[x][y] for x, y in combinations(s, 2))
+    assert len(walks) == len(hosts)
+    pairs = set(zip(code_of.values(), pattern_of.values()))
+    assert len(pairs) == len(set(code_of.values())) == len(set(pattern_of.values()))
+
+
+def test_checker_equivalence_refuses_an_asymmetric_table(monkeypatch):
+    g = verify.build("P2xP2")
+    ids, D = g.distance_table(list(g.vertices()))
+    skewed = [list(row) for row in D]
+    skewed[0][1] += 1
+    host = SimpleNamespace(vertices=g.vertices, distance_table=lambda members: (ids, skewed))
+    monkeypatch.setattr(verify, "corpus_products", lambda: [("P2xP2", host)])
+    (record,) = run_claims(only={"checker-equivalence"})
+    assert record.status == FAIL
+    assert record.computed == "error: P2xP2: distance table is not symmetric with a zero diagonal"
+
+
+def test_an_unknown_claim_id_is_refused():
+    with pytest.raises(ValueError, match="no-such-claim, torus-gp-9x9"):
+        run_claims(only={"torus-gp-9x9", "no-such-claim", "power-bound-k2"})
 
 
 def test_overall_status_ignores_documented_discrepancies():
