@@ -229,14 +229,6 @@ def _sorted_bad_triples(D: np.ndarray):
         yield from zip(A[i].tolist(), B[i].tolist(), c.tolist())
 
 
-@functools.lru_cache(maxsize=4)
-def _power_host(g: FactorGraph, n: int) -> ProductGraph:
-    """The host g^n, shared by the runs of every call on the same (g, n):
-    on hosts with at most ``FLAT_TABLE_MAX_VERTICES`` vertices it keeps the
-    flat matrix that certification reads, instead of building it per call."""
-    return ProductGraph([g] * n)
-
-
 def _one_run(g: FactorGraph, n: int, seed: int, M: int, host: ProductGraph, attempts: int) -> SampleRun:
     rng = SplitMix64(seed)
     samples = tuple(tuple(rng.randbelow(g.n) for _ in range(n)) for _ in range(M))
@@ -307,7 +299,7 @@ def first_moment_construct(
         M = choose_M(p, n)
     if M > MAX_SAMPLE_SIZE:
         raise VertexCapError(f"sample size M = {show_count(M)} is above the cap of {MAX_SAMPLE_SIZE}")
-    host = _power_host(g, n)
+    host = ProductGraph([g] * n)
     best: SampleRun | None = None
     for attempt in range(retries + 1):
         run = _one_run(g, n, seed + attempt, M, host, attempts=attempt + 1)

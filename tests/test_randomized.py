@@ -292,26 +292,6 @@ def test_sampler_is_reproducible():
     assert (a.seed, a.M, a.bad_triples, a.deletions) == (b.seed, b.M, b.bad_triples, b.deletions)
 
 
-def test_sampler_builds_a_small_power_host_once(monkeypatch):
-    # K2^7 is below the flat-table split: calls looping over seeds share one
-    # host, so its all-vertex matrix is built by the first call only
-    k2 = FactorGraph.complete(2)
-    assert 2**7 <= FLAT_TABLE_MAX_VERTICES
-    randomized._power_host.cache_clear()
-    built = []
-    flat_matrix = ProductGraph.flat_matrix
-
-    def counting(self, members=None):
-        if members is None:
-            built.append(self)
-        return flat_matrix(self, members)
-
-    monkeypatch.setattr(ProductGraph, "flat_matrix", counting)
-    runs = [first_moment_construct(k2, 7, seed=seed, retries=0) for seed in (3, 4)]
-    assert len(built) == 1
-    assert runs[0].result.host is runs[1].result.host is built[0]
-
-
 def test_sampler_counters_are_consistent():
     c5 = FactorGraph.cycle(5)
     run = first_moment_construct(c5, 4, seed=9)
