@@ -194,9 +194,7 @@ class ProductGraph:
     weight in the flat index (the last position varies fastest).
     """
 
-    __slots__ = (
-        "factors", "total_vertices", "sizes", "strides", "_factor_dists", "_flat", "_flat_rows",
-    )
+    __slots__ = ("factors", "total_vertices", "sizes", "strides", "_flat", "_flat_rows")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -209,7 +207,6 @@ class ProductGraph:
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self.strides = tuple(strides)
         self.total_vertices = prod(self.sizes)
-        self._factor_dists = None
         self._flat = None
         self._flat_rows = None
 
@@ -256,10 +253,9 @@ class ProductGraph:
             yield self.decode(i)
 
     def factor_dist_tables(self):
-        """Per-factor all-pairs tables (cached); basis of additive distance."""
-        if self._factor_dists is None:
-            self._factor_dists = tuple(f.dist for f in self.factors)
-        return self._factor_dists
+        """Per-factor all-pairs tables (each cached on its factor); basis of
+        additive distance."""
+        return tuple(f.dist for f in self.factors)
 
     def distance(self, u, v) -> int:
         u = self.check_coord(u)

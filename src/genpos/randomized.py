@@ -229,9 +229,10 @@ def _sorted_bad_triples(D: np.ndarray):
         yield from zip(A[i].tolist(), B[i].tolist(), c.tolist())
 
 
-def _one_run(g: FactorGraph, n: int, seed: int, M: int, host: ProductGraph, attempts: int) -> SampleRun:
+def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
+    """One draw-delete-certify pass; its caller sets ``attempts``."""
     rng = SplitMix64(seed)
-    samples = tuple(tuple(rng.randbelow(g.n) for _ in range(n)) for _ in range(M))
+    samples = tuple(tuple(rng.randbelow(size) for size in host.sizes) for _ in range(M))
     distinct = sorted(set(samples))
     bad = list(_sorted_bad_triples(host.flat_matrix(distinct)))
 
@@ -256,7 +257,7 @@ def _one_run(g: FactorGraph, n: int, seed: int, M: int, host: ProductGraph, atte
         result=result,
         target=target,
         success=len(final) >= target,
-        attempts=attempts,
+        attempts=1,
     )
 
 
@@ -302,9 +303,9 @@ def first_moment_construct(
     host = ProductGraph([g] * n)
     best: SampleRun | None = None
     for attempt in range(retries + 1):
-        run = _one_run(g, n, seed + attempt, M, host, attempts=attempt + 1)
+        run = _one_run(host, seed + attempt, M)
         if run.success:
-            return run
+            return replace(run, attempts=attempt + 1)
         if best is None or len(run.result) > len(best.result):
             best = run
     return replace(best, attempts=retries + 1)

@@ -97,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError
-from .position import PAIR_CHUNK_CELLS as INDEX_CHUNK_CELLS, GpSet, bad_pair_rows
+from .position import GpSet, bad_pair_rows
 
 DEFAULT_SEARCH_CAP = 200
 DEFAULT_ENUM_CAP = 64
@@ -179,7 +179,7 @@ class BadTripleIndex:
 
     ``bad_with(a, b)`` holds every u such that {a, b, u} is a bad triple,
     whichever of the three is in the middle.  The build packs the chunks of
-    :func:`~genpos.position.bad_pair_rows`, about ``INDEX_CHUNK_CELLS``
+    :func:`~genpos.position.bad_pair_rows`, about ``PAIR_CHUNK_CELLS``
     (pair, vertex) cells each, so besides the tables themselves it holds
     the distance matrix and one chunk at a time.
     """

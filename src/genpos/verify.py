@@ -7,24 +7,27 @@ registry and returns one record per claim id with status ``pass``,
 ``fail``, ``skipped-budget`` (a budget or --quick cut the computation
 short) or ``discrepancy-documented`` (the expected outcome for the claims
 whose published value exact computation refutes: ``grid-count-formula``,
-``torus-gp-8x7`` and ``star-formula-discrepancy``).
+``torus-gp-8x7`` and ``star-formula-discrepancy``).  Each claim is
+declared once, by the ``_claim`` decorator on its runner.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .formulas import (
+    cylinder_gp_value,
     grid_gp_count,
+    hamming_lower_bound,
     torus_quadrant_cover,
     torus_witness6,
     torus_witness7,
 )
 from .graphs import FactorGraph, ProductGraph, build, explicit_adjacency
-from .position import _clique_partition, bad_triples, is_general_position
+from .position import _clique_partition, bad_triples
 from .randomized import (
     choose_M,
     first_moment_construct,
@@ -62,15 +65,7 @@ class ClaimRecord:
     elapsed_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "params": self.params,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 @dataclass
@@ -94,8 +89,26 @@ def _search_value(spec: str, ctx: RunContext):
     return (res.gp_value if res.complete else None), res.complete
 
 
-# ----------------------------------------------------------------------
-# claim runners: each returns (expected, computed, status)
+@dataclass(frozen=True)
+class Claim:
+    id: str
+    claim: str
+    params: dict
+    runner: object
+
+
+CLAIMS: list[Claim] = []
+
+
+def _claim(id: str, claim: str, params: dict):
+    """Register the decorated runner as the next entry of ``CLAIMS``; a
+    runner takes a RunContext and returns (expected, computed, status)."""
+    def register(runner):
+        CLAIMS.append(Claim(id, claim, params, runner))
+        return runner
+
+    return register
+
 
 def _search_table(ctx: RunContext, shown, values: dict[str, int]):
     """Search each spec of ``values`` in order and compare with its value;
@@ -110,6 +123,7 @@ def _search_table(ctx: RunContext, shown, values: dict[str, int]):
     return shown, computed, PASS if computed == values else FAIL
 
 
+@_claim("grid-gp-values", "gp of a grid with both sides >= 3 is 4", {"r": "3..6", "s": "3..6"})
 def _claim_grid_gp(ctx: RunContext):
     return _search_table(ctx, 4, {f"P{r}xP{s}": 4 for r in range(3, 7) for s in range(3, 7)})
 
@@ -121,6 +135,8 @@ def _claim_grid_gp(ctx: RunContext):
 GRID_COUNT_ENUM_TRUTH = {(4, 4): 36, (4, 5): 120, (5, 5): 400}
 
 
+@_claim("grid-count-formula", "number of maximum general position sets in a grid matches the closed form",
+        {"pairs": "2<=r<=s<=5 and (2,s) for s<=8"})
 def _claim_grid_counts(ctx: RunContext):
     pairs = [(r, s) for r in range(2, 6) for s in range(r, 6)] + [(2, s) for s in range(6, 9)]
     computed = {}
@@ -144,37 +160,27 @@ def _claim_grid_counts(ctx: RunContext):
     return "formula equals enumeration", computed, status
 
 
-CYLINDER_TABLE = [
-    (2, 3, 3),
-    (2, 4, 4),
-    (3, 3, 4),
-    (4, 6, 4),
-    (4, 7, 4),
-    (5, 6, 4),
-    (5, 7, 5),
-    (5, 8, 4),
-    (5, 9, 5),
-    (6, 7, 5),
-]
+CYLINDER_TABLE = [(2, 3), (2, 4), (3, 3), (4, 6), (4, 7), (5, 6), (5, 7), (5, 8), (5, 9), (6, 7)]
 
 
+@_claim("cylinder-gp-table", "cylinder gp values: 3 at (2,3); 5 for r>=5 with s=7 or s>=9; else 4",
+        {"instances": [f"P{r}xC{s}" for r, s in CYLINDER_TABLE]})
 def _claim_cylinders(ctx: RunContext):
-    values = {f"P{r}xC{s}": e for r, s, e in CYLINDER_TABLE}
+    values = {f"P{r}xC{s}": cylinder_gp_value(r, s) for r, s in CYLINDER_TABLE}
     return _search_table(ctx, values, values)
 
 
-def _torus_claim(spec: str, expected: int):
-    def run(ctx: RunContext):
-        if ctx.quick:
-            return expected, None, SKIPPED
-        value, complete = _search_value(spec, ctx)
-        if not complete:
-            return expected, value, SKIPPED
-        return expected, value, PASS if value == expected else FAIL
-
-    return run
+@_claim("torus-gp-7x7", "gp of the 7x7 torus is 7", {"spec": "C7xC7"})
+def _claim_torus_7x7(ctx: RunContext):
+    if ctx.quick:
+        return 7, None, SKIPPED
+    value, complete = _search_value("C7xC7", ctx)
+    if not complete:
+        return 7, value, SKIPPED
+    return 7, value, PASS if value == 7 else FAIL
 
 
+@_claim("torus-gp-8x7", "gp of the 8x7 torus is 6", {"spec": "C8xC7"})
 def _claim_torus_8x7(ctx: RunContext):
     """The published value is 6 ("checked by computer"), but the search finds
     a certified 7-point set, e.g. {(i, 2i mod 7) : i = 0..6}; together with
@@ -193,6 +199,8 @@ def _claim_torus_8x7(ctx: RunContext):
     return expected, computed, FAIL
 
 
+@_claim("torus-6set-family", "the explicit 6-point torus construction is in general position",
+        {"r": "6..9", "s": "3,5,6,7 with s <= r"})
 def _claim_torus6_family(ctx: RunContext):
     cases = [(r, s) for r in range(6, 10) for s in (3, 5, 6, 7) if s <= r]
     computed = {}
@@ -205,6 +213,7 @@ def _claim_torus6_family(ctx: RunContext):
     return "certified 6-set", computed, PASS if ok else FAIL
 
 
+@_claim("torus-7set", "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]", {})
 def _claim_torus7(ctx: RunContext):
     w = torus_witness7()
     dists = sorted(
@@ -215,11 +224,15 @@ def _claim_torus7(ctx: RunContext):
     return {"certified": True, "distance_range": [3, 5]}, computed, PASS if ok else FAIL
 
 
+@_claim("hamming-two-factor", "gp of a product of two complete graphs is n1 + n2 - 2",
+        {"n1": "2..5", "n2": "2..5"})
 def _claim_hamming(ctx: RunContext):
-    values = {f"K{n1}xK{n2}": n1 + n2 - 2 for n1 in range(2, 6) for n2 in range(2, 6)}
+    values = {f"K{n1}xK{n2}": hamming_lower_bound((n1, n2)) for n1 in range(2, 6) for n2 in range(2, 6)}
     return _search_table(ctx, "n1 + n2 - 2", values)
 
 
+@_claim("probability-closed-forms", "closed forms for the bad-triple probability match direct enumeration",
+        {"complete": "2..8", "cycle": "3..12", "star leaves": "2..8"})
 def _claim_probability_forms(ctx: RunContext):
     computed = {}
     ok = True
@@ -242,6 +255,8 @@ def _claim_probability_forms(ctx: RunContext):
     return anchors, computed, PASS if ok else FAIL
 
 
+@_claim("star-formula-discrepancy", "the quoted unrestricted-star closed form disagrees with enumeration",
+        {"k": 2})
 def _claim_star_discrepancy(ctx: RunContext):
     enumerated = p_exact(FactorGraph.star(2))
     quoted = star_formula_quoted(2)
@@ -252,6 +267,8 @@ def _claim_star_discrepancy(ctx: RunContext):
     return expected, computed, FAIL
 
 
+@_claim("product-rule", "bad-triple probability multiplies across Cartesian factors",
+        {"factors": ["K2", "K3", "C5", "P3"]})
 def _claim_product_rule(ctx: RunContext):
     factors = {
         "K2": FactorGraph.complete(2),
@@ -269,6 +286,8 @@ def _claim_product_rule(ctx: RunContext):
     return "power rule equals explicit count", computed, PASS if ok else FAIL
 
 
+@_claim("sampler-soundness", "every sample-and-delete run yields a certified general position set",
+        {"cases": ["K2^10", "K3^6", "C5^4"], "seeds": "0..99"})
 def _claim_sampler(ctx: RunContext):
     cases = [
         ("K2", FactorGraph.complete(2), 10),
@@ -283,11 +302,14 @@ def _claim_sampler(ctx: RunContext):
         min_success_size = None
         for seed in range(100):
             run = first_moment_construct(f, n, seed=seed, retries=0)
-            if not run.result.certified or not is_general_position(run.result.host, list(run.result)):
+            result = run.result
+            # the structural core, not the triple core that certified the set;
+            # its members are already valid, sorted coordinates
+            if not result.certified or _clique_partition(*result.host.distance_table(result.members)) is None:
                 ok = False
             if run.success:
                 successes += 1
-                size = len(run.result)
+                size = len(result)
                 if min_success_size is None or size < min_success_size:
                     min_success_size = size
         computed[f"{name}^{n}"] = {
@@ -302,15 +324,16 @@ def _claim_sampler(ctx: RunContext):
 
 
 CORPUS_FACTORS = ["P2", "P3", "P4", "C3", "C4", "C5", "K2", "K3", "K4"]
+CORPUS_MAX_VERTICES = 25
 
 
-def corpus_products(max_vertices: int = 25):
+def corpus_products():
     """All two-factor products over the small corpus, deduplicated up to
-    factor order, with at most ``max_vertices`` vertices."""
+    factor order, with at most ``CORPUS_MAX_VERTICES`` vertices."""
     out = []
     for a, b in combinations_with_replacement(CORPUS_FACTORS, 2):
         g = build(f"{a}x{b}")
-        if g.total_vertices <= max_vertices:
+        if g.total_vertices <= CORPUS_MAX_VERTICES:
             out.append((f"{a}x{b}", g))
     return out
 
@@ -343,6 +366,8 @@ def _distance_patterns(ids, D, width: int):
                 stack.append((subset, key, rest, [d << width | row[y] for d, y in zip(digits[i + 1:], rest)]))
 
 
+@_claim("checker-equivalence", "direct and structural general-position checkers agree on all small subsets",
+        {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"})
 def _claim_checker_equivalence(ctx: RunContext):
     # Both deciders' cores on every subset of each host's flat ids: flat
     # order is coordinate order, so the subsets and verdicts are those of
@@ -375,6 +400,7 @@ def _claim_checker_equivalence(ctx: RunContext):
     return {"mismatches": 0}, computed, PASS if not mismatches else FAIL
 
 
+@_claim("power-bound-k2", "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3", {"tolerance": 1e-12})
 def _claim_power_bound(ctx: RunContext):
     from math import log2
 
@@ -385,6 +411,8 @@ def _claim_power_bound(ctx: RunContext):
     return {"bound": want, "tolerance": 1e-12}, computed, PASS if ok else FAIL
 
 
+@_claim("cover-bound-torus6", "four isometric grid quadrants give a verified upper bound on the 6x6 torus",
+        {"spec": "C6xC6"})
 def _claim_cover_bound(ctx: RunContext):
     expected = "verified cover bound >= exact gp"
     try:
@@ -396,108 +424,6 @@ def _claim_cover_bound(ctx: RunContext):
     if not complete:
         return expected, computed, SKIPPED
     return expected, computed, PASS if bound >= exact else FAIL
-
-
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    claim: str
-    params: dict
-    runner: object
-
-
-CLAIMS: list[Claim] = [
-    Claim(
-        "grid-gp-values",
-        "gp of a grid with both sides >= 3 is 4",
-        {"r": "3..6", "s": "3..6"},
-        _claim_grid_gp,
-    ),
-    Claim(
-        "grid-count-formula",
-        "number of maximum general position sets in a grid matches the closed form",
-        {"pairs": "2<=r<=s<=5 and (2,s) for s<=8"},
-        _claim_grid_counts,
-    ),
-    Claim(
-        "cylinder-gp-table",
-        "cylinder gp values: 3 at (2,3); 5 for r>=5 with s=7 or s>=9; else 4",
-        {"instances": [f"P{r}xC{s}" for r, s, _ in CYLINDER_TABLE]},
-        _claim_cylinders,
-    ),
-    Claim(
-        "torus-gp-7x7",
-        "gp of the 7x7 torus is 7",
-        {"spec": "C7xC7"},
-        _torus_claim("C7xC7", 7),
-    ),
-    Claim(
-        "torus-gp-8x7",
-        "gp of the 8x7 torus is 6",
-        {"spec": "C8xC7"},
-        _claim_torus_8x7,
-    ),
-    Claim(
-        "torus-6set-family",
-        "the explicit 6-point torus construction is in general position",
-        {"r": "6..9", "s": "3,5,6,7 with s <= r"},
-        _claim_torus6_family,
-    ),
-    Claim(
-        "torus-7set",
-        "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]",
-        {},
-        _claim_torus7,
-    ),
-    Claim(
-        "hamming-two-factor",
-        "gp of a product of two complete graphs is n1 + n2 - 2",
-        {"n1": "2..5", "n2": "2..5"},
-        _claim_hamming,
-    ),
-    Claim(
-        "probability-closed-forms",
-        "closed forms for the bad-triple probability match direct enumeration",
-        {"complete": "2..8", "cycle": "3..12", "star leaves": "2..8"},
-        _claim_probability_forms,
-    ),
-    Claim(
-        "star-formula-discrepancy",
-        "the quoted unrestricted-star closed form disagrees with enumeration",
-        {"k": 2},
-        _claim_star_discrepancy,
-    ),
-    Claim(
-        "product-rule",
-        "bad-triple probability multiplies across Cartesian factors",
-        {"factors": ["K2", "K3", "C5", "P3"]},
-        _claim_product_rule,
-    ),
-    Claim(
-        "sampler-soundness",
-        "every sample-and-delete run yields a certified general position set",
-        {"cases": ["K2^10", "K3^6", "C5^4"], "seeds": "0..99"},
-        _claim_sampler,
-    ),
-    Claim(
-        "checker-equivalence",
-        "direct and structural general-position checkers agree on all small subsets",
-        {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"},
-        _claim_checker_equivalence,
-    ),
-    Claim(
-        "power-bound-k2",
-        "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3",
-        {"tolerance": 1e-12},
-        _claim_power_bound,
-    ),
-    Claim(
-        "cover-bound-torus6",
-        "four isometric grid quadrants give a verified upper bound on the 6x6 torus",
-        {"spec": "C6xC6"},
-        _claim_cover_bound,
-    ),
-]
 
 
 def run_claims(
@@ -522,15 +448,9 @@ def run_claims(
         except Exception as exc:  # a crash is a failed claim, not a crashed report
             expected, computed, status = None, f"error: {exc}", FAIL
         elapsed_ms = (time.monotonic() - start) * 1000
-        records.append(ClaimRecord(
-            id=claim.id,
-            claim=claim.claim,
-            params=claim.params,
-            expected=expected,
-            computed=computed,
-            status=status,
-            elapsed_ms=elapsed_ms,
-        ))
+        records.append(
+            ClaimRecord(claim.id, claim.claim, claim.params, expected, computed, status, elapsed_ms)
+        )
     return records
 
 

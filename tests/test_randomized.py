@@ -1,5 +1,6 @@
 """Exact probabilities, sample-size arithmetic, and the deletion sampler."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -337,6 +338,19 @@ def test_sampler_retries_exhaust_gracefully():
     assert not run.success
     assert run.attempts == 3
     assert run.result.certified  # still a certified, honest set
+
+
+def test_sampler_runs_match_their_golden_digest():
+    # every field of the runs on the benchmark's sampler hosts, over fixed
+    # seeds; the oversized samples take retries, some of them all three
+    digest = hashlib.sha256()
+    for factor, n in ((FactorGraph.cycle(7), 10), (FactorGraph.complete(2), 30), (FactorGraph.cycle(5), 10)):
+        for seed, M in [(seed, None) for seed in range(5)] + [(seed, 120) for seed in range(3)]:
+            r = first_moment_construct(factor, n, seed=seed, retries=2, sample_size=M)
+            fields = (r.seed, r.M, r.samples, r.duplicates, r.bad_triples, r.deletions,
+                      r.result.members, r.result.note, r.target, r.success, r.attempts)
+            digest.update(repr(fields).encode())
+    assert digest.hexdigest() == "3939ec4d8d9de6f71443e42a6893f635e7cb6874da83fa4de9a15314064ac47a"
 
 
 @pytest.mark.parametrize("factor,n", [(FactorGraph.complete(2), 8), (FactorGraph.path(3), 5)])

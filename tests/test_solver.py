@@ -18,7 +18,7 @@ from genpos.graphs import (
     VertexCapError,
     build,
 )
-from genpos.position import independence_check, is_general_position
+from genpos.position import PAIR_CHUNK_CELLS, independence_check, is_general_position
 from genpos.formulas import cylinder_witness, grid_gp_count, torus_quadrant_cover
 from genpos import solver
 from genpos.solver import (
@@ -896,7 +896,7 @@ def test_index_against_direct_betweenness():
                 assert allowed[a][b] is allowed[b][a]  # one mask per pair
     # P3xC5xK3xK2's pairs fill more than two chunks of the build
     n = g.total_vertices
-    assert n % 64 and n * (n - 1) // 2 > 2 * (solver.INDEX_CHUNK_CELLS // n)
+    assert n % 64 and n * (n - 1) // 2 > 2 * (PAIR_CHUNK_CELLS // n)
 
 
 def test_index_past_the_narrow_distance_types():

@@ -27,6 +27,79 @@ def test_registry_ids_unique():
     assert all(c.claim for c in CLAIMS)
 
 
+# every claim's id, statement and params, in registry order
+CLAIM_SNAPSHOT = [
+    ("grid-gp-values", "gp of a grid with both sides >= 3 is 4", {"r": "3..6", "s": "3..6"}),
+    (
+        "grid-count-formula",
+        "number of maximum general position sets in a grid matches the closed form",
+        {"pairs": "2<=r<=s<=5 and (2,s) for s<=8"},
+    ),
+    (
+        "cylinder-gp-table",
+        "cylinder gp values: 3 at (2,3); 5 for r>=5 with s=7 or s>=9; else 4",
+        {"instances": ["P2xC3", "P2xC4", "P3xC3", "P4xC6", "P4xC7", "P5xC6", "P5xC7", "P5xC8", "P5xC9", "P6xC7"]},
+    ),
+    ("torus-gp-7x7", "gp of the 7x7 torus is 7", {"spec": "C7xC7"}),
+    ("torus-gp-8x7", "gp of the 8x7 torus is 6", {"spec": "C8xC7"}),
+    (
+        "torus-6set-family",
+        "the explicit 6-point torus construction is in general position",
+        {"r": "6..9", "s": "3,5,6,7 with s <= r"},
+    ),
+    ("torus-7set", "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]", {}),
+    ("hamming-two-factor", "gp of a product of two complete graphs is n1 + n2 - 2", {"n1": "2..5", "n2": "2..5"}),
+    (
+        "probability-closed-forms",
+        "closed forms for the bad-triple probability match direct enumeration",
+        {"complete": "2..8", "cycle": "3..12", "star leaves": "2..8"},
+    ),
+    ("star-formula-discrepancy", "the quoted unrestricted-star closed form disagrees with enumeration", {"k": 2}),
+    (
+        "product-rule",
+        "bad-triple probability multiplies across Cartesian factors",
+        {"factors": ["K2", "K3", "C5", "P3"]},
+    ),
+    (
+        "sampler-soundness",
+        "every sample-and-delete run yields a certified general position set",
+        {"cases": ["K2^10", "K3^6", "C5^4"], "seeds": "0..99"},
+    ),
+    (
+        "checker-equivalence",
+        "direct and structural general-position checkers agree on all small subsets",
+        {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"},
+    ),
+    ("power-bound-k2", "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3", {"tolerance": 1e-12}),
+    (
+        "cover-bound-torus6",
+        "four isometric grid quadrants give a verified upper bound on the 6x6 torus",
+        {"spec": "C6xC6"},
+    ),
+]
+
+
+def test_registry_declares_every_claim_in_order():
+    assert [(c.id, c.claim, c.params) for c in CLAIMS] == CLAIM_SNAPSHOT
+
+
+def test_formula_claims_read_their_expected_values_from_formulas(monkeypatch):
+    # an off-by-one formula must turn its claim to fail, so the claims
+    # check the values that `genpos formula` prints
+    cylinder, hamming = verify.cylinder_gp_value, verify.hamming_lower_bound
+    monkeypatch.setattr(verify, "cylinder_gp_value", lambda r, s: cylinder(r, s) + ((r, s) == (5, 9)))
+    monkeypatch.setattr(verify, "hamming_lower_bound", lambda sizes: hamming(sizes) + (tuple(sizes) == (3, 4)))
+    records = run_claims(only={"cylinder-gp-table", "hamming-two-factor"})
+    assert [(r.id, r.status) for r in records] == [("cylinder-gp-table", FAIL), ("hamming-two-factor", FAIL)]
+    assert records[0].expected["P5xC9"] == 6 and records[0].computed["P5xC9"] == 5
+
+
+def test_sampler_soundness_rechecks_with_the_structural_decider(monkeypatch):
+    monkeypatch.setattr(verify, "_clique_partition", lambda ids, D: None)
+    (record,) = run_claims(only={"sampler-soundness"})
+    assert record.status == FAIL
+
+
 def test_quick_mode_skips_only_the_torus_searches():
     records = run_claims(
         quick=True,
@@ -214,7 +287,7 @@ def test_records_are_json_serializable():
         "product-rule",
     }
     for r in parsed:
-        assert set(r) == {"id", "claim", "params", "expected", "computed", "status", "elapsed_ms"}
+        assert list(r) == ["id", "claim", "params", "expected", "computed", "status", "elapsed_ms"]
 
 
 def test_corpus_is_the_45_products_capped_at_25_vertices():
