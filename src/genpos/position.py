@@ -28,7 +28,8 @@ every subset its pattern's verdict.  :func:`bad_pair_rows` is the same triple
 test on pairs of rows of a numpy distance matrix: the solver's bad-triple
 index is packed from it, the sampler finds a sample's bad triples with
 it, and the exact bad-triple probability counts its cells.
-Certification always runs the Python core.
+Certification always runs the Python core; the sampler passes
+:meth:`GpSet.certify` the numpy matrix it scanned, as a list, for its table.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def bad_pair_rows(D):
         yield A, B, bad
 
 
-def _first_violation(g: ProductGraph, members: list[Coord]) -> tuple[Coord, Coord, Coord] | None:
-    t = next(bad_triples(*g.distance_table(members)), None)
+def _first_violation(members: list[Coord], ids, D) -> tuple[Coord, Coord, Coord] | None:
+    t = next(bad_triples(ids, D), None)
     return None if t is None else tuple(members[i] for i in t)
 
 
@@ -129,7 +130,8 @@ def find_violating_triple(g: ProductGraph, S) -> tuple[Coord, Coord, Coord] | No
     Returns the triple sorted so that the middle element is first, or
     None when S is in general position.
     """
-    return _first_violation(g, _validated_members(g, S))
+    members = _validated_members(g, S)
+    return _first_violation(members, *g.distance_table(members))
 
 
 def is_general_position(g: ProductGraph, S) -> bool:
@@ -211,11 +213,21 @@ class GpSet:
     note: str | None = None
 
     @classmethod
-    def certify(cls, host: ProductGraph, members, note: str | None = None) -> "GpSet":
+    def certify(cls, host: ProductGraph, members, note: str | None = None, table=None) -> "GpSet":
         """Validate and check the set; raises ValueError with the violating
-        triple if it is not in general position."""
-        canon = _validated_members(host, members)
-        bad = _first_violation(host, canon)
+        triple if it is not in general position.  A ``table`` ``(ids, D)``
+        holding the members' distances, laid out as ``host.distance_table``
+        lays them, is read instead; its members must come sorted and distinct."""
+        if table is None:
+            canon = _validated_members(host, members)
+            table = host.distance_table(canon)
+        else:
+            canon = [host.check_coord(v) for v in members]
+            if any(u >= v for u, v in zip(canon, canon[1:])):
+                raise ValueError("members given with a table must be sorted and distinct")
+            if len(table[0]) != len(canon):
+                raise ValueError(f"table has {len(table[0])} ids for {len(canon)} members")
+        bad = _first_violation(canon, *table)
         if bad is not None:
             raise ValueError(f"not a general position set: {bad[0]} lies between {bad[1]} and {bad[2]}")
         return cls(host=host, members=tuple(canon), certified=True, note=note)

@@ -32,9 +32,10 @@ DEFAULT_DIRECT_CAP = 10**4
 
 # Both steps of a run are cubic in M: the numpy pair-row test finds the
 # sample's bad triples, and certifying the remainder checks all its triples
-# in Python.  One attempt on C7^30 took 0.07 s at M = 115, 0.5 s at M = 250
-# and 3.7 s at M = 500, the certify scan 3.3 s of it (2-core x86-64 VM,
-# Python 3.11), so larger samples are refused.
+# in Python, on distances read from the scan's own M x M matrix.  One attempt
+# on C7^30 took 0.04 s at M = 115, 0.35 s at M = 250 and 2.6-3.0 s at
+# M = 500, the certify scan 2.2-2.7 s of it (2-core x86-64 VM, Python 3.11),
+# so larger samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
@@ -234,7 +235,8 @@ def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
     rng = SplitMix64(seed)
     samples = tuple(tuple(rng.randbelow(size) for size in host.sizes) for _ in range(M))
     distinct = sorted(set(samples))
-    bad = list(_sorted_bad_triples(host.flat_matrix(distinct)))
+    D = host.flat_matrix(distinct)
+    bad = list(_sorted_bad_triples(D))
 
     alive = [True] * len(distinct)
     deletions = []
@@ -244,8 +246,9 @@ def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
             alive[low] = False
             deletions.append(distinct[low])
 
-    final = [v for v, keep in zip(distinct, alive) if keep]
-    result = GpSet.certify(host, final, note=f"first-moment run, seed {seed}")
+    ids = [i for i, keep in enumerate(alive) if keep]
+    final = [distinct[i] for i in ids]
+    result = GpSet.certify(host, final, note=f"first-moment run, seed {seed}", table=(ids, D.tolist()))
     target = (M + 1) // 2
     return SampleRun(
         seed=seed,
@@ -276,10 +279,13 @@ def first_moment_construct(
     remainder.  Retries with seed+1, seed+2, ... while the certified set
     stays below ceil(M/2); after ``retries`` extra attempts the best run
     is returned with ``success=False`` (its set is still certified).  An
-    M above ``MAX_SAMPLE_SIZE`` raises :class:`VertexCapError`.
+    M above ``MAX_SAMPLE_SIZE`` raises :class:`VertexCapError`, and a
+    one-vertex factor, whose power has nothing to sample, ValueError.
     """
     if n < 1:
         raise ValueError("power needs n >= 1")
+    if g.n == 1:
+        raise ValueError("the factor has one vertex, so its power has one vertex and nothing to sample")
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if sample_size is not None and sample_size < 1:

@@ -172,6 +172,13 @@ def test_power_sample(capsys):
     assert code == 2  # multi-factor argument is a usage error
 
 
+@pytest.mark.parametrize("factor", ["K1", "P1"])
+def test_power_sample_refuses_a_one_vertex_factor(capsys, factor):
+    code, out, err = run_cli(capsys, ["power-sample", factor, "3", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: the factor has one vertex, so its power has one vertex and nothing to sample\n"
+
+
 def test_power_sample_refuses_an_oversized_sample(capsys):
     # choose_M gives M = 1,484,696 for C7^30; the cubic triple scan would never end
     code, out, err = run_cli(capsys, ["power-sample", "C7", "30", "--seed", "1"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.graphs import FLAT_TABLE_MAX_VERTICES, build
+from genpos.graphs import FLAT_TABLE_MAX_VERTICES, FactorGraph, ProductGraph, build
 from genpos.position import (
     GpSet,
     characterization_check,
@@ -111,6 +111,65 @@ def test_monotonicity_subsets_stay_general_position():
             k = rnd.randrange(len(witness) + 1)
             sub = rnd.sample(witness, k)
             assert is_general_position(g, sub)
+
+
+# ----------------------------------------------------------------------
+# certification on a given distance table
+
+def _certify_outcome(*args, **kwargs):
+    """The certified members, or the text of the ValueError raised."""
+    try:
+        return GpSet.certify(*args, **kwargs).members
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "factor,n",
+    [(FactorGraph.complete(2), 7), (FactorGraph.cycle(5), 3), (FactorGraph.cycle(5), 10), (FactorGraph.complete(2), 30)],
+)
+def test_certify_on_a_table_agrees_with_the_plain_path(factor, n):
+    # the last two are above the default vertex cap of build
+    g = ProductGraph([factor] * n)
+    rnd = random.Random(n)
+    outcomes = set()
+    for _ in range(60):
+        members = {tuple(rnd.randrange(s) for s in g.sizes) for _ in range(rnd.randrange(9))}
+        if len(members) >= 2 and rnd.random() < 0.5:
+            # each coordinate from one of two members: a vertex on a geodesic
+            # between them
+            x, y = rnd.sample(sorted(members), 2)
+            members.add(tuple(rnd.choice(pair) for pair in zip(x, y)))
+        members = sorted(members)
+        # the table covers a sorted pool around the members, as in the sampler
+        pool = sorted(set(members) | {tuple(rnd.randrange(s) for s in g.sizes) for _ in range(5)})
+        ids = [pool.index(v) for v in members]
+        table = (ids, g.flat_matrix(pool).tolist())
+
+        plain = _certify_outcome(g, members)
+        assert _certify_outcome(g, members, table=table) == plain
+        outcomes.add(type(plain))
+    assert outcomes == {tuple, str}  # both sides are exercised
+
+
+def test_certify_on_a_table_refuses_bad_members():
+    g = build("C5^3")
+    members = [(0, 0, 0), (0, 2, 0), (3, 1, 4)]
+    table = ([0, 1, 2], g.flat_matrix(members).tolist())
+    assert GpSet.certify(g, members, table=table).members == tuple(members)
+    cases = [
+        (members[::-1], table, "sorted and distinct"),
+        ([members[0], members[0], members[2]], table, "sorted and distinct"),
+        (members[:2], table, "3 ids for 2 members"),
+        (members, ([0, 1], table[1]), "2 ids for 3 members"),
+        # every member is still validated
+        ([(0, 0, 0), (0, 2, 0), (3, 1, 5)], table, "out of range"),
+        ([(0, 0, 0), (0, 2), (3, 1, 4)], table, "expected 3"),
+        ([(0, 0, 0), (0, 2, 0), (3, 1, True)], table, "must be integers"),
+    ]
+    for given_members, given_table, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GpSet.certify(g, given_members, table=given_table)
 
 
 # ----------------------------------------------------------------------

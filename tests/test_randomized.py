@@ -19,7 +19,7 @@ from genpos.graphs import (
     show_count,
 )
 from genpos import randomized
-from genpos.position import bad_triples, is_general_position
+from genpos.position import GpSet, bad_triples, is_general_position
 from genpos.randomized import (
     MAX_SAMPLE_SIZE,
     SplitMix64,
@@ -414,6 +414,95 @@ def test_sampler_on_samples_with_duplicates(M):
         assert run.duplicates == M - len(distinct)
         assert run.bad_triples == len(list(bad_triples(*host.distance_table(distinct))))
         assert len(run.result) + len(run.deletions) == len(distinct)
+
+
+def _record_certify_calls(monkeypatch):
+    """Make every distance sum other than a members' flat matrix raise, and
+    record each ``(members, table)`` that ``GpSet.certify`` is given."""
+    calls = []
+    certify = GpSet.certify.__func__
+    flat_matrix = ProductGraph.flat_matrix
+
+    def recording_certify(cls, host, members, note=None, table=None):
+        calls.append((list(members), table))
+        return certify(cls, host, members, note=note, table=table)
+
+    def members_only(self, members=None):
+        if members is None:
+            raise AssertionError("the sampler built an all-vertex flat matrix")
+        return flat_matrix(self, members)
+
+    def no_table(self, members):
+        raise AssertionError("the sampler summed a distance table")
+
+    monkeypatch.setattr(GpSet, "certify", classmethod(recording_certify))
+    monkeypatch.setattr(ProductGraph, "flat_matrix", members_only)
+    monkeypatch.setattr(ProductGraph, "distance_table", no_table)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "factor,n",
+    [
+        (FactorGraph.cycle(7), 10),
+        (FactorGraph.complete(2), 30),
+        (FactorGraph.cycle(5), 10),
+        # at most 200 vertices, where distance_table would read a host matrix
+        (FactorGraph.complete(2), 7),
+        (FactorGraph.cycle(5), 3),
+    ],
+)
+def test_sampler_certifies_on_the_scan_matrix(monkeypatch, factor, n):
+    with monkeypatch.context() as patch:
+        calls = _record_certify_calls(patch)
+        runs = [first_moment_construct(factor, n, seed=seed, retries=0) for seed in range(10)]
+    assert len(calls) == len(runs)
+    for run, (members, (ids, D)) in zip(runs, calls):
+        host = run.result.host
+        assert members == list(run.result.members)
+        # the table holds the Python-summed distances between the survivors
+        plain_ids, plain = host.distance_table(members)
+        assert [[D[x][y] for y in ids] for x in ids] == [[plain[x][y] for y in plain_ids] for x in plain_ids]
+        assert GpSet.certify(host, members).members == run.result.members
+    assert any(run.deletions for run in runs)
+
+
+def test_sampler_largest_sample_recertifies():
+    # C7^30 at the M cap, certified again on the Python-summed table
+    run = first_moment_construct(FactorGraph.cycle(7), 30, seed=1, retries=0, sample_size=MAX_SAMPLE_SIZE)
+    assert GpSet.certify(run.result.host, run.result.members).members == run.result.members
+
+
+@pytest.mark.parametrize("factor,n", [(FactorGraph.complete(2), 7), (FactorGraph.cycle(5), 10)])
+def test_sampler_certification_names_the_violation_it_is_shown(monkeypatch, factor, n):
+    # with the scan stubbed out nothing is deleted, so certification on the
+    # scan matrix must reject the sample with the plain path's message
+    monkeypatch.setattr(randomized, "_sorted_bad_triples", lambda D: iter(()))
+    rejected = 0
+    for seed in range(10):
+        with monkeypatch.context() as patch:
+            calls = _record_certify_calls(patch)
+            try:
+                first_moment_construct(factor, n, seed=seed, retries=0)
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+        ((members, _),) = calls
+        host = ProductGraph([factor] * n)
+        try:
+            GpSet.certify(host, members)
+            assert message is None
+        except ValueError as exc:
+            assert message == str(exc)
+            rejected += 1
+    assert rejected
+
+
+@pytest.mark.parametrize("factor", [FactorGraph.complete(1), FactorGraph.path(1)])
+def test_sampler_refuses_a_one_vertex_factor(factor):
+    for sample_size in (None, 3):
+        with pytest.raises(ValueError, match="factor has one vertex, so its power has one vertex"):
+            first_moment_construct(factor, 3, seed=1, sample_size=sample_size)
 
 
 def test_sample_size_refusal_names_the_power_of_two_of_the_exact_M():
