@@ -17,8 +17,10 @@ alone; spaces inside are ignored).
 
 Common flags on every subcommand: ``--json`` emits a single JSON document
 with stable key order ``{tool_version, command, spec, result, elapsed_ms,
-seed?}``; ``--cap`` and ``--time-limit`` tune the solver;
-``--out FILE`` writes the output to a file instead of stdout.
+seed?}``; ``--cap`` overrides the vertex cap that ``gp``, ``count`` and
+``check`` build their host under (200, 64 and 10^6); ``--time-limit``
+budgets each search; ``--out FILE`` writes the output to a file instead
+of stdout.
 
 Exit codes: 0 success, 1 computation or claim failed (or the reader of
 standard output closed it early), 2 usage or parse error.  A search
@@ -47,9 +49,9 @@ from .formulas import (
     torus_witness6,
     torus_witness7,
 )
-from .graphs import GraphSpecError, VertexCapError, build, parse_spec
+from .graphs import DEFAULT_VERTEX_CAP, GraphSpecError, VertexCapError, build, parse_spec
 from .position import find_violating_triple
-from .randomized import DEFAULT_DIRECT_CAP, first_moment_construct, p_exact
+from .randomized import first_moment_construct, p_exact
 from .solver import (
     DEFAULT_ENUM_CAP,
     DEFAULT_SEARCH_CAP,
@@ -112,22 +114,13 @@ def _at_least(lo, kind=int, what="an integer"):
     return parse
 
 
-def _build(args):
-    if args.cap is not None:
-        return build(args.spec, cap=args.cap)
-    return build(args.spec)
-
-
 # ----------------------------------------------------------------------
 # subcommand implementations: each returns (result_dict, spec_str, exit_code)
 
 def _cmd_gp(args):
-    g = _build(args)
-    res = gp_exact(
-        g,
-        limits=_limits(args),
-        cap=args.cap if args.cap is not None else DEFAULT_SEARCH_CAP,
-    )
+    cap = DEFAULT_SEARCH_CAP if args.cap is None else args.cap  # also bounds the build
+    g = build(args.spec, cap=cap)
+    res = gp_exact(g, limits=_limits(args), cap=cap)
     result = {
         "gp": res.gp_value,
         "witness": _coords_json(res.witness),
@@ -141,7 +134,7 @@ def _cmd_gp(args):
 
 
 def _cmd_check(args):
-    g = _build(args)
+    g = build(args.spec, cap=DEFAULT_VERTEX_CAP if args.cap is None else args.cap)
     members = parse_vertex_set(args.set)
     bad = find_violating_triple(g, members)
     result = {
@@ -153,8 +146,8 @@ def _cmd_check(args):
 
 
 def _cmd_count(args):
-    g = _build(args)
-    cap = args.cap if args.cap is not None else DEFAULT_ENUM_CAP
+    cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
+    g = build(args.spec, cap=cap)
     value, count = count_maximum_gp_sets(g, cap=cap, limits=_limits(args))
     return {"gp": value, "count": count}, g.spec, 0
 
@@ -206,27 +199,15 @@ def _cmd_construct(args):
     return result, w.host.spec, 0
 
 
-# p multiplies factor probabilities, so it never builds the product and
-# ``--cap`` does not apply.  With at most this many factors, each of at most
-# DEFAULT_DIRECT_CAP = 10^4 vertices, the exact denominator stays below
-# (10^4)^(3 * 256) = 10^3072, inside Python's 4300-digit int-to-text limit.
-MAX_P_FACTORS = 256
-
-
 def _cmd_p(args):
+    # p multiplies factor probabilities, so it never builds the product and
+    # ``--cap`` does not apply; the spec's limits on factors still do
     spec = parse_spec(args.spec)
-    count = spec.exponent * len(spec.factors)
-    if count > MAX_P_FACTORS:
-        raise VertexCapError(f"{spec.canonical()} has {count} factors, above the cap of {MAX_P_FACTORS}")
+    factors = spec.factor_list()
     p = Fraction(1)
-    for f in dict.fromkeys(spec.factors):  # each distinct factor once
-        # refuse before building: K_n alone has n^2 adjacency entries
-        if f.vertex_count() > DEFAULT_DIRECT_CAP:
-            raise VertexCapError(
-                f"{f.token} has {f.vertex_count()} vertices, above the cap of {DEFAULT_DIRECT_CAP}"
-            )
-        p *= p_exact(f.build()) ** spec.factors.count(f)
-    return _fraction_json(p**spec.exponent), spec.canonical(), 0
+    for f in dict.fromkeys(factors):  # each distinct factor built once
+        p *= p_exact(f.build()) ** factors.count(f)
+    return _fraction_json(p), spec.canonical(), 0
 
 
 def _cmd_power_sample(args):

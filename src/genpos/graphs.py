@@ -1,15 +1,17 @@
 """Graph families, Cartesian products, and exact distances.
 
 Factor graphs (paths, cycles, complete graphs, stars, or explicit
-adjacency) are small; their all-pairs distances come from per-source BFS
-and are cached on first use.  Products are never materialized for metric
-queries: the distance between two product vertices is the sum of the
-factor distances, coordinate by coordinate.  ``ProductGraph.flat_matrix``
-is the only code that sums them into a numpy matrix, over all vertices
-(cached on products with at most ``FLAT_TABLE_MAX_VERTICES`` vertices) or
-over given members; ``ProductGraph.distance_table`` serves the checkers
-from the cached one, or from the pair sums of the queried vertices on
-larger products.
+adjacency) are small: their all-pairs distances come from per-source BFS,
+are cached on first use, and are refused above ``MAX_FACTOR_VERTICES``
+vertices.  A spec lists at most ``MAX_PRODUCT_FACTORS`` factors, and
+``build`` refuses a product over its vertex cap before building a factor.
+Products are never materialized for metric queries: the distance between
+two product vertices is the sum of the factor distances, coordinate by
+coordinate.  ``ProductGraph.flat_matrix`` is the only code that sums them
+into a numpy matrix, over all vertices (cached on products with at most
+``FLAT_TABLE_MAX_VERTICES`` vertices) or over given members;
+``ProductGraph.distance_table`` serves the checkers from the cached one,
+or from the pair sums of the queried vertices on larger products.
 
 Vertex conventions: ``P n`` has vertices 0..n-1 in path order, ``C n``
 has vertices 0..n-1 in cyclic order (arithmetic mod n), ``S k`` is the
@@ -41,9 +43,11 @@ Coord = tuple[int, ...]
 
 DEFAULT_VERTEX_CAP = 10**6
 
-# All-pairs tables are quadratic; factors beyond this are refused rather
-# than silently eating memory.
-_FACTOR_DIST_CAP = 20000
+# A factor's all-pairs table is quadratic in its vertices, so larger
+# factors are refused: a spec factor before its adjacency is built, any
+# factor before its table is.  C2000's table of 4 x 10^6 entries takes
+# about 120 MB as nested tuples of ints.
+MAX_FACTOR_VERTICES = 2000
 
 # Hosts with at most this many vertices keep one flat all-pairs matrix
 # (at most 200^2 entries) that every distance query reads.  On larger hosts,
@@ -52,8 +56,12 @@ _FACTOR_DIST_CAP = 20000
 FLAT_TABLE_MAX_VERTICES = 200
 
 # Factor entries a product spec may list (``Qn`` lists n).  The power form
-# ``F^n`` keeps n as a number when parsed; ``build`` refuses it above this
-# many factors, since it makes one factor graph per unit of the exponent.
+# ``F^n`` keeps n as a number when parsed; ``GraphSpec.factor_list`` refuses
+# it above this many factors, since each factor is built once per unit of
+# the exponent.  A bad-triple probability multiplies one fraction per
+# factor, of denominator at most MAX_FACTOR_VERTICES^3, so its exact
+# denominator stays below 2000^768 < 10^2536, inside Python's 4300-digit
+# int-to-text limit.
 MAX_PRODUCT_FACTORS = 256
 
 
@@ -75,6 +83,11 @@ def show_count(n: int) -> str:
     """``n`` as text for an error message; a count too long for Python to
     convert to text is shown by its power of two."""
     return str(n) if n.bit_length() <= 64 else f"2^{n.bit_length() - 1} or more"
+
+
+def _refuse_a_large_factor(name: str, n: int) -> None:
+    if n > MAX_FACTOR_VERTICES:
+        raise VertexCapError(f"{name} has {n} vertices, above the limit of {MAX_FACTOR_VERTICES}")
 
 
 def _bfs_lengths(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -163,13 +176,10 @@ class FactorGraph:
 
     @property
     def dist(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distance table, computed once by per-source BFS."""
+        """All-pairs distance table, computed once by per-source BFS;
+        refused above ``MAX_FACTOR_VERTICES`` vertices."""
         if self._dist is None:
-            if self.n > _FACTOR_DIST_CAP:
-                raise VertexCapError(
-                    f"all-pairs table refused for factor with {self.n} "
-                    f"vertices (cap {_FACTOR_DIST_CAP})"
-                )
+            _refuse_a_large_factor(self.label or "an explicit factor", self.n)
             self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
         return self._dist
 
@@ -338,6 +348,8 @@ class FactorSpec:
         return self.size + (1 if self.family == "S" else 0)
 
     def build(self) -> FactorGraph:
+        """The factor graph; refused above ``MAX_FACTOR_VERTICES`` vertices before any adjacency is built."""
+        _refuse_a_large_factor(self.token, self.vertex_count())
         if self.family == "P":
             return FactorGraph.path(self.size)
         if self.family == "C":
@@ -375,6 +387,10 @@ class GraphSpec:
         return "x".join(f.token for f in self.factors)
 
     def factor_list(self) -> list[FactorSpec]:
+        """Each factor once per occurrence; refused above ``MAX_PRODUCT_FACTORS`` factors."""
+        count = len(self.factors) * self.exponent
+        if count > MAX_PRODUCT_FACTORS:
+            raise VertexCapError(f"{self.canonical()} has {show_count(count)} factors, above the limit of {MAX_PRODUCT_FACTORS}")
         if self.exponent > 1:
             return [self.factors[0]] * self.exponent
         return list(self.factors)
@@ -460,34 +476,20 @@ def parse_spec(text: str) -> GraphSpec:
 def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> ProductGraph:
     """Instantiate the product graph described by ``spec``.
 
-    Refuses products with more than ``cap`` vertices (default 10^6);
-    pass ``cap=None`` to disable the guard.  A power whose exponent alone
-    puts it over the cap is refused without its exact vertex count, so
-    ``K2^1000000000`` is refused at once.  Products of more than
-    ``MAX_PRODUCT_FACTORS`` factors are refused whatever the cap, before
-    any factor is built: ``P1^100000`` has one vertex but would build
-    100000 factor graphs.
+    Before any factor is built, refuses products of more than
+    ``MAX_PRODUCT_FACTORS`` factors whatever the cap, then products with
+    more than ``cap`` vertices (default 10^6; ``cap=None`` disables this
+    guard).  Each factor above ``MAX_FACTOR_VERTICES`` vertices is refused
+    before its adjacency is built.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    factors = spec.factor_list()
     if cap is not None:
-        base = prod(f.vertex_count() for f in spec.factors)
-        e = spec.exponent
-        if base > 1 and e > max(1, cap.bit_length()):
-            # a true power with base^e >= 2^e > cap; base^e itself can take
-            # seconds to compute
-            shown = f"2^{e * (base.bit_length() - 1)} or more"
-        else:
-            total = base**e
-            shown = None if total <= cap else show_count(total)
-        if shown is not None:
-            raise VertexCapError(f"{spec.canonical()} has {shown} vertices, above the cap of {cap}")
-    count = len(spec.factors) * spec.exponent
-    if count > MAX_PRODUCT_FACTORS:
-        raise VertexCapError(
-            f"{spec.canonical()} has {show_count(count)} factors, above the limit of {MAX_PRODUCT_FACTORS}"
-        )
-    return ProductGraph([f.build() for f in spec.factor_list()])
+        total = spec.vertex_count()
+        if total > cap:
+            raise VertexCapError(f"{spec.canonical()} has {show_count(total)} vertices, above the cap of {cap}")
+    return ProductGraph([f.build() for f in factors])
 
 
 def explicit_adjacency(g: ProductGraph, cap: int | None = DEFAULT_VERTEX_CAP) -> FactorGraph:

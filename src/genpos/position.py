@@ -264,7 +264,7 @@ def forbidden_set(g: ProductGraph, X) -> frozenset[Coord]:
 
 
 def independence_check(g: ProductGraph, S) -> bool:
-    """True iff no two members of S are adjacent in g."""
-    members = list({g.check_coord(v) for v in S})
-    ids, D = g.distance_table(members)
+    """True iff no two members of S are adjacent in g; a repeated vertex
+    raises ValueError, as in the other checkers."""
+    ids, D = g.distance_table(_validated_members(g, S))
     return all(D[a][b] != 1 for a, b in combinations(ids, 2))

@@ -28,8 +28,6 @@ import numpy as np
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
 from .position import GpSet, bad_pair_rows
 
-DEFAULT_DIRECT_CAP = 10**4
-
 # Both steps of a run are cubic in M: the numpy pair-row test finds the
 # sample's bad triples, and certifying the remainder checks all its triples
 # in Python, on distances read from the scan's own M x M matrix.  One attempt
@@ -89,22 +87,21 @@ def _p_of_table(dist: tuple[tuple[int, ...], ...]) -> Fraction:
     return Fraction(_count_bad_triples(np.asarray(dist)), len(dist) ** 3)
 
 
-def p_exact(g: FactorGraph | ProductGraph, cap: int | None = DEFAULT_DIRECT_CAP) -> Fraction:
+def p_exact(g: FactorGraph | ProductGraph) -> Fraction:
     """Exact bad-triple probability.
 
-    Factor graphs are counted directly (all n^3 ordered triples, subject
-    to ``cap``), once per distance table in a process; products multiply
-    the factor probabilities instead of materializing anything.
+    Factor graphs are counted directly (all n^3 ordered triples) on their
+    all-pairs table, which is refused above ``MAX_FACTOR_VERTICES``
+    vertices, once per distance table in a process; products multiply the
+    factor probabilities instead of materializing anything.
     """
     if isinstance(g, ProductGraph):
         p = Fraction(1)
         for f in g.factors:
-            p *= p_exact(f, cap=cap)
+            p *= p_exact(f)
         return p
     if not isinstance(g, FactorGraph):
         raise TypeError(f"expected FactorGraph or ProductGraph, got {type(g).__name__}")
-    if cap is not None and g.n > cap:
-        raise VertexCapError(f"direct triple count refused for {g.n} vertices (cap {cap})")
     return _p_of_table(g.dist)
 
 

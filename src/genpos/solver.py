@@ -144,14 +144,11 @@ class SearchResult:
         return f"gp = {self.gp_value}{status}, witness {list(self.witness)}"
 
 
-def flat_distance_matrix(g: ProductGraph, cap: int | None) -> np.ndarray:
-    """Read-only distance matrix on flat indices (``ProductGraph.flat_matrix``),
-    refused above ``cap`` vertices.  On hosts of at most
-    ``FLAT_TABLE_MAX_VERTICES`` vertices it is the host's cached matrix, so
-    the index build and witness certification share one build."""
-    n = g.total_vertices
-    if cap is not None and n > cap:
-        raise VertexCapError(f"distance matrix refused for {n} vertices (cap {cap})")
+def flat_distance_matrix(g: ProductGraph) -> np.ndarray:
+    """Read-only distance matrix on flat indices (``ProductGraph.flat_matrix``).
+    On hosts of at most ``FLAT_TABLE_MAX_VERTICES`` vertices it is the
+    host's cached matrix, so the index build and witness certification
+    share one build."""
     return g.flat_matrix()
 
 
@@ -181,7 +178,8 @@ class BadTripleIndex:
     whichever of the three is in the middle.  The build packs the chunks of
     :func:`~genpos.position.bad_pair_rows`, about ``PAIR_CHUNK_CELLS``
     (pair, vertex) cells each, so besides the tables themselves it holds
-    the distance matrix and one chunk at a time.
+    the distance matrix and one chunk at a time.  :meth:`build` is the
+    size check of the exact search, counting and enumeration.
     """
 
     __slots__ = ("n", "_allowed")
@@ -192,8 +190,12 @@ class BadTripleIndex:
 
     @classmethod
     def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
-        D = flat_distance_matrix(g, cap)
-        n = D.shape[0]
+        """The index of ``g``, refused above ``cap`` vertices before any
+        distance is summed (``cap=None`` disables the guard)."""
+        n = g.total_vertices
+        if cap is not None and n > cap:
+            raise VertexCapError(f"bad-triple index refused for {n} vertices (cap {cap})")
+        D = flat_distance_matrix(g)
         full = (1 << n) - 1  # a vertex paired with itself forbids nothing
         allowed = [[full] * n for _ in range(n)]
         for A, B, bad in bad_pair_rows(D):
@@ -717,14 +719,6 @@ def _as_product(g) -> ProductGraph:
     raise TypeError(f"expected ProductGraph or FactorGraph, got {type(g).__name__}")
 
 
-def _allowed_tables(g: ProductGraph, cap: int | None, what: str) -> list[list[int]]:
-    """The search's allowed masks for ``g``, refused above ``cap`` vertices."""
-    n = g.total_vertices
-    if cap is not None and n > cap:
-        raise VertexCapError(f"{what} refused for {n} vertices (cap {cap})")
-    return BadTripleIndex.build(g, cap=None).allowed_tables()  # cap checked above
-
-
 def gp_exact(
     g,
     limits: SearchLimits | None = None,
@@ -741,7 +735,7 @@ def gp_exact(
     g = _as_product(g)
     n = g.total_vertices
     started = time.monotonic()
-    allowed = _allowed_tables(g, cap, "exact search")
+    allowed = BadTripleIndex.build(g, cap).allowed_tables()
     start = ([], (1 << n) - 1, 1, _Symmetry(g).root())
     best, _, witness, nodes, complete = _dfs(allowed, [start], [0], limits, slack=1)
     elapsed = time.monotonic() - started
@@ -767,7 +761,7 @@ def count_maximum_gp_sets(
     """
     g = _as_product(g)
     n = g.total_vertices
-    allowed = _allowed_tables(g, cap, "enumeration")
+    allowed = BadTripleIndex.build(g, cap).allowed_tables()
     if n == 1:
         return 1, 1
     full = (1 << n) - 1
@@ -794,7 +788,7 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     the rest of each orbit (see the module docstring).
     """
     g = _as_product(g)
-    allowed = _allowed_tables(g, cap, "enumeration")
+    allowed = BadTripleIndex.build(g, cap).allowed_tables()
     sym = _Symmetry(g)
     start = ([], (1 << g.total_vertices) - 1, 1, sym.root())
     sets: list[list[int]] = []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos.cli import main, parse_vertex_set, render_human
-from genpos.graphs import FactorGraph, FactorSpec
+from genpos.graphs import FactorGraph, FactorSpec, parse_spec
 from genpos.randomized import p_exact
 
 FIG5 = "(0,1);(1,4);(2,0);(3,3);(4,6);(5,2);(6,5)"
@@ -145,15 +145,43 @@ def test_probability_refuses_too_many_factors(capsys, spec):
     # more factors could give a fraction too long to print
     code, out, err = run_cli(capsys, ["p", spec, "--json"])
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "factors, above the cap of 256" in err
+    assert err.startswith("error: ") and "factors, above the limit of 256" in err
+
+
+def _refuse_factor_graphs(monkeypatch):
+    monkeypatch.setattr(FactorGraph, "__init__", lambda self, *a, **k: pytest.fail("a factor graph was built"))
 
 
 def test_probability_refuses_a_large_factor_before_building_it(capsys, monkeypatch):
-    monkeypatch.setattr(FactorSpec, "build", lambda self: pytest.fail(f"built {self.token}"))
-    for spec in ("P2000000", "K20000", "S10000"):  # S10000 has 10001 vertices
+    _refuse_factor_graphs(monkeypatch)
+    for spec in ("P2000000", "K20000", "C2001", "S2000"):  # S2000 has 2001 vertices
         code, out, err = run_cli(capsys, ["p", spec])
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "vertices, above the cap of 10000" in err
+        assert err == f"error: {spec} has {parse_spec(spec).vertex_count()} vertices, above the limit of 2000\n"
+
+
+def test_power_sample_refuses_a_large_factor_before_building_it(capsys, monkeypatch):
+    _refuse_factor_graphs(monkeypatch)
+    code, out, err = run_cli(capsys, ["power-sample", "K20000", "2", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: K20000 has 20000 vertices, above the limit of 2000\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["gp", "K2000"], "K2000 has 2000 vertices, above the cap of 200"),
+     (["gp", "K2^8", "--cap", "100"], "K2^8 has 256 vertices, above the cap of 100"),
+     (["count", "K100"], "K100 has 100 vertices, above the cap of 64"),
+     (["count", "C9xC9", "--cap", "80"], "C9^2 has 81 vertices, above the cap of 80")],
+    ids=["gp", "gp-cap", "count", "count-cap"],
+)
+def test_gp_and_count_refuse_a_host_over_their_cap_before_building_it(capsys, monkeypatch, argv, message):
+    # the host is built under the operation's own cap; building K2000 first
+    # took 2.3 s and 447 MB (2-core VM) before the search cap refused it
+    monkeypatch.setattr(FactorSpec, "build", lambda self: pytest.fail(f"built {self.token}"))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_power_sample(capsys):
@@ -198,9 +226,11 @@ def test_power_sample_refuses_an_oversized_sample(capsys):
 
 @pytest.mark.parametrize(
     "spec,shown",
-    [("P3", "3 vertices"), ("P3xC5", "15 vertices"), ("K2^2", "2^2 or more vertices")],
+    [("P3", "3 vertices"), ("P3xC5", "15 vertices"), ("K2^2", "4 vertices"),
+     ("K2^100", "2^100 or more vertices")],
 )
 def test_a_zero_cap_shows_a_power_of_two_bound_only_for_a_true_power(capsys, spec, shown):
+    # a count of at most 64 bits is shown exactly, a longer one by its power of two
     code, out, err = run_cli(capsys, ["gp", spec, "--cap", "0"])
     assert code == 1 and out == ""
     assert err == f"error: {spec} has {shown}, above the cap of 0\n"

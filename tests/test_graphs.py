@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos.graphs import (
+    MAX_FACTOR_VERTICES,
     MAX_PRODUCT_FACTORS,
     FactorGraph,
     FactorSpec,
@@ -146,32 +147,72 @@ def test_build_cap():
     with pytest.raises(VertexCapError):
         build("P101", cap=100)
     assert build("Q25", cap=None).total_vertices == 2**25
-    # 2^1000000 has too many digits to print; the count is shown as a power
     assert parse_spec("K2^1000000").vertex_count() == 2**1000000
     assert parse_spec("S2xC5").vertex_count() == 15
-    with pytest.raises(VertexCapError, match=r"K2\^1000000 has 2\^1000000 or more vertices"):
+    # a power of more than 256 factors is refused for its factors, whatever the cap
+    with pytest.raises(VertexCapError, match=r"K2\^1000000 has 1000000 factors, above the limit of 256"):
         build("K2^1000000")
 
 
 def test_a_huge_power_is_refused_without_its_vertex_count():
-    # computing 2^1000000000 itself took 7.4 s and 441 MB
+    # computing 2^1000000000 itself took 7.4 s and 441 MB; the factor
+    # count is checked first, so it is never computed
     started = time.monotonic()
-    with pytest.raises(VertexCapError, match=r"K2\^1000000000 has 2\^1000000000 or more vertices"):
+    with pytest.raises(VertexCapError, match=r"K2\^1000000000 has 1000000000 factors, above the limit of 256"):
         build("K2^1000000000")
     assert time.monotonic() - started < 0.01
-    # C5 has 5 >= 2^2 vertices; an exponent within the cap's bit length
-    # still gets the exact count
-    with pytest.raises(VertexCapError, match=r"C5\^30 has 2\^60 or more vertices"):
+    # at most 256 factors: the count is exact, shown by its power of two
+    # past 64 bits (5^30 has 70)
+    with pytest.raises(VertexCapError, match=r"C5\^30 has 2\^69 or more vertices"):
         build("C5^30")
     with pytest.raises(VertexCapError, match=r"C5\^9 has 1953125 vertices"):
         build("C5^9")
-    # at the bound: 2^e is counted exactly while e is at most the cap's
-    # bit length, and a power below the cap builds
+    # at the bound, and a power below the cap builds
     assert build("K2^7", cap=128).total_vertices == 128
     with pytest.raises(VertexCapError, match=r"K2\^8 has 256 vertices, above the cap of 255"):
         build("K2^8", cap=255)
-    with pytest.raises(VertexCapError, match=r"K2\^9 has 2\^9 or more vertices, above the cap of 255"):
+    with pytest.raises(VertexCapError, match=r"K2\^9 has 512 vertices, above the cap of 255"):
         build("K2^9", cap=255)
+
+
+@pytest.mark.parametrize(
+    "spec,shown",
+    [("K99999^256", "2^4252 or more"), ("K2^256", "2^256 or more"),
+     ("P3x" + "x".join(["C5"] * 255), "2^593 or more")],
+    ids=["K99999^256", "K2^256", "P3xC5^255"],
+)
+def test_the_largest_specs_are_refused_at_once(spec, shown):
+    # with at most 256 factors the exact vertex count is cheap
+    started = time.monotonic()
+    with pytest.raises(VertexCapError) as refused:
+        build(spec, cap=1)
+    assert time.monotonic() - started < 0.01
+    assert str(refused.value).endswith(f" has {shown} vertices, above the cap of 1")
+
+
+@pytest.mark.parametrize("spec", ["C2001", "K20000", "P3000", "S2000", "K5000xP3", "C2001^2"])
+def test_a_factor_over_the_limit_is_refused_before_it_is_built(spec, monkeypatch):
+    monkeypatch.setattr(FactorGraph, "__init__", lambda self, *a, **k: pytest.fail("a factor graph was built"))
+    token = parse_spec(spec).factors[0].token
+    with pytest.raises(VertexCapError, match=f"^{token} has [0-9]+ vertices, above the limit of {MAX_FACTOR_VERTICES}$"):
+        build(spec, cap=None)
+
+
+def test_a_factor_at_the_limit_builds():
+    assert MAX_FACTOR_VERTICES == 2000
+    for spec in ("P2000", "C2000", "S1999"):
+        g = build(spec)
+        assert g.total_vertices == 2000 and g.factors[0]._dist is None  # no table read
+
+
+def test_an_explicit_factor_over_the_limit_has_no_table():
+    # explicit factors skip the spec check; their all-pairs table is refused
+    g = FactorGraph.explicit([[j for j in (i - 1, i + 1) if 0 <= j <= 2000] for i in range(2001)])
+    assert g.n == 2001
+    with pytest.raises(VertexCapError, match="^an explicit factor has 2001 vertices, above the limit of 2000$"):
+        g.dist
+    with pytest.raises(VertexCapError):
+        ProductGraph([g]).distance((0,), (5,))
 
 
 @pytest.mark.parametrize("cap", [None, 10**6])

@@ -80,7 +80,8 @@ def test_violating_triple_is_lex_first_and_middle_first():
 def test_input_validation():
     # every public entry point validates its input before any core runs
     g = build("P3xP3")
-    for check in (is_general_position, find_violating_triple, characterization_check, GpSet.certify):
+    checks = (is_general_position, find_violating_triple, characterization_check, GpSet.certify, independence_check)
+    for check in checks:
         with pytest.raises(ValueError, match="duplicate"):
             check(g, [(0, 0), (1, 2), (0, 0)])
         with pytest.raises(ValueError, match="out of range"):

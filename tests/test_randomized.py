@@ -153,9 +153,17 @@ def test_p_exact_restricted_refuses_bad_vertices(vertices, match):
         p_exact_restricted(FactorGraph.star(2), vertices)
 
 
+def _explicit_path(n):
+    return FactorGraph.explicit([[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)])
+
+
 def test_p_exact_cap():
-    with pytest.raises(VertexCapError):
-        p_exact(FactorGraph.path(11), cap=10)
+    # the factor's all-pairs table is refused above MAX_FACTOR_VERTICES,
+    # also inside a product
+    with pytest.raises(VertexCapError, match="above the limit of 2000"):
+        p_exact(_explicit_path(2001))
+    with pytest.raises(VertexCapError, match="above the limit of 2000"):
+        p_exact(ProductGraph([FactorGraph.path(3), _explicit_path(2001)]))
 
 
 def test_p_exact_is_counted_once_per_table(monkeypatch):
@@ -163,9 +171,10 @@ def test_p_exact_is_counted_once_per_table(monkeypatch):
     # a second graph with the same table is served without a new count
     monkeypatch.setattr(randomized, "_count_bad_triples", lambda D: pytest.fail("counted again"))
     assert p_exact(FactorGraph.path(11)) == p == brute_force_p(FactorGraph.path(11))
-    # the cap is checked before the cached value is read
+    assert p_exact(_explicit_path(11)) == p
+    # the table's limit is checked before any count
     with pytest.raises(VertexCapError):
-        p_exact(FactorGraph.path(11), cap=10)
+        p_exact(_explicit_path(2001))
 
 
 def test_odd_cycle_equals_complete_at_the_triangle():

@@ -1010,22 +1010,36 @@ def test_independence_of_five_point_maximum_sets():
 
 def test_flat_distance_matrix_is_cached_and_read_only():
     g = build("P3xC5xK4")
-    D = flat_distance_matrix(g, cap=None)
-    assert flat_distance_matrix(g, cap=None) is D
+    D = flat_distance_matrix(g)
+    assert flat_distance_matrix(g) is D
     assert not D.flags.writeable
     with pytest.raises(ValueError):
         D[0, 1] = 7
     assert D.tolist() == [list(row) for row in bfs_distance_table(g)]
     # the index build and the witness certification read the same matrix
     gp_exact(g)
-    assert flat_distance_matrix(g, cap=None) is D
+    assert flat_distance_matrix(g) is D
 
 
 def test_flat_distance_matrix_above_the_split_is_built_per_call():
     g = build("P3^5")
     assert g.total_vertices > FLAT_TABLE_MAX_VERTICES
-    D = flat_distance_matrix(g, cap=None)
+    D = flat_distance_matrix(g)
     assert not D.flags.writeable
-    assert flat_distance_matrix(g, cap=None) is not D
-    with pytest.raises(VertexCapError):
-        flat_distance_matrix(g, cap=200)
+    assert flat_distance_matrix(g) is not D
+    # the cap is the index build's, checked before the matrix is summed
+    with pytest.raises(VertexCapError, match="refused for 243 vertices"):
+        BadTripleIndex.build(g, cap=200)
+
+
+@pytest.mark.parametrize(
+    "operation,spec",
+    [(gp_exact, "P3^5"), (count_maximum_gp_sets, "K3^4"), (enumerate_maximum_gp_sets, "K3^4")],
+    ids=["gp_exact", "count", "enumerate"],
+)
+def test_an_over_cap_search_is_refused_before_any_distance_is_summed(operation, spec, monkeypatch):
+    g = build(spec)
+    monkeypatch.setattr(solver, "flat_distance_matrix", lambda g: pytest.fail("distances summed"))
+    monkeypatch.setattr(ProductGraph, "flat_matrix", lambda self, members=None: pytest.fail("distances summed"))
+    with pytest.raises(VertexCapError, match=f"bad-triple index refused for {g.total_vertices} vertices"):
+        operation(g)
