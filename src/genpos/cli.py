@@ -36,7 +36,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .formulas import (
@@ -200,19 +199,15 @@ def _cmd_construct(args):
 
 
 def _cmd_p(args):
-    # p multiplies factor probabilities, so it never builds the product and
-    # ``--cap`` does not apply; the spec's limits on factors still do
-    spec = parse_spec(args.spec)
-    factors = spec.factor_list()
-    p = Fraction(1)
-    for f in dict.fromkeys(factors):  # each distinct factor built once
-        p *= p_exact(f.build()) ** factors.count(f)
-    return _fraction_json(p), spec.canonical(), 0
+    # p multiplies factor probabilities, so ``--cap`` does not apply; the
+    # spec's limits on factors still do
+    g = build(args.spec, cap=None)
+    return _fraction_json(p_exact(g)), g.spec, 0
 
 
 def _cmd_power_sample(args):
     spec = parse_spec(args.factor)
-    if len(spec.factors) != 1 or spec.exponent != 1:
+    if len(spec.factors) != 1:
         raise UsageError(f"power-sample needs a single factor, got {args.factor!r}")
     factor = spec.factors[0].build()
     run = first_moment_construct(factor, args.n, seed=args.seed, retries=args.retries)

@@ -1,10 +1,11 @@
 """Graph families, Cartesian products, and exact distances.
 
 Factor graphs (paths, cycles, complete graphs, stars, or explicit
-adjacency) are small: their all-pairs distances come from per-source BFS,
-are cached on first use, and are refused above ``MAX_FACTOR_VERTICES``
-vertices.  A spec lists at most ``MAX_PRODUCT_FACTORS`` factors, and
-``build`` refuses a product over its vertex cap before building a factor.
+adjacency) are small: their all-pairs distances are computed on first
+use, cached, and refused above ``MAX_FACTOR_VERTICES`` vertices.  A spec
+is its list of at most ``MAX_PRODUCT_FACTORS`` factors, and ``build``
+refuses a product over its vertex cap before building the one factor
+graph that each distinct factor shares.
 Products are never materialized for metric queries: the distance between
 two product vertices is the sum of the factor distances, coordinate by
 coordinate.  ``ProductGraph.flat_matrix`` is the only code that sums them
@@ -25,7 +26,8 @@ Graph specs use a compact grammar (ASCII, no whitespace):
     factor  := ('P'|'C'|'K'|'S'|'Q') uint
 
 ``P5xC7`` is the product of a 5-vertex path and a 7-cycle, ``K2^10`` the
-10-dimensional hypercube, and ``Q10`` is shorthand for ``K2^10``.
+10-dimensional hypercube, and ``Q10`` is shorthand for ``K2^10``;
+``C7xC7`` and ``C7^2`` are the same spec, written ``C7^2``.
 
 Flat vertex indices of a product follow the mixed-radix encoding with
 the *last* factor varying fastest, so flat order equals lexicographic
@@ -34,7 +36,7 @@ order on coordinate tuples.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from math import prod
 from numbers import Integral
@@ -55,13 +57,12 @@ MAX_FACTOR_VERTICES = 2000
 # the distances between its own members only.
 FLAT_TABLE_MAX_VERTICES = 200
 
-# Factor entries a product spec may list (``Qn`` lists n).  The power form
-# ``F^n`` keeps n as a number when parsed; ``GraphSpec.factor_list`` refuses
-# it above this many factors, since each factor is built once per unit of
-# the exponent.  A bad-triple probability multiplies one fraction per
-# factor, of denominator at most MAX_FACTOR_VERTICES^3, so its exact
-# denominator stays below 2000^768 < 10^2536, inside Python's 4300-digit
-# int-to-text limit.
+# Factors a spec may have, counting ``Qn`` and ``F^n`` as n each; the
+# parser refuses more from the counts alone, before it lists any.  A
+# bad-triple probability multiplies one fraction per factor, of
+# denominator at most MAX_FACTOR_VERTICES^3, so its exact denominator
+# stays below 2000^768 < 10^2536, inside Python's 4300-digit int-to-text
+# limit.
 MAX_PRODUCT_FACTORS = 256
 
 
@@ -88,6 +89,18 @@ def show_count(n: int) -> str:
 def _refuse_a_large_factor(name: str, n: int) -> None:
     if n > MAX_FACTOR_VERTICES:
         raise VertexCapError(f"{name} has {n} vertices, above the limit of {MAX_FACTOR_VERTICES}")
+
+
+def _refuse_many_factors(name: str, count: int) -> None:
+    if count > MAX_PRODUCT_FACTORS:
+        raise VertexCapError(f"{name} has {show_count(count)} factors, above the limit of {MAX_PRODUCT_FACTORS}")
+
+
+def _spec_text(tokens) -> str:
+    """Canonical spec text: ``F^n`` if all n > 1 tokens agree, else joined with ``x``."""
+    if len(tokens) > 1 and all(t == tokens[0] for t in tokens):
+        return f"{tokens[0]}^{len(tokens)}"
+    return "x".join(tokens)
 
 
 def _bfs_lengths(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -180,7 +193,10 @@ class FactorGraph:
         refused above ``MAX_FACTOR_VERTICES`` vertices."""
         if self._dist is None:
             _refuse_a_large_factor(self.label or "an explicit factor", self.n)
-            self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
+            if self.kind == "complete":  # written directly: its BFS is cubic
+                self._dist = tuple((1,) * u + (0,) + (1,) * (self.n - 1 - u) for u in range(self.n))
+            else:
+                self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
         return self._dist
 
     def distance(self, u: int, v: int) -> int:
@@ -224,11 +240,7 @@ class ProductGraph:
     def spec(self) -> str | None:
         """Canonical spec string, or None if some factor is explicit."""
         tokens = [f.label for f in self.factors]
-        if any(t is None for t in tokens):
-            return None
-        if len(set(tokens)) == 1 and len(tokens) > 1:
-            return f"{tokens[0]}^{len(tokens)}"
-        return "x".join(tokens)
+        return None if None in tokens else _spec_text(tokens)
 
     def check_coord(self, v) -> Coord:
         v = tuple(v)
@@ -363,40 +375,25 @@ class FactorSpec:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Parsed graph spec: a product of factors, or one factor to a power.
+    """Parsed graph spec: its factors, one entry per occurrence.
 
-    A plain product has ``exponent == 1``; the power form has a single
-    entry in ``factors``.  ``Q n`` never survives parsing: it desugars to
-    ``K2^n``.
+    ``C7^2`` and ``C7xC7`` are the same spec, and ``Qn`` is n entries
+    ``K2``.  More than ``MAX_PRODUCT_FACTORS`` entries are refused.
     """
 
     factors: tuple[FactorSpec, ...]
-    exponent: int = 1
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("spec needs at least one factor")
-        if self.exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        if self.exponent > 1 and len(self.factors) != 1:
-            raise ValueError("power form applies to a single factor")
+        _refuse_many_factors(self.canonical(), len(self.factors))
 
     def canonical(self) -> str:
-        if self.exponent > 1:
-            return f"{self.factors[0].token}^{self.exponent}"
-        return "x".join(f.token for f in self.factors)
-
-    def factor_list(self) -> list[FactorSpec]:
-        """Each factor once per occurrence; refused above ``MAX_PRODUCT_FACTORS`` factors."""
-        count = len(self.factors) * self.exponent
-        if count > MAX_PRODUCT_FACTORS:
-            raise VertexCapError(f"{self.canonical()} has {show_count(count)} factors, above the limit of {MAX_PRODUCT_FACTORS}")
-        if self.exponent > 1:
-            return [self.factors[0]] * self.exponent
-        return list(self.factors)
+        return _spec_text([f.token for f in self.factors])
 
     def vertex_count(self) -> int:
-        return prod(f.vertex_count() for f in self.factors) ** self.exponent
+        # one power per distinct factor: a product over 256 huge entries is slow
+        return prod(f.vertex_count() ** k for f, k in Counter(self.factors).items())
 
 
 def _scan_uint(text: str, i: int) -> tuple[int, int]:
@@ -408,7 +405,7 @@ def _scan_uint(text: str, i: int) -> tuple[int, int]:
     return int(text[i:j]), j
 
 
-def _scan_factor(text: str, i: int) -> tuple[str, int, int, int]:
+def _scan_factor(text: str, i: int) -> tuple[str, int, int]:
     if i >= len(text):
         raise GraphSpecError("expected a factor", offset=i)
     fam = text[i]
@@ -424,7 +421,7 @@ def _scan_factor(text: str, i: int) -> tuple[str, int, int, int]:
             f" (got {fam}{size})",
             offset=i,
         )
-    return fam, size, i, j
+    return fam, size, j
 
 
 def parse_spec(text: str) -> GraphSpec:
@@ -432,64 +429,52 @@ def parse_spec(text: str) -> GraphSpec:
 
     Raises :class:`GraphSpecError` with a byte offset on syntax errors and
     with an explanatory message on constraint violations such as ``C2``.
+    More than ``MAX_PRODUCT_FACTORS`` factors, in any spelling, raise
+    :class:`VertexCapError` from the summed counts, before any is listed.
     """
     if not isinstance(text, str):
         raise GraphSpecError("spec must be a string")
-    fam, size, _, i = _scan_factor(text, 0)
-
-    if i == len(text) or text[i] == "^":
-        exponent = 1
-        if i < len(text):
-            exp_pos = i + 1
-            exponent, i = _scan_uint(text, exp_pos)
-            if exponent < 1:
-                raise GraphSpecError("power exponent must be >= 1", offset=exp_pos)
-            if i != len(text):
-                raise GraphSpecError(f"unexpected trailing text {text[i:]!r}", offset=i)
-        if fam == "Q":
-            return GraphSpec((FactorSpec("K", 2),), size * exponent)
-        return GraphSpec((FactorSpec(fam, size),), exponent)
-
-    factors: list[FactorSpec] = []
-    start = 0
+    terms: list[tuple[FactorSpec, int]] = []
+    i = 0
     while True:
-        count = size if fam == "Q" else 1
-        if len(factors) + count > MAX_PRODUCT_FACTORS:
-            raise GraphSpecError(
-                f"a product may list at most {MAX_PRODUCT_FACTORS} factors"
-                " (Qn counts n; write a power as F^n)",
-                offset=start,
-            )
-        factors.extend([FactorSpec("K", 2) if fam == "Q" else FactorSpec(fam, size)] * count)
+        fam, size, i = _scan_factor(text, i)
+        factor, count = (FactorSpec("K", 2), size) if fam == "Q" else (FactorSpec(fam, size), 1)
+        if not terms and i < len(text) and text[i] == "^":
+            exponent, j = _scan_uint(text, i + 1)
+            if exponent < 1:
+                raise GraphSpecError("power exponent must be >= 1", offset=i + 1)
+            if j != len(text):
+                raise GraphSpecError(f"unexpected trailing text {text[j:]!r}", offset=j)
+            count, i = count * exponent, j
+        terms.append((factor, count))
         if i == len(text):
             break
         if text[i] != "x":
             raise GraphSpecError(
                 f"expected 'x', '^' or end of spec, found {text[i]!r}", offset=i
             )
-        fam, size, start, i = _scan_factor(text, i + 1)
-    if len(factors) > 1 and all(f == factors[0] for f in factors):
-        return GraphSpec((factors[0],), len(factors))
-    return GraphSpec(tuple(factors))
+        i += 1
+    _refuse_many_factors(text, sum(count for _, count in terms))
+    return GraphSpec(tuple(f for f, count in terms for _ in range(count)))
 
 
 def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> ProductGraph:
-    """Instantiate the product graph described by ``spec``.
+    """Instantiate the product graph described by ``spec`` (at most
+    ``MAX_PRODUCT_FACTORS`` factors once parsed), one factor graph per
+    distinct factor.
 
-    Before any factor is built, refuses products of more than
-    ``MAX_PRODUCT_FACTORS`` factors whatever the cap, then products with
-    more than ``cap`` vertices (default 10^6; ``cap=None`` disables this
-    guard).  Each factor above ``MAX_FACTOR_VERTICES`` vertices is refused
-    before its adjacency is built.
+    Refuses products with more than ``cap`` vertices (default 10^6;
+    ``cap=None`` disables this guard) before any factor is built, and a
+    factor above ``MAX_FACTOR_VERTICES`` vertices before its adjacency is.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    factors = spec.factor_list()
     if cap is not None:
         total = spec.vertex_count()
         if total > cap:
             raise VertexCapError(f"{spec.canonical()} has {show_count(total)} vertices, above the cap of {cap}")
-    return ProductGraph([f.build() for f in factors])
+    graphs = {f: f.build() for f in dict.fromkeys(spec.factors)}
+    return ProductGraph([graphs[f] for f in spec.factors])
 
 
 def explicit_adjacency(g: ProductGraph, cap: int | None = DEFAULT_VERTEX_CAP) -> FactorGraph:

@@ -18,9 +18,10 @@ alone, independent of platform and Python version.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import floor, isqrt, log, log2
+from math import floor, isqrt, log, log2, prod
 from typing import Iterable
 
 import numpy as np
@@ -92,14 +93,11 @@ def p_exact(g: FactorGraph | ProductGraph) -> Fraction:
 
     Factor graphs are counted directly (all n^3 ordered triples) on their
     all-pairs table, which is refused above ``MAX_FACTOR_VERTICES``
-    vertices, once per distance table in a process; products multiply the
-    factor probabilities instead of materializing anything.
+    vertices, once per distance table in a process; products raise each
+    distinct factor's to its multiplicity instead of materializing anything.
     """
     if isinstance(g, ProductGraph):
-        p = Fraction(1)
-        for f in g.factors:
-            p *= p_exact(f)
-        return p
+        return prod(p_exact(f) ** k for f, k in Counter(g.factors).items())
     if not isinstance(g, FactorGraph):
         raise TypeError(f"expected FactorGraph or ProductGraph, got {type(g).__name__}")
     return _p_of_table(g.dist)

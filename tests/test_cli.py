@@ -148,6 +148,42 @@ def test_probability_refuses_too_many_factors(capsys, spec):
     assert err.startswith("error: ") and "factors, above the limit of 256" in err
 
 
+@pytest.mark.parametrize(
+    "spec,shown,factors",
+    [
+        ("K2^10", "K2^10", [("complete", 2)] * 10),
+        ("Q256", "K2^256", [("complete", 2)] * 256),
+        ("P3xC5xS3", "P3xC5xS3", [("path", 3), ("cycle", 5), ("star", 3)]),
+        ("C7xC7", "C7^2", [("cycle", 7)] * 2),
+        ("Q200xQ56", "K2^256", [("complete", 2)] * 256),
+        ("K2xK2xP3", "K2xK2xP3", [("complete", 2)] * 2 + [("path", 3)]),
+        ("S1^4", "S1^4", [("star", 1)] * 4),
+        ("C300^256", "C300^256", [("cycle", 300)] * 256),
+        ("P3x" + "x".join(["C5"] * 255), "P3x" + "x".join(["C5"] * 255), [("path", 3)] + [("cycle", 5)] * 255),
+    ],
+    ids=["K2^10", "Q256", "P3xC5xS3", "C7xC7", "Q200xQ56", "K2xK2xP3", "S1^4", "C300^256", "P3xC5^255"],
+)
+def test_probability_is_the_product_over_every_factor(capsys, spec, shown, factors):
+    # each position's factor probability, multiplied one by one
+    each = {f: p_exact(getattr(FactorGraph, f[0])(f[1])) for f in set(factors)}
+    p = 1
+    for f in factors:
+        p *= each[f]
+    code, payload, _ = run_json(capsys, ["p", spec])
+    assert code == 0
+    assert (payload["spec"], payload["result"]["num"], payload["result"]["den"]) == (shown, p.numerator, p.denominator)
+
+
+@pytest.mark.parametrize("spec", ["Q300", "K2^300", "Q300xP2", "Q200xQ57", "x".join(["C5"] * 257),
+                                  "Q3000000xP2", "K2^1000000000"],
+                         ids=lambda spec: spec if len(spec) < 20 else "C5x257")
+def test_too_many_factors_exit_1_in_every_spelling(capsys, spec):
+    code, out, err = run_cli(capsys, ["gp", spec])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.endswith(" factors, above the limit of 256\n")
+
+
 def _refuse_factor_graphs(monkeypatch):
     monkeypatch.setattr(FactorGraph, "__init__", lambda self, *a, **k: pytest.fail("a factor graph was built"))
 

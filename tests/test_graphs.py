@@ -13,6 +13,7 @@ from genpos.graphs import (
     MAX_PRODUCT_FACTORS,
     FactorGraph,
     FactorSpec,
+    GraphSpec,
     GraphSpecError,
     ProductGraph,
     VertexCapError,
@@ -54,15 +55,11 @@ def test_parse_canonical_and_size(text, canonical, nverts):
 def test_parse_structure():
     spec = parse_spec("P5xC7")
     assert [(f.family, f.size) for f in spec.factors] == [("P", 5), ("C", 7)]
-    assert spec.exponent == 1
+    # a power and a hypercube list one entry per factor, like a product
     power = parse_spec("K2^10")
-    assert power.exponent == 10 and power.factors[0] == spec_factor("K", 2)
-
-
-def spec_factor(family, size):
-    from genpos.graphs import FactorSpec
-
-    return FactorSpec(family, size)
+    assert power.factors == (FactorSpec("K", 2),) * 10
+    assert parse_spec("Q10") == power == parse_spec("x".join(["K2"] * 10))
+    assert parse_spec("P3xQ2").factors == (FactorSpec("P", 3), FactorSpec("K", 2), FactorSpec("K", 2))
 
 
 @pytest.mark.parametrize(
@@ -113,23 +110,46 @@ def test_canonicalization_is_idempotent(text):
     canon = spec.canonical()
     again = parse_spec(canon)
     assert again.vertex_count() == spec.vertex_count()
-    assert again.factor_list() == spec.factor_list()
+    assert again.factors == spec.factors
     assert again.canonical() == canon
 
 
 def test_lone_hypercube_parses_in_constant_time():
+    # the parse refuses Q3000000 from its count, before listing a factor
     started = time.monotonic()
-    spec = parse_spec("Q3000000")
+    with pytest.raises(VertexCapError, match="^Q3000000 has 3000000 factors, above the limit of 256$"):
+        parse_spec("Q3000000")
     assert time.monotonic() - started < 0.05
-    assert (spec.factors, spec.exponent) == ((FactorSpec("K", 2),), 3000000)
 
 
-@pytest.mark.parametrize("text", ["Q3000000xP2", "P2xQ256", "Q200xQ57", "x".join(["C5"] * 257)])
+FACTOR_COUNTS = {
+    "Q3000000xP2": 3000001, "P2xQ256": 257, "Q200xQ57": 257, "x".join(["C5"] * 257): 257,
+    "Q300": 300, "K2^300": 300, "Q300xP2": 301, "K2^1000000000": 1000000000,
+}
+
+
+@pytest.mark.parametrize("text", FACTOR_COUNTS)
 def test_long_products_are_refused_before_the_list_grows(text):
+    # a product, a power and Qn meet one check on their summed counts
     started = time.monotonic()
-    with pytest.raises(GraphSpecError, match="at most 256 factors"):
+    with pytest.raises(VertexCapError) as refused:
         parse_spec(text)
     assert time.monotonic() - started < 0.05
+    assert str(refused.value) == f"{text} has {FACTOR_COUNTS[text]} factors, above the limit of 256"
+
+
+def test_a_factor_count_too_long_to_print_is_shown_by_its_power_of_two():
+    # (10^4000 - 1)^2 factors: the count has about 8000 digits, past
+    # Python's int-to-text limit, so the message must not print it
+    text = "Q" + "9" * 4000 + "^" + "9" * 4000
+    with pytest.raises(VertexCapError, match=r" has 2\^[0-9]+ or more factors, above the limit of 256$"):
+        build(text)
+
+
+def test_a_spec_built_directly_is_refused_above_the_factor_limit():
+    with pytest.raises(VertexCapError, match=r"^C5\^257 has 257 factors, above the limit of 256$"):
+        GraphSpec((FactorSpec("C", 5),) * 257)
+    assert GraphSpec((FactorSpec("C", 5),) * 256).canonical() == "C5^256"
 
 
 def test_a_product_may_list_256_factors():
@@ -147,7 +167,9 @@ def test_build_cap():
     with pytest.raises(VertexCapError):
         build("P101", cap=100)
     assert build("Q25", cap=None).total_vertices == 2**25
-    assert parse_spec("K2^1000000").vertex_count() == 2**1000000
+    assert parse_spec("K2^256").vertex_count() == 2**256
+    # equal factors are grouped, wherever they stand
+    assert parse_spec("P3xK2xP3xC5xK2").vertex_count() == 3 * 2 * 3 * 5 * 2
     assert parse_spec("S2xC5").vertex_count() == 15
     # a power of more than 256 factors is refused for its factors, whatever the cap
     with pytest.raises(VertexCapError, match=r"K2\^1000000 has 1000000 factors, above the limit of 256"):
@@ -232,6 +254,28 @@ def test_a_power_of_256_factors_builds():
     g = build("P1^256")
     assert g.total_vertices == 1 and len(g.factors) == MAX_PRODUCT_FACTORS
     assert len(build(parse_spec("x".join(["P1"] * 256)), cap=None).factors) == 256
+
+
+def test_equal_factors_share_one_graph():
+    g = build("C7xC7")
+    assert g.factors[0] is g.factors[1]
+    g = build("P3xC5xP3")
+    assert g.factors[0] is g.factors[2] and g.factors[0] is not g.factors[1]
+
+
+def test_a_power_computes_its_factor_table_once(monkeypatch):
+    # one shared C1000 is one table of 1000 BFS runs, where a graph per
+    # position ran 8000
+    import genpos.graphs
+    from genpos.randomized import p_exact
+
+    expected = p_exact(FactorGraph.cycle(1000)) ** 8
+    g = build("C1000^8", cap=None)
+    calls = []
+    bfs = genpos.graphs._bfs_lengths
+    monkeypatch.setattr(genpos.graphs, "_bfs_lengths", lambda adj, s: calls.append(s) or bfs(adj, s))
+    assert p_exact(g) == expected
+    assert len(calls) == 1000
 
 
 def test_vertex_order_is_last_factor_fastest():
@@ -421,6 +465,16 @@ def test_a_large_complete_factor_builds_in_quadratic_time():
     k = FactorGraph.complete(1000)
     assert time.monotonic() - started < 3
     assert k.degree(0) == 999 and k.adj[999][-1] == 998
+
+
+def test_a_complete_factor_table_is_written_without_bfs():
+    for n in range(1, 41):
+        assert FactorGraph.complete(n).dist == FactorGraph.explicit(FactorGraph.complete(n).adj).dist
+    # a BFS from every source made this cubic: K400 took 2.3 s on a 2-core VM
+    k = FactorGraph.complete(1000)
+    started = time.monotonic()
+    assert k.dist[999][999] == 0 and k.dist[0][999] == 1
+    assert time.monotonic() - started < 1
 
 
 def test_product_needs_factors():
