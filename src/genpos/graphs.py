@@ -150,36 +150,39 @@ class FactorGraph:
         self._dist = None
 
     # ------------------------------------------------------------------
-    # constructors for the standard families
+    # constructors for the standard families, valid by construction, so the
+    # checks of explicit input are skipped; all rows share tuple(range(n))'s ints
+
+    @classmethod
+    def _named(cls, kind: str, label: str, n: int, neighbours) -> "FactorGraph":
+        g, r = object.__new__(cls), tuple(range(n))
+        g.kind, g.n, g.adj, g.label, g._dist = kind, n, tuple(neighbours(r, i) for i in r), label, None
+        return g
 
     @classmethod
     def path(cls, n: int) -> "FactorGraph":
         if n < 1:
             raise ValueError("path needs at least 1 vertex")
-        adj = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
-        return cls("path", adj, f"P{n}")
+        return cls._named("path", f"P{n}", n, lambda r, i: r[max(i - 1, 0):i] + r[i + 1:i + 2])
 
     @classmethod
     def cycle(cls, n: int) -> "FactorGraph":
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
-        return cls("cycle", adj, f"C{n}")
+        return cls._named("cycle", f"C{n}", n, lambda r, i: tuple(sorted((r[i - 1], r[(i + 1) % n]))))
 
     @classmethod
     def complete(cls, n: int) -> "FactorGraph":
         if n < 1:
             raise ValueError("complete graph needs at least 1 vertex")
-        adj = [[j for j in range(n) if j != i] for i in range(n)]
-        return cls("complete", adj, f"K{n}")
+        return cls._named("complete", f"K{n}", n, lambda r, i: r[:i] + r[i + 1:])
 
     @classmethod
     def star(cls, k: int) -> "FactorGraph":
         """Star with k leaves; vertex 0 is the center, 1..k the leaves."""
         if k < 1:
             raise ValueError("star needs at least 1 leaf")
-        adj = [list(range(1, k + 1))] + [[0] for _ in range(k)]
-        return cls("star", adj, f"S{k}")
+        return cls._named("star", f"S{k}", k + 1, lambda r, i: r[1:] if i == 0 else r[:1])
 
     @classmethod
     def explicit(cls, adjacency) -> "FactorGraph":

@@ -32,9 +32,9 @@ from .position import GpSet, bad_pair_rows
 # Both steps of a run are cubic in M: the numpy pair-row test finds the
 # sample's bad triples, and certifying the remainder checks all its triples
 # in Python, on distances read from the scan's own M x M matrix.  One attempt
-# on C7^30 took 0.04 s at M = 115, 0.35 s at M = 250 and 2.6-3.0 s at
-# M = 500, the certify scan 2.2-2.7 s of it (2-core x86-64 VM, Python 3.11),
-# so larger samples are refused.
+# on C7^30 took 0.05 s at M = 115, 0.31-0.38 s at M = 250 and 2.6-3.2 s at
+# M = 500, the certify scan 2.4-3.0 s of it (seeds 1-3, 2-core x86-64 VM,
+# Python 3.11.7), so larger samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
@@ -50,24 +50,35 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.draw((1 << 64,), 1)[0][0]
 
     def randbelow(self, k: int) -> int:
         """Uniform integer in [0, k) by rejection; no modulo bias.  Needs
         0 < k <= 2^64: one 64-bit draw cannot cover a larger range."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if k > 1 << 64:
-            raise ValueError("k must be at most 2^64")
-        limit = (1 << 64) - ((1 << 64) % k)
-        while True:
-            r = self.next64()
-            if r < limit:
-                return r % k
+        return self.draw((k,), 1)[0][0]
+
+    def draw(self, sizes, count: int) -> list[tuple[int, ...]]:
+        """``count`` tuples of one uniform draw below each entry of ``sizes``,
+        in order: the values of one :meth:`randbelow` call per entry."""
+        bounds = []
+        for k in sizes:
+            if not 0 < k <= 1 << 64:
+                raise ValueError("k must be positive" if k <= 0 else "k must be at most 2^64")
+            bounds.append((k, (1 << 64) - (1 << 64) % k))  # reject at or above
+        s, out = self._state, []
+        for _ in range(count):
+            row = []
+            for k, limit in bounds:
+                z = limit
+                while z >= limit:
+                    s = (s + _GOLDEN) & _MASK64
+                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                    z ^= z >> 31
+                row.append(z % k)
+            out.append(tuple(row))
+        self._state = s
+        return out
 
 
 def _count_bad_triples(D: np.ndarray) -> int:
@@ -219,16 +230,17 @@ class SampleRun:
 def _sorted_bad_triples(D: np.ndarray):
     """The bad triples of :func:`~genpos.position.bad_triples` on the numpy
     matrix ``D``, each as its sorted position triple, in the same order."""
-    cols = np.arange(D.shape[0])
+    n = D.shape[0]
     for A, B, bad in bad_pair_rows(D):
-        i, c = np.nonzero(bad & (cols > B[:, None]))
-        yield from zip(A[i].tolist(), B[i].tolist(), c.tolist())
+        i, c = np.divmod(np.flatnonzero(bad), n)  # row-major, as np.nonzero
+        keep = c > B[i]
+        yield from zip(A[i[keep]].tolist(), B[i[keep]].tolist(), c[keep].tolist())
 
 
 def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
     """One draw-delete-certify pass; its caller sets ``attempts``."""
     rng = SplitMix64(seed)
-    samples = tuple(tuple(rng.randbelow(size) for size in host.sizes) for _ in range(M))
+    samples = tuple(rng.draw(host.sizes, M))
     distinct = sorted(set(samples))
     D = host.flat_matrix(distinct)
     bad = list(_sorted_bad_triples(D))

@@ -459,12 +459,33 @@ def test_factor_validation_reports_the_first_fault(adjacency, message):
 
 
 def test_a_large_complete_factor_builds_in_quadratic_time():
-    # the symmetry check reads one set per vertex; a scan of each
-    # neighbour tuple made this cubic, about 9 s at n = 1000 on a 2-core VM
+    # the symmetry check of explicit input reads one set per vertex; a scan
+    # of each neighbour tuple made this cubic, about 9 s at n = 1000 on a
+    # 2-core VM
     started = time.monotonic()
-    k = FactorGraph.complete(1000)
+    k = FactorGraph.explicit(FactorGraph.complete(1000).adj)
     assert time.monotonic() - started < 3
     assert k.degree(0) == 999 and k.adj[999][-1] == 998
+
+
+@pytest.mark.parametrize("family,low", [("path", 1), ("cycle", 3), ("complete", 1), ("star", 1)])
+def test_a_named_family_passes_the_explicit_checks(family, low):
+    # the named constructors skip the range, self-loop, symmetry and
+    # connectivity checks that explicit input goes through
+    for n in range(low, low + 12):
+        f = getattr(FactorGraph, family)(n)
+        assert FactorGraph.explicit(f.adj).adj == f.adj
+
+
+def test_the_largest_complete_factor_shares_its_vertex_ints():
+    # a neighbour list, a set and a sorted tuple per vertex, each with its
+    # own int objects, took 2.3 s and peaked at 447 MB on a 2-core VM
+    started = time.monotonic()
+    k = FactorGraph.complete(MAX_FACTOR_VERTICES)
+    assert time.monotonic() - started < 1
+    last = k.adj[0][-1]
+    assert last == MAX_FACTOR_VERTICES - 1
+    assert all(ns[-1] is last for ns in k.adj[:-1])
 
 
 def test_a_complete_factor_table_is_written_without_bfs():

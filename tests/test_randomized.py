@@ -19,7 +19,7 @@ from genpos.graphs import (
     show_count,
 )
 from genpos import randomized
-from genpos.position import GpSet, bad_triples, is_general_position
+from genpos.position import GpSet, bad_pair_rows, bad_triples, is_general_position
 from genpos.randomized import (
     MAX_SAMPLE_SIZE,
     SplitMix64,
@@ -79,6 +79,55 @@ def test_randbelow_refuses_a_range_above_two_to_the_64():
     assert 0 <= SplitMix64(7).randbelow(1 << 64) < 1 << 64
     with pytest.raises(ValueError, match="at most 2"):
         SplitMix64(7).randbelow((1 << 64) + 1)
+
+
+def _splitmix64_replay(seed, sizes, count):
+    """SplitMix64 from its definition, one 64-bit word at a time: step the
+    state by the golden gamma, finalize, and redraw a word at or above the
+    largest multiple of k that fits in 64 bits."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = []
+    for _ in range(count):
+        row = []
+        for k in sizes:
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                if z < (1 << 64) // k * k:
+                    row.append(z % k)
+                    break
+        out.append(tuple(row))
+    return out
+
+
+# 2^63 + 1 rejects almost half of all words, so the redraw path runs
+DRAW_SIZES = (2, 3, 7, 2000, 1 << 64, (1 << 63) + 1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 500])
+@pytest.mark.parametrize("seed", [0, 1, 987654321, (1 << 64) - 1])
+def test_draw_matches_a_scalar_replay(seed, count):
+    expected = _splitmix64_replay(seed, DRAW_SIZES, count + 2)
+    rng = SplitMix64(seed)
+    # a second call carries on from where the first one stopped
+    assert rng.draw(DRAW_SIZES, count) + rng.draw(DRAW_SIZES, 2) == expected
+    rng = SplitMix64(seed)
+    assert [tuple(rng.randbelow(k) for k in DRAW_SIZES) for _ in range(count + 2)] == expected
+
+
+@pytest.mark.parametrize("k,message", [(0, "positive"), (-3, "positive"), ((1 << 64) + 1, "at most 2")])
+def test_draw_and_randbelow_refuse_a_bad_size(k, message):
+    rng = SplitMix64(0)
+    for count in (0, 1, 5):
+        with pytest.raises(ValueError, match=message):
+            rng.draw((2, k, 7), count)
+    with pytest.raises(ValueError, match=message):
+        rng.randbelow(k)
+    # the sizes are checked before any word is drawn
+    assert rng.next64() == 0xE220A8397B1DCDAF
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +460,10 @@ def test_sample_scan_matches_the_python_core(factor, n, line):
     for M in (1, 2, 3, 4, 12, 40):
         # samples drawn with repetition, so the larger ones hold duplicates
         both_scans(sorted({tuple(rng.randbelow(factor.n) for _ in range(n)) for _ in range(M)}))
+    # pair rows over several chunks, so each chunk's own row indices count
+    distinct = sorted(set(rng.draw(host.sizes, 120)))
+    assert len(list(bad_pair_rows(host.flat_matrix(distinct)))) >= 2
+    both_scans(distinct)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 10])
