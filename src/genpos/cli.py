@@ -209,7 +209,7 @@ def _cmd_power_sample(args):
     spec = parse_spec(args.factor)
     if len(spec.factors) != 1:
         raise UsageError(f"power-sample needs a single factor, got {args.factor!r}")
-    factor = spec.factors[0].build()
+    factor = build(spec, cap=None).factors[0]
     run = first_moment_construct(factor, args.n, seed=args.seed, retries=args.retries)
     result = {
         "M": run.M,

@@ -4,13 +4,14 @@ Factor graphs (paths, cycles, complete graphs, stars, or explicit
 adjacency) are small: their all-pairs distances are computed on first
 use, cached, and refused above ``MAX_FACTOR_VERTICES`` vertices.  A spec
 is its list of at most ``MAX_PRODUCT_FACTORS`` factors, and ``build``
-refuses a product over its vertex cap before building the one factor
-graph that each distinct factor shares.
+refuses a factor over that limit, then a product over its vertex cap,
+before building the one factor graph that each distinct factor shares.
 Products are never materialized for metric queries: the distance between
 two product vertices is the sum of the factor distances, coordinate by
 coordinate.  ``ProductGraph.flat_matrix`` is the only code that sums them
 into a numpy matrix, over all vertices (cached on products with at most
-``FLAT_TABLE_MAX_VERTICES`` vertices) or over given members;
+``FLAT_TABLE_MAX_VERTICES`` vertices) or over given members, with one
+sum per distinct factor: a gather from its table at all its positions;
 ``ProductGraph.distance_table`` serves the checkers from the cached one,
 or from the pair sums of the queried vertices on larger products.
 
@@ -57,6 +58,11 @@ MAX_FACTOR_VERTICES = 2000
 # the distances between its own members only.
 FLAT_TABLE_MAX_VERTICES = 200
 
+# Cells per chunk of a numpy pass over (pair, vertex) or (position, pair)
+# cells, in bad_pair_rows and in ProductGraph.flat_matrix: their buffers stay
+# near a megabyte on every matrix instead of growing with the work
+PAIR_CHUNK_CELLS = 1 << 16
+
 # Factors a spec may have, counting ``Qn`` and ``F^n`` as n each; the
 # parser refuses more from the counts alone, before it lists any.  A
 # bad-triple probability multiplies one fraction per factor, of
@@ -88,7 +94,7 @@ def show_count(n: int) -> str:
 
 def _refuse_a_large_factor(name: str, n: int) -> None:
     if n > MAX_FACTOR_VERTICES:
-        raise VertexCapError(f"{name} has {n} vertices, above the limit of {MAX_FACTOR_VERTICES}")
+        raise VertexCapError(f"{name} has {show_count(n)} vertices, above the limit of {MAX_FACTOR_VERTICES}")
 
 
 def _refuse_many_factors(name: str, count: int) -> None:
@@ -291,22 +297,32 @@ class ProductGraph:
     def flat_matrix(self, members=None):
         """Read-only numpy matrix of distances, summed over the factor
         tables: between all vertices on flat indices, or between the given
-        valid coordinate tuples in their order.  The all-vertex matrix is
-        cached on hosts with at most ``FLAT_TABLE_MAX_VERTICES`` vertices;
-        every other matrix is built afresh."""
+        valid coordinate tuples in their order.  Each distinct factor's table
+        is read once, in its narrowest dtype, and gathered at chunks of its
+        positions of at most ``PAIR_CHUNK_CELLS`` cells.  The all-vertex
+        matrix is cached on hosts with at most ``FLAT_TABLE_MAX_VERTICES``
+        vertices; every other matrix is built afresh."""
         if members is None and self._flat is not None:
             return self._flat
         import numpy as np  # only the flat matrix needs numpy
 
         if members is None:
             flat = np.arange(self.total_vertices)
-            columns = [(flat // stride) % size for stride, size in zip(self.strides, self.sizes)]
+            columns = np.array([(flat // stride) % size for stride, size in zip(self.strides, self.sizes)])
         else:
             columns = np.array(members, dtype=np.intp).reshape(-1, len(self.sizes)).T
-        m = len(columns[0])
+        m = columns.shape[1]
         D = np.zeros((m, m), dtype=np.int32)
-        for t, c in zip(self.factor_dist_tables(), columns):
-            D += np.asarray(t, dtype=np.int32)[c[:, None], c[None, :]]
+        positions: dict[FactorGraph, list[int]] = {}
+        for i, f in enumerate(self.factors):
+            positions.setdefault(f, []).append(i)
+        step = max(1, PAIR_CHUNK_CELLS // max(1, m * m))
+        for f, at in positions.items():
+            # a distance is below n, so n - 1 fits the narrowest dtype
+            table = np.asarray(f.dist, dtype=np.min_scalar_type(f.n - 1)).ravel()
+            for lo in range(0, len(at), step):
+                c = columns[at[lo:lo + step]]
+                D += table.take(c[:, :, None] * f.n + c[:, None, :]).sum(axis=0, dtype=np.int32)
         D.setflags(write=False)
         if members is None and m <= FLAT_TABLE_MAX_VERTICES:
             self._flat = D
@@ -363,8 +379,7 @@ class FactorSpec:
         return self.size + (1 if self.family == "S" else 0)
 
     def build(self) -> FactorGraph:
-        """The factor graph; refused above ``MAX_FACTOR_VERTICES`` vertices before any adjacency is built."""
-        _refuse_a_large_factor(self.token, self.vertex_count())
+        """The factor graph; :func:`build` has refused it above ``MAX_FACTOR_VERTICES`` vertices."""
         if self.family == "P":
             return FactorGraph.path(self.size)
         if self.family == "C":
@@ -389,7 +404,8 @@ class GraphSpec:
     def __post_init__(self):
         if not self.factors:
             raise ValueError("spec needs at least one factor")
-        _refuse_many_factors(self.canonical(), len(self.factors))
+        if len(self.factors) > MAX_PRODUCT_FACTORS:  # the text only names a refusal
+            _refuse_many_factors(self.canonical(), len(self.factors))
 
     def canonical(self) -> str:
         return _spec_text([f.token for f in self.factors])
@@ -466,17 +482,21 @@ def build(spec: GraphSpec | str, cap: int | None = DEFAULT_VERTEX_CAP) -> Produc
     ``MAX_PRODUCT_FACTORS`` factors once parsed), one factor graph per
     distinct factor.
 
-    Refuses products with more than ``cap`` vertices (default 10^6;
-    ``cap=None`` disables this guard) before any factor is built, and a
-    factor above ``MAX_FACTOR_VERTICES`` vertices before its adjacency is.
+    Refuses a factor above ``MAX_FACTOR_VERTICES`` vertices, then products
+    with more than ``cap`` vertices (default 10^6; ``cap=None`` disables
+    this guard), before any factor is built.  The vertex count is thus a
+    product of at most 256 factors of at most 2000 vertices each.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    distinct = dict.fromkeys(spec.factors)
+    for f in distinct:
+        _refuse_a_large_factor(f.token, f.vertex_count())
     if cap is not None:
         total = spec.vertex_count()
         if total > cap:
             raise VertexCapError(f"{spec.canonical()} has {show_count(total)} vertices, above the cap of {cap}")
-    graphs = {f: f.build() for f in dict.fromkeys(spec.factors)}
+    graphs = {f: f.build() for f in distinct}
     return ProductGraph([graphs[f] for f in spec.factors])
 
 

@@ -37,11 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Coord, ProductGraph
-
-# (pair, vertex) cells per chunk of :func:`bad_pair_rows`: its numpy buffers
-# stay under a megabyte on every matrix instead of growing with n^3
-PAIR_CHUNK_CELLS = 1 << 16
+from .graphs import PAIR_CHUNK_CELLS, Coord, ProductGraph
 
 
 def _validated_members(g: ProductGraph, S) -> list[Coord]:

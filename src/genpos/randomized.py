@@ -32,13 +32,19 @@ from .position import GpSet, bad_pair_rows
 # Both steps of a run are cubic in M: the numpy pair-row test finds the
 # sample's bad triples, and certifying the remainder checks all its triples
 # in Python, on distances read from the scan's own M x M matrix.  One attempt
-# on C7^30 took 0.05 s at M = 115, 0.31-0.38 s at M = 250 and 2.6-3.2 s at
-# M = 500, the certify scan 2.4-3.0 s of it (seeds 1-3, 2-core x86-64 VM,
-# Python 3.11.7), so larger samples are refused.
+# on C7^30 took 0.04 s at M = 115, 0.27-0.29 s at M = 250 and 2.0-2.4 s at
+# M = 500: there the draw took 1 ms, the matrix 24-30 ms, the numpy scan
+# 77-90 ms and certification the rest (seeds 1-3, 2-core x86-64 VM, Python
+# 3.11.7, numpy 2.4.6), so larger samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the finalizer's operands as numpy scalars: numpy 1.x and 2.x then promote
+# alike, and uint64 array arithmetic wraps without a warning
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX_U64 = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 
 class SplitMix64:
@@ -59,26 +65,45 @@ class SplitMix64:
 
     def draw(self, sizes, count: int) -> list[tuple[int, ...]]:
         """``count`` tuples of one uniform draw below each entry of ``sizes``,
-        in order: the values of one :meth:`randbelow` call per entry."""
-        bounds = []
+        in order: the values of one :meth:`randbelow` call per entry.
+
+        The words of all ``count * len(sizes)`` slots are drawn as one uint64
+        array.  A word above its slot's largest accepted value is rejected:
+        the slots before it are kept, and the stream carries on from that
+        slot with the next word.  Below ``MAX_FACTOR_VERTICES`` a word is
+        rejected with probability under 2^-52, so one pass is the rule."""
+        sizes = tuple(sizes)
         for k in sizes:
             if not 0 < k <= 1 << 64:
                 raise ValueError("k must be positive" if k <= 0 else "k must be at most 2^64")
-            bounds.append((k, (1 << 64) - (1 << 64) % k))  # reject at or above
-        s, out = self._state, []
-        for _ in range(count):
-            row = []
-            for k, limit in bounds:
-                z = limit
-                while z >= limit:
-                    s = (s + _GOLDEN) & _MASK64
-                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                    z ^= z >> 31
-                row.append(z % k)
-            out.append(tuple(row))
+        # 2^64 fits no uint64: stored as 0, it takes no remainder, and as it
+        # divides 2^64 its largest accepted word is 2^64 - 1
+        mods = np.array([k & _MASK64 for k in sizes], dtype=np.uint64)
+        top = np.array([_MASK64 - (1 << 64) % k for k in sizes], dtype=np.uint64)
+        words = np.empty((count, len(sizes)), dtype=np.uint64)
+        flat = words.reshape(-1)
+        s, done = self._state, 0
+        while done < flat.size:
+            z = np.arange(1, flat.size - done + 1, dtype=np.uint64)
+            z *= _GOLDEN_U64
+            z += np.uint64(s)
+            z ^= z >> _SHIFTS[0]
+            z *= _MIX_U64[0]
+            z ^= z >> _SHIFTS[1]
+            z *= _MIX_U64[1]
+            z ^= z >> _SHIFTS[2]
+            flat[done:] = z
+            rejected = np.flatnonzero(words > top)  # the kept slots never are
+            if rejected.size:  # step past the rejected word, redraw its slot
+                stop = int(rejected[0])
+                s = (s + _GOLDEN * (stop - done + 1)) & _MASK64
+            else:
+                stop = flat.size
+                s = (s + _GOLDEN * (stop - done)) & _MASK64
+            done = stop
         self._state = s
-        return out
+        np.remainder(words, mods, out=words, where=mods != 0)
+        return list(map(tuple, words.tolist()))
 
 
 def _count_bad_triples(D: np.ndarray) -> int:

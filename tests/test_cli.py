@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos.cli import main, parse_vertex_set, render_human
-from genpos.graphs import FactorGraph, FactorSpec, parse_spec
+from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, parse_spec
 from genpos.randomized import p_exact
 
 FIG5 = "(0,1);(1,4);(2,0);(3,3);(4,6);(5,2);(6,5)"
@@ -182,6 +182,16 @@ def test_too_many_factors_exit_1_in_every_spelling(capsys, spec):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert err.endswith(" factors, above the limit of 256\n")
+
+
+def test_the_largest_factor_size_is_refused_by_the_factor_limit(capsys, monkeypatch):
+    # the largest size the parser reads, 256 times: refused for the factor
+    # before the spec's vertex count, a 14,000-bit power, is computed
+    monkeypatch.setattr(GraphSpec, "vertex_count", lambda self: pytest.fail("vertex count computed"))
+    code, out, err = run_cli(capsys, ["gp", "P" + "9" * 4299 + "^256"])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: P999")
+    assert err.endswith(" has 2^14280 or more vertices, above the limit of 2000\n")
 
 
 def _refuse_factor_graphs(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos.graphs import (
+    FLAT_TABLE_MAX_VERTICES,
     MAX_FACTOR_VERTICES,
     MAX_PRODUCT_FACTORS,
     FactorGraph,
@@ -21,6 +22,7 @@ from genpos.graphs import (
     explicit_adjacency,
     parse_spec,
 )
+from genpos.randomized import SplitMix64
 from helpers import bfs_distance_table
 
 
@@ -198,18 +200,21 @@ def test_a_huge_power_is_refused_without_its_vertex_count():
 
 
 @pytest.mark.parametrize(
-    "spec,shown",
-    [("K99999^256", "2^4252 or more"), ("K2^256", "2^256 or more"),
-     ("P3x" + "x".join(["C5"] * 255), "2^593 or more")],
-    ids=["K99999^256", "K2^256", "P3xC5^255"],
+    "spec,refusal",
+    [("K99999^256", "99999 vertices, above the limit of 2000"),
+     ("K2000^256", "2^2807 or more vertices, above the cap of 1"),
+     ("K2^256", "2^256 or more vertices, above the cap of 1"),
+     ("P3x" + "x".join(["C5"] * 255), "2^593 or more vertices, above the cap of 1")],
+    ids=["K99999^256", "K2000^256", "K2^256", "P3xC5^255"],
 )
-def test_the_largest_specs_are_refused_at_once(spec, shown):
-    # with at most 256 factors the exact vertex count is cheap
+def test_the_largest_specs_are_refused_at_once(spec, refusal):
+    # a factor over its limit is refused first; then, with at most 256
+    # factors of at most 2000 vertices, the exact vertex count is cheap
     started = time.monotonic()
     with pytest.raises(VertexCapError) as refused:
         build(spec, cap=1)
     assert time.monotonic() - started < 0.01
-    assert str(refused.value).endswith(f" has {shown} vertices, above the cap of 1")
+    assert str(refused.value).endswith(f" has {refusal}")
 
 
 @pytest.mark.parametrize("spec", ["C2001", "K20000", "P3000", "S2000", "K5000xP3", "C2001^2"])
@@ -218,6 +223,25 @@ def test_a_factor_over_the_limit_is_refused_before_it_is_built(spec, monkeypatch
     token = parse_spec(spec).factors[0].token
     with pytest.raises(VertexCapError, match=f"^{token} has [0-9]+ vertices, above the limit of {MAX_FACTOR_VERTICES}$"):
         build(spec, cap=None)
+
+
+@pytest.mark.parametrize(
+    "spec,shown",
+    [("P" + "9" * 4299 + "^256", "2^14280 or more"),
+     ("x".join(f"P{'9' * 4290}{i:03d}" for i in range(256)), "2^14261 or more")],
+    ids=["P4299digits^256", "256-distinct-4293-digit-paths"],
+)
+def test_a_huge_factor_is_refused_before_the_vertex_count(spec, shown, monkeypatch):
+    # multiplying the sizes took 0.58 s on the power and 7.4 s on the 256
+    # distinct factors; each factor is checked against the limit first
+    monkeypatch.setattr(GraphSpec, "vertex_count", lambda self: pytest.fail("vertex count computed"))
+    parsed = parse_spec(spec)
+    started = time.monotonic()
+    with pytest.raises(VertexCapError) as refused:
+        build(parsed, cap=1)
+    assert time.monotonic() - started < 0.05
+    # the count is shown by its power of two, not by its 4300 digits
+    assert str(refused.value) == f"{parsed.factors[0].token} has {shown} vertices, above the limit of 2000"
 
 
 def test_a_factor_at_the_limit_builds():
@@ -354,6 +378,25 @@ def test_flat_matrix_of_members_equals_bfs():
     assert g.flat_matrix(members) is not M
     assert g.flat_matrix().tolist() == [list(row) for row in D]
     assert g.flat_matrix([]).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "spec,counts",
+    [("P3xC5xP3xK4xC5", [0, 1, 2, 7, 40]), ("C7^30", [0, 1, 60, 300])],
+    ids=["mixed", "C7^30"],
+)
+def test_flat_matrix_of_members_equals_the_python_pair_sums(spec, counts):
+    # one gather per distinct factor, over chunks of positions: C7^30 at
+    # m = 60 splits its 30 positions 18 + 12, at m = 300 one by one, and
+    # P3 and C5 each stand at two positions apart
+    g = build(spec, cap=None)
+    assert g.total_vertices > FLAT_TABLE_MAX_VERTICES  # distance_table sums pairs in Python
+    for m in counts:
+        members = sorted(set(SplitMix64(m).draw(g.sizes, m)))
+        ids, D = g.distance_table(members)
+        M = g.flat_matrix(members)
+        assert M.dtype == np.int32 and M.shape == (len(members),) * 2
+        assert M.tolist() == [[D[a][b] for b in ids] for a in ids]
 
 
 def test_flat_matrix_of_a_product_of_more_factors_than_numpy_dimensions():

@@ -103,17 +103,27 @@ def _splitmix64_replay(seed, sizes, count):
     return out
 
 
-# 2^63 + 1 rejects almost half of all words, so the redraw path runs
+# 2^63 + 1 rejects almost half of all words, so the redraw path runs; 2^64
+# has no rejection limit and no remainder
 DRAW_SIZES = (2, 3, 7, 2000, 1 << 64, (1 << 63) + 1)
 
 
 @pytest.mark.parametrize("count", [0, 1, 500])
 @pytest.mark.parametrize("seed", [0, 1, 987654321, (1 << 64) - 1])
 def test_draw_matches_a_scalar_replay(seed, count):
-    expected = _splitmix64_replay(seed, DRAW_SIZES, count + 2)
-    rng = SplitMix64(seed)
-    # a second call carries on from where the first one stopped
-    assert rng.draw(DRAW_SIZES, count) + rng.draw(DRAW_SIZES, 2) == expected
+    # the rejecting size first, in the middle and last: a rejected word
+    # redraws its slot at every place in a row
+    for shift in (5, 3, 0):
+        sizes = DRAW_SIZES[shift:] + DRAW_SIZES[:shift]
+        expected = _splitmix64_replay(seed, sizes, count + 2)
+        rng = SplitMix64(seed)
+        # a second call carries on from where the first one stopped
+        drawn = rng.draw(sizes, count) + rng.draw(sizes, 2)
+        assert drawn == expected
+        # Python ints, not numpy integers: check_coord's fast path and
+        # json.dumps both need them
+        assert all(type(v) is int for row in drawn for v in row)
+    # the loop ended on DRAW_SIZES itself; one randbelow per entry agrees
     rng = SplitMix64(seed)
     assert [tuple(rng.randbelow(k) for k in DRAW_SIZES) for _ in range(count + 2)] == expected
 
