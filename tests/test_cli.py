@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.cli import main, parse_vertex_set, render_human
+from genpos.cli import build_parser, main, parse_vertex_set, render_human
 from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, parse_spec
 from genpos.randomized import p_exact
 
@@ -246,6 +246,16 @@ def test_power_sample(capsys):
     assert code == 2  # multi-factor argument is a usage error
 
 
+@pytest.mark.parametrize("n,spec", [(1, "C7"), (10, "C7^10")])
+def test_power_sample_reports_its_spec_as_p_does(capsys, n, spec):
+    # the power's spec goes through the one spec renderer, so C7^1 is C7
+    code, payload, _ = run_json(capsys, ["power-sample", "C7", str(n), "--seed", "0"])
+    assert code == 0 and payload["spec"] == spec
+    assert run_json(capsys, ["p", f"C7^{n}"])[1]["spec"] == spec
+    code, out, _ = run_cli(capsys, ["power-sample", "C7", str(n), "--seed", "0"])
+    assert code == 0 and out.startswith(f"sampled M={payload['result']['M']} vertices of {spec} (seed 0,")
+
+
 @pytest.mark.parametrize("factor", ["K1", "P1"])
 def test_power_sample_refuses_a_one_vertex_factor(capsys, factor):
     code, out, err = run_cli(capsys, ["power-sample", factor, "3", "--seed", "1"])
@@ -289,6 +299,58 @@ def test_parse_errors_exit_2(capsys):
     assert run_cli(capsys, ["gp", "C2"])[0] == 2
     assert run_cli(capsys, ["check", "P3xP3", "0,0"])[0] == 2
     assert run_cli(capsys, ["formula", "grid-count", "two", "2"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["formula", "grid-count", "3"], "formula grid-count needs r s"),
+     (["formula", "cylinder", "1", "2", "3"], "formula cylinder needs r s"),
+     (["formula", "torus", "3"], "formula torus needs r s"),
+     (["formula", "hamming", "3"], "formula hamming needs at least two sizes"),
+     (["formula", "hamming", "a", "b"], "formula hamming needs n1 n2 [n3 ...]"),
+     (["construct", "cycle"], "construct cycle needs s"),
+     (["construct", "cylinder", "5"], "construct cylinder needs r s"),
+     (["construct", "torus6", "7"], "construct torus6 needs r s"),
+     (["construct", "torus7", "1"], "construct torus7 takes no parameters")],
+)
+def test_formula_and_construct_parameter_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# each budget flag: its argv, its parsed value and the subcommands that
+# read it; ``--json`` and ``--out`` go with every subcommand
+_BUDGET_FLAGS = {
+    "--cap": (["--cap", "1"], 1, {"gp", "check", "count"}),
+    "--time-limit": (["--time-limit", "1"], 1.0, {"gp", "count", "verify-paper"}),
+    "--strict": (["--strict"], True, {"gp", "verify-paper"}),
+}
+_BASE_ARGV = {
+    "gp": ["gp", "P3"],
+    "check": ["check", "P3", "(0);(2)"],
+    "count": ["count", "P3"],
+    "formula": ["formula", "grid-count", "3", "3"],
+    "construct": ["construct", "torus7"],
+    "p": ["p", "C5"],
+    "power-sample": ["power-sample", "K2", "3", "--seed", "1"],
+    "verify-paper": ["verify-paper", "--quick"],
+}
+_FLAG_PAIRS = [(flag, command) for flag in _BUDGET_FLAGS for command in _BASE_ARGV]
+
+
+@pytest.mark.parametrize("flag,command", _FLAG_PAIRS, ids=[f"{c}{f}" for f, c in _FLAG_PAIRS])
+def test_a_budget_flag_parses_only_on_the_subcommands_that_read_it(capsys, flag, command):
+    # 8 pairs parse; the other 16 were once accepted and ignored
+    flag_argv, value, readers = _BUDGET_FLAGS[flag]
+    argv = _BASE_ARGV[command] + flag_argv
+    if command in readers:
+        assert getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_")) == value
+        return
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and f"unrecognized arguments: {' '.join(flag_argv)}" in err
+    assert "Traceback" not in err
 
 
 def test_domain_errors_exit_1(capsys):
@@ -481,7 +543,6 @@ _flags = st.lists(
     ),
     max_size=2,
 ).map(lambda groups: [tok for g in groups for tok in g])
-# every search and count is time-limited, so no case runs long
 _LIMIT = ["--time-limit", "0.5"]
 _argv = st.one_of(
     st.tuples(st.sampled_from(["gp", "count", "p"]), _small_spec).map(list),
@@ -514,8 +575,12 @@ def test_random_argv_exits_0_1_or_2_without_a_traceback(argv, flags):
     argv = argv + flags
     if argv[:1] == ["verify-paper"]:
         argv.append("--bogus")  # stop at the parser: the registry takes seconds
+    if argv[:1] in (["gp"], ["count"], ["verify-paper"]):
+        # every search and count is time-limited, so no case runs long; the
+        # other subcommands refuse the flag, so it would stop them at the parser
+        argv += _LIMIT
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + _LIMIT)
+        code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()

@@ -1,6 +1,8 @@
 """Exact probabilities, sample-size arithmetic, and the deletion sampler."""
 
+import contextlib
 import hashlib
+import signal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -108,6 +110,22 @@ def _splitmix64_replay(seed, sizes, count):
 DRAW_SIZES = (2, 3, 7, 2000, 1 << 64, (1 << 63) + 1)
 
 
+@contextlib.contextmanager
+def _fails_after(seconds):
+    """Raise inside the block once it has run ``seconds`` of wall-clock
+    time: a draw that redraws one rejected word forever fails, not hangs."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still drawing after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("count", [0, 1, 500])
 @pytest.mark.parametrize("seed", [0, 1, 987654321, (1 << 64) - 1])
 def test_draw_matches_a_scalar_replay(seed, count):
@@ -118,14 +136,16 @@ def test_draw_matches_a_scalar_replay(seed, count):
         expected = _splitmix64_replay(seed, sizes, count + 2)
         rng = SplitMix64(seed)
         # a second call carries on from where the first one stopped
-        drawn = rng.draw(sizes, count) + rng.draw(sizes, 2)
+        with _fails_after(5):
+            drawn = rng.draw(sizes, count) + rng.draw(sizes, 2)
         assert drawn == expected
         # Python ints, not numpy integers: check_coord's fast path and
         # json.dumps both need them
         assert all(type(v) is int for row in drawn for v in row)
     # the loop ended on DRAW_SIZES itself; one randbelow per entry agrees
     rng = SplitMix64(seed)
-    assert [tuple(rng.randbelow(k) for k in DRAW_SIZES) for _ in range(count + 2)] == expected
+    with _fails_after(5):
+        assert [tuple(rng.randbelow(k) for k in DRAW_SIZES) for _ in range(count + 2)] == expected
 
 
 @pytest.mark.parametrize("k,message", [(0, "positive"), (-3, "positive"), ((1 << 64) + 1, "at most 2")])
