@@ -16,7 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
+
+import numpy as np
 
 from .formulas import (
     cylinder_gp_value,
@@ -26,7 +28,7 @@ from .formulas import (
     torus_witness6,
     torus_witness7,
 )
-from .graphs import FactorGraph, ProductGraph, build, explicit_adjacency
+from .graphs import PAIR_CHUNK_CELLS, FactorGraph, ProductGraph, build, explicit_adjacency
 from .position import _clique_partition, bad_triples
 from .randomized import (
     choose_M,
@@ -338,64 +340,77 @@ def corpus_products():
     return out
 
 
-def _distance_patterns(ids, D, width: int):
-    """Yield ``(subset, code)`` for every subset of ``ids`` with at most 5
-    members, each once, as an ascending tuple.
+def _pattern_blocks(T, width: int):
+    """Yield ``(subsets, codes)`` blocks that hold every subset of at most 5
+    positions of the square table ``T`` once, as ascending rows of one size
+    in the narrowest dtype for ``len(T)``.
 
-    ``code`` packs the subset's ordered upper-triangle distances: member
-    by member, the new member's distances to the earlier ones in
-    ``width``-bit digits, then a 1 separator bit.  Its bit length fixes
-    the size, so two subsets get equal codes iff they have the same size
-    and the same distances at the same position pairs, provided every
-    distance is below ``2**width``.  The walk is depth-first and extends
-    a prefix's code one member at a time.
+    A row's int64 code packs its ordered upper-triangle distances: member
+    by member, the member's distances to the earlier ones in ``width``-bit
+    digits, then a 1 separator bit.  Its bit length fixes the size, so two
+    rows get equal codes iff they have the same size and the same distances
+    at the same position pairs, provided every distance is below
+    ``2**width``.  The walk is depth-first, with at most ``PAIR_CHUNK_CELLS``
+    (subset, member pair) cells a block.
     """
-    yield (), 0
-    stack = [((), 0, list(ids), [0] * len(ids))]
-    while stack:
-        # digits[i]: cand[i]'s distances to the prefix, packed
-        prefix, code, cand, digits = stack.pop()
-        shift = width * len(prefix) + 1
-        for i, x in enumerate(cand):
-            subset = prefix + (x,)
-            key = code << shift | digits[i] << 1 | 1
-            yield subset, key
-            if len(subset) < 5:
-                row = D[x]
-                rest = cand[i + 1:]
-                stack.append((subset, key, rest, [d << width | row[y] for d, y in zip(digits[i + 1:], rest)]))
+    n = len(T)
+
+    def walk(subsets, codes):
+        yield subsets, codes
+        k = subsets.shape[1]
+        step = max(1, PAIR_CHUNK_CELLS // (n * k * (k + 1) // 2))  # parents per child block
+        for start in range(0, len(subsets) if k < 5 else 0, step):  # a parent gains each larger position
+            parent, new = np.nonzero(np.arange(n) > subsets[start:start + step, -1:])
+            prefix = subsets.take(parent + start, axis=0)
+            child_codes = codes.take(parent + start)
+            for j in range(k):  # the new member's distance to each earlier member, one digit each
+                child_codes <<= width
+                child_codes |= T[prefix[:, j], new]
+            child = np.column_stack((prefix, new.astype(prefix.dtype)))
+            del parent, new, prefix  # only the child block stays alive below this level
+            yield from walk(child, child_codes << 1 | 1)
+
+    dtype = np.min_scalar_type(n - 1)
+    yield np.zeros((1, 0), dtype), np.zeros(1, np.int64)
+    yield from walk(np.arange(n, dtype=dtype)[:, None], np.ones(n, np.int64))
 
 
 @_claim("checker-equivalence", "direct and structural general-position checkers agree on all small subsets",
         {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"})
 def _claim_checker_equivalence(ctx: RunContext):
-    # Both deciders' cores on every subset of each host's flat ids: flat
-    # order is coordinate order, so the subsets and verdicts are those of
-    # the public wrappers, without validating each subset again.  Each
-    # core reads D only at pairs of the subset's ids, and on a symmetric
-    # table with a zero diagonal its verdict depends only on the subset's
-    # ordered upper-triangle distances.  So the cores run once per
-    # distinct distance pattern (19,266 of the 209,230 subsets), and each
-    # subset adds its pattern's verdict.  One digit width for the whole
-    # corpus keeps codes from different hosts apart.
+    # Both deciders' cores on subsets of each host's flat ids: flat order
+    # is coordinate order, so the subsets and verdicts are those of the
+    # public wrappers, without validating each subset again.  Each core
+    # reads D only at pairs of the subset's ids, and on a symmetric table
+    # with a zero diagonal its verdict depends only on the subset's ordered
+    # upper-triangle distances.  So np.unique gives each block's distance
+    # patterns once, the cores run on one subset of each new pattern (19,266
+    # of the 209,230 subsets), and each subset adds its pattern's verdict.
+    # One digit width for the whole corpus keeps codes from different hosts
+    # apart, and int64 holds 5-member codes up to 5-bit digits.
     tables = []
     for name, g in corpus_products():
         ids, D = g.distance_table(list(g.vertices()))
-        if any(D[x][x] or any(D[x][y] != D[y][x] for y in ids) for x in ids):
+        T = np.asarray(D)[np.ix_(ids, ids)]
+        if (T != T.T).any() or T.diagonal().any():
             raise RuntimeError(f"{name}: distance table is not symmetric with a zero diagonal")
-        tables.append((ids, D))
-    width = max((D[x][y] for ids, D in tables for x in ids for y in ids), default=0).bit_length()
+        tables.append((np.asarray(ids), D, T))
+    width = max((int(T.max(initial=0)) for _, _, T in tables), default=0).bit_length()
+    if 10 * width + 5 > 63:
+        raise RuntimeError(f"digit width {width} bits: 5-member codes need {10 * width + 5} bits, above int64's 63")
     disagree = {}  # pattern code -> whether the two cores disagree on it
     tested = mismatches = 0
-    for ids, D in tables:
-        for subset, code in _distance_patterns(ids, D, width):
-            verdict = disagree.get(code)
-            if verdict is None:
+    for ids, D, T in tables:
+        for subsets, codes in _pattern_blocks(T, width):
+            keys, first, counts = np.unique(codes, return_index=True, return_counts=True)
+            patterns = keys.tolist()
+            fresh = [j for j, code in enumerate(patterns) if code not in disagree]
+            for code, subset in zip(keys[fresh].tolist(), ids[subsets[first[fresh]]].tolist()) if fresh else ():
                 direct = next(bad_triples(subset, D), None) is None
                 structural = _clique_partition(subset, D) is not None
-                verdict = disagree[code] = direct != structural
-            tested += 1
-            mismatches += verdict
+                disagree[code] = direct != structural
+            tested += len(codes)
+            mismatches += sum(compress(counts.tolist(), map(disagree.__getitem__, patterns)))
     computed = {"subsets_tested": tested, "mismatches": mismatches}
     return {"mismatches": 0}, computed, PASS if not mismatches else FAIL
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.cli import build_parser, main, parse_vertex_set, render_human
+from genpos.cli import COMMANDS, build_parser, main, parse_vertex_set, render_human
 from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, parse_spec
 from genpos.randomized import p_exact
 
@@ -534,16 +534,28 @@ _set_literal = st.one_of(
     ),
     st.text(alphabet="(),;0123 ", max_size=8),
 )
-_flags = st.lists(
-    st.one_of(
-        st.just(["--json"]),
-        st.just(["--strict"]),
-        st.just(["--bogus"]),
-        st.tuples(st.just("--cap"), _number).map(list),
-    ),
-    max_size=2,
-).map(lambda groups: [tok for g in groups for tok in g])
 _LIMIT = ["--time-limit", "0.5"]
+
+
+def _declared(argv):
+    """The argument names that ``argv``'s subcommand declares, if any."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    return {name for names, _ in command.arguments for name in names} if command else set()
+
+
+def _flags(argv):
+    """Up to two flag groups for ``argv``: --json and --bogus for any, and
+    --strict and --cap only where the subcommand declares them, so a drawn
+    flag does not stop every case of the other subcommands at the parser."""
+    declared = _declared(argv)
+    groups = [st.just(["--json"]), st.just(["--bogus"])]
+    if "--strict" in declared:
+        groups.append(st.just(["--strict"]))
+    if "--cap" in declared:
+        groups.append(st.tuples(st.just("--cap"), _number).map(list))
+    return st.lists(st.one_of(groups), max_size=2).map(lambda drawn: [tok for g in drawn for tok in g])
+
+
 _argv = st.one_of(
     st.tuples(st.sampled_from(["gp", "count", "p"]), _small_spec).map(list),
     st.tuples(st.just("check"), _small_spec, _set_literal).map(list),
@@ -570,12 +582,11 @@ _argv = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(_argv, _flags)
-def test_random_argv_exits_0_1_or_2_without_a_traceback(argv, flags):
-    argv = argv + flags
+@given(_argv.flatmap(lambda argv: _flags(argv).map(lambda flags: argv + flags)))
+def test_random_argv_exits_0_1_or_2_without_a_traceback(argv):
     if argv[:1] == ["verify-paper"]:
         argv.append("--bogus")  # stop at the parser: the registry takes seconds
-    if argv[:1] in (["gp"], ["count"], ["verify-paper"]):
+    if "--time-limit" in _declared(argv):
         # every search and count is time-limited, so no case runs long; the
         # other subcommands refuse the flag, so it would stop them at the parser
         argv += _LIMIT

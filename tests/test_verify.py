@@ -4,6 +4,7 @@ import json
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import genpos.verify as verify
@@ -17,6 +18,7 @@ from genpos.verify import (
     overall_status,
     run_claims,
 )
+from genpos.graphs import PAIR_CHUNK_CELLS
 from genpos.position import bad_triples
 from genpos.solver import SearchLimits
 
@@ -218,30 +220,74 @@ def test_checker_equivalence_counts_every_subset_from_its_pattern(monkeypatch):
     assert 271 < sum(1 for _, g in hosts for _ in combinations(range(g.total_vertices), 4))
 
 
+def _distance_patterns(ids, D, width):
+    """``(subset, code)`` for every subset of ``ids`` with at most 5 members,
+    by a depth-first Python walk that extends a prefix's code one member at
+    a time: the engine-free oracle for the claim's block walk."""
+    yield (), 0
+    stack = [((), 0, list(ids), [0] * len(ids))]
+    while stack:
+        # digits[i]: cand[i]'s distances to the prefix, packed
+        prefix, code, cand, digits = stack.pop()
+        shift = width * len(prefix) + 1
+        for i, x in enumerate(cand):
+            subset = prefix + (x,)
+            key = code << shift | digits[i] << 1 | 1
+            yield subset, key
+            if len(subset) < 5:
+                row = D[x]
+                rest = cand[i + 1:]
+                stack.append((subset, key, rest, [d << width | row[y] for d, y in zip(digits[i + 1:], rest)]))
+
+
 def test_distance_pattern_codes_match_the_upper_triangles(monkeypatch):
-    # the claim's walk, with the claim's digit width: every subset of at
-    # most 5 vertices once, and equal codes iff equal size and ordered
-    # upper-triangle distances, across hosts too
-    hosts = [(spec, verify.build(spec)) for spec in PATTERN_HOSTS]
+    # the claim's block walk, with the claim's digit width: every subset of
+    # at most 5 vertices once, in blocks of at most PAIR_CHUNK_CELLS
+    # (subset, member pair) cells; equal codes iff equal size and ordered
+    # upper-triangle distances, across hosts too; and the same (subset,
+    # code) pairs as the Python walk
+    hosts = [(spec, verify.build(spec)) for spec in PATTERN_HOSTS + ["C5xC5"]]
     monkeypatch.setattr(verify, "corpus_products", lambda: hosts)
     walks = []
-    patterns = verify._distance_patterns
+    blocks = verify._pattern_blocks
 
-    def recording(ids, D, width):
-        walks.append((ids, D, list(patterns(ids, D, width))))
-        return iter(walks[-1][2])
+    def recording(T, width):
+        walks.append((width, list(blocks(T, width))))
+        return iter(walks[-1][1])
 
-    monkeypatch.setattr(verify, "_distance_patterns", recording)
+    monkeypatch.setattr(verify, "_pattern_blocks", recording)
     run_claims(only={"checker-equivalence"})
+    assert len(walks) == len(hosts)
     code_of, pattern_of = {}, {}  # (host, subset) -> code, size and distances
-    for h, (ids, D, walked) in enumerate(walks):
-        assert sorted(s for s, _ in walked) == sorted(s for k in range(6) for s in combinations(ids, k))
-        for s, code in walked:
+    for h, ((_, g), (width, walked)) in enumerate(zip(hosts, walks)):
+        ids, D = g.distance_table(list(g.vertices()))
+        pairs = []
+        for subsets, codes in walked:
+            k = subsets.shape[1]
+            assert subsets.dtype == np.uint8 and codes.dtype == np.int64
+            assert len(codes) * max(1, k * (k - 1) // 2) <= PAIR_CHUNK_CELLS
+            pairs += [(tuple(ids[p] for p in row), code) for row, code in zip(subsets.tolist(), codes.tolist())]
+        assert sorted(s for s, _ in pairs) == sorted(s for k in range(6) for s in combinations(ids, k))
+        assert set(pairs) == set(_distance_patterns(ids, D, width))
+        for s, code in pairs:
             code_of[h, s] = code
             pattern_of[h, s] = len(s), tuple(D[x][y] for x, y in combinations(s, 2))
-    assert len(walks) == len(hosts)
     pairs = set(zip(code_of.values(), pattern_of.values()))
     assert len(pairs) == len(set(code_of.values())) == len(set(pattern_of.values()))
+
+
+def test_checker_equivalence_refuses_codes_wider_than_int64(monkeypatch):
+    # a distance of 40 takes 6-bit digits, and a 5-member code 10 digits
+    # and 5 separator bits: 65 bits
+    g = verify.build("P2xP2")
+    ids, D = g.distance_table(list(g.vertices()))
+    far = [list(row) for row in D]
+    far[ids[0]][ids[3]] = far[ids[3]][ids[0]] = 40
+    host = SimpleNamespace(vertices=g.vertices, distance_table=lambda members: (ids, far))
+    monkeypatch.setattr(verify, "corpus_products", lambda: [("P2xP2", host)])
+    (record,) = run_claims(only={"checker-equivalence"})
+    assert record.status == FAIL
+    assert record.computed == "error: digit width 6 bits: 5-member codes need 65 bits, above int64's 63"
 
 
 def test_checker_equivalence_refuses_an_asymmetric_table(monkeypatch):
