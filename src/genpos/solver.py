@@ -32,9 +32,32 @@ and the witness and the value do not change.  One orbit table per prefix
 state (:meth:`_Symmetry.orbits`) decides which vertices are orbit-minimal
 and which candidates each branch keeps; at the empty prefix K_S is the
 whole group, whose table also gives counting its roots.  Once K_S acts
-trivially, the subtree runs the plain loop.  The search runs in one
-process, so the value, the witness and the node count are the same on
-every run; a node budget stops it at the same node every time.
+trivially, the subtree runs the plain loop.
+
+Before the max-search enters that plain subtree, it tests S setwise
+(Margot's pruning by isomorphism, once per search path): S is skipped
+when some automorphism h of the whole group makes sorted(h(S)) < S.  No
+prefix P of S* is skipped.  h(P) lies in h(S*), so the j-th least member
+of h(S*) is at most the j-th least of h(P) for every j; at the first
+place where sorted(h(P)) falls below P, sorted(h(S*)) falls below S*
+unless it already did earlier, and h(S*) is a maximum set, against S*
+being the first.  The test drops subtrees and reaches no new set, so the
+value and the witness do not change.  It is the min-image backtrack of
+:meth:`_Symmetry.orbit_weight` run from the empty prefix's state, and
+costs tens of microseconds against about a microsecond per plain node,
+so it runs only on subtrees with at least ``_LEADER_TEST_MIN_SPARE``
+spare candidates, beyond those the bound needs to beat the incumbent;
+smaller subtrees rarely repay it.  Nor does it run on prefixes of one
+or two members, which pass it whenever some automorphism t swaps the
+two, as on every product of cycles and complete graphs.  s1 is the least
+of its orbit, no image of s2 lies below s1 (the keep filter), and s2 is
+the least of its orbit under Stab(s1).  So an image below (s1, s2) can
+only be {s1, g(s1)} with g(s2) = s1; then gt fixes s1, and g(s1) =
+gt(s2) >= s2.  Counting and enumeration do not run the test.
+
+The search runs in one process, so the value, the witness and the node
+count are the same on every run; a node budget stops it at the same node
+every time.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -104,6 +127,7 @@ DEFAULT_ENUM_CAP = 64
 
 _TIME_CHECK_EVERY = 1024  # nodes between polls of the budget clock
 _NO_LIMIT = 1 << 62  # a node count no search reaches
+_LEADER_TEST_MIN_SPARE = 20  # spare candidates a plain subtree needs for the setwise test
 
 
 class BudgetExhausted(Exception):
@@ -471,7 +495,8 @@ class _Symmetry:
         the two products, so no group order and no stabilizer element is
         needed.  :meth:`_image_search` settles each tie and stops at the
         first element mapping T onto itself; it polls the clock, so the
-        search's time budget covers the test.
+        search's time budget covers the test.  From the empty prefix's
+        state, a nonzero weight is the max-search's setwise leader test.
         """
         bits = 0
         for x in T:
@@ -558,13 +583,20 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     until a prefix's stabilizer acts trivially and its subtree runs the
     plain loop.  The filter keeps the lex-first maximum set for the
     max-search and the orbit leaders for counting and enumeration (see the
-    module docstring).  Counting keeps ties under a state (``slack=0``
-    without ``sets``, with S = [r]) by orbit leaders: a set S + T adds its
-    root's weight times the size of T's orbit under the state's group if T
-    is the orbit's lexicographically least set, else nothing.  Under a
-    state, ``sets`` receives only the sets the filter reaches, the least
-    set of every orbit among them, for the caller to close under the
-    group.
+    module docstring).  In the max-search (``slack=1`` from the empty
+    prefix, whose state is the whole group's), a prefix S whose subtree
+    runs the plain loop is first tested setwise: if S has at least three
+    members and at least ``_LEADER_TEST_MIN_SPARE`` candidates beyond the
+    bound's need (|S| + |cand| - bar), the subtree is skipped unless S is
+    the lexicographically least set of its orbit under the whole group
+    (:meth:`_Symmetry.orbit_weight` from that state); every prefix of the
+    lex-first maximum set passes.  Counting keeps ties under a state
+    (``slack=0`` without ``sets``, with S = [r]) by orbit leaders: a set
+    S + T adds its root's weight times the size of T's orbit under the
+    state's group if T is the orbit's lexicographically least set, else
+    nothing.  Under a state, ``sets`` receives only the sets the filter
+    reaches, the least set of every orbit among them, for the caller to
+    close under the group.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
     weight of each set of size best reached, an argument of ``rec`` and
@@ -685,19 +717,26 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 child = None if state is None else state[v]
                 if child is not None or vtie & (chosen | bit | nc):
                     rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit, weight)
-                else:  # no symmetry and no tie within reach: every set below weighs the same
+                elif group is None or k1 < 3 or k1 + nc.bit_count() - bar < _LEADER_TEST_MIN_SPARE \
+                        or orbit_weight(group, S, deadline):
+                    # no symmetry and no tie within reach: every set below
+                    # weighs the same; the max-search first drops S if some
+                    # automorphism maps it below itself
                     rec(S, rows, nc, weight * vsize)
                 rows.pop()
                 S.pop()
 
-    lead = orbit_weight = None  # when counting, the root's state and its weigher
+    # counting's root state, the max-search's whole-group state, and the
+    # orbit weigher that both call
+    lead = group = orbit_weight = None
     try:
         if max_nodes == 0:
             raise BudgetExhausted
         for S, cand, weight, state in starts:
             lead = state if slack == 0 and sets is None else None
-            if lead is not None:
-                orbit_weight = lead.sym.orbit_weight
+            group = state if slack and not S else None
+            if state is not None:
+                orbit_weight = state.sym.orbit_weight
             rows = [allowed[v] for v in S]
             if state is None:
                 rec(list(S), rows, cand, weight)

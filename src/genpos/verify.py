@@ -383,9 +383,12 @@ def _claim_checker_equivalence(ctx: RunContext):
     # public wrappers, without validating each subset again.  Each core
     # reads D only at pairs of the subset's ids, and on a symmetric table
     # with a zero diagonal its verdict depends only on the subset's ordered
-    # upper-triangle distances.  So np.unique gives each block's distance
-    # patterns once, the cores run on one subset of each new pattern (19,266
-    # of the 209,230 subsets), and each subset adds its pattern's verdict.
+    # upper-triangle distances.  So sorting each block's codes gives its
+    # distance patterns once, the cores run on one subset of each new
+    # pattern (19,266 of the 209,230 subsets), and each subset adds its
+    # pattern's verdict.  Any subset of a pattern will do, so the codes are
+    # sorted by the default unstable argsort; np.unique's return_index alone
+    # would sort them with the slower stable one.
     # One digit width for the whole corpus keeps codes from different hosts
     # apart, and int64 holds 5-member codes up to 5-bit digits.
     tables = []
@@ -402,10 +405,11 @@ def _claim_checker_equivalence(ctx: RunContext):
     tested = mismatches = 0
     for ids, D, T in tables:
         for subsets, codes in _pattern_blocks(T, width):
-            keys, first, counts = np.unique(codes, return_index=True, return_counts=True)
+            order = codes.argsort()  # np.unique on sorted codes sorts again in linear time
+            keys, first, counts = np.unique(codes[order], return_index=True, return_counts=True)
             patterns = keys.tolist()
             fresh = [j for j, code in enumerate(patterns) if code not in disagree]
-            for code, subset in zip(keys[fresh].tolist(), ids[subsets[first[fresh]]].tolist()) if fresh else ():
+            for code, subset in zip(keys[fresh].tolist(), ids[subsets[order[first[fresh]]]].tolist()) if fresh else ():
                 direct = next(bad_triples(subset, D), None) is None
                 structural = _clique_partition(subset, D) is not None
                 disagree[code] = direct != structural

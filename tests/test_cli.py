@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.cli import COMMANDS, build_parser, main, parse_vertex_set, render_human
-from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, parse_spec
+from genpos.cli import COMMANDS, CONSTRUCTIONS, FORMULAS, build_parser, main, parse_vertex_set, render_human
+from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, build, parse_spec
 from genpos.randomized import p_exact
 
 FIG5 = "(0,1);(1,4);(2,0);(3,3);(4,6);(5,2);(6,5)"
@@ -518,22 +518,65 @@ def test_closed_pipe_in_a_real_process():
 # ----------------------------------------------------------------------
 # exit-code contract on random argv
 
+def _mostly(valid, invalid):
+    """``valid`` in about seven draws of eight, else ``invalid``: a case
+    draws several parts, so most cases get past the parser and the spec and
+    parameter checks into the command code, and a share still tests the
+    usage errors."""
+    return st.integers(0, 7).flatmap(lambda k: invalid if k == 7 else valid)
+
+
+_token = st.sampled_from(["P1", "P3", "C3", "C4", "K2", "K3", "S2", "Q2"])  # a cube has at most 64 vertices
+_valid_spec = st.one_of(
+    st.lists(_token, min_size=1, max_size=2).map("x".join),
+    st.tuples(_token, st.integers(1, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+)
 _family = st.sampled_from("PCKSQZ")
-_small_spec = st.one_of(
+_small_spec = _mostly(_valid_spec, st.one_of(
     st.lists(st.tuples(_family, st.integers(0, 6)), min_size=1, max_size=2).map(
         lambda fs: "x".join(f"{f}{n}" for f, n in fs)
     ),
     st.tuples(_family, st.integers(0, 3), st.integers(0, 3)).map(lambda t: f"{t[0]}{t[1]}^{t[2]}"),
     # digit-free noise, so no size is large enough to start a long build
     st.text(alphabet="PCKSQx^(),;- ", max_size=6),
+))
+_number = _mostly(
+    st.integers(1, 9).map(str),
+    st.one_of(st.integers(-3, 30).map(str), st.sampled_from(["", "x", "1.5", "1e9"])),
 )
-_number = st.one_of(st.integers(-3, 30).map(str), st.sampled_from(["", "x", "1.5", "1e9"]))
-_set_literal = st.one_of(
-    st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=4).map(
-        lambda vs: ";".join("(" + ",".join(map(str, v)) + ")" for v in vs)
-    ),
-    st.text(alphabet="(),;0123 ", max_size=8),
-)
+
+
+def _set_literal(spec):
+    """Mostly distinct in-range vertices of ``spec``'s host, else noise."""
+    try:
+        sizes = build(spec, cap=64).sizes
+        vertex = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+        valid = st.lists(vertex, min_size=1, max_size=4, unique=True)
+    except ValueError:  # a spec the command refuses, or a host past the cap
+        valid = st.just([(0,)])
+    return _mostly(
+        valid.map(lambda vs: ";".join("(" + ",".join(map(str, v)) + ")" for v in vs)),
+        st.one_of(
+            st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=4).map(
+                lambda vs: ";".join("(" + ",".join(map(str, v)) + ")" for v in vs)
+            ),
+            st.text(alphabet="(),;0123 ", max_size=8),
+        ),
+    )
+
+
+def _params(table):
+    """A name from ``table`` (or an unknown one), then mostly as many
+    numbers as the name takes."""
+    def numbers(which):
+        names = table[which][0] if which in table else ()
+        arity = sum(not name.startswith("[") for name in names)
+        return _mostly(st.lists(_number, min_size=arity, max_size=arity), st.lists(_number, max_size=3))
+    return _mostly(st.sampled_from(sorted(table)), st.just("bogus")).flatmap(
+        lambda which: numbers(which).map(lambda ps: [which, *ps])
+    )
+
+
 _LIMIT = ["--time-limit", "0.5"]
 
 
@@ -544,38 +587,32 @@ def _declared(argv):
 
 
 def _flags(argv):
-    """Up to two flag groups for ``argv``: --json and --bogus for any, and
-    --strict and --cap only where the subcommand declares them, so a drawn
-    flag does not stop every case of the other subcommands at the parser."""
+    """Up to two flag groups for ``argv`` (--json for any, --strict and
+    --cap only where the subcommand declares them, so a drawn flag does not
+    stop every case of the other subcommands at the parser), and in about
+    one case of eight an undeclared --bogus."""
     declared = _declared(argv)
-    groups = [st.just(["--json"]), st.just(["--bogus"])]
+    groups = [st.just(["--json"])]
     if "--strict" in declared:
         groups.append(st.just(["--strict"]))
     if "--cap" in declared:
         groups.append(st.tuples(st.just("--cap"), _number).map(list))
-    return st.lists(st.one_of(groups), max_size=2).map(lambda drawn: [tok for g in drawn for tok in g])
+    return st.tuples(st.lists(st.one_of(groups), max_size=2), _mostly(st.just([]), st.just(["--bogus"]))).map(
+        lambda drawn: [tok for g in drawn[0] for tok in g] + drawn[1]
+    )
 
 
 _argv = st.one_of(
     st.tuples(st.sampled_from(["gp", "count", "p"]), _small_spec).map(list),
-    st.tuples(st.just("check"), _small_spec, _set_literal).map(list),
-    st.tuples(
-        st.just("formula"),
-        st.sampled_from(["grid-count", "cylinder", "torus", "hamming", "bogus"]),
-        _number,
-        _number,
-    ).map(list),
-    st.tuples(
-        st.just("construct"),
-        st.sampled_from(["cycle", "cylinder", "torus6", "torus7", "bogus"]),
-        _number,
-        _number,
-    ).map(list),
+    _small_spec.flatmap(lambda spec: _set_literal(spec).map(lambda members: ["check", spec, members])),
+    _params(FORMULAS).map(lambda ps: ["formula", *ps]),
+    _params(CONSTRUCTIONS).map(lambda ps: ["construct", *ps]),
     st.tuples(
         st.just("power-sample"),
-        st.sampled_from(["C5", "K2", "P3", "S2", "Q2", "C2", "x"]),
-        st.integers(-1, 5).map(str),
-        st.sampled_from([[], ["--seed", "3"], ["--seed", "x"], ["--seed", "1", "--retries", "0"]]),
+        _mostly(st.sampled_from(["C5", "K2", "P3", "S2"]), st.sampled_from(["Q2", "C2", "x"])),
+        _mostly(st.integers(1, 5), st.integers(-1, 0)).map(str),  # -1 reads as an option
+        _mostly(st.sampled_from([["--seed", "3"], ["--seed", "1", "--retries", "0"]]),
+                st.sampled_from([[], ["--seed", "x"]])),  # --seed is required
     ).map(lambda t: [t[0], t[1], t[2], *t[3]]),
     st.lists(st.sampled_from(["gp", "verify-paper", "--version", "-h", "bogus", "K3"]), max_size=2),
 )

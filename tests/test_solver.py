@@ -97,6 +97,16 @@ def _plain_maximum_sets(g):
     return best, [tuple(map(g.decode, s)) for s in sets]
 
 
+def _plain_lex_first_maximum_set(g):
+    """(gp, lex-first maximum set) from the plain max-search: no symmetry
+    state, so neither the keep filter nor the leader test runs, and the
+    first set of the largest size reached is the lex-first one."""
+    n = g.total_vertices
+    allowed = BadTripleIndex.build(g).allowed_tables()
+    best, _, witness, _, _ = solver._dfs(allowed, [([], (1 << n) - 1, 1, None)], [], None, slack=1)
+    return best, tuple(map(g.decode, witness))
+
+
 def test_witness_is_lex_first_maximum_set():
     # gp_exact and enumeration both run the keep filter, so both are checked
     # against the plain all-vertex search; the last four hosts are above the
@@ -107,6 +117,12 @@ def test_witness_is_lex_first_maximum_set():
         res = gp_exact(g)
         assert (res.gp_value, tuple(res.witness)) == (best, plain[0])
         assert enumerate_maximum_gp_sets(g) == (best, plain)
+    # the setwise leader test prunes on C9xC9 (14,924 nodes without it), so
+    # its witness is checked too; its 9,072 maximum sets are not enumerated
+    g = build("C9xC9")
+    res = gp_exact(g)
+    assert (res.gp_value, tuple(res.witness)) == _plain_lex_first_maximum_set(g)
+    assert res.nodes_explored < 14_924
 
 
 # ----------------------------------------------------------------------
@@ -210,12 +226,13 @@ _small_factor = st.one_of(
 _small_power = st.builds(lambda f, k: [f] * k, _small_factor, st.integers(2, 3))
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.one_of(st.lists(_small_factor, min_size=1, max_size=3), _small_power).filter(
-        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 27
-    )
+_random_product = st.one_of(st.lists(_small_factor, min_size=1, max_size=3), _small_power).filter(
+    lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 27
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_product)
 def test_witness_is_lex_first_on_random_products(factors):
     g = ProductGraph([f.build() for f in factors])
     res = gp_exact(g)
@@ -397,6 +414,62 @@ def test_generators_are_automorphisms_closing_to_the_root_orbits(name):
         assert _closure(gens, members, _move_set) == _closure(spec_gens, members, _move_set), sorted(members)
 
 
+def _assert_witness_prefixes_pass_the_leader_test(g):
+    """The lemma behind the max-search's setwise leader test: every prefix
+    P of the lex-first maximum set S* is the least set of its orbit under
+    the whole group, as sorted(h(S*)) < S* would follow from sorted(h(P)) <
+    P.  The witness comes from the naive oracle and the orbits from the
+    engine-free generators; the engine's test passes every prefix and
+    refuses the largest set of each prefix's orbit when that is not P."""
+    _, first = naive_lex_first_max(g)
+    witness = [g.encode(v) for v in first]
+    sym = _Symmetry(g)
+    root = sym.root()
+    gens = _spec_group_generators(g)
+    for k in range(1, len(witness) + 1):
+        prefix = witness[:k]
+        orbit = [sorted(U) for U in _closure(gens, frozenset(prefix), _move_set)]
+        assert min(orbit) == prefix
+        if root is None:
+            assert orbit == [prefix]
+            continue
+        assert sym.orbit_weight(root, prefix) == len(orbit)
+        if max(orbit) != prefix:
+            assert sym.orbit_weight(root, max(orbit)) == 0
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CORPUS)
+def test_witness_prefixes_pass_the_leader_test(name):
+    _assert_witness_prefixes_pass_the_leader_test(SYMMETRY_CORPUS[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_product)
+def test_witness_prefixes_pass_the_leader_test_on_random_products(factors):
+    _assert_witness_prefixes_pass_the_leader_test(ProductGraph([f.build() for f in factors]))
+
+
+@pytest.mark.parametrize("spec", ["C5xC5", "K3^3", "C4xK3", "C3xK2xC5"])
+def test_search_pairs_are_orbit_leaders_on_cycles_and_complete_graphs(spec):
+    """Why the max-search skips the leader test on prefixes of two: every
+    pair (s1, s2) it can reach (s1 orbit-minimal, s2 kept by s1's branch
+    and orbit-minimal under s1's stabilizer) is the least set of its orbit
+    when an automorphism swaps the two, as on these hosts."""
+    g = build(spec)
+    n = g.total_vertices
+    sym = _Symmetry(g)
+    root = sym.root()
+    gens = _spec_group_generators(g)
+    for s1 in range(n):
+        if not root.mask >> s1 & 1:
+            continue
+        state = root[s1]
+        for s2 in range(s1 + 1, n):
+            if root.keep[s1] >> s2 & 1 and (state is None or state.mask >> s2 & 1):
+                assert min(sorted(U) for U in _closure(gens, frozenset((s1, s2)), _move_set)) == [s1, s2]
+                assert sym.orbit_weight(root, [s1, s2])
+
+
 @pytest.mark.parametrize("spec", ["P1", "K1xP1", "P1^3", "S1xP1"])
 def test_a_trivial_group_has_no_generators(spec):
     # one-vertex factors, and a star whose one leaf has no other leaf to swap with
@@ -513,16 +586,30 @@ def test_prefix_stabilizers_cut_the_hamming_searches_tenfold(spec, value, parent
     assert res.nodes_explored * 10 <= parent_nodes
 
 
+# lex-first witnesses as flat ids, as the search found them before the
+# setwise leader test
+PINNED_WITNESSES = {
+    "C8xC7": [0, 9, 18, 27, 29, 38, 47],
+    "C9xC9": [0, 11, 23, 34, 37, 48, 60],
+    "C10xC10": [0, 3, 21, 26, 62, 67],
+    "P3^4": [0, 5, 15, 19, 34, 38, 48, 67],
+    "K4^3": [0, 5, 10, 15, 17, 20, 27, 30, 34, 39, 40, 45, 51, 54, 57, 60],
+    "C5^3": [0, 6, 13, 27, 40, 64, 71, 78, 85, 92, 109, 123],
+}
+
+
 @pytest.mark.parametrize(
     "spec,value,nodes",
-    [("C8xC7", 7, 2_235), ("C9xC9", 7, 14_924), ("C10xC10", 6, 15_548),
-     ("P3^4", 8, 5_935), ("K4^3", 16, 4_143)],
+    [("C8xC7", 7, 2_235), ("C9xC9", 7, 13_610), ("C10xC10", 6, 14_600),
+     ("P3^4", 8, 5_935), ("K4^3", 16, 4_143), ("C5^3", 12, 318_875)],
 )
 def test_max_search_node_counts_are_pinned(spec, value, nodes):
     # node counts are deterministic: a change to the stabilizers' branching
-    # shows here, not only in the benchmark
-    res = gp_exact(build(spec))
+    # or to the leader test's gate shows here, not only in the benchmark
+    g = build(spec)
+    res = gp_exact(g)
     assert (res.complete, res.gp_value, res.nodes_explored) == (True, value, nodes)
+    assert [g.encode(v) for v in res.witness] == PINNED_WITNESSES[spec]
 
 
 @settings(max_examples=15, deadline=None)
