@@ -185,8 +185,8 @@ def torus_quadrant_cover(r: int, s: int) -> list[list[tuple[int, int]]]:
 
     Each quadrant is a (floor(r/2)+1) x (floor(s/2)+1) block of vertices
     (indices mod the cycle lengths), so it induces a grid that embeds
-    isometrically.  Useful as input to
-    :func:`~genpos.solver.isometric_cover_bound`.
+    isometrically; :func:`~genpos.solver.isometric_cover_bound` sums the
+    grids' gp values, though any cover of the torus gives a bound.
     """
     if r < 3 or s < 3:
         raise ValueError(f"torus needs r, s >= 3 (got {r}, {s})")

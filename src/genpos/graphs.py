@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from math import prod
 from numbers import Integral
 
+import numpy as np
+
 Coord = tuple[int, ...]
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -304,8 +306,6 @@ class ProductGraph:
         vertices; every other matrix is built afresh."""
         if members is None and self._flat is not None:
             return self._flat
-        import numpy as np  # only the flat matrix needs numpy
-
         if members is None:
             flat = np.arange(self.total_vertices)
             columns = np.array([(flat // stride) % size for stride, size in zip(self.strides, self.sizes)])

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import PAIR_CHUNK_CELLS, Coord, ProductGraph
 
 
@@ -95,8 +97,6 @@ def bad_pair_rows(D):
     the other (``|DA - DB| == dab``), which holds at u = a and u = b too.
     The test runs on the narrowest signed type holding two distances.
     """
-    import numpy as np  # only the pair-row test needs numpy
-
     n = D.shape[0]
     D = D.astype(np.min_scalar_type(-2 * int(D.max()) - 1), copy=False)
     v = np.arange(n)

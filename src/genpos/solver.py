@@ -195,6 +195,30 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
     return out
 
 
+def _refuse_above(n: int, cap: int | None) -> None:
+    """The search's size check, run before any distance is summed."""
+    if cap is not None and n > cap:
+        raise VertexCapError(f"bad-triple index refused for {n} vertices (cap {cap})")
+
+
+def _allowed_tables(D: np.ndarray) -> list[list[int]]:
+    """allowed[a][b] for the vertices 0..n-1 of the distance matrix ``D``:
+    the bitset of vertices completing no bad triple with a and b, packed
+    from the chunks of :func:`~genpos.position.bad_pair_rows`."""
+    n = D.shape[0]
+    full = (1 << n) - 1  # a vertex paired with itself forbids nothing
+    allowed = [[full] * n for _ in range(n)]
+    for A, B, bad in bad_pair_rows(D):
+        ok = np.logical_not(bad, out=bad)
+        # a and b themselves are never forbidden
+        r = np.arange(len(A))
+        ok[r, A] = True
+        ok[r, B] = True
+        for x, y, mask in zip(A.tolist(), B.tolist(), _pack_rows(ok)):
+            allowed[x][y] = allowed[y][x] = mask
+    return allowed
+
+
 class BadTripleIndex:
     """Pair-indexed bitsets describing all bad triples of a host graph.
 
@@ -217,20 +241,8 @@ class BadTripleIndex:
         """The index of ``g``, refused above ``cap`` vertices before any
         distance is summed (``cap=None`` disables the guard)."""
         n = g.total_vertices
-        if cap is not None and n > cap:
-            raise VertexCapError(f"bad-triple index refused for {n} vertices (cap {cap})")
-        D = flat_distance_matrix(g)
-        full = (1 << n) - 1  # a vertex paired with itself forbids nothing
-        allowed = [[full] * n for _ in range(n)]
-        for A, B, bad in bad_pair_rows(D):
-            ok = np.logical_not(bad, out=bad)
-            # a and b themselves are never forbidden
-            r = np.arange(len(A))
-            ok[r, A] = True
-            ok[r, B] = True
-            for x, y, mask in zip(A.tolist(), B.tolist(), _pack_rows(ok)):
-                allowed[x][y] = allowed[y][x] = mask
-        return cls(n, allowed)
+        _refuse_above(n, cap)
+        return cls(n, _allowed_tables(flat_distance_matrix(g)))
 
     def bad_with(self, a: int, b: int) -> set[int]:
         return _bits(((1 << self.n) - 1) ^ self._allowed[a][b])
@@ -846,38 +858,21 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     return best, [tuple(map(coords.__getitem__, s)) for s in sorted(seen)]
 
 
-def _induced_subgraph(g: ProductGraph, members: list[Coord]):
-    """Explicit induced subgraph on the given validated coordinates; raises
-    if it is disconnected or not isometric in g (reporting a violating pair)."""
-    ids, D = g.distance_table(members)
-    adj = [[j for j, y in enumerate(ids) if D[x][y] == 1] for x in ids]
-    try:
-        sub = FactorGraph.explicit(adj)
-    except ValueError as exc:
-        raise ValueError(f"cover set is not usable: {exc}") from exc
-    for i, x in enumerate(ids):
-        row, host = sub.dist[i], D[x]
-        for j in range(i + 1, len(ids)):
-            if row[j] != host[ids[j]]:
-                raise ValueError(
-                    f"subgraph not isometric: pair {members[i]}, {members[j]} "
-                    f"has induced distance {row[j]} but host distance {host[ids[j]]}"
-                )
-    return sub
-
-
 def isometric_cover_bound(
     g,
     cover,
     limits: SearchLimits | None = None,
 ) -> int:
-    """Upper bound on gp(g) from an isometric cover.
+    """Upper bound on gp(g) from a cover of its vertices.
 
-    Each element of ``cover`` is a collection of coordinate tuples.  Every
-    set must induce a connected isometric subgraph and together they must
-    cover all vertices; the bound is the sum of the exact gp values of the
-    induced subgraphs.  Raises :class:`BudgetExhausted` when ``limits``
-    stops the search of any of them.
+    Each element of ``cover`` is a collection of coordinate tuples, and
+    together they must cover all vertices.  A gp-set S of g meets each set
+    V_i in a set in general position under g's distances d_G, so
+    |S| <= sum_i gp_G(V_i), and gp_G(V_i) = gp(G[V_i]) whenever G[V_i] is
+    isometric (the paper's cover lemma).  Each gp_G(V_i) is a plain DFS
+    on the index of d_G among V_i, refused above ``DEFAULT_SEARCH_CAP``
+    vertices.  Raises :class:`BudgetExhausted` when ``limits`` stops the
+    search of any set, as a best-found value is no upper bound.
     """
     g = _as_product(g)
     flat_sets = []
@@ -893,9 +888,11 @@ def isometric_cover_bound(
         raise ValueError(f"cover misses vertex {g.decode(missing)}")
     total = 0
     for flats in flat_sets:
-        piece = _induced_subgraph(g, [g.decode(i) for i in flats])
-        res = gp_exact(ProductGraph([piece]), limits=limits)
-        if not res.complete:  # a piece's best found is no upper bound
-            raise BudgetExhausted(f"cover bound budget exhausted on a piece of {len(flats)} vertices")
-        total += res.gp_value
+        m = len(flats)
+        _refuse_above(m, DEFAULT_SEARCH_CAP)
+        allowed = _allowed_tables(g.flat_matrix([g.decode(i) for i in flats]))
+        best, _, _, _, complete = _dfs(allowed, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1)
+        if not complete:
+            raise BudgetExhausted(f"cover bound budget exhausted on a piece of {m} vertices")
+        total += best
     return total

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,11 +133,17 @@ FACTOR_COUNTS = {
 
 @pytest.mark.parametrize("text", FACTOR_COUNTS)
 def test_long_products_are_refused_before_the_list_grows(text):
-    # a product, a power and Qn meet one check on their summed counts
-    started = time.monotonic()
-    with pytest.raises(VertexCapError) as refused:
-        parse_spec(text)
-    assert time.monotonic() - started < 0.05
+    # a product, a power and Qn meet one check on their summed counts.  Each
+    # refusal peaks under 28 KiB; listing Q3000000xP2's factors first would
+    # allocate about 24 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(VertexCapError) as refused:
+            parse_spec(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     assert str(refused.value) == f"{text} has {FACTOR_COUNTS[text]} factors, above the limit of 256"
 
 

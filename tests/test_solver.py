@@ -1014,22 +1014,38 @@ def test_index_build_never_holds_a_betweenness_cube():
 # ----------------------------------------------------------------------
 # isometric covers
 
+def _induced_cover_bound(g, cover):
+    """The cover bound through explicit induced subgraphs: each piece is
+    rebuilt as a graph from the host's distance-1 pairs, its BFS distances
+    must equal the host's (an isometric piece), and ``gp_exact`` searches it
+    as a product of one factor."""
+    total = 0
+    for raw in cover:
+        members = sorted(set(raw))
+        ids, D = g.distance_table(members)
+        piece = FactorGraph.explicit([[j for j, y in enumerate(ids) if D[x][y] == 1] for x in ids])
+        assert [list(row) for row in piece.dist] == [[D[x][y] for y in ids] for x in ids]
+        total += gp_exact(ProductGraph([piece])).gp_value
+    return total
+
+
 def test_cover_bound_identity():
     g = build("P4xP4")
-    assert isometric_cover_bound(g, [list(g.vertices())]) == 4
+    cover = [list(g.vertices())]
+    assert isometric_cover_bound(g, cover) == _induced_cover_bound(g, cover) == 4
 
 
 def test_cover_bound_two_overlapping_grid_halves():
     g = build("P3xP4")
     left = [(i, j) for i in range(3) for j in range(3)]
     right = [(i, j) for i in range(3) for j in range(1, 4)]
-    assert isometric_cover_bound(g, [left, right]) == 8
+    assert isometric_cover_bound(g, [left, right]) == _induced_cover_bound(g, [left, right]) == 8
 
 
 def test_cover_bound_torus_quadrants():
     g = build("C6xC6")
     bound = isometric_cover_bound(g, torus_quadrant_cover(6, 6))
-    assert bound == 16
+    assert bound == _induced_cover_bound(g, torus_quadrant_cover(6, 6)) == 16
     assert bound >= gp_exact(g).gp_value
 
 
@@ -1042,12 +1058,12 @@ def test_cover_bound_refuses_a_partial_sum_under_a_budget():
     assert isometric_cover_bound(g, torus_quadrant_cover(6, 6), limits=SearchLimits(max_nodes=10_000)) == 16
 
 
-def test_cover_bound_rejects_non_isometric_subgraph():
+def test_cover_bound_on_a_non_isometric_piece():
+    # five consecutive cycle vertices induce a path P5 (gp 2), but under the
+    # host's distances its two ends are at distance 1, and three of them,
+    # such as 0, 2 and 4, are in general position
     g = build("C6")
-    # five consecutive cycle vertices induce a path, but the host shortcut
-    # makes it non-isometric
-    with pytest.raises(ValueError, match="not isometric"):
-        isometric_cover_bound(g, [[(i,) for i in range(5)], [(i,) for i in (4, 5, 0)]])
+    assert isometric_cover_bound(g, [[(i,) for i in range(5)], [(i,) for i in (4, 5, 0)]]) == 3 + 2
 
 
 def test_cover_bound_rejects_non_covering_family():
@@ -1056,13 +1072,14 @@ def test_cover_bound_rejects_non_covering_family():
         isometric_cover_bound(g, [[(0, 0), (0, 1)]])
 
 
-def test_cover_bound_rejects_empty_and_disconnected_pieces():
+def test_cover_bound_rejects_empty_pieces_and_searches_disconnected_ones():
     g = build("P3xP3")
     whole = list(g.vertices())
     with pytest.raises(ValueError, match="empty cover set"):
         isometric_cover_bound(g, [whole, []])
-    with pytest.raises(ValueError, match="not usable"):
-        isometric_cover_bound(g, [whole, [(0, 0), (2, 2)]])
+    # two opposite corners induce no edge; under the host's distances they
+    # are a 2-set in general position, added to gp(P3xP3) = 4
+    assert isometric_cover_bound(g, [whole, [(0, 0), (2, 2)]]) == 4 + 2
 
 
 def test_cover_bound_above_the_flat_table_split():
@@ -1073,7 +1090,53 @@ def test_cover_bound_above_the_flat_table_split():
     cubes = list(product(range(2), repeat=4))
     cover = [[head + tail for tail in cubes] for head in cubes]
     piece = gp_exact(build("K2^4")).gp_value
-    assert isometric_cover_bound(g, cover) == 16 * piece == 80
+    assert isometric_cover_bound(g, cover) == _induced_cover_bound(g, cover) == 16 * piece == 80
+
+
+def test_cover_bound_refuses_bad_coordinates_and_oversize_pieces():
+    g = build("P3xP3")
+    with pytest.raises(ValueError):
+        isometric_cover_bound(g, [list(g.vertices()), [(0, 3)]])
+    g = build("C15xC15", cap=None)
+    with pytest.raises(VertexCapError, match=r"^bad-triple index refused for 225 vertices \(cap 200\)$"):
+        isometric_cover_bound(g, [list(g.vertices())])
+
+
+@st.composite
+def _random_cover(draw):
+    """A product of at most 30 vertices and a cover of it by k pieces:
+    each vertex joins one piece, and a few join a second."""
+    factors = draw(st.lists(_small_factor, min_size=1, max_size=3).filter(
+        lambda fs: prod(f.size + (f.family == "S") for f in fs) <= 30
+    ))
+    g = ProductGraph([f.build() for f in factors])
+    n = g.total_vertices
+    k = draw(st.integers(1, n))
+    pieces = [set() for _ in range(k)]
+    for v in range(n):
+        pieces[draw(st.integers(0, k - 1))].add(v)
+    for v, i in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), max_size=n)):
+        pieces[i].add(v)
+    return g, [[g.decode(v) for v in sorted(p)] for p in pieces if p]
+
+
+def _brute_force_gp(g, members):
+    best = 0
+    for size in range(1, len(members) + 1):
+        if not any(is_general_position(g, s) for s in combinations(members, size)):
+            break
+        best = size
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_cover())
+def test_cover_bound_on_random_covers(case):
+    g, cover = case
+    bound = isometric_cover_bound(g, cover)
+    assert bound >= gp_exact(g).gp_value
+    if all(len(piece) <= 10 for piece in cover):
+        assert bound == sum(_brute_force_gp(g, piece) for piece in cover)
 
 
 def test_quadrants_cover_and_have_grid_shape():

@@ -148,8 +148,8 @@ def test_the_time_limit_bounds_the_grid_counts():
 @pytest.mark.parametrize(
     "max_nodes,computed",
     # one node stops the first cover piece; 150 would finish the 133-node
-    # search of C6xC6 itself, but each piece takes 169-185 nodes (explicit
-    # graphs, so no symmetry)
+    # search of C6xC6 itself, but each piece takes 169-185 nodes (the plain
+    # search, so no symmetry)
     [(1, None), (150, None)],
 )
 def test_the_budget_bounds_the_cover_bound_searches(monkeypatch, max_nodes, computed):
