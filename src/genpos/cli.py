@@ -9,7 +9,7 @@ Subcommands, with the flags that only some of them read::
     construct cycle|cylinder|torus6|torus7 <params>
     p <spec>                                           exact bad-triple probability
     power-sample <factor> <n> --seed K [--retries T]
-    verify-paper [--quick] [--time-limit S] [--strict] run the full claims registry
+    verify-paper [--time-limit S] [--strict]           run the full claims registry
 
 Set literals are semicolon-separated coordinate tuples, e.g.
 ``"(0,1);(1,4);(2,0)"`` (quote them so the shell leaves the parentheses
@@ -30,8 +30,9 @@ runner, with its help, its own arguments and its human view.
 Exit codes: 0 success, 1 computation or claim failed (or the reader of
 standard output closed it early), 2 usage or parse error.  A search
 stopped by a budget exits 0 with an explicit ``skipped-budget`` marker
-unless ``--strict`` is given; a ``count`` stopped by ``--time-limit`` has
-no partial answer and exits 1.
+unless ``--strict`` is given; ``verify-paper`` puts the marker on every
+claim whose search or count the budget stops.  A ``count`` stopped by
+``--time-limit`` has no partial answer and exits 1.
 """
 
 from __future__ import annotations
@@ -302,10 +303,9 @@ def _verify_view(payload):
     return lines
 
 
-@_command("verify-paper", "run the full claims registry", _TIME_LIMIT, _STRICT,
-          _arg("--quick", action="store_true", help="skip the two heavy torus searches"), view=_verify_view)
+@_command("verify-paper", "run the full claims registry", _TIME_LIMIT, _STRICT, view=_verify_view)
 def _verify(args):
-    records = run_claims(quick=args.quick, time_limit=args.time_limit)
+    records = run_claims(limits=SearchLimits(time_limit=args.time_limit))
     counts = {status: sum(r.status == status for r in records) for status in (PASS, FAIL, SKIPPED, DISCREPANCY)}
     overall = overall_status(records)
     result = {"claims": [r.to_json() for r in records], "counts": counts, "overall": overall}

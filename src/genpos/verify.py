@@ -4,11 +4,17 @@ Each claim couples a statement about gp values, counts, probabilities or
 constructions with an independent way of computing it (exact search,
 exhaustive enumeration, or direct counting).  ``run_claims`` executes the
 registry and returns one record per claim id with status ``pass``,
-``fail``, ``skipped-budget`` (a budget or --quick cut the computation
+``fail``, ``skipped-budget`` (the search budget cut the computation
 short) or ``discrepancy-documented`` (the expected outcome for the claims
 whose published value exact computation refutes: ``grid-count-formula``,
-``torus-gp-8x7`` and ``star-formula-discrepancy``).  Each claim is
-declared once, by the ``_claim`` decorator on its runner.
+``torus-gp-8x7`` and ``star-formula-discrepancy``).
+
+Each claim is declared once, with its expectation, by the ``_claim``
+decorator on its runner.  A runner takes the run's ``SearchLimits`` (or
+None) and the record's empty ``computed`` dict, fills the dict and
+returns the status.  ``run_claims`` alone catches ``BudgetExhausted``:
+under a budget it marks the claim ``skipped-budget`` and keeps what the
+runner had filled, so no budget stop reads as a pass.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, compress
+from math import log2
 
 import numpy as np
 
@@ -70,25 +77,17 @@ class ClaimRecord:
         return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
-@dataclass
-class RunContext:
-    time_limit: float | None = None
-    quick: bool = False
-
-
 def _frac(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
-def _limits(ctx: RunContext) -> SearchLimits | None:
-    """The search budget of a run; a time limit of 0 is a budget too."""
-    return None if ctx.time_limit is None else SearchLimits(time_limit=ctx.time_limit)
-
-
-def _search_value(spec: str, ctx: RunContext):
-    """gp_exact through the budget; returns (value or None, complete)."""
-    res = gp_exact(build(spec), limits=_limits(ctx))
-    return (res.gp_value if res.complete else None), res.complete
+def _search_value(spec: str, limits: SearchLimits | None) -> int:
+    """gp of ``spec`` by exact search; raises BudgetExhausted when the
+    budget stops the search."""
+    res = gp_exact(build(spec), limits=limits)
+    if not res.complete:
+        raise BudgetExhausted(f"search of {spec} stopped by its budget")
+    return res.gp_value
 
 
 @dataclass(frozen=True)
@@ -96,38 +95,36 @@ class Claim:
     id: str
     claim: str
     params: dict
+    expected: object
     runner: object
 
 
 CLAIMS: list[Claim] = []
 
 
-def _claim(id: str, claim: str, params: dict):
+def _claim(id: str, claim: str, params: dict, expected):
     """Register the decorated runner as the next entry of ``CLAIMS``; a
-    runner takes a RunContext and returns (expected, computed, status)."""
+    runner takes (limits, computed), fills ``computed`` and returns the
+    status."""
     def register(runner):
-        CLAIMS.append(Claim(id, claim, params, runner))
+        CLAIMS.append(Claim(id, claim, params, expected, runner))
         return runner
 
     return register
 
 
-def _search_table(ctx: RunContext, shown, values: dict[str, int]):
-    """Search each spec of ``values`` in order and compare with its value;
-    the first incomplete search stops the claim as skipped-budget.
-    ``shown`` is the record's expected field."""
-    computed = {}
+def _search_table(limits: SearchLimits | None, computed: dict, values: dict[str, int]) -> str:
+    """Search each spec of ``values`` in order into ``computed`` and compare
+    with its value; the search a budget stops reads None."""
     for spec in values:
-        value, complete = _search_value(spec, ctx)
-        computed[spec] = value
-        if not complete:
-            return shown, computed, SKIPPED
-    return shown, computed, PASS if computed == values else FAIL
+        computed[spec] = None
+        computed[spec] = _search_value(spec, limits)
+    return PASS if computed == values else FAIL
 
 
-@_claim("grid-gp-values", "gp of a grid with both sides >= 3 is 4", {"r": "3..6", "s": "3..6"})
-def _claim_grid_gp(ctx: RunContext):
-    return _search_table(ctx, 4, {f"P{r}xP{s}": 4 for r in range(3, 7) for s in range(3, 7)})
+@_claim("grid-gp-values", "gp of a grid with both sides >= 3 is 4", {"r": "3..6", "s": "3..6"}, 4)
+def _claim_grid_gp(limits, computed):
+    return _search_table(limits, computed, {f"P{r}xP{s}": 4 for r in range(3, 7) for s in range(3, 7)})
 
 
 # Enumerations where the published closed form is provably short: its case
@@ -138,18 +135,14 @@ GRID_COUNT_ENUM_TRUTH = {(4, 4): 36, (4, 5): 120, (5, 5): 400}
 
 
 @_claim("grid-count-formula", "number of maximum general position sets in a grid matches the closed form",
-        {"pairs": "2<=r<=s<=5 and (2,s) for s<=8"})
-def _claim_grid_counts(ctx: RunContext):
+        {"pairs": "2<=r<=s<=5 and (2,s) for s<=8"}, "formula equals enumeration")
+def _claim_grid_counts(limits, computed):
     pairs = [(r, s) for r in range(2, 6) for s in range(r, 6)] + [(2, s) for s in range(6, 9)]
-    computed = {}
     surprises = False
     known_mismatch = False
     for r, s in pairs:
         formula = grid_gp_count(r, s)
-        try:
-            _, enumerated = count_maximum_gp_sets(build(f"P{r}xP{s}"), limits=_limits(ctx))
-        except BudgetExhausted:
-            return "formula equals enumeration", computed, SKIPPED
+        _, enumerated = count_maximum_gp_sets(build(f"P{r}xP{s}"), limits=limits)
         computed[f"{r}x{s}"] = {"formula": formula, "enumerated": enumerated}
         if (r, s) in GRID_COUNT_ENUM_TRUTH:
             if enumerated == GRID_COUNT_ENUM_TRUTH[(r, s)] and enumerated != formula:
@@ -158,85 +151,76 @@ def _claim_grid_counts(ctx: RunContext):
                 surprises = True
         elif formula != enumerated:
             surprises = True
-    status = FAIL if surprises else (DISCREPANCY if known_mismatch else PASS)
-    return "formula equals enumeration", computed, status
+    return FAIL if surprises else (DISCREPANCY if known_mismatch else PASS)
 
 
 CYLINDER_TABLE = [(2, 3), (2, 4), (3, 3), (4, 6), (4, 7), (5, 6), (5, 7), (5, 8), (5, 9), (6, 7)]
+_CYLINDER_VALUES = {f"P{r}xC{s}": cylinder_gp_value(r, s) for r, s in CYLINDER_TABLE}
 
 
 @_claim("cylinder-gp-table", "cylinder gp values: 3 at (2,3); 5 for r>=5 with s=7 or s>=9; else 4",
-        {"instances": [f"P{r}xC{s}" for r, s in CYLINDER_TABLE]})
-def _claim_cylinders(ctx: RunContext):
-    values = {f"P{r}xC{s}": cylinder_gp_value(r, s) for r, s in CYLINDER_TABLE}
-    return _search_table(ctx, values, values)
+        {"instances": list(_CYLINDER_VALUES)}, _CYLINDER_VALUES)
+def _claim_cylinders(limits, computed):
+    return _search_table(limits, computed, _CYLINDER_VALUES)
 
 
-@_claim("torus-gp-7x7", "gp of the 7x7 torus is 7", {"spec": "C7xC7"})
-def _claim_torus_7x7(ctx: RunContext):
-    if ctx.quick:
-        return 7, None, SKIPPED
-    value, complete = _search_value("C7xC7", ctx)
-    if not complete:
-        return 7, value, SKIPPED
-    return 7, value, PASS if value == 7 else FAIL
+@_claim("torus-gp-7x7", "gp of the 7x7 torus is 7", {"spec": "C7xC7"}, 7)
+def _claim_torus_7x7(limits, computed):
+    return _search_table(limits, computed, {"C7xC7": 7})
 
 
-@_claim("torus-gp-8x7", "gp of the 8x7 torus is 6", {"spec": "C8xC7"})
-def _claim_torus_8x7(ctx: RunContext):
+@_claim("torus-gp-8x7", "gp of the 8x7 torus is 6", {"spec": "C8xC7"}, 6)
+def _claim_torus_8x7(limits, computed):
     """The published value is 6 ("checked by computer"), but the search finds
     a certified 7-point set, e.g. {(i, 2i mod 7) : i = 0..6}; together with
     the upper bound 7 this pins the value at 7.  Documented, not fixed."""
-    expected = 6
-    if ctx.quick:
-        return expected, None, SKIPPED
-    res = gp_exact(build("C8xC7"), limits=_limits(ctx))
+    res = gp_exact(build("C8xC7"), limits=limits)
+    computed.update(gp=res.gp_value, witness=[list(v) for v in res.witness])
     if not res.complete:
-        return expected, res.gp_value, SKIPPED
-    computed = {"gp": res.gp_value, "witness": [list(v) for v in res.witness]}
-    if res.gp_value == expected:
-        return expected, computed, PASS
-    if res.gp_value == 7:
-        return expected, computed, DISCREPANCY
-    return expected, computed, FAIL
+        raise BudgetExhausted("search of C8xC7 stopped by its budget")
+    return {6: PASS, 7: DISCREPANCY}.get(res.gp_value, FAIL)
 
 
 @_claim("torus-6set-family", "the explicit 6-point torus construction is in general position",
-        {"r": "6..9", "s": "3,5,6,7 with s <= r"})
-def _claim_torus6_family(ctx: RunContext):
+        {"r": "6..9", "s": "3,5,6,7 with s <= r"}, "certified 6-set")
+def _claim_torus6_family(limits, computed):
     cases = [(r, s) for r in range(6, 10) for s in (3, 5, 6, 7) if s <= r]
-    computed = {}
     ok = True
     for r, s in cases:
         w = torus_witness6(r, s)
         good = w.certified and len(w) == 6
         computed[f"C{r}xC{s}"] = "certified" if good else "FAILED"
         ok &= good
-    return "certified 6-set", computed, PASS if ok else FAIL
+    return PASS if ok else FAIL
 
 
-@_claim("torus-7set", "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]", {})
-def _claim_torus7(ctx: RunContext):
+@_claim("torus-7set", "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]", {},
+        {"certified": True, "distance_range": [3, 5]})
+def _claim_torus7(limits, computed):
     w = torus_witness7()
     dists = sorted(
         w.host.distance(u, v) for u, v in combinations(list(w), 2)
     )
-    computed = {"certified": w.certified, "distance_range": [dists[0], dists[-1]]}
+    computed.update(certified=w.certified, distance_range=[dists[0], dists[-1]])
     ok = w.certified and len(w) == 7 and dists[0] == 3 and dists[-1] == 5
-    return {"certified": True, "distance_range": [3, 5]}, computed, PASS if ok else FAIL
+    return PASS if ok else FAIL
+
+
+_HAMMING_VALUES = {f"K{n1}xK{n2}": hamming_lower_bound((n1, n2)) for n1 in range(2, 6) for n2 in range(2, 6)}
 
 
 @_claim("hamming-two-factor", "gp of a product of two complete graphs is n1 + n2 - 2",
-        {"n1": "2..5", "n2": "2..5"})
-def _claim_hamming(ctx: RunContext):
-    values = {f"K{n1}xK{n2}": hamming_lower_bound((n1, n2)) for n1 in range(2, 6) for n2 in range(2, 6)}
-    return _search_table(ctx, "n1 + n2 - 2", values)
+        {"n1": "2..5", "n2": "2..5"}, "n1 + n2 - 2")
+def _claim_hamming(limits, computed):
+    return _search_table(limits, computed, _HAMMING_VALUES)
+
+
+_P_ANCHORS = {"K2": "3/4", "C4": "9/16", "C5": "11/25"}
 
 
 @_claim("probability-closed-forms", "closed forms for the bad-triple probability match direct enumeration",
-        {"complete": "2..8", "cycle": "3..12", "star leaves": "2..8"})
-def _claim_probability_forms(ctx: RunContext):
-    computed = {}
+        {"complete": "2..8", "cycle": "3..12", "star leaves": "2..8"}, _P_ANCHORS)
+def _claim_probability_forms(limits, computed):
     ok = True
     for n in range(2, 9):
         direct = p_exact(FactorGraph.complete(n))
@@ -251,52 +235,46 @@ def _claim_probability_forms(ctx: RunContext):
         restricted = p_exact_restricted(star, range(1, k + 1))
         ok &= restricted == p_closed_form("star_leaf_restricted", k)
         computed[f"S{k}-leaves"] = _frac(restricted)
-    anchors = {"K2": "3/4", "C4": "9/16", "C5": "11/25"}
-    for key, val in anchors.items():
+    for key, val in _P_ANCHORS.items():
         ok &= computed[key] == val
-    return anchors, computed, PASS if ok else FAIL
+    return PASS if ok else FAIL
 
 
 @_claim("star-formula-discrepancy", "the quoted unrestricted-star closed form disagrees with enumeration",
-        {"k": 2})
-def _claim_star_discrepancy(ctx: RunContext):
+        {"k": 2}, {"enumerated": "17/27", "quoted_formula": "19/27"})
+def _claim_star_discrepancy(limits, computed):
     enumerated = p_exact(FactorGraph.star(2))
     quoted = star_formula_quoted(2)
-    computed = {"enumerated": _frac(enumerated), "quoted_formula": _frac(quoted)}
-    expected = {"enumerated": "17/27", "quoted_formula": "19/27"}
-    if enumerated == Fraction(17, 27) and quoted == Fraction(19, 27):
-        return expected, computed, DISCREPANCY
-    return expected, computed, FAIL
+    computed.update(enumerated=_frac(enumerated), quoted_formula=_frac(quoted))
+    return DISCREPANCY if enumerated == Fraction(17, 27) and quoted == Fraction(19, 27) else FAIL
 
 
 @_claim("product-rule", "bad-triple probability multiplies across Cartesian factors",
-        {"factors": ["K2", "K3", "C5", "P3"]})
-def _claim_product_rule(ctx: RunContext):
+        {"factors": ["K2", "K3", "C5", "P3"]}, "power rule equals explicit count")
+def _claim_product_rule(limits, computed):
     factors = {
         "K2": FactorGraph.complete(2),
         "K3": FactorGraph.complete(3),
         "C5": FactorGraph.cycle(5),
         "P3": FactorGraph.path(3),
     }
-    computed = {}
     ok = True
     for name, f in factors.items():
         rule = p_power(f, 2)
         explicit = p_exact(explicit_adjacency(ProductGraph([f, f])))
         computed[name] = {"rule": _frac(rule), "explicit": _frac(explicit)}
         ok &= rule == explicit
-    return "power rule equals explicit count", computed, PASS if ok else FAIL
+    return PASS if ok else FAIL
 
 
 @_claim("sampler-soundness", "every sample-and-delete run yields a certified general position set",
-        {"cases": ["K2^10", "K3^6", "C5^4"], "seeds": "0..99"})
-def _claim_sampler(ctx: RunContext):
+        {"cases": ["K2^10", "K3^6", "C5^4"], "seeds": "0..99"}, "every run certified; K2^10 successes reach size 3")
+def _claim_sampler(limits, computed):
     cases = [
         ("K2", FactorGraph.complete(2), 10),
         ("K3", FactorGraph.complete(3), 6),
         ("C5", FactorGraph.cycle(5), 4),
     ]
-    computed = {}
     ok = True
     for name, f, n in cases:
         M = choose_M(p_exact(f), n)
@@ -322,7 +300,7 @@ def _claim_sampler(ctx: RunContext):
         if name == "K2":
             ok &= M == 5
             ok &= min_success_size is not None and min_success_size >= 3
-    return "every run certified; K2^10 successes reach size 3", computed, PASS if ok else FAIL
+    return PASS if ok else FAIL
 
 
 CORPUS_FACTORS = ["P2", "P3", "P4", "C3", "C4", "C5", "K2", "K3", "K4"]
@@ -376,8 +354,8 @@ def _pattern_blocks(T, width: int):
 
 
 @_claim("checker-equivalence", "direct and structural general-position checkers agree on all small subsets",
-        {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"})
-def _claim_checker_equivalence(ctx: RunContext):
+        {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"}, {"mismatches": 0})
+def _claim_checker_equivalence(limits, computed):
     # Both deciders' cores on subsets of each host's flat ids: flat order
     # is coordinate order, so the subsets and verdicts are those of the
     # public wrappers, without validating each subset again.  Each core
@@ -415,60 +393,57 @@ def _claim_checker_equivalence(ctx: RunContext):
                 disagree[code] = direct != structural
             tested += len(codes)
             mismatches += sum(compress(counts.tolist(), map(disagree.__getitem__, patterns)))
-    computed = {"subsets_tested": tested, "mismatches": mismatches}
-    return {"mismatches": 0}, computed, PASS if not mismatches else FAIL
+    computed.update(subsets_tested=tested, mismatches=mismatches)
+    return PASS if not mismatches else FAIL
 
 
-@_claim("power-bound-k2", "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3", {"tolerance": 1e-12})
-def _claim_power_bound(ctx: RunContext):
-    from math import log2
+_POWER_BOUND_K2 = 1 - 0.5 * log2(3)
 
+
+@_claim("power-bound-k2", "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3", {"tolerance": 1e-12},
+        {"bound": _POWER_BOUND_K2, "tolerance": 1e-12})
+def _claim_power_bound(limits, computed):
     got = gp_box_lower_bound(FactorGraph.complete(2))
-    want = 1 - 0.5 * log2(3)
-    computed = {"bound": got, "reference": want, "abs_error": abs(got - want)}
-    ok = abs(got - want) <= 1e-12
-    return {"bound": want, "tolerance": 1e-12}, computed, PASS if ok else FAIL
+    computed.update(bound=got, reference=_POWER_BOUND_K2, abs_error=abs(got - _POWER_BOUND_K2))
+    return PASS if abs(got - _POWER_BOUND_K2) <= 1e-12 else FAIL
 
 
 @_claim("cover-bound-torus6", "four isometric grid quadrants give a verified upper bound on the 6x6 torus",
-        {"spec": "C6xC6"})
-def _claim_cover_bound(ctx: RunContext):
-    expected = "verified cover bound >= exact gp"
-    try:
-        bound = isometric_cover_bound(build("C6xC6"), torus_quadrant_cover(6, 6), limits=_limits(ctx))
-    except BudgetExhausted:
-        return expected, None, SKIPPED
-    exact, complete = _search_value("C6xC6", ctx)
-    computed = {"cover_bound": bound, "gp_exact": exact}
-    if not complete:
-        return expected, computed, SKIPPED
-    return expected, computed, PASS if bound >= exact else FAIL
+        {"spec": "C6xC6"}, "verified cover bound >= exact gp")
+def _claim_cover_bound(limits, computed):
+    bound = isometric_cover_bound(build("C6xC6"), torus_quadrant_cover(6, 6), limits=limits)
+    computed.update(cover_bound=bound, gp_exact=None)  # None if the budget stops the search
+    computed["gp_exact"] = _search_value("C6xC6", limits)
+    return PASS if bound >= computed["gp_exact"] else FAIL
 
 
-def run_claims(
-    quick: bool = False,
-    time_limit: float | None = None,
-    only: set[str] | None = None,
-) -> list[ClaimRecord]:
-    """Execute the registry; every claim id appears exactly once.  An id in
-    ``only`` that names no claim raises ValueError."""
+def run_claims(only: set[str] | None = None, limits: SearchLimits | None = None) -> list[ClaimRecord]:
+    """Execute the registry under ``limits``, given to every search and
+    count; every claim id appears exactly once.  An id in ``only`` that
+    names no claim raises ValueError.  A runner that raises is a failed
+    record with the error text, except that under a budget (``limits`` not
+    None) a BudgetExhausted makes it ``skipped-budget``, keeping what the
+    runner had filled."""
     if only is not None:
         unknown = set(only) - {claim.id for claim in CLAIMS}
         if unknown:
             raise ValueError(f"unknown claim id(s): {', '.join(sorted(unknown))}")
-    ctx = RunContext(time_limit=time_limit, quick=quick)
     records = []
     for claim in CLAIMS:
         if only is not None and claim.id not in only:
             continue
+        computed = {}
         start = time.monotonic()
         try:
-            expected, computed, status = claim.runner(ctx)
+            status = claim.runner(limits, computed)
         except Exception as exc:  # a crash is a failed claim, not a crashed report
-            expected, computed, status = None, f"error: {exc}", FAIL
+            if limits is not None and isinstance(exc, BudgetExhausted):
+                status = SKIPPED
+            else:
+                computed, status = f"error: {exc}", FAIL
         elapsed_ms = (time.monotonic() - start) * 1000
         records.append(
-            ClaimRecord(claim.id, claim.claim, claim.params, expected, computed, status, elapsed_ms)
+            ClaimRecord(claim.id, claim.claim, claim.params, claim.expected, computed, status, elapsed_ms)
         )
     return records
 

@@ -334,7 +334,7 @@ _BASE_ARGV = {
     "construct": ["construct", "torus7"],
     "p": ["p", "C5"],
     "power-sample": ["power-sample", "K2", "3", "--seed", "1"],
-    "verify-paper": ["verify-paper", "--quick"],
+    "verify-paper": ["verify-paper"],
 }
 _FLAG_PAIRS = [(flag, command) for flag in _BUDGET_FLAGS for command in _BASE_ARGV]
 
@@ -428,26 +428,25 @@ def test_unknown_subcommand_exits_2(capsys):
 # verification report
 
 @pytest.fixture(scope="module")
-def quick_report():
-    """Exit code and payload of one ``verify-paper --quick --json`` run,
-    shared by the tests that read it: the registry takes seconds."""
+def paper_report():
+    """Exit code and payload of one ``verify-paper --json`` run, shared by
+    the tests that read it: the registry takes about half a second."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify-paper", "--quick", "--json"])
+        code = main(["verify-paper", "--json"])
     return code, json.loads(out.getvalue())
 
 
-def test_verify_paper_quick(capsys, quick_report):
-    code, payload = quick_report
+def test_verify_paper_report(capsys, paper_report):
+    code, payload = paper_report
     assert code == 0
     claims = {r["id"]: r for r in payload["result"]["claims"]}
-    # every registry id exactly once
+    # every registry id exactly once, none stopped by a budget
     assert len(claims) == len(payload["result"]["claims"]) == 15
-    assert claims["torus-gp-7x7"]["status"] == "skipped-budget"
-    assert claims["torus-gp-8x7"]["status"] == "skipped-budget"
-    # --quick skips exactly the two torus searches
-    skipped = {cid for cid, r in claims.items() if r["status"] == "skipped-budget"}
-    assert skipped == {"torus-gp-7x7", "torus-gp-8x7"}
+    assert not [cid for cid, r in claims.items() if r["status"] == "skipped-budget"]
+    assert payload["result"]["counts"]["skipped-budget"] == 0
+    assert claims["torus-gp-7x7"]["status"] == "pass"
+    assert claims["torus-gp-8x7"]["status"] == "discrepancy-documented"
     assert claims["star-formula-discrepancy"]["status"] == "discrepancy-documented"
     assert claims["grid-count-formula"]["status"] == "discrepancy-documented"
     assert claims["grid-gp-values"]["status"] == "pass"
@@ -456,13 +455,19 @@ def test_verify_paper_quick(capsys, quick_report):
     assert claims["checker-equivalence"]["computed"] == {"subsets_tested": 209230, "mismatches": 0}
     assert payload["result"]["overall"] == "pass"
 
-    # --strict turns the skipped torus searches into a failure exit
-    code2, _, _ = run_cli(capsys, ["verify-paper", "--quick", "--strict"])
-    assert code2 == 1
+    # --strict turns the claims a zero budget stops into a failure exit
+    code2, _, err = run_cli(capsys, ["verify-paper", "--time-limit", "0", "--strict"])
+    assert code2 == 1 and "Traceback" not in err
 
 
-def test_verify_paper_human_rendering_matches_payload(quick_report):
-    _, payload = quick_report
+def test_verify_paper_has_no_quick_mode(capsys):
+    code, out, err = run_cli(capsys, ["verify-paper", "--quick"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --quick" in err
+
+
+def test_verify_paper_human_rendering_matches_payload(paper_report):
+    _, payload = paper_report
     text = render_human(payload)
     for record in payload["result"]["claims"]:
         assert record["id"] in text

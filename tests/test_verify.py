@@ -1,7 +1,9 @@
 """Structure and semantics of the claims registry."""
 
 import json
+from dataclasses import replace
 from itertools import combinations
+from math import log2
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +20,10 @@ from genpos.verify import (
     overall_status,
     run_claims,
 )
+from genpos.formulas import cylinder_gp_value, hamming_lower_bound
 from genpos.graphs import PAIR_CHUNK_CELLS
 from genpos.position import bad_triples
-from genpos.solver import SearchLimits
+from genpos.solver import BudgetExhausted, SearchLimits
 
 
 def test_registry_ids_unique():
@@ -29,71 +32,123 @@ def test_registry_ids_unique():
     assert all(c.claim for c in CLAIMS)
 
 
-# every claim's id, statement and params, in registry order
+# every claim's id, statement, params and expectation, in registry order
 CLAIM_SNAPSHOT = [
-    ("grid-gp-values", "gp of a grid with both sides >= 3 is 4", {"r": "3..6", "s": "3..6"}),
+    ("grid-gp-values", "gp of a grid with both sides >= 3 is 4", {"r": "3..6", "s": "3..6"}, 4),
     (
         "grid-count-formula",
         "number of maximum general position sets in a grid matches the closed form",
         {"pairs": "2<=r<=s<=5 and (2,s) for s<=8"},
+        "formula equals enumeration",
     ),
     (
         "cylinder-gp-table",
         "cylinder gp values: 3 at (2,3); 5 for r>=5 with s=7 or s>=9; else 4",
         {"instances": ["P2xC3", "P2xC4", "P3xC3", "P4xC6", "P4xC7", "P5xC6", "P5xC7", "P5xC8", "P5xC9", "P6xC7"]},
+        {"P2xC3": 3, "P2xC4": 4, "P3xC3": 4, "P4xC6": 4, "P4xC7": 4,
+         "P5xC6": 4, "P5xC7": 5, "P5xC8": 4, "P5xC9": 5, "P6xC7": 5},
     ),
-    ("torus-gp-7x7", "gp of the 7x7 torus is 7", {"spec": "C7xC7"}),
-    ("torus-gp-8x7", "gp of the 8x7 torus is 6", {"spec": "C8xC7"}),
+    ("torus-gp-7x7", "gp of the 7x7 torus is 7", {"spec": "C7xC7"}, 7),
+    ("torus-gp-8x7", "gp of the 8x7 torus is 6", {"spec": "C8xC7"}, 6),
     (
         "torus-6set-family",
         "the explicit 6-point torus construction is in general position",
         {"r": "6..9", "s": "3,5,6,7 with s <= r"},
+        "certified 6-set",
     ),
-    ("torus-7set", "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]", {}),
-    ("hamming-two-factor", "gp of a product of two complete graphs is n1 + n2 - 2", {"n1": "2..5", "n2": "2..5"}),
+    (
+        "torus-7set",
+        "the explicit 7-point set on the 7x7 torus is certified with distances in [3,5]",
+        {},
+        {"certified": True, "distance_range": [3, 5]},
+    ),
+    (
+        "hamming-two-factor",
+        "gp of a product of two complete graphs is n1 + n2 - 2",
+        {"n1": "2..5", "n2": "2..5"},
+        "n1 + n2 - 2",
+    ),
     (
         "probability-closed-forms",
         "closed forms for the bad-triple probability match direct enumeration",
         {"complete": "2..8", "cycle": "3..12", "star leaves": "2..8"},
+        {"K2": "3/4", "C4": "9/16", "C5": "11/25"},
     ),
-    ("star-formula-discrepancy", "the quoted unrestricted-star closed form disagrees with enumeration", {"k": 2}),
+    (
+        "star-formula-discrepancy",
+        "the quoted unrestricted-star closed form disagrees with enumeration",
+        {"k": 2},
+        {"enumerated": "17/27", "quoted_formula": "19/27"},
+    ),
     (
         "product-rule",
         "bad-triple probability multiplies across Cartesian factors",
         {"factors": ["K2", "K3", "C5", "P3"]},
+        "power rule equals explicit count",
     ),
     (
         "sampler-soundness",
         "every sample-and-delete run yields a certified general position set",
         {"cases": ["K2^10", "K3^6", "C5^4"], "seeds": "0..99"},
+        "every run certified; K2^10 successes reach size 3",
     ),
     (
         "checker-equivalence",
         "direct and structural general-position checkers agree on all small subsets",
         {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"},
+        {"mismatches": 0},
     ),
-    ("power-bound-k2", "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3", {"tolerance": 1e-12}),
+    (
+        "power-bound-k2",
+        "growth-exponent lower bound for K2 equals 1 - (1/2) log2 3",
+        {"tolerance": 1e-12},
+        {"bound": 1 - 0.5 * log2(3), "tolerance": 1e-12},
+    ),
     (
         "cover-bound-torus6",
         "four isometric grid quadrants give a verified upper bound on the 6x6 torus",
         {"spec": "C6xC6"},
+        "verified cover bound >= exact gp",
     ),
 ]
 
+# each claim's status without a budget
+UNTIMED_STATUS = {
+    "grid-gp-values": PASS,
+    "grid-count-formula": DISCREPANCY,
+    "cylinder-gp-table": PASS,
+    "torus-gp-7x7": PASS,
+    "torus-gp-8x7": DISCREPANCY,
+    "torus-6set-family": PASS,
+    "torus-7set": PASS,
+    "hamming-two-factor": PASS,
+    "probability-closed-forms": PASS,
+    "star-formula-discrepancy": DISCREPANCY,
+    "product-rule": PASS,
+    "sampler-soundness": PASS,
+    "checker-equivalence": PASS,
+    "power-bound-k2": PASS,
+    "cover-bound-torus6": PASS,
+}
+
 
 def test_registry_declares_every_claim_in_order():
-    assert [(c.id, c.claim, c.params) for c in CLAIMS] == CLAIM_SNAPSHOT
+    assert [(c.id, c.claim, c.params, c.expected) for c in CLAIMS] == CLAIM_SNAPSHOT
+    assert list(UNTIMED_STATUS) == [c.id for c in CLAIMS]
 
 
-def test_formula_claims_read_their_expected_values_from_formulas(monkeypatch):
-    # an off-by-one formula must turn its claim to fail, so the claims
-    # check the values that `genpos formula` prints
-    cylinder, hamming = verify.cylinder_gp_value, verify.hamming_lower_bound
-    monkeypatch.setattr(verify, "cylinder_gp_value", lambda r, s: cylinder(r, s) + ((r, s) == (5, 9)))
-    monkeypatch.setattr(verify, "hamming_lower_bound", lambda sizes: hamming(sizes) + (tuple(sizes) == (3, 4)))
-    records = run_claims(only={"cylinder-gp-table", "hamming-two-factor"})
-    assert [(r.id, r.status) for r in records] == [("cylinder-gp-table", FAIL), ("hamming-two-factor", FAIL)]
-    assert records[0].expected["P5xC9"] == 6 and records[0].computed["P5xC9"] == 5
+def test_formula_claims_read_their_expected_values_from_formulas():
+    # the claims check the values that `genpos formula` prints, at every
+    # instance; a wrong value turning a claim to fail is tested below
+    by_id = {c.id: c for c in CLAIMS}
+    cylinders = by_id["cylinder-gp-table"].expected
+    assert list(cylinders) == by_id["cylinder-gp-table"].params["instances"]
+    for spec, value in cylinders.items():
+        r, s = map(int, spec[1:].split("xC"))
+        assert value == cylinder_gp_value(r, s)
+    assert verify._HAMMING_VALUES == {
+        f"K{n1}xK{n2}": hamming_lower_bound((n1, n2)) for n1 in range(2, 6) for n2 in range(2, 6)
+    }
 
 
 def test_sampler_soundness_rechecks_with_the_structural_decider(monkeypatch):
@@ -102,22 +157,11 @@ def test_sampler_soundness_rechecks_with_the_structural_decider(monkeypatch):
     assert record.status == FAIL
 
 
-def test_quick_mode_skips_only_the_torus_searches():
-    records = run_claims(
-        quick=True,
-        only={"torus-gp-7x7", "torus-gp-8x7", "power-bound-k2"},
-    )
-    by_id = {r.id: r for r in records}
-    assert by_id["torus-gp-7x7"].status == SKIPPED
-    assert by_id["torus-gp-8x7"].status == SKIPPED
-    assert by_id["power-bound-k2"].status == PASS
-
-
-def test_full_mode_documents_the_torus_discrepancy():
+def test_the_torus_searches_pass_and_document_the_discrepancy():
     records = run_claims(only={"torus-gp-7x7", "torus-gp-8x7"})
     by_id = {r.id: r for r in records}
     assert by_id["torus-gp-7x7"].status == PASS
-    assert by_id["torus-gp-7x7"].computed == 7
+    assert by_id["torus-gp-7x7"].computed == {"C7xC7": 7}
     rec = by_id["torus-gp-8x7"]
     assert rec.status == DISCREPANCY
     assert rec.expected == 6 and rec.computed["gp"] == 7
@@ -126,44 +170,65 @@ def test_full_mode_documents_the_torus_discrepancy():
 
 
 def test_time_limit_marks_searches_skipped():
-    records = run_claims(only={"torus-gp-7x7"}, time_limit=1e-5)
+    records = run_claims(only={"torus-gp-7x7"}, limits=SearchLimits(time_limit=1e-5))
     assert records[0].status == SKIPPED
+
+
+# the claims that run a search or a count, each stopped by a zero budget
+SEARCHING_CLAIMS = {
+    "grid-gp-values",
+    "grid-count-formula",
+    "cylinder-gp-table",
+    "torus-gp-7x7",
+    "torus-gp-8x7",
+    "hamming-two-factor",
+    "cover-bound-torus6",
+}
 
 
 def test_a_zero_time_limit_is_a_budget():
     # the cover-bound searches take fewer nodes than the clock poll interval
-    only = {"torus-gp-7x7", "grid-gp-values", "cover-bound-torus6"}
-    zero, tiny = run_claims(only=only, time_limit=0), run_claims(only=only, time_limit=1e-9)
+    zero = run_claims(limits=SearchLimits(time_limit=0))
+    tiny = run_claims(limits=SearchLimits(time_limit=1e-9))
     assert [(r.id, r.status) for r in zero] == [(r.id, r.status) for r in tiny]
-    assert [r.status for r in zero] == [SKIPPED, SKIPPED, SKIPPED]
+    assert [r.id for r in zero] == [c.id for c in CLAIMS]
+    for r in zero:
+        assert r.status == (SKIPPED if r.id in SEARCHING_CLAIMS else UNTIMED_STATUS[r.id]), r.id
+    # a stopped claim keeps what its runner filled before the stop
+    by_id = {r.id: r.computed for r in zero}
+    assert by_id["grid-gp-values"] == {"P3xP3": None}
+    assert by_id["torus-gp-7x7"] == {"C7xC7": None}
+    assert by_id["torus-gp-8x7"] == {"gp": 1, "witness": [[0, 0]]}
+    assert by_id["cover-bound-torus6"] == {}
 
 
 def test_the_time_limit_bounds_the_grid_counts():
     # the first count, P2xP2, stops at its first node, which polls the clock
-    (record,) = run_claims(only={"grid-count-formula"}, time_limit=0)
+    (record,) = run_claims(only={"grid-count-formula"}, limits=SearchLimits(time_limit=0))
     assert record.status == SKIPPED
     assert record.computed == {}
 
 
 @pytest.mark.parametrize(
-    "max_nodes,computed",
+    "max_nodes",
     # one node stops the first cover piece; 150 would finish the 133-node
     # search of C6xC6 itself, but each piece takes 169-185 nodes (the plain
     # search, so no symmetry)
-    [(1, None), (150, None)],
+    [1, 150],
 )
-def test_the_budget_bounds_the_cover_bound_searches(monkeypatch, max_nodes, computed):
-    monkeypatch.setattr(verify, "_limits", lambda ctx: SearchLimits(max_nodes=max_nodes))
-    (record,) = run_claims(only={"cover-bound-torus6"})
-    assert (record.status, record.computed) == (SKIPPED, computed)
+def test_the_budget_bounds_the_cover_bound_searches(max_nodes):
+    (record,) = run_claims(only={"cover-bound-torus6"}, limits=SearchLimits(max_nodes=max_nodes))
+    assert (record.status, record.computed) == (SKIPPED, {})
 
 
 def test_a_budget_that_stops_only_the_exact_search_keeps_the_cover_bound(monkeypatch):
-    # the claim takes the cover bound's limits first and the search's second:
-    # 200 nodes finish every piece, 100 stop the 133-node search of C6xC6
-    budgets = iter([200, 100])
-    monkeypatch.setattr(verify, "_limits", lambda ctx: SearchLimits(max_nodes=next(budgets)))
-    (record,) = run_claims(only={"cover-bound-torus6"})
+    # 200 nodes finish every cover piece and the 133-node search of C6xC6
+    # alike, so one shared budget cannot stop the search alone: stop it here
+    def stopped(spec, limits):
+        raise BudgetExhausted(f"search of {spec} stopped by its budget")
+
+    monkeypatch.setattr(verify, "_search_value", stopped)
+    (record,) = run_claims(only={"cover-bound-torus6"}, limits=SearchLimits(max_nodes=200))
     assert (record.status, record.computed) == (SKIPPED, {"cover_bound": 16, "gp_exact": None})
 
 
@@ -342,16 +407,38 @@ def test_corpus_is_the_45_products_capped_at_25_vertices():
     assert all(g.total_vertices <= 25 for _, g in products)
 
 
-def test_a_crashing_claim_becomes_a_failed_record(monkeypatch):
+def _only_runner(monkeypatch, runner):
+    """Make the registry one claim, power-bound-k2's entry with ``runner``."""
     claim = next(c for c in verify.CLAIMS if c.id == "power-bound-k2")
-    monkeypatch.setattr(
-        verify,
-        "CLAIMS",
-        [type(claim)(claim.id, claim.claim, claim.params, lambda ctx: 1 / 0)],
-    )
+    monkeypatch.setattr(verify, "CLAIMS", [replace(claim, runner=runner)])
+    return claim
+
+
+def test_a_crashing_claim_becomes_a_failed_record(monkeypatch):
+    claim = _only_runner(monkeypatch, lambda limits, computed: 1 / 0)
     records = verify.run_claims()
     assert records[0].status == FAIL
-    assert "error" in records[0].computed
+    assert records[0].computed == "error: division by zero"
+    assert records[0].expected == claim.expected
+
+
+@pytest.mark.parametrize(
+    "limits,status,computed",
+    [
+        # a budget stop with no budget given is a fault, not a skip
+        (None, FAIL, "error: out of nodes"),
+        (SearchLimits(time_limit=60), SKIPPED, {"partial": 1}),
+    ],
+    ids=["no-budget", "budget"],
+)
+def test_a_budget_stop_is_skipped_only_under_a_budget(monkeypatch, limits, status, computed):
+    def runner(limits, computed):
+        computed["partial"] = 1
+        raise BudgetExhausted("out of nodes")
+
+    _only_runner(monkeypatch, runner)
+    (record,) = verify.run_claims(limits=limits)
+    assert (record.status, record.computed) == (status, computed)
 
 
 @pytest.mark.parametrize(
@@ -360,16 +447,18 @@ def test_a_crashing_claim_becomes_a_failed_record(monkeypatch):
 )
 def test_a_search_table_claim_stops_at_a_budget_and_fails_on_a_wrong_value(monkeypatch, claim_id, spec, searches):
     search = verify._search_value
-    monkeypatch.setattr(verify, "_search_value", lambda s, ctx: (None, False) if s == spec else search(s, ctx))
-    record = run_claims(only={claim_id})[0]
+
+    def stopped_at_spec(s, limits):
+        if s == spec:
+            raise BudgetExhausted(f"search of {s} stopped by its budget")
+        return search(s, limits)
+
+    monkeypatch.setattr(verify, "_search_value", stopped_at_spec)
+    record = run_claims(only={claim_id}, limits=SearchLimits(time_limit=60))[0]
     assert record.status == SKIPPED
     assert list(record.computed)[-1] == spec and record.computed[spec] is None
     assert None not in list(record.computed.values())[:-1]
 
-    def off_by_one(s, ctx):
-        value, complete = search(s, ctx)
-        return value + (s == spec), complete
-
-    monkeypatch.setattr(verify, "_search_value", off_by_one)
+    monkeypatch.setattr(verify, "_search_value", lambda s, limits: search(s, limits) + (s == spec))
     record = run_claims(only={claim_id})[0]
     assert record.status == FAIL and len(record.computed) == searches
