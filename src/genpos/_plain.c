@@ -1,0 +1,95 @@
+/* The plain loop ``rec`` of genpos.solver._dfs for the max-search (slack
+   1, so bar = best + 1; no set list), node for node: the same
+   pop-lowest-bit order, the same cut |S| + |cand| < bar, the same node
+   count, budget poll and witness and tie updates.  Built and loaded with
+   ctypes by genpos.solver on the first plain subtree; without a C
+   compiler the Python loop runs instead.
+
+   allowed: n x n x W words, allowed[(a*n + b)*W + j] holding bits
+   64j..64j+63 of the vertices completing no bad triple with a and b.
+   buf: the state below (STATE words, read and written back), then S (n
+   words: the prefix, k members on entry, then the search path), the
+   witness (n words: S + [v] at each new best) and the candidate stack
+   (W words per depth, the candidates on entry in its first W).
+   remaining: seconds left of the time budget when TIMED is set.
+   Returns 1 when the node or time budget stopped the search, else 0. */
+#define _POSIX_C_SOURCE 199309L  /* clock_gettime under a strict -std */
+#include <stdint.h>
+#include <string.h>
+#include <time.h>
+
+enum { N, W, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, MAX_NODES, STEP, TIMED, STATE };
+
+typedef struct {
+    const uint64_t *allowed;
+    int64_t *st, *S, *witness;
+    double deadline;
+} Search;
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec + ts.tv_nsec * 1e-9;
+}
+
+static int64_t popcount(const uint64_t *x, int64_t w)
+{
+    int64_t c = 0;
+    for (int64_t j = 0; j < w; j++)
+        c += __builtin_popcountll(x[j]);
+    return c;
+}
+
+static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left)
+{
+    int64_t *st = s->st, n = st[N], w = st[W];
+    uint64_t *nc = cand + w;
+    for (int64_t i = 0; i < w;) {  /* cand[i] holds the lowest candidate */
+        if (!cand[i]) {
+            i++;
+            continue;
+        }
+        if (k + left < st[BEST] + 1)
+            return 0;
+        int64_t v = i * 64 + __builtin_ctzll(cand[i]);
+        cand[i] &= cand[i] - 1;
+        left--;
+        if (++st[NODES] >= st[CHECK_AT]) {
+            if (st[NODES] >= st[MAX_NODES] || (st[TIMED] && now() > s->deadline))
+                return 1;
+            st[CHECK_AT] = st[NODES] + st[STEP] < st[MAX_NODES] ? st[NODES] + st[STEP] : st[MAX_NODES];
+        }
+        memcpy(nc, cand, w * sizeof *nc);
+        for (int64_t m = 0; m < k; m++) {
+            const uint64_t *row = s->allowed + (s->S[m] * n + v) * w;
+            for (int64_t j = 0; j < w; j++)
+                nc[j] &= row[j];
+        }
+        if (k + 1 > st[BEST]) {
+            st[BEST] = k + 1;
+            st[IMPROVED] = 1;
+            st[TIES] = 0;
+            memcpy(s->witness, s->S, k * sizeof *s->S);
+            s->witness[k] = v;
+        } else if (k + 1 == st[BEST]) {
+            st[TIES]++;
+        }
+        int64_t c = popcount(nc, w);
+        if (c && k + c >= st[BEST]) {
+            s->S[k] = v;
+            if (rec(s, k + 1, nc, c))
+                return 1;
+        }
+    }
+    return 0;
+}
+
+int genpos_plain(const uint64_t *allowed, int64_t *buf, double remaining)
+{
+    int64_t n = buf[N];
+    uint64_t *stack = (uint64_t *)(buf + STATE + 2 * n);
+    Search s = {allowed, buf, buf + STATE, buf + STATE + n, buf[TIMED] ? now() + remaining : 0.0};
+    buf[IMPROVED] = buf[TIES] = 0;
+    return rec(&s, buf[K], stack, popcount(stack, buf[W]));
+}

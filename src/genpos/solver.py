@@ -59,6 +59,16 @@ The search runs in one process, so the value, the witness and the node
 count are the same on every run; a node budget stops it at the same node
 every time.
 
+The max-search's plain subtrees, and the cover bound's pieces, run
+compiled: ``_plain.c`` is the plain loop ``rec`` in C, with the same
+branching order, cut, node count, budget polls, witness and tie updates,
+so values, witnesses and node counts do not change.  It is compiled and
+loaded on the first plain subtree (:func:`_load_plain`); if that fails,
+``rec`` runs instead, and :func:`plain_loop_backend` says which one does.
+Counting and enumeration always run ``rec``.  The node and time budgets
+are polled inside the compiled loop, but a Ctrl-C there lands only when
+its subtree returns.
+
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
 sets through r onto maximum sets through its image, so every vertex of
@@ -113,7 +123,14 @@ no group element beyond the generators is formed.
 
 from __future__ import annotations
 
+import atexit
+import ctypes
 import functools
+import importlib.resources
+import os
+import shutil
+import struct
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -176,19 +193,22 @@ def flat_distance_matrix(g: ProductGraph) -> np.ndarray:
     return g.flat_matrix()
 
 
-def _pack_rows(rows: np.ndarray) -> list[int]:
-    """Pack boolean rows into Python-int bitsets (bit i = row[i]).
-
-    The packed bytes are zero-padded to whole 64-bit words, read as
-    little-endian words, and a row of several words is combined from its
-    top word down."""
+def _pack_words(rows: np.ndarray) -> np.ndarray:
+    """Pack boolean rows into 64-bit words, one row of W words each: bit i
+    of a row is bit i % 64 of word i // 64.  The packed bytes are
+    zero-padded to whole words and read as little-endian words."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     width = packed.shape[1]
     if width % 8:
         padded = np.zeros((len(packed), width + (-width % 8)), np.uint8)
         padded[:, :width] = packed
         packed = padded
-    words = packed.view("<u8")
+    return packed.view("<u8")
+
+
+def _word_ints(words: np.ndarray) -> list[int]:
+    """The rows of :func:`_pack_words` as Python-int bitsets, each combined
+    from its top word down."""
     out = words[:, -1].tolist()
     for k in range(words.shape[1] - 2, -1, -1):
         out = [x << 64 | w for x, w in zip(out, words[:, k].tolist())]
@@ -201,22 +221,38 @@ def _refuse_above(n: int, cap: int | None) -> None:
         raise VertexCapError(f"bad-triple index refused for {n} vertices (cap {cap})")
 
 
-def _allowed_tables(D: np.ndarray) -> list[list[int]]:
+def _allowed_tables(D: np.ndarray, words: bool = False) -> tuple[list[list[int]], np.ndarray | None]:
     """allowed[a][b] for the vertices 0..n-1 of the distance matrix ``D``:
     the bitset of vertices completing no bad triple with a and b, packed
-    from the chunks of :func:`~genpos.position.bad_pair_rows`."""
+    from the chunks of :func:`~genpos.position.bad_pair_rows`.  With
+    ``words``, also the same tables as an (n, n, W) uint64 array for the
+    compiled plain loop, filled from the same packed words, else None; its
+    diagonal, which no search reads, is left zero."""
     n = D.shape[0]
     full = (1 << n) - 1  # a vertex paired with itself forbids nothing
     allowed = [[full] * n for _ in range(n)]
+    table = np.zeros((n, n, -(-n // 64)), np.uint64) if words else None
     for A, B, bad in bad_pair_rows(D):
         ok = np.logical_not(bad, out=bad)
         # a and b themselves are never forbidden
         r = np.arange(len(A))
         ok[r, A] = True
         ok[r, B] = True
-        for x, y, mask in zip(A.tolist(), B.tolist(), _pack_rows(ok)):
+        packed = _pack_words(ok)
+        if table is not None:
+            table[A, B] = table[B, A] = packed
+        for x, y, mask in zip(A.tolist(), B.tolist(), _word_ints(packed)):
             allowed[x][y] = allowed[y][x] = mask
-    return allowed
+    return allowed, table
+
+
+def _word_table(allowed: list[list[int]]) -> np.ndarray:
+    """The (n, n, W) word array of the int tables ``allowed``, for a
+    search given no array."""
+    n = len(allowed)
+    width = 8 * -(-n // 64)
+    raw = bytearray().join(x.to_bytes(width, "little") for row in allowed for x in row)
+    return np.frombuffer(raw, "<u8").reshape(n, n, width // 8)
 
 
 class BadTripleIndex:
@@ -227,22 +263,25 @@ class BadTripleIndex:
     :func:`~genpos.position.bad_pair_rows`, about ``PAIR_CHUNK_CELLS``
     (pair, vertex) cells each, so besides the tables themselves it holds
     the distance matrix and one chunk at a time.  :meth:`build` is the
-    size check of the exact search, counting and enumeration.
+    size check of the exact search, counting and enumeration.  ``words``
+    is the tables' word array for the compiled plain loop when the build
+    was asked for it, else None.
     """
 
-    __slots__ = ("n", "_allowed")
+    __slots__ = ("n", "_allowed", "words")
 
-    def __init__(self, n: int, allowed: list[list[int]]):
+    def __init__(self, n: int, allowed: list[list[int]], words: np.ndarray | None = None):
         self.n = n
         self._allowed = allowed
+        self.words = words
 
     @classmethod
-    def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
+    def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP, words: bool = False) -> "BadTripleIndex":
         """The index of ``g``, refused above ``cap`` vertices before any
         distance is summed (``cap=None`` disables the guard)."""
         n = g.total_vertices
         _refuse_above(n, cap)
-        return cls(n, _allowed_tables(flat_distance_matrix(g)))
+        return cls(n, *_allowed_tables(flat_distance_matrix(g), words))
 
     def bad_with(self, a: int, b: int) -> set[int]:
         return _bits(((1 << self.n) - 1) ^ self._allowed[a][b])
@@ -573,9 +612,107 @@ class _Symmetry:
 
 
 # ----------------------------------------------------------------------
+# compiled plain loop
+
+_loaded = None  # the compiled loop once loaded, False when it cannot be
+
+
+def _plain_loop():
+    """``genpos_plain`` from ``_plain.c``, compiled and loaded on first use,
+    or None if that fails; the search then runs the Python loop, with the
+    same results."""
+    global _loaded
+    if _loaded is None:
+        try:
+            _loaded = _load_plain()
+        except Exception:  # no compiler, no cache, no loader: the fallback is exact
+            _loaded = False
+    return _loaded or None
+
+
+def plain_loop_backend() -> str:
+    """"c" when the max-search's plain subtrees run compiled, else "python"
+    (loads the compiled loop if no search has yet)."""
+    return "c" if _plain_loop() else "python"
+
+
+def _load_plain():
+    """Compile ``_plain.c`` with ``$CC`` (default ``cc``) into
+    ``$XDG_CACHE_HOME/genpos`` (default ``~/.cache/genpos``), keyed by the
+    source's sha256, or into a directory for this process when the cache
+    cannot be written, and load it."""
+    import hashlib  # imported here, as importing genpos need not pay for it
+
+    source = importlib.resources.files(__package__).joinpath("_plain.c").read_bytes()
+    name = f"plain-{hashlib.sha256(source).hexdigest()[:16]}.so"
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "genpos")
+    path = os.path.join(cache, name)
+    if not os.path.isfile(path):
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        except OSError:
+            cache = tempfile.mkdtemp(prefix="genpos-")
+            atexit.register(shutil.rmtree, cache, True)
+            path = os.path.join(cache, name)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        import shlex
+        import subprocess
+
+        try:
+            cc = shlex.split(os.environ.get("CC") or "cc")
+            subprocess.run(cc + ["-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+                           input=source, capture_output=True, check=True, timeout=120)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(path).genpos_plain
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+class _PlainCall:
+    """One search's buffer for the compiled loop, in the int64 words that
+    ``_plain.c`` reads: n, W, improved, ties; k, best, nodes, check_at,
+    max_nodes, step, timed; then the prefix (n words), the witness (n) and
+    the candidate stack.  A bytearray, not a ctypes array: ctypes keeps an
+    array type only while an array of it lives, and building the type
+    again cost about 20 us a search."""
+
+    def __init__(self, loop, allowed, words):
+        if words is None:
+            words = _word_table(allowed)
+        n, _, w = words.shape
+        self.loop = loop
+        self.width = 8 * w
+        self.witness = 88 + 8 * n  # byte offsets of the witness
+        self.cand = 88 + 16 * n  # and of the candidate stack
+        self.buf = bytearray(self.cand + (n + 1) * self.width)
+        struct.pack_into("2q", self.buf, 0, n, w)
+        self.views = (ctypes.c_char.from_buffer(words), ctypes.c_char.from_buffer(self.buf))
+        self.args = tuple(map(ctypes.addressof, self.views))
+
+    def __call__(self, S, cand, best, nodes, check_at, max_nodes, step, remaining):
+        """rec(S, cand) with slack 1 in C: (best, nodes, check_at, the last
+        new best's witness or None, ties of the final best since it was
+        reached, stopped by the budget)."""
+        buf = self.buf
+        k = len(S)
+        struct.pack_into(f"7q{k}q", buf, 32, k, best, nodes, check_at, max_nodes, step, remaining is not None, *S)
+        buf[self.cand:self.cand + self.width] = cand.to_bytes(self.width, "little")
+        stopped = self.loop(*self.args, remaining or 0.0)
+        improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 16)
+        witness = list(struct.unpack_from(f"{best}q", buf, self.witness)) if improved else None
+        return best, nodes, check_at, witness, ties, stopped
+
+
+# ----------------------------------------------------------------------
 # search core
 
-def _dfs(allowed, starts, witness, limits, slack, sets=None):
+def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
     """Depth-first branch and bound behind the max-search, counting and
     enumeration.
 
@@ -616,6 +753,13 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
     subtree runs the plain loop.  ``witness`` is the first of those sets
     (the given one if none beat it), and ``complete`` is False when the
     budget ran out.
+
+    With ``slack=1`` and no ``sets`` (the max-search and the cover bound),
+    every plain subtree entered from outside ``rec`` runs in the compiled
+    loop of ``_plain.c`` when it loads: the same nodes in the same order,
+    the same budget polls, and the same returns.  ``words`` is
+    ``allowed`` as the (n, n, W) word array it reads, built from
+    ``allowed`` if not given.
     """
     best = len(witness)
     bar = best + slack
@@ -669,6 +813,27 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 rec(S, rows, nc, weight)
                 rows.pop()
                 S.pop()
+
+    plain = None  # the compiled loop's buffers, made at the first plain subtree; False: rec
+
+    def rec_plain(S, rows, cand, weight):
+        # rec, in the compiled loop when this search may use it and it loads
+        nonlocal best, bar, count, witness, nodes, check_at, plain
+        if plain is None:
+            loop = _plain_loop() if slack == 1 and sets is None else None
+            plain = _PlainCall(loop, allowed, words) if loop else False
+        if not plain:
+            return rec(S, rows, cand, weight)
+        remaining = None if deadline is None else deadline - time.monotonic()
+        best, nodes, check_at, found, ties, stopped = plain(
+            S, cand, best, nodes, check_at, max_nodes, step, remaining)
+        bar = best + 1
+        if found is not None:
+            witness = found
+            count = weight
+        count += weight * ties
+        if stopped:
+            raise BudgetExhausted
 
     def rec_sym(S, rows, cand, state, size, tie, chosen, weight):
         # rec for a prefix whose stabilizer moves some vertex: branch only
@@ -734,7 +899,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                     # no symmetry and no tie within reach: every set below
                     # weighs the same; the max-search first drops S if some
                     # automorphism maps it below itself
-                    rec(S, rows, nc, weight * vsize)
+                    rec_plain(S, rows, nc, weight * vsize)
                 rows.pop()
                 S.pop()
 
@@ -751,7 +916,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None):
                 orbit_weight = state.sym.orbit_weight
             rows = [allowed[v] for v in S]
             if state is None:
-                rec(list(S), rows, cand, weight)
+                rec_plain(list(S), rows, cand, weight)
             else:
                 rec_sym(list(S), rows, cand, state, 1, 0, 0, weight)
     except BudgetExhausted:
@@ -786,9 +951,9 @@ def gp_exact(
     g = _as_product(g)
     n = g.total_vertices
     started = time.monotonic()
-    allowed = BadTripleIndex.build(g, cap).allowed_tables()
+    index = BadTripleIndex.build(g, cap, words=True)
     start = ([], (1 << n) - 1, 1, _Symmetry(g).root())
-    best, _, witness, nodes, complete = _dfs(allowed, [start], [0], limits, slack=1)
+    best, _, witness, nodes, complete = _dfs(index.allowed_tables(), [start], [0], limits, slack=1, words=index.words)
     elapsed = time.monotonic() - started
     members = [g.decode(i) for i in witness]
     return SearchResult(
@@ -890,8 +1055,8 @@ def isometric_cover_bound(
     for flats in flat_sets:
         m = len(flats)
         _refuse_above(m, DEFAULT_SEARCH_CAP)
-        allowed = _allowed_tables(g.flat_matrix([g.decode(i) for i in flats]))
-        best, _, _, _, complete = _dfs(allowed, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1)
+        allowed, words = _allowed_tables(g.flat_matrix([g.decode(i) for i in flats]), words=True)
+        best, _, _, _, complete = _dfs(allowed, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1, words=words)
         if not complete:
             raise BudgetExhausted(f"cover bound budget exhausted on a piece of {m} vertices")
         total += best

@@ -1,11 +1,19 @@
 """Exact search, enumeration, and cover bounds against independent oracles."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+import warnings
+from importlib import resources
 from itertools import combinations, product
 from math import prod
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -743,6 +751,163 @@ def test_time_budget_on_a_larger_search():
 def test_limits_refuse_a_negative_or_nan_budget(fields):
     with pytest.raises(ValueError):
         SearchLimits(**fields)
+
+
+# ----------------------------------------------------------------------
+# the compiled plain loop
+
+def _both_loops(monkeypatch, run):
+    """run() with the compiled plain loop, where it loads, and again with
+    the loader forced to the Python loop; run() returns what the two must
+    share."""
+    compiled = run()
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_plain_loop", lambda: None)
+        python = run()
+    return compiled, python
+
+
+def _max_search(monkeypatch, g, limits=None):
+    """(every _dfs 5-tuple, gp_exact's value, nodes, completeness and
+    witness) of one max-search."""
+    seen = []
+    dfs = solver._dfs
+
+    def spy(*args, **kwargs):
+        seen.append(dfs(*args, **kwargs))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_dfs", spy)
+        res = gp_exact(g, limits=limits)
+    return seen, (res.gp_value, res.nodes_explored, res.complete, list(res.witness))
+
+
+@pytest.mark.parametrize("spec", [*PINNED_WITNESSES, "K2^7", "K3^4", "P6xC7", "K5xK5", "P4xP4"])
+def test_the_compiled_loop_matches_rec_node_for_node(spec, monkeypatch):
+    g = build(spec)
+    compiled, python = _both_loops(monkeypatch, lambda: _max_search(monkeypatch, g))
+    assert compiled == python
+
+
+@pytest.mark.parametrize("max_nodes", [0, 1, 1000, 318_874, 318_875])
+def test_the_compiled_loop_stops_at_the_same_node(max_nodes, monkeypatch):
+    # C5^3 takes 318,875 nodes, so the last two budgets stop it one node
+    # before its last and at its last
+    g = build("C5^3")
+    limits = SearchLimits(max_nodes=max_nodes)
+    compiled, python = _both_loops(monkeypatch, lambda: _max_search(monkeypatch, g, limits))
+    assert compiled == python
+    assert compiled[1][1:3] == (max_nodes, False)
+
+
+def test_an_expired_time_limit_stops_the_compiled_loop_at_its_first_node(monkeypatch):
+    # a start with no state runs the plain loop from its first node, as
+    # the cover bound's pieces do
+    g = build("C6xC6")
+    allowed = BadTripleIndex.build(g).allowed_tables()
+    start = ([], (1 << g.total_vertices) - 1, 1, None)
+
+    def run():
+        return solver._dfs(allowed, [start], [0], SearchLimits(time_limit=0), slack=1)
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python == (1, 0, [0], 1, False)  # stopped before its tie is counted
+    searched, _ = _both_loops(monkeypatch, lambda: _max_search(monkeypatch, g, SearchLimits(time_limit=0)))
+    assert searched[1][1:3] == (1, False)
+
+
+def test_the_plain_reference_searches_agree_on_both_loops(monkeypatch):
+    # _plain_lex_first_maximum_set gives _dfs no word array, so the
+    # compiled loop builds one from the int tables
+    for spec in ["P4xP4", "C7xC7", "K3^3"]:
+        g = build(spec)
+        compiled, python = _both_loops(monkeypatch, lambda: _plain_lex_first_maximum_set(g))
+        res = gp_exact(g)
+        assert compiled == python == (res.gp_value, tuple(res.witness))
+
+
+def test_the_cover_bound_agrees_on_both_loops(monkeypatch):
+    g = build("C6xC6")
+    cover = torus_quadrant_cover(6, 6)
+
+    def run():
+        seen = []
+        dfs = solver._dfs
+
+        def spy(*args, **kwargs):
+            seen.append(dfs(*args, **kwargs))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_dfs", spy)
+            bound = isometric_cover_bound(g, cover)
+            with pytest.raises(BudgetExhausted):
+                isometric_cover_bound(g, cover, limits=SearchLimits(max_nodes=1))
+        return bound, seen
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python
+    assert compiled[0] == 16 and compiled[1][-1][3:] == (1, False)
+
+
+def test_the_word_array_holds_the_int_tables():
+    g = build("K2^7")  # 128 vertices: two words a row
+    index = BadTripleIndex.build(g, words=True)
+    assert index.words.shape == (128, 128, 2)
+    pairs = ~np.eye(128, dtype=bool)  # the diagonal is never read
+    assert (index.words[pairs] == solver._word_table(index.allowed_tables())[pairs]).all()
+    assert BadTripleIndex.build(g).words is None
+
+
+def _fresh_loader(monkeypatch, cache, cc=None):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    if cc is not None:
+        monkeypatch.setenv("CC", cc)
+    monkeypatch.setattr(solver, "_loaded", None)
+
+
+def test_without_a_compiler_the_search_falls_back_silently(monkeypatch, tmp_path, capfd):
+    _fresh_loader(monkeypatch, tmp_path / "cache", cc=str(tmp_path / "no-such-cc"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver.plain_loop_backend() == "python"
+        res = gp_exact(build("C9xC9"))
+    assert (res.gp_value, res.nodes_explored) == (7, 13_610)
+    assert [build("C9xC9").encode(v) for v in res.witness] == PINNED_WITNESSES["C9xC9"]
+    assert capfd.readouterr() == ("", "")
+    assert list((tmp_path / "cache" / "genpos").iterdir()) == []  # no temp file left
+
+
+def test_the_loader_caches_by_the_source_hash(monkeypatch, tmp_path):
+    # with a compiler the cache then holds the one library, reused by the
+    # next process; without one it holds nothing
+    _fresh_loader(monkeypatch, tmp_path)
+    backend = solver.plain_loop_backend()
+    digest = hashlib.sha256(resources.files("genpos").joinpath("_plain.c").read_bytes()).hexdigest()
+    built = [p.name for p in (tmp_path / "genpos").iterdir()]
+    assert built == ([f"plain-{digest[:16]}.so"] if backend == "c" else [])
+    monkeypatch.setattr(solver, "_loaded", None)
+    assert solver.plain_loop_backend() == backend
+    # a cache that cannot be written gives a directory of this process
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    _fresh_loader(monkeypatch, blocked)
+    assert solver.plain_loop_backend() == backend
+
+
+def test_the_c_source_ships_as_package_data():
+    # pyproject.toml lists it, so a non-editable install can compile it
+    source = resources.files("genpos").joinpath("_plain.c")
+    assert source.is_file() and b"int genpos_plain(" in source.read_bytes()
+
+
+def test_importing_genpos_neither_compiles_nor_loads_the_loop(tmp_path):
+    code = "import genpos, genpos.cli, genpos.verify; from genpos import solver; print(solver._loaded)"
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None\n", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
