@@ -1,9 +1,9 @@
-/* The plain loop ``rec`` of genpos.solver._dfs for the max-search (slack
-   1, so bar = best + 1; no set list), node for node: the same
-   pop-lowest-bit order, the same cut |S| + |cand| < bar, the same node
-   count, budget poll and witness and tie updates.  Built and loaded with
-   ctypes by genpos.solver on the first plain subtree; without a C
-   compiler the Python loop runs instead.
+/* The plain loop ``rec`` of genpos.solver._dfs for every search without a
+   set list (the max-search, counting and the cover bound), node for node:
+   the same pop-lowest-bit order, the same cut |S| + |cand| < bar with
+   bar = best + slack, the same node count, budget poll and witness and
+   tie updates.  Built and loaded with ctypes by genpos.solver on the
+   first plain subtree; without a C compiler the Python loop runs instead.
 
    allowed: n x n x W words, allowed[(a*n + b)*W + j] holding bits
    64j..64j+63 of the vertices completing no bad triple with a and b.
@@ -18,7 +18,7 @@
 #include <string.h>
 #include <time.h>
 
-enum { N, W, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, MAX_NODES, STEP, TIMED, STATE };
+enum { N, W, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, MAX_NODES, STEP, TIMED, SLACK, STATE };
 
 typedef struct {
     const uint64_t *allowed;
@@ -50,7 +50,7 @@ static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left)
             i++;
             continue;
         }
-        if (k + left < st[BEST] + 1)
+        if (k + left < st[BEST] + st[SLACK])
             return 0;
         int64_t v = i * 64 + __builtin_ctzll(cand[i]);
         cand[i] &= cand[i] - 1;
@@ -76,7 +76,7 @@ static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left)
             st[TIES]++;
         }
         int64_t c = popcount(nc, w);
-        if (c && k + c >= st[BEST]) {
+        if (c && k + 1 + c >= st[BEST] + st[SLACK]) {
             s->S[k] = v;
             if (rec(s, k + 1, nc, c))
                 return 1;

@@ -59,15 +59,16 @@ The search runs in one process, so the value, the witness and the node
 count are the same on every run; a node budget stops it at the same node
 every time.
 
-The max-search's plain subtrees, and the cover bound's pieces, run
-compiled: ``_plain.c`` is the plain loop ``rec`` in C, with the same
-branching order, cut, node count, budget polls, witness and tie updates,
-so values, witnesses and node counts do not change.  It is compiled and
-loaded on the first plain subtree (:func:`_load_plain`); if that fails,
-``rec`` runs instead, and :func:`plain_loop_backend` says which one does.
-Counting and enumeration always run ``rec``.  The node and time budgets
-are polled inside the compiled loop, but a Ctrl-C there lands only when
-its subtree returns.
+The plain subtrees of every search without a set list (the max-search,
+counting and the cover bound's pieces) run compiled: ``_plain.c`` is the
+plain loop ``rec`` in C, with the same branching order, cut, node count,
+budget polls, witness and tie updates, so values, counts, witnesses and
+node counts do not change.  It is compiled and loaded on the first plain
+subtree (:func:`_load_plain`); if that fails, ``rec`` runs instead, and
+:func:`plain_loop_backend` says which one does.  Enumeration, which
+lists its sets, always runs ``rec``.  The node and time budgets are
+polled inside the compiled loop, but a Ctrl-C there lands only when its
+subtree returns.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -631,8 +632,9 @@ def _plain_loop():
 
 
 def plain_loop_backend() -> str:
-    """"c" when the max-search's plain subtrees run compiled, else "python"
-    (loads the compiled loop if no search has yet)."""
+    """"c" when the plain subtrees of searches without a set list run
+    compiled, else "python" (loads the compiled loop if no search has
+    yet)."""
     return "c" if _plain_loop() else "python"
 
 
@@ -677,31 +679,33 @@ def _load_plain():
 class _PlainCall:
     """One search's buffer for the compiled loop, in the int64 words that
     ``_plain.c`` reads: n, W, improved, ties; k, best, nodes, check_at,
-    max_nodes, step, timed; then the prefix (n words), the witness (n) and
-    the candidate stack.  A bytearray, not a ctypes array: ctypes keeps an
-    array type only while an array of it lives, and building the type
-    again cost about 20 us a search."""
+    max_nodes, step, timed, slack; then the prefix (n words), the witness
+    (n) and the candidate stack.  A bytearray, not a ctypes array: ctypes
+    keeps an array type only while an array of it lives, and building the
+    type again cost about 20 us a search."""
 
-    def __init__(self, loop, allowed, words):
+    def __init__(self, loop, allowed, words, slack):
         if words is None:
             words = _word_table(allowed)
         n, _, w = words.shape
         self.loop = loop
         self.width = 8 * w
-        self.witness = 88 + 8 * n  # byte offsets of the witness
-        self.cand = 88 + 16 * n  # and of the candidate stack
+        self.witness = 96 + 8 * n  # byte offsets of the witness
+        self.cand = 96 + 16 * n  # and of the candidate stack
         self.buf = bytearray(self.cand + (n + 1) * self.width)
+        self.slack = slack
         struct.pack_into("2q", self.buf, 0, n, w)
         self.views = (ctypes.c_char.from_buffer(words), ctypes.c_char.from_buffer(self.buf))
         self.args = tuple(map(ctypes.addressof, self.views))
 
     def __call__(self, S, cand, best, nodes, check_at, max_nodes, step, remaining):
-        """rec(S, cand) with slack 1 in C: (best, nodes, check_at, the last
-        new best's witness or None, ties of the final best since it was
-        reached, stopped by the budget)."""
+        """rec(S, cand) in C, with the search's slack: (best, nodes,
+        check_at, the last new best's witness or None, ties of the final
+        best since it was reached, stopped by the budget)."""
         buf = self.buf
         k = len(S)
-        struct.pack_into(f"7q{k}q", buf, 32, k, best, nodes, check_at, max_nodes, step, remaining is not None, *S)
+        struct.pack_into(f"8q{k}q", buf, 32, k, best, nodes, check_at, max_nodes, step, remaining is not None,
+                         self.slack, *S)
         buf[self.cand:self.cand + self.width] = cand.to_bytes(self.width, "little")
         stopped = self.loop(*self.args, remaining or 0.0)
         improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 16)
@@ -754,11 +758,12 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
     (the given one if none beat it), and ``complete`` is False when the
     budget ran out.
 
-    With ``slack=1`` and no ``sets`` (the max-search and the cover bound),
-    every plain subtree entered from outside ``rec`` runs in the compiled
-    loop of ``_plain.c`` when it loads: the same nodes in the same order,
-    the same budget polls, and the same returns.  ``words`` is
-    ``allowed`` as the (n, n, W) word array it reads, built from
+    Without ``sets`` (the max-search, counting and the cover bound), every
+    plain subtree entered from outside ``rec`` runs in the compiled loop of
+    ``_plain.c`` when it loads, with the same slack: the same nodes in the
+    same order, the same budget polls, and the same returns.  It hands
+    back the ties it met, which count at the subtree's weight.  ``words``
+    is ``allowed`` as the (n, n, W) word array it reads, built from
     ``allowed`` if not given.
     """
     best = len(witness)
@@ -820,14 +825,14 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
         # rec, in the compiled loop when this search may use it and it loads
         nonlocal best, bar, count, witness, nodes, check_at, plain
         if plain is None:
-            loop = _plain_loop() if slack == 1 and sets is None else None
-            plain = _PlainCall(loop, allowed, words) if loop else False
+            loop = _plain_loop() if sets is None else None
+            plain = _PlainCall(loop, allowed, words, slack) if loop else False
         if not plain:
             return rec(S, rows, cand, weight)
         remaining = None if deadline is None else deadline - time.monotonic()
         best, nodes, check_at, found, ties, stopped = plain(
             S, cand, best, nodes, check_at, max_nodes, step, remaining)
-        bar = best + 1
+        bar = best + slack
         if found is not None:
             witness = found
             count = weight
@@ -977,7 +982,7 @@ def count_maximum_gp_sets(
     """
     g = _as_product(g)
     n = g.total_vertices
-    allowed = BadTripleIndex.build(g, cap).allowed_tables()
+    index = BadTripleIndex.build(g, cap, words=True)
     if n == 1:
         return 1, 1
     full = (1 << n) - 1
@@ -986,9 +991,10 @@ def count_maximum_gp_sets(
     orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
     starts = [([r], full ^ (1 << r), orbit.bit_count(), None if root is None else root[r])
               for r, orbit in orbits.items()]
-    best, count, _, _, complete = _dfs(allowed, starts, [], limits, slack=0)
+    best, count, _, _, complete = _dfs(index.allowed_tables(), starts, [], limits, slack=0, words=index.words)
     if not complete:
-        raise BudgetExhausted(f"enumeration budget exhausted; best found {best}")
+        reached = f"; the largest set reached had {best} vertices" if best else ""
+        raise BudgetExhausted(f"count of maximum gp-sets: budget exhausted{reached}")
     if count % best:
         raise RuntimeError(f"orbit-weighted count {count} is not divisible by gp {best}")
     return best, count // best

@@ -767,9 +767,8 @@ def _both_loops(monkeypatch, run):
     return compiled, python
 
 
-def _max_search(monkeypatch, g, limits=None):
-    """(every _dfs 5-tuple, gp_exact's value, nodes, completeness and
-    witness) of one max-search."""
+def _spied(monkeypatch, run):
+    """(every _dfs 5-tuple of run(), what run() returns)."""
     seen = []
     dfs = solver._dfs
 
@@ -779,8 +778,30 @@ def _max_search(monkeypatch, g, limits=None):
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_dfs", spy)
+        out = run()
+    return seen, out
+
+
+def _max_search(monkeypatch, g, limits=None):
+    """(every _dfs 5-tuple, gp_exact's value, nodes, completeness and
+    witness) of one max-search."""
+    def run():
         res = gp_exact(g, limits=limits)
-    return seen, (res.gp_value, res.nodes_explored, res.complete, list(res.witness))
+        return res.gp_value, res.nodes_explored, res.complete, list(res.witness)
+
+    return _spied(monkeypatch, run)
+
+
+def _count(monkeypatch, g, limits=None):
+    """(every _dfs 5-tuple, the count or the budget's message) of one
+    count_maximum_gp_sets."""
+    def run():
+        try:
+            return count_maximum_gp_sets(g, limits=limits)
+        except BudgetExhausted as exc:
+            return str(exc)
+
+    return _spied(monkeypatch, run)
 
 
 @pytest.mark.parametrize("spec", [*PINNED_WITNESSES, "K2^7", "K3^4", "P6xC7", "K5xK5", "P4xP4"])
@@ -817,6 +838,61 @@ def test_an_expired_time_limit_stops_the_compiled_loop_at_its_first_node(monkeyp
     assert searched[1][1:3] == (1, False)
 
 
+COUNT_HOSTS = ["P4xP4", "P4xP5", "P5xP5", "P6xP6", "P8xP8", "P6xC6", "C8xC7", "C8xC8", "C7xC9", "K2^6", "P4^3",
+               "C4^3"]  # the count benchmark's short hosts
+
+
+@pytest.mark.parametrize("spec", [*COUNT_HOSTS, "K4^3", "K8xK8", "C7xC7", "K3^3", "P3xP3"])
+def test_counting_matches_rec_node_for_node(spec, monkeypatch):
+    g = build(spec)
+    compiled, python = _both_loops(monkeypatch, lambda: _count(monkeypatch, g))
+    assert compiled == python
+
+
+@pytest.mark.parametrize("max_nodes", [0, 1, 1000, 26_448, 26_449])
+def test_counting_stops_at_the_same_node_on_both_loops(max_nodes, monkeypatch):
+    # counting P8xP8 takes 26,449 nodes, so the last two budgets stop it
+    # one node before its last and at its last
+    g = build("P8xP8")
+    compiled, python = _both_loops(monkeypatch, lambda: _count(monkeypatch, g, SearchLimits(max_nodes=max_nodes)))
+    assert compiled == python
+    assert compiled[0][-1][3:] == (max_nodes, False)
+    assert _count(monkeypatch, g)[0][-1][3:] == (26_449, True)
+
+
+def test_an_expired_time_limit_stops_counting_at_its_first_node(monkeypatch):
+    # a start with no state runs the plain loop from its first node, as a
+    # counting root with a trivial stabilizer does
+    g = build("P8xP8")
+    allowed = BadTripleIndex.build(g).allowed_tables()
+    start = ([0], (1 << g.total_vertices) - 2, 4, None)
+
+    def run():
+        return solver._dfs(allowed, [start], [], SearchLimits(time_limit=0), slack=0)
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python == (0, 0, [], 1, False)
+    counted, _ = _both_loops(monkeypatch, lambda: _count(monkeypatch, g, SearchLimits(time_limit=0)))
+    assert counted[0][-1][3:] == (1, False)
+
+
+def test_a_stopped_count_names_the_count_and_only_a_reached_size():
+    g = build("P8xP8")
+    for max_nodes, reached in [(0, ""), (1000, "; the largest set reached had 4 vertices")]:
+        with pytest.raises(BudgetExhausted) as stop:
+            count_maximum_gp_sets(g, limits=SearchLimits(max_nodes=max_nodes))
+        assert str(stop.value) == "count of maximum gp-sets: budget exhausted" + reached
+
+
+def test_enumeration_never_loads_the_compiled_loop(monkeypatch):
+    def refuse():
+        raise AssertionError("enumeration asked for the compiled loop")
+
+    monkeypatch.setattr(solver, "_plain_loop", refuse)
+    gp, sets = enumerate_maximum_gp_sets(build("P5xP5"))
+    assert (gp, len(sets)) == (4, 400)
+
+
 def test_the_plain_reference_searches_agree_on_both_loops(monkeypatch):
     # _plain_lex_first_maximum_set gives _dfs no word array, so the
     # compiled loop builds one from the int tables
@@ -832,23 +908,14 @@ def test_the_cover_bound_agrees_on_both_loops(monkeypatch):
     cover = torus_quadrant_cover(6, 6)
 
     def run():
-        seen = []
-        dfs = solver._dfs
+        bound = isometric_cover_bound(g, cover)
+        with pytest.raises(BudgetExhausted):
+            isometric_cover_bound(g, cover, limits=SearchLimits(max_nodes=1))
+        return bound
 
-        def spy(*args, **kwargs):
-            seen.append(dfs(*args, **kwargs))
-            return seen[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_dfs", spy)
-            bound = isometric_cover_bound(g, cover)
-            with pytest.raises(BudgetExhausted):
-                isometric_cover_bound(g, cover, limits=SearchLimits(max_nodes=1))
-        return bound, seen
-
-    compiled, python = _both_loops(monkeypatch, run)
+    compiled, python = _both_loops(monkeypatch, lambda: _spied(monkeypatch, run))
     assert compiled == python
-    assert compiled[0] == 16 and compiled[1][-1][3:] == (1, False)
+    assert compiled[1] == 16 and compiled[0][-1][3:] == (1, False)
 
 
 def test_the_word_array_holds_the_int_tables():
@@ -873,6 +940,7 @@ def test_without_a_compiler_the_search_falls_back_silently(monkeypatch, tmp_path
         warnings.simplefilter("error")
         assert solver.plain_loop_backend() == "python"
         res = gp_exact(build("C9xC9"))
+        assert count_maximum_gp_sets(build("P8xP8")) == (4, 38_416)
     assert (res.gp_value, res.nodes_explored) == (7, 13_610)
     assert [build("C9xC9").encode(v) for v in res.witness] == PINNED_WITNESSES["C9xC9"]
     assert capfd.readouterr() == ("", "")
