@@ -63,12 +63,17 @@ The plain subtrees of every search without a set list (the max-search,
 counting and the cover bound's pieces) run compiled: ``_plain.c`` is the
 plain loop ``rec`` in C, with the same branching order, cut, node count,
 budget polls, witness and tie updates, so values, counts, witnesses and
-node counts do not change.  It is compiled and loaded on the first plain
-subtree (:func:`_load_plain`); if that fails, ``rec`` runs instead, and
+node counts do not change.  Counting's tie-tracking subtrees run there
+too: below a trivial stabilizer ``rec_sym`` visits ``rec``'s nodes, and
+only the sets meeting a tie weigh otherwise, so the loop calls back into
+Python to weigh them (:meth:`_Symmetry.orbit_weight`).  It is compiled
+and loaded on the first plain subtree (:func:`_load_plain`); if that
+fails, ``rec`` and ``rec_sym`` run instead, and
 :func:`plain_loop_backend` says which one does.  Enumeration, which
 lists its sets, always runs ``rec``.  The node and time budgets are
-polled inside the compiled loop, but a Ctrl-C there lands only when its
-subtree returns.
+polled inside the compiled loop, and a weighing's exceptions, the time
+budget's among them, reach the caller unchanged; but a Ctrl-C lands
+only at the next weighing or when its subtree returns.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -109,9 +114,9 @@ the product of its members' orbit sizes, carried down the search; a set
 with one runs the leaf test (:meth:`_Symmetry.orbit_weight`), a min-image
 backtrack over the states' orbit tables and cached transversal
 permutations that stops at the first element mapping T onto itself.  A
-root whose stabilizer moves nothing weighs |orbit(r)| per set, and once
-no stabilizer and no tie is left, a subtree runs the plain loop with its
-constant weight.
+root whose stabilizer moves nothing weighs |orbit(r)| per set.  Once no
+stabilizer is left, a subtree runs the plain loop: each set weighs the
+subtree's constant weight, or the leaf test's if it meets a tie.
 
 Enumeration runs the max-search's symmetric DFS from the empty prefix,
 keeping ties.  By the argument above the lexicographically least set of
@@ -616,6 +621,7 @@ class _Symmetry:
 # compiled plain loop
 
 _loaded = None  # the compiled loop once loaded, False when it cannot be
+_WEIGHER = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)  # the loop's callback for a tied set
 
 
 def _plain_loop():
@@ -671,46 +677,82 @@ def _load_plain():
             if os.path.exists(tmp):
                 os.unlink(tmp)
     fn = ctypes.CDLL(path).genpos_plain
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double]
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     fn.restype = ctypes.c_int
     return fn
 
 
 class _PlainCall:
     """One search's buffer for the compiled loop, in the int64 words that
-    ``_plain.c`` reads: n, W, improved, ties; k, best, nodes, check_at,
-    max_nodes, step, timed, slack; then the prefix (n words), the witness
-    (n) and the candidate stack.  A bytearray, not a ctypes array: ctypes
-    keeps an array type only while an array of it lives, and building the
-    type again cost about 20 us a search."""
+    ``_plain.c`` reads: n, W, the weigher's address, improved, ties; k,
+    best, nodes, check_at, max_nodes, step, timed, slack, tied and the
+    seconds remaining (a double); then the prefix (n words), the witness
+    (n), the tie mask (W) and the candidate stack.  A bytearray, not a
+    ctypes array: ctypes keeps an array type only while an array of it
+    lives, and building the type again cost about 20 us a search.  The
+    remaining time and the weigher go in the buffer, not as arguments:
+    ctypes converted each in about 0.2-0.4 us a call.
 
-    def __init__(self, loop, allowed, words, slack):
+    ``weigh(T)`` weighs a tied set S + [v] by T = (S + [v])[1:], as
+    ``rec_sym`` does; the loop calls it back through ``_weigh``, which sums
+    the weights of the tied sets of the largest size reached.  An exception
+    in ``weigh`` stops the loop and is handed back to be raised: left to
+    ctypes, it would be printed and dropped, and the count would be wrong."""
+
+    def __init__(self, loop, allowed, words, slack, weigh):
         if words is None:
             words = _word_table(allowed)
         n, _, w = words.shape
         self.loop = loop
         self.width = 8 * w
-        self.witness = 96 + 8 * n  # byte offsets of the witness
-        self.cand = 96 + 16 * n  # and of the candidate stack
+        self.witness = 120 + 8 * n  # byte offsets of the witness,
+        self.tie_at = 120 + 16 * n  # the tie mask
+        self.cand = self.tie_at + self.width  # and the candidate stack
         self.buf = bytearray(self.cand + (n + 1) * self.width)
         self.slack = slack
-        struct.pack_into("2q", self.buf, 0, n, w)
+        self.tie = 0  # the tie mask in the buffer
+        self.weigh = weigh
+        self.error = None  # the exception that stopped the weigher
+        self.callback = _WEIGHER(self._weigh)  # kept while the loop may call it
+        struct.pack_into("2qQ", self.buf, 0, n, w, ctypes.cast(self.callback, ctypes.c_void_p).value)
         self.views = (ctypes.c_char.from_buffer(words), ctypes.c_char.from_buffer(self.buf))
         self.args = tuple(map(ctypes.addressof, self.views))
 
-    def __call__(self, S, cand, best, nodes, check_at, max_nodes, step, remaining):
-        """rec(S, cand) in C, with the search's slack: (best, nodes,
-        check_at, the last new best's witness or None, ties of the final
-        best since it was reached, stopped by the budget)."""
+    def _weigh(self, k1):
+        # a tied set of k1 >= best members, S[:k1] in the buffer; a larger
+        # set than the last one weighed starts a new sum, as a new best
+        # resets the count
+        try:
+            w = self.weigh(list(struct.unpack_from(f"{k1 - 1}q", self.buf, 128)))
+            if k1 > self.weighed:
+                self.weighed, self.weight = k1, w
+            else:
+                self.weight += w
+        except BaseException as exc:  # KeyboardInterrupt and the budget's stop too
+            self.error = exc
+            return 1
+        return 0
+
+    def __call__(self, S, cand, tie, tied, best, nodes, check_at, max_nodes, step, remaining):
+        """rec(S, cand) in C, with the search's slack, weighing the sets
+        that meet ``tie`` (``tied``: S already does): (best, nodes,
+        check_at, the last new best's witness or None, untied sets and the
+        summed weights of tied ones of the final best size, and what
+        stopped the loop: 0 nothing, 1 the budget, 2 ``self.error``)."""
         buf = self.buf
         k = len(S)
-        struct.pack_into(f"8q{k}q", buf, 32, k, best, nodes, check_at, max_nodes, step, remaining is not None,
-                         self.slack, *S)
+        struct.pack_into(f"9qd{k}q", buf, 40, k, best, nodes, check_at, max_nodes, step, remaining is not None,
+                         self.slack, tied, remaining or 0.0, *S)
+        if tie != self.tie:
+            buf[self.tie_at:self.cand] = tie.to_bytes(self.width, "little")
+            self.tie = tie
         buf[self.cand:self.cand + self.width] = cand.to_bytes(self.width, "little")
-        stopped = self.loop(*self.args, remaining or 0.0)
-        improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 16)
+        self.weighed = self.weight = 0  # size and summed weight of the largest tied sets reached
+        stopped = self.loop(*self.args)
+        improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 24)
         witness = list(struct.unpack_from(f"{best}q", buf, self.witness)) if improved else None
-        return best, nodes, check_at, witness, ties, stopped
+        weight = self.weight if self.weighed == best else 0
+        return best, nodes, check_at, witness, ties, weight, stopped
 
 
 # ----------------------------------------------------------------------
@@ -759,12 +801,17 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
     budget ran out.
 
     Without ``sets`` (the max-search, counting and the cover bound), every
-    plain subtree entered from outside ``rec`` runs in the compiled loop of
+    subtree below a trivial stabilizer runs in the compiled loop of
     ``_plain.c`` when it loads, with the same slack: the same nodes in the
-    same order, the same budget polls, and the same returns.  It hands
-    back the ties it met, which count at the subtree's weight.  ``words``
-    is ``allowed`` as the (n, n, W) word array it reads, built from
-    ``allowed`` if not given.
+    same order, the same budget polls, and the same returns.  Counting's
+    subtrees that may still meet a tie (``rec_sym`` without a state, in
+    Python) run there as well, with the tie mask: the loop counts the
+    untied sets it reached, at the subtree's weight, and calls back
+    ``orbit_weight`` for each tied one before it updates the best, so an
+    exception raised there stops the loop and is raised again from
+    ``rec_plain`` once the nodes, best and count so far are read back.
+    ``words`` is ``allowed`` as the (n, n, W) word array it reads, built
+    from ``allowed`` if not given.
     """
     best = len(witness)
     bar = best + slack
@@ -819,26 +866,35 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
                 rows.pop()
                 S.pop()
 
-    plain = None  # the compiled loop's buffers, made at the first plain subtree; False: rec
+    plain = None  # the compiled loop's buffers, made at the first plain subtree; False: the Python loops
 
-    def rec_plain(S, rows, cand, weight):
-        # rec, in the compiled loop when this search may use it and it loads
+    def weigh(T):
+        return orbit_weight(lead, T, deadline)
+
+    def rec_plain(S, rows, cand, weight, size=1, tie=0, chosen=0):
+        # rec below a trivial stabilizer, or rec_sym without a state while a
+        # tie is within reach; in the compiled loop when this search may
+        # use it and it loads
         nonlocal best, bar, count, witness, nodes, check_at, plain
         if plain is None:
             loop = _plain_loop() if sets is None else None
-            plain = _PlainCall(loop, allowed, words, slack) if loop else False
+            plain = _PlainCall(loop, allowed, words, slack, weigh) if loop else False
+        if not tie & (chosen | cand):
+            tie = 0
         if not plain:
-            return rec(S, rows, cand, weight)
+            if tie:
+                return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
+            return rec(S, rows, cand, weight * size)
         remaining = None if deadline is None else deadline - time.monotonic()
-        best, nodes, check_at, found, ties, stopped = plain(
-            S, cand, best, nodes, check_at, max_nodes, step, remaining)
+        best, nodes, check_at, found, ties, tied, stopped = plain(
+            S, cand, tie, bool(tie & chosen), best, nodes, check_at, max_nodes, step, remaining)
         bar = best + slack
         if found is not None:
             witness = found
-            count = weight
-        count += weight * ties
+            count = 0
+        count += weight * (size * ties + tied)
         if stopped:
-            raise BudgetExhausted
+            raise BudgetExhausted if stopped == 1 else plain.error
 
     def rec_sym(S, rows, cand, state, size, tie, chosen, weight):
         # rec for a prefix whose stabilizer moves some vertex: branch only
@@ -850,7 +906,7 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
         # orbits less the members themselves.  A set that meets no tie is
         # the leader of an orbit of ``size`` sets; one that does goes to
         # orbit_weight.  Below a trivial stabilizer with a tie still within
-        # reach, state is None.
+        # reach, state is None: rec_plain's Python loop.
         nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
@@ -897,14 +953,14 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
                 S.append(v)
                 rows.append(allowed[v])
                 child = None if state is None else state[v]
-                if child is not None or vtie & (chosen | bit | nc):
+                if child is not None:
                     rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit, weight)
                 elif group is None or k1 < 3 or k1 + nc.bit_count() - bar < _LEADER_TEST_MIN_SPARE \
                         or orbit_weight(group, S, deadline):
-                    # no symmetry and no tie within reach: every set below
-                    # weighs the same; the max-search first drops S if some
+                    # no symmetry: every set below weighs vsize unless it
+                    # meets a tie; the max-search first drops S if some
                     # automorphism maps it below itself
-                    rec_plain(S, rows, nc, weight * vsize)
+                    rec_plain(S, rows, nc, weight, vsize, vtie, chosen | bit)
                 rows.pop()
                 S.pop()
 

@@ -792,12 +792,12 @@ def _max_search(monkeypatch, g, limits=None):
     return _spied(monkeypatch, run)
 
 
-def _count(monkeypatch, g, limits=None):
+def _count(monkeypatch, g, limits=None, cap=solver.DEFAULT_ENUM_CAP):
     """(every _dfs 5-tuple, the count or the budget's message) of one
     count_maximum_gp_sets."""
     def run():
         try:
-            return count_maximum_gp_sets(g, limits=limits)
+            return count_maximum_gp_sets(g, cap, limits)
         except BudgetExhausted as exc:
             return str(exc)
 
@@ -842,11 +842,145 @@ COUNT_HOSTS = ["P4xP4", "P4xP5", "P5xP5", "P6xP6", "P8xP8", "P6xC6", "C8xC7", "C
                "C4^3"]  # the count benchmark's short hosts
 
 
-@pytest.mark.parametrize("spec", [*COUNT_HOSTS, "K4^3", "K8xK8", "C7xC7", "K3^3", "P3xP3"])
+@pytest.mark.parametrize("spec", [*COUNT_HOSTS, "K4^3", "K8xK8", "C7xC7", "K3^3", "P3xP3", "C9xC9"])
 def test_counting_matches_rec_node_for_node(spec, monkeypatch):
-    g = build(spec)
-    compiled, python = _both_loops(monkeypatch, lambda: _count(monkeypatch, g))
+    g = build(spec)  # C9xC9: 81 vertices, so two words a candidate set
+    compiled, python = _both_loops(monkeypatch, lambda: _count(monkeypatch, g, cap=None))
     assert compiled == python
+
+
+def _weighings(monkeypatch, run):
+    """(run(), the number of orbit_weight calls made by the compiled
+    loop's weigher)."""
+    weigh = _Symmetry.orbit_weight
+    calls = []
+
+    def spy(self, state, T, deadline=None):
+        calls.append(sys._getframe(1).f_code.co_name == "weigh")
+        return weigh(self, state, T, deadline)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Symmetry, "orbit_weight", spy)
+        out = run()
+    return out, sum(calls)
+
+
+@pytest.mark.parametrize("max_nodes,weighed", [(19_561, 317), (19_562, 317), (19_563, 318), (20_004, 319)])
+def test_counting_stops_inside_a_tie_tracking_subtree_on_both_loops(max_nodes, weighed, monkeypatch):
+    # counting P4^3 takes 20,004 nodes and weighs 319 tied sets, all below
+    # a trivial stabilizer, the last two at nodes 19,562 and 19,563; so the
+    # budgets stop one node before a weighed set, at it (unweighed), right
+    # after it and at the last node
+    g = build("P4^3")
+    limits = SearchLimits(max_nodes=max_nodes)
+    compiled, python = _both_loops(monkeypatch, lambda: _weighings(monkeypatch, lambda: _count(monkeypatch, g, limits)))
+    assert compiled[0] == python[0]
+    assert compiled[0][0][-1][3:] == (max_nodes, False)
+    assert compiled[1] == (weighed if solver.plain_loop_backend() == "c" else 0)
+    assert python[1] == 0
+
+
+def _rec_sym_calls_without_a_state(run) -> int:
+    """run()'s calls of _dfs's rec_sym with ``state`` None, seen by a
+    profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec_sym" and frame.f_locals["state"] is None:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_tie_tracking_runs_in_the_compiled_loop(monkeypatch):
+    # with the loop loaded no count runs rec_sym without a state; the
+    # Python loop does, which shows the hook sees them
+    hosts = [build(spec) for spec in COUNT_HOSTS]
+    compiled, python = _both_loops(
+        monkeypatch, lambda: [_rec_sym_calls_without_a_state(lambda: count_maximum_gp_sets(g)) for g in hosts])
+    if solver.plain_loop_backend() == "c":
+        assert compiled == [0] * len(hosts)
+    assert python[COUNT_HOSTS.index("P4^3")] > 0
+
+
+class _Clock:
+    """A stand-in for the solver's ``time`` module whose clock reads 0
+    until ``expire`` moves it past any deadline."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def expire(self):
+        self.now = 1e9
+
+
+def _stop_at_the_weighing(monkeypatch, at, stop):
+    """Patch the solver so that orbit_weight call ``at`` (0-based) first
+    runs ``stop()``; only the first node polls the node clock.  Returns the
+    list of the callers' names, one per call."""
+    weigh = _Symmetry.orbit_weight
+    callers = []
+
+    def spy(self, state, T, deadline=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        if len(callers) == at + 1:
+            stop()
+        return weigh(self, state, T, deadline)
+
+    monkeypatch.setattr(_Symmetry, "orbit_weight", spy)
+    monkeypatch.setattr(solver, "_TIME_CHECK_EVERY", solver._NO_LIMIT)
+    return callers
+
+
+def test_a_time_limit_expiring_in_a_weighing_stops_both_loops_alike(monkeypatch, capfd):
+    # the 101st tied set of P4^3 is weighed below a trivial stabilizer:
+    # the clock expires there, and its orbit_weight raises BudgetExhausted
+    g = build("P4^3")
+
+    def run():
+        clock = _Clock()
+        callers = _stop_at_the_weighing(monkeypatch, 100, clock.expire)
+        monkeypatch.setattr(solver, "time", clock)
+        out = _count(monkeypatch, g, SearchLimits(time_limit=1))
+        return out, len(callers), callers[-1]
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled[:2] == python[:2]
+    assert compiled[0][1] == "count of maximum gp-sets: budget exhausted; the largest set reached had 6 vertices"
+    assert compiled[0][0][-1][4] is False and compiled[1] == 101
+    assert compiled[2] == ("weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
+    assert python[2] == "rec_sym"
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("orbit product 3 is not divisible by 2"), KeyboardInterrupt()])
+def test_an_exception_in_a_weighing_reaches_the_caller_on_both_loops(error, monkeypatch, capfd):
+    # ctypes would print an exception raised in its callback and return 0
+    g = build("P4^3")
+
+    def stop():
+        raise error
+
+    def run():
+        callers = _stop_at_the_weighing(monkeypatch, 100, stop)
+        with pytest.raises(type(error)) as raised:
+            count_maximum_gp_sets(g)
+        return raised.value, len(callers), callers[-1]
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled[0] is python[0] is error
+    assert compiled[1] == python[1] == 101
+    assert compiled[2] == ("weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("max_nodes", [0, 1, 1000, 26_448, 26_449])
