@@ -1,20 +1,22 @@
-/* The plain loop ``rec`` of genpos.solver._dfs for every search without a
-   set list (the max-search, counting and the cover bound), node for node:
-   the same pop-lowest-bit order, the same cut |S| + |cand| < bar with
-   bar = best + slack, the same node count, budget poll and witness and
-   tie updates.  Counting's tie-tracking subtrees (``rec_sym`` below a
-   trivial stabilizer) visit the same nodes and run here too: a set that
-   meets the subtree's tie mask is weighed by the caller's weigher.  Built
-   and loaded with ctypes by genpos.solver on the first plain subtree;
-   without a C compiler the Python loops run instead.
+/* The plain loop of genpos.solver._dfs, node for node with its Python
+   loop (``rec_sym`` without a state): the same pop-lowest-bit order, the
+   same cut |S| + |cand| < bar with bar = best + slack, the same node
+   count, budget poll and witness and tie updates.  Every plain subtree of
+   the max-search, counting, enumeration and the cover bound runs here; a
+   set that meets the subtree's tie mask goes to the caller's weigher,
+   which weighs it when counting and lists it when enumerating (whose
+   mask holds every vertex).  Built and loaded with ctypes by
+   genpos.solver on the first plain subtree; without a C compiler the
+   Python loop runs instead.
 
    allowed: n x n x W words, allowed[(a*n + b)*W + j] holding bits
    64j..64j+63 of the vertices completing no bad triple with a and b.
    buf: the state below (STATE words, read and written back), then S (n
    words: the prefix, k members on entry, then the search path), the
    witness (n words: S + [v] at each new best), the tie mask (W words,
-   all zero outside counting's tie tracking) and the candidate stack (W
-   words per depth, the candidates on entry in its first W).
+   all zero outside counting's tie tracking and enumeration) and the
+   candidate stack (W words per depth, the candidates on entry in its
+   first W).
    WEIGH holds the weigher, a function pointer, and REMAINING a double:
    the seconds left of the time budget when TIMED is set.
    TIED is 1 when the prefix already meets the tie mask.  A set S + [v]

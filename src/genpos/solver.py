@@ -43,37 +43,37 @@ place where sorted(h(P)) falls below P, sorted(h(S*)) falls below S*
 unless it already did earlier, and h(S*) is a maximum set, against S*
 being the first.  The test drops subtrees and reaches no new set, so the
 value and the witness do not change.  It is the min-image backtrack of
-:meth:`_Symmetry.orbit_weight` run from the empty prefix's state, and
-costs tens of microseconds against about a microsecond per plain node,
-so it runs only on subtrees with at least ``_LEADER_TEST_MIN_SPARE``
-spare candidates, beyond those the bound needs to beat the incumbent;
-smaller subtrees rarely repay it.  Nor does it run on prefixes of one
-or two members, which pass it whenever some automorphism t swaps the
-two, as on every product of cycles and complete graphs.  s1 is the least
-of its orbit, no image of s2 lies below s1 (the keep filter), and s2 is
-the least of its orbit under Stab(s1).  So an image below (s1, s2) can
-only be {s1, g(s1)} with g(s2) = s1; then gt fixes s1, and g(s1) =
-gt(s2) >= s2.  Counting and enumeration do not run the test.
+:meth:`_Symmetry.orbit_weight` run from the empty prefix's state and
+costs tens of microseconds, so it runs only on subtrees with at least
+``_LEADER_TEST_MIN_SPARE`` spare candidates, beyond those the bound needs
+to beat the incumbent.  That gate was tuned against the Python plain
+loop and has not been re-measured against the compiled one.  Nor does
+it run on prefixes of one or two members, which pass it whenever some
+automorphism t swaps the two, as on every product of cycles and
+complete graphs.  s1 is the least of its orbit, no image of s2 lies
+below s1 (the keep filter), and s2 is the least of its orbit under
+Stab(s1).  So an image below (s1, s2) can only be {s1, g(s1)} with
+g(s2) = s1; then gt fixes s1, and g(s1) = gt(s2) >= s2.  Counting and
+enumeration do not run the test.
 
 The search runs in one process, so the value, the witness and the node
 count are the same on every run; a node budget stops it at the same node
 every time.
 
-The plain subtrees of every search without a set list (the max-search,
-counting and the cover bound's pieces) run compiled: ``_plain.c`` is the
-plain loop ``rec`` in C, with the same branching order, cut, node count,
-budget polls, witness and tie updates, so values, counts, witnesses and
-node counts do not change.  Counting's tie-tracking subtrees run there
-too: below a trivial stabilizer ``rec_sym`` visits ``rec``'s nodes, and
-only the sets meeting a tie weigh otherwise, so the loop calls back into
-Python to weigh them (:meth:`_Symmetry.orbit_weight`).  It is compiled
-and loaded on the first plain subtree (:func:`_load_plain`); if that
-fails, ``rec`` and ``rec_sym`` run instead, and
-:func:`plain_loop_backend` says which one does.  Enumeration, which
-lists its sets, always runs ``rec``.  The node and time budgets are
-polled inside the compiled loop, and a weighing's exceptions, the time
-budget's among them, reach the caller unchanged; but a Ctrl-C lands
-only at the next weighing or when its subtree returns.
+Every plain subtree, of the max-search, counting, enumeration and the
+cover bound's pieces, runs compiled: ``_plain.c`` is the plain loop in C,
+with the Python loop's branching order, cut, node count, budget polls,
+witness and tie updates, so values, counts, witnesses, set lists and node
+counts do not change.  The sets that need Python go back to it through a
+callback: counting weighs each set that meets a tie
+(:meth:`_Symmetry.orbit_weight`), and enumeration lists every set.  The
+loop is compiled and loaded on the first plain subtree
+(:func:`_load_plain`); if that fails, the one Python loop, ``rec_sym``,
+runs those subtrees without a state, and :func:`plain_loop_backend` says
+which one does.  The node and time budgets are polled inside the
+compiled loop, and a callback's exceptions, the time budget's among
+them, reach the caller unchanged; but a Ctrl-C lands only at the next
+callback or when its subtree returns.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -227,17 +227,18 @@ def _refuse_above(n: int, cap: int | None) -> None:
         raise VertexCapError(f"bad-triple index refused for {n} vertices (cap {cap})")
 
 
-def _allowed_tables(D: np.ndarray, words: bool = False) -> tuple[list[list[int]], np.ndarray | None]:
-    """allowed[a][b] for the vertices 0..n-1 of the distance matrix ``D``:
-    the bitset of vertices completing no bad triple with a and b, packed
-    from the chunks of :func:`~genpos.position.bad_pair_rows`.  With
-    ``words``, also the same tables as an (n, n, W) uint64 array for the
-    compiled plain loop, filled from the same packed words, else None; its
-    diagonal, which no search reads, is left zero."""
+def _allowed_tables(D: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """(allowed, words) for the vertices 0..n-1 of the distance matrix
+    ``D``: allowed[a][b] is the bitset of vertices completing no bad
+    triple with a and b, packed from the chunks of
+    :func:`~genpos.position.bad_pair_rows`, and ``words`` the same tables
+    as an (n, n, W) uint64 array for the compiled plain loop, filled from
+    the same packed words; its diagonal, which no search reads, is left
+    zero."""
     n = D.shape[0]
     full = (1 << n) - 1  # a vertex paired with itself forbids nothing
     allowed = [[full] * n for _ in range(n)]
-    table = np.zeros((n, n, -(-n // 64)), np.uint64) if words else None
+    table = np.zeros((n, n, -(-n // 64)), np.uint64)
     for A, B, bad in bad_pair_rows(D):
         ok = np.logical_not(bad, out=bad)
         # a and b themselves are never forbidden
@@ -245,20 +246,10 @@ def _allowed_tables(D: np.ndarray, words: bool = False) -> tuple[list[list[int]]
         ok[r, A] = True
         ok[r, B] = True
         packed = _pack_words(ok)
-        if table is not None:
-            table[A, B] = table[B, A] = packed
+        table[A, B] = table[B, A] = packed
         for x, y, mask in zip(A.tolist(), B.tolist(), _word_ints(packed)):
             allowed[x][y] = allowed[y][x] = mask
     return allowed, table
-
-
-def _word_table(allowed: list[list[int]]) -> np.ndarray:
-    """The (n, n, W) word array of the int tables ``allowed``, for a
-    search given no array."""
-    n = len(allowed)
-    width = 8 * -(-n // 64)
-    raw = bytearray().join(x.to_bytes(width, "little") for row in allowed for x in row)
-    return np.frombuffer(raw, "<u8").reshape(n, n, width // 8)
 
 
 class BadTripleIndex:
@@ -270,24 +261,23 @@ class BadTripleIndex:
     (pair, vertex) cells each, so besides the tables themselves it holds
     the distance matrix and one chunk at a time.  :meth:`build` is the
     size check of the exact search, counting and enumeration.  ``words``
-    is the tables' word array for the compiled plain loop when the build
-    was asked for it, else None.
+    is the tables' word array for the compiled plain loop.
     """
 
     __slots__ = ("n", "_allowed", "words")
 
-    def __init__(self, n: int, allowed: list[list[int]], words: np.ndarray | None = None):
+    def __init__(self, n: int, allowed: list[list[int]], words: np.ndarray):
         self.n = n
         self._allowed = allowed
         self.words = words
 
     @classmethod
-    def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP, words: bool = False) -> "BadTripleIndex":
+    def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
         """The index of ``g``, refused above ``cap`` vertices before any
         distance is summed (``cap=None`` disables the guard)."""
         n = g.total_vertices
         _refuse_above(n, cap)
-        return cls(n, *_allowed_tables(flat_distance_matrix(g), words))
+        return cls(n, *_allowed_tables(flat_distance_matrix(g)))
 
     def bad_with(self, a: int, b: int) -> set[int]:
         return _bits(((1 << self.n) - 1) ^ self._allowed[a][b])
@@ -693,15 +683,13 @@ class _PlainCall:
     remaining time and the weigher go in the buffer, not as arguments:
     ctypes converted each in about 0.2-0.4 us a call.
 
-    ``weigh(T)`` weighs a tied set S + [v] by T = (S + [v])[1:], as
-    ``rec_sym`` does; the loop calls it back through ``_weigh``, which sums
-    the weights of the tied sets of the largest size reached.  An exception
-    in ``weigh`` stops the loop and is handed back to be raised: left to
-    ctypes, it would be printed and dropped, and the count would be wrong."""
+    ``weigh(S)`` weighs a tied set, given its whole path S + [v]; the loop
+    calls it back through ``_weigh``, which sums the weights of the tied
+    sets of the largest size reached.  An exception in ``weigh`` stops the
+    loop and is handed back to be raised: left to ctypes, it would be
+    printed and dropped, and the count would be wrong."""
 
-    def __init__(self, loop, allowed, words, slack, weigh):
-        if words is None:
-            words = _word_table(allowed)
+    def __init__(self, loop, words, slack, weigh):
         n, _, w = words.shape
         self.loop = loop
         self.width = 8 * w
@@ -723,7 +711,7 @@ class _PlainCall:
         # set than the last one weighed starts a new sum, as a new best
         # resets the count
         try:
-            w = self.weigh(list(struct.unpack_from(f"{k1 - 1}q", self.buf, 128)))
+            w = self.weigh(list(struct.unpack_from(f"{k1}q", self.buf, 120)))
             if k1 > self.weighed:
                 self.weighed, self.weight = k1, w
             else:
@@ -734,11 +722,12 @@ class _PlainCall:
         return 0
 
     def __call__(self, S, cand, tie, tied, best, nodes, check_at, max_nodes, step, remaining):
-        """rec(S, cand) in C, with the search's slack, weighing the sets
-        that meet ``tie`` (``tied``: S already does): (best, nodes,
-        check_at, the last new best's witness or None, untied sets and the
-        summed weights of tied ones of the final best size, and what
-        stopped the loop: 0 nothing, 1 the budget, 2 ``self.error``)."""
+        """The plain subtree of S and ``cand`` in C, with the search's
+        slack, weighing the sets that meet ``tie`` (``tied``: S already
+        does): (best, nodes, check_at, the last new best's witness or
+        None, untied sets and the summed weights of tied ones of the final
+        best size, and what stopped the loop: 0 nothing, 1 the budget, 2
+        ``self.error``)."""
         buf = self.buf
         k = len(S)
         struct.pack_into(f"9qd{k}q", buf, 40, k, best, nodes, check_at, max_nodes, step, remaining is not None,
@@ -758,9 +747,9 @@ class _PlainCall:
 # ----------------------------------------------------------------------
 # search core
 
-def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
+def _dfs(index, starts, witness, limits, slack, sets=None):
     """Depth-first branch and bound behind the max-search, counting and
-    enumeration.
+    enumeration, on the tables of the :class:`BadTripleIndex` ``index``.
 
     ``starts`` lists the (S, cand, weight, state) roots, searched in order;
     ``witness`` is the incumbent set, so the search starts from
@@ -794,24 +783,24 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
     close under the group.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
-    weight of each set of size best reached, an argument of ``rec`` and
-    ``rec_sym``: the start's weight, times T's orbit sizes once a counting
-    subtree runs the plain loop.  ``witness`` is the first of those sets
-    (the given one if none beat it), and ``complete`` is False when the
-    budget ran out.
+    weight of each set of size best reached: the start's weight, times T's
+    orbit sizes once a counting subtree runs the plain loop.  ``witness``
+    is the first of those sets (the given one if none beat it), and
+    ``complete`` is False when the budget ran out.
 
-    Without ``sets`` (the max-search, counting and the cover bound), every
-    subtree below a trivial stabilizer runs in the compiled loop of
+    Every subtree below a trivial stabilizer runs in the compiled loop of
     ``_plain.c`` when it loads, with the same slack: the same nodes in the
-    same order, the same budget polls, and the same returns.  Counting's
-    subtrees that may still meet a tie (``rec_sym`` without a state, in
-    Python) run there as well, with the tie mask: the loop counts the
-    untied sets it reached, at the subtree's weight, and calls back
-    ``orbit_weight`` for each tied one before it updates the best, so an
-    exception raised there stops the loop and is raised again from
-    ``rec_plain`` once the nodes, best and count so far are read back.
-    ``words`` is ``allowed`` as the (n, n, W) word array it reads, built
-    from ``allowed`` if not given.
+    same order, the same budget polls, and the same returns.  The sets
+    that need Python go back to it through the loop's weigher, called for
+    each set of at least the best size that meets the subtree's tie mask,
+    before the best is updated.  Counting's mask is the union of its
+    members' orbits: the loop counts the untied sets at the subtree's
+    weight, and the weigher runs ``orbit_weight`` on each tied one.
+    Enumeration's mask holds every vertex, so the weigher lists each set in
+    ``sets``.  An exception raised there stops the loop and is raised again
+    from ``rec_plain`` once the nodes, best and count so far are read back.
+    Without the compiled loop, the same subtrees run ``rec_sym`` without a
+    state, which visits the same nodes.
     """
     best = len(witness)
     bar = best + slack
@@ -830,61 +819,34 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
     # first node polls the clock, so an expired limit stops a small search
     check_at = min(max_nodes, 1 if deadline is not None else step)
 
-    def rec(S, rows, cand, weight):
-        nonlocal best, bar, count, witness, nodes, check_at
-        k = len(S)
-        k1 = k + 1
-        while cand:
-            if k + cand.bit_count() < bar:
-                return
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            nodes += 1
-            if nodes >= check_at:
-                if nodes >= max_nodes or time.monotonic() > deadline:
-                    raise BudgetExhausted
-                check_at = min(max_nodes, nodes + step)
-            nc = cand
-            for row in rows:
-                nc &= row[v]
-            if k1 > best:
-                best = k1
-                bar = best + slack
-                count = weight
-                witness = S + [v]
-                if sets is not None:
-                    sets[:] = [witness]
-            elif k1 == best:
-                count += weight
-                if sets is not None:
-                    sets.append(S + [v])
-            if nc and k1 + nc.bit_count() >= bar:
-                S.append(v)
-                rows.append(allowed[v])
-                rec(S, rows, nc, weight)
-                rows.pop()
-                S.pop()
+    allowed = index.allowed_tables()
+    plain = None  # the compiled loop's buffers, made at the first plain subtree; False: the Python loop
 
-    plain = None  # the compiled loop's buffers, made at the first plain subtree; False: the Python loops
-
-    def weigh(T):
-        return orbit_weight(lead, T, deadline)
+    def weigh(S):
+        # a tied set the compiled loop reached: counting weighs it without
+        # its root; enumeration lists it (a larger set starts a new list)
+        # and counts it once, as rec_sym does
+        if sets is None:
+            return orbit_weight(lead, S[1:], deadline)
+        if not sets or len(S) > len(sets[0]):
+            sets[:] = [S]
+        else:
+            sets.append(S)
+        return 1
 
     def rec_plain(S, rows, cand, weight, size=1, tie=0, chosen=0):
-        # rec below a trivial stabilizer, or rec_sym without a state while a
-        # tie is within reach; in the compiled loop when this search may
-        # use it and it loads
+        # a subtree below a trivial stabilizer: in the compiled loop when it
+        # loads, else rec_sym without a state
         nonlocal best, bar, count, witness, nodes, check_at, plain
         if plain is None:
-            loop = _plain_loop() if sets is None else None
-            plain = _PlainCall(loop, allowed, words, slack, weigh) if loop else False
-        if not tie & (chosen | cand):
-            tie = 0
+            loop = _plain_loop()
+            plain = _PlainCall(loop, index.words, slack, weigh) if loop else False
         if not plain:
-            if tie:
-                return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
-            return rec(S, rows, cand, weight * size)
+            return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
+        if sets is not None:
+            tie = (1 << index.n) - 1  # every set goes to the weigher, which lists it
+        elif not tie & (chosen | cand):
+            tie = 0
         remaining = None if deadline is None else deadline - time.monotonic()
         best, nodes, check_at, found, ties, tied, stopped = plain(
             S, cand, tie, bool(tie & chosen), best, nodes, check_at, max_nodes, step, remaining)
@@ -897,16 +859,16 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
             raise BudgetExhausted if stopped == 1 else plain.error
 
     def rec_sym(S, rows, cand, state, size, tie, chosen, weight):
-        # rec for a prefix whose stabilizer moves some vertex: branch only
-        # on the orbit-minimal candidates, and pass down from v only the
-        # candidates whose orbit starts at or above v.  When counting (lead
-        # is set), T is S without its root and ``chosen`` is T as a bitset;
-        # ``size`` is the product of the orbit sizes of T's members, each
-        # under the state it was chosen in, and ``tie`` the union of those
-        # orbits less the members themselves.  A set that meets no tie is
-        # the leader of an orbit of ``size`` sets; one that does goes to
-        # orbit_weight.  Below a trivial stabilizer with a tie still within
-        # reach, state is None: rec_plain's Python loop.
+        # the Python loop.  With a state, whose stabilizer moves some
+        # vertex, branch only on the orbit-minimal candidates, and pass down
+        # from v only the candidates whose orbit starts at or above v; with
+        # none, below a trivial stabilizer when the compiled loop is not
+        # there, branch on every candidate.  When counting (lead is set), T
+        # is S without its root and ``chosen`` is T as a bitset; ``size`` is
+        # the product of the orbit sizes of T's members, each under the
+        # state it was chosen in, and ``tie`` the union of those orbits less
+        # the members themselves.  A set that meets no tie is the leader of
+        # an orbit of ``size`` sets; one that does goes to orbit_weight.
         nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
@@ -953,7 +915,9 @@ def _dfs(allowed, starts, witness, limits, slack, sets=None, words=None):
                 S.append(v)
                 rows.append(allowed[v])
                 child = None if state is None else state[v]
-                if child is not None:
+                if child is not None or state is None:
+                    # a subtree already plain goes on in this loop: the
+                    # setwise test below runs once per path
                     rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit, weight)
                 elif group is None or k1 < 3 or k1 + nc.bit_count() - bar < _LEADER_TEST_MIN_SPARE \
                         or orbit_weight(group, S, deadline):
@@ -1012,9 +976,9 @@ def gp_exact(
     g = _as_product(g)
     n = g.total_vertices
     started = time.monotonic()
-    index = BadTripleIndex.build(g, cap, words=True)
+    index = BadTripleIndex.build(g, cap)
     start = ([], (1 << n) - 1, 1, _Symmetry(g).root())
-    best, _, witness, nodes, complete = _dfs(index.allowed_tables(), [start], [0], limits, slack=1, words=index.words)
+    best, _, witness, nodes, complete = _dfs(index, [start], [0], limits, slack=1)
     elapsed = time.monotonic() - started
     members = [g.decode(i) for i in witness]
     return SearchResult(
@@ -1038,7 +1002,7 @@ def count_maximum_gp_sets(
     """
     g = _as_product(g)
     n = g.total_vertices
-    index = BadTripleIndex.build(g, cap, words=True)
+    index = BadTripleIndex.build(g, cap)
     if n == 1:
         return 1, 1
     full = (1 << n) - 1
@@ -1047,7 +1011,7 @@ def count_maximum_gp_sets(
     orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
     starts = [([r], full ^ (1 << r), orbit.bit_count(), None if root is None else root[r])
               for r, orbit in orbits.items()]
-    best, count, _, _, complete = _dfs(index.allowed_tables(), starts, [], limits, slack=0, words=index.words)
+    best, count, _, _, complete = _dfs(index, starts, [], limits, slack=0)
     if not complete:
         reached = f"; the largest set reached had {best} vertices" if best else ""
         raise BudgetExhausted(f"count of maximum gp-sets: budget exhausted{reached}")
@@ -1066,11 +1030,11 @@ def enumerate_maximum_gp_sets(g, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[in
     the rest of each orbit (see the module docstring).
     """
     g = _as_product(g)
-    allowed = BadTripleIndex.build(g, cap).allowed_tables()
+    index = BadTripleIndex.build(g, cap)
     sym = _Symmetry(g)
     start = ([], (1 << g.total_vertices) - 1, 1, sym.root())
     sets: list[list[int]] = []
-    best = _dfs(allowed, [start], [], None, slack=0, sets=sets)[0]
+    best = _dfs(index, [start], [], None, slack=0, sets=sets)[0]
     seen = set(map(tuple, sets))  # each set as its ascending tuple
     todo = list(seen)
     gens = sym.generators()
@@ -1117,8 +1081,8 @@ def isometric_cover_bound(
     for flats in flat_sets:
         m = len(flats)
         _refuse_above(m, DEFAULT_SEARCH_CAP)
-        allowed, words = _allowed_tables(g.flat_matrix([g.decode(i) for i in flats]), words=True)
-        best, _, _, _, complete = _dfs(allowed, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1, words=words)
+        index = BadTripleIndex(m, *_allowed_tables(g.flat_matrix([g.decode(i) for i in flats])))
+        best, _, _, _, complete = _dfs(index, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1)
         if not complete:
             raise BudgetExhausted(f"cover bound budget exhausted on a piece of {m} vertices")
         total += best

@@ -13,7 +13,6 @@ from itertools import combinations, product
 from math import prod
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,9 +98,8 @@ def _plain_maximum_sets(g):
     run with no symmetry state: every node branches on every candidate, so
     no keep filter can drop a set."""
     n = g.total_vertices
-    allowed = BadTripleIndex.build(g).allowed_tables()
     sets: list[list[int]] = []
-    best = solver._dfs(allowed, [([], (1 << n) - 1, 1, None)], [], None, slack=0, sets=sets)[0]
+    best = solver._dfs(BadTripleIndex.build(g), [([], (1 << n) - 1, 1, None)], [], None, slack=0, sets=sets)[0]
     return best, [tuple(map(g.decode, s)) for s in sets]
 
 
@@ -110,8 +108,7 @@ def _plain_lex_first_maximum_set(g):
     state, so neither the keep filter nor the leader test runs, and the
     first set of the largest size reached is the lex-first one."""
     n = g.total_vertices
-    allowed = BadTripleIndex.build(g).allowed_tables()
-    best, _, witness, _, _ = solver._dfs(allowed, [([], (1 << n) - 1, 1, None)], [], None, slack=1)
+    best, _, witness, _, _ = solver._dfs(BadTripleIndex.build(g), [([], (1 << n) - 1, 1, None)], [], None, slack=1)
     return best, tuple(map(g.decode, witness))
 
 
@@ -826,11 +823,11 @@ def test_an_expired_time_limit_stops_the_compiled_loop_at_its_first_node(monkeyp
     # a start with no state runs the plain loop from its first node, as
     # the cover bound's pieces do
     g = build("C6xC6")
-    allowed = BadTripleIndex.build(g).allowed_tables()
+    index = BadTripleIndex.build(g)
     start = ([], (1 << g.total_vertices) - 1, 1, None)
 
     def run():
-        return solver._dfs(allowed, [start], [0], SearchLimits(time_limit=0), slack=1)
+        return solver._dfs(index, [start], [0], SearchLimits(time_limit=0), slack=1)
 
     compiled, python = _both_loops(monkeypatch, run)
     assert compiled == python == (1, 0, [0], 1, False)  # stopped before its tie is counted
@@ -847,6 +844,21 @@ def test_counting_matches_rec_node_for_node(spec, monkeypatch):
     g = build(spec)  # C9xC9: 81 vertices, so two words a candidate set
     compiled, python = _both_loops(monkeypatch, lambda: _count(monkeypatch, g, cap=None))
     assert compiled == python
+
+
+@pytest.mark.parametrize("spec", ["P5xP5", "C7xC7", "C8xC7", "P4^3", "K2^6", "C4^3", "C9xC9"])
+def test_enumeration_matches_on_both_loops(spec, monkeypatch):
+    # the symmetric enumeration and the stateless search that lists every
+    # maximum set, each _dfs call with its nodes; C9xC9 takes two words a row
+    g = build(spec)
+
+    def run():
+        return enumerate_maximum_gp_sets(g, cap=None), _plain_maximum_sets(g)
+
+    compiled, python = _both_loops(monkeypatch, lambda: _spied(monkeypatch, run))
+    assert compiled == python
+    listed, plain = compiled[1]
+    assert listed == plain
 
 
 def _weighings(monkeypatch, run):
@@ -899,14 +911,16 @@ def _rec_sym_calls_without_a_state(run) -> int:
 
 
 def test_tie_tracking_runs_in_the_compiled_loop(monkeypatch):
-    # with the loop loaded no count runs rec_sym without a state; the
-    # Python loop does, which shows the hook sees them
+    # with the loop loaded no max-search, count or enumeration runs
+    # rec_sym without a state, so no plain node runs in Python; the Python
+    # loop does, which shows the hook sees them
     hosts = [build(spec) for spec in COUNT_HOSTS]
+    runs = [gp_exact, count_maximum_gp_sets, enumerate_maximum_gp_sets]
     compiled, python = _both_loops(
-        monkeypatch, lambda: [_rec_sym_calls_without_a_state(lambda: count_maximum_gp_sets(g)) for g in hosts])
+        monkeypatch, lambda: [[_rec_sym_calls_without_a_state(lambda: run(g)) for run in runs] for g in hosts])
     if solver.plain_loop_backend() == "c":
-        assert compiled == [0] * len(hosts)
-    assert python[COUNT_HOSTS.index("P4^3")] > 0
+        assert compiled == [[0] * len(runs)] * len(hosts)
+    assert all(python[COUNT_HOSTS.index("P4^3")])
 
 
 class _Clock:
@@ -998,11 +1012,11 @@ def test_an_expired_time_limit_stops_counting_at_its_first_node(monkeypatch):
     # a start with no state runs the plain loop from its first node, as a
     # counting root with a trivial stabilizer does
     g = build("P8xP8")
-    allowed = BadTripleIndex.build(g).allowed_tables()
+    index = BadTripleIndex.build(g)
     start = ([0], (1 << g.total_vertices) - 2, 4, None)
 
     def run():
-        return solver._dfs(allowed, [start], [], SearchLimits(time_limit=0), slack=0)
+        return solver._dfs(index, [start], [], SearchLimits(time_limit=0), slack=0)
 
     compiled, python = _both_loops(monkeypatch, run)
     assert compiled == python == (0, 0, [], 1, False)
@@ -1018,18 +1032,9 @@ def test_a_stopped_count_names_the_count_and_only_a_reached_size():
         assert str(stop.value) == "count of maximum gp-sets: budget exhausted" + reached
 
 
-def test_enumeration_never_loads_the_compiled_loop(monkeypatch):
-    def refuse():
-        raise AssertionError("enumeration asked for the compiled loop")
-
-    monkeypatch.setattr(solver, "_plain_loop", refuse)
-    gp, sets = enumerate_maximum_gp_sets(build("P5xP5"))
-    assert (gp, len(sets)) == (4, 400)
-
-
 def test_the_plain_reference_searches_agree_on_both_loops(monkeypatch):
-    # _plain_lex_first_maximum_set gives _dfs no word array, so the
-    # compiled loop builds one from the int tables
+    # with no state, the whole max-search runs in the plain loop: the
+    # compiled one, or rec_sym without a state
     for spec in ["P4xP4", "C7xC7", "K3^3"]:
         g = build(spec)
         compiled, python = _both_loops(monkeypatch, lambda: _plain_lex_first_maximum_set(g))
@@ -1054,11 +1059,12 @@ def test_the_cover_bound_agrees_on_both_loops(monkeypatch):
 
 def test_the_word_array_holds_the_int_tables():
     g = build("K2^7")  # 128 vertices: two words a row
-    index = BadTripleIndex.build(g, words=True)
+    index = BadTripleIndex.build(g)
     assert index.words.shape == (128, 128, 2)
-    pairs = ~np.eye(128, dtype=bool)  # the diagonal is never read
-    assert (index.words[pairs] == solver._word_table(index.allowed_tables())[pairs]).all()
-    assert BadTripleIndex.build(g).words is None
+    ints = solver._word_ints(index.words.reshape(-1, 2))  # pair (a, b) at a * 128 + b
+    allowed = index.allowed_tables()
+    # the diagonal is never read
+    assert all(ints[a * 128 + b] == allowed[a][b] for a in range(128) for b in range(128) if a != b)
 
 
 def _fresh_loader(monkeypatch, cache, cc=None):
