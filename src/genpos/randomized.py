@@ -31,11 +31,11 @@ from .position import GpSet, bad_pair_rows
 
 # Both steps of a run are cubic in M: the numpy pair-row test finds the
 # sample's bad triples, and certifying the remainder checks all its triples
-# in Python, on distances read from the scan's own M x M matrix.  One attempt
-# on C7^30 took 0.04 s at M = 115, 0.27-0.29 s at M = 250 and 2.0-2.4 s at
-# M = 500: there the draw took 1 ms, the matrix 24-30 ms, the numpy scan
-# 77-90 ms and certification the rest (seeds 1-3, 2-core x86-64 VM, Python
-# 3.11.7, numpy 2.4.6), so larger samples are refused.
+# in numpy blocks of the scan's own M x M matrix.  One attempt on C7^30
+# took 6 ms at M = 115, 35 ms at M = 250 and 0.23-0.25 s at M = 500: there
+# the draw took 1-2 ms, the matrix 36-41 ms, the numpy scan 132-137 ms and
+# certification 63-68 ms (seeds 1-3, 2-core x86-64 VM, Python 3.11.7, numpy
+# 2.4.6), so larger samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
@@ -280,7 +280,7 @@ def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
 
     ids = [i for i, keep in enumerate(alive) if keep]
     final = [distinct[i] for i in ids]
-    result = GpSet.certify(host, final, note=f"first-moment run, seed {seed}", table=(ids, D.tolist()))
+    result = GpSet.certify(host, final, note=f"first-moment run, seed {seed}", table=(ids, D))
     target = (M + 1) // 2
     return SampleRun(
         seed=seed,

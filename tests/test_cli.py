@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos.cli import COMMANDS, CONSTRUCTIONS, FORMULAS, build_parser, main, parse_vertex_set, render_human
-from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, build, parse_spec
+from genpos.graphs import FactorGraph, FactorSpec, GraphSpec, ProductGraph, build, parse_spec
+from genpos.position import MAX_SET_MEMBERS
 from genpos.randomized import p_exact
 
 FIG5 = "(0,1);(1,4);(2,0);(3,3);(4,6);(5,2);(6,5)"
@@ -228,6 +229,16 @@ def test_gp_and_count_refuse_a_host_over_their_cap_before_building_it(capsys, mo
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_check_refuses_a_set_over_the_member_cap_before_its_table(capsys, monkeypatch):
+    # 7,500 members once ran out a 10-s limit tabulating 56M distances
+    g = build("C7^7")
+    members = ";".join(str(g.decode(i)) for i in range(0, 7**7, 97)[:MAX_SET_MEMBERS + 1]).replace(" ", "")
+    monkeypatch.setattr(ProductGraph, "distance_table", lambda self, members: pytest.fail("tabulated"))
+    code, out, err = run_cli(capsys, ["check", "C7^7", members])
+    assert code == 1 and out == ""
+    assert err == f"error: a set of {MAX_SET_MEMBERS + 1} vertices is above the cap of {MAX_SET_MEMBERS}\n"
 
 
 def test_power_sample(capsys):

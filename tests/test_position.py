@@ -2,15 +2,17 @@
 
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpos.graphs import FLAT_TABLE_MAX_VERTICES, FactorGraph, ProductGraph, build
+from genpos import position
+from genpos.graphs import FLAT_TABLE_MAX_VERTICES, PAIR_CHUNK_CELLS, FactorGraph, ProductGraph, build
 from genpos.position import (
+    MAX_SET_MEMBERS,
     GpSet,
     characterization_check,
     find_violating_triple,
@@ -19,8 +21,9 @@ from genpos.position import (
     is_between,
     is_general_position,
 )
+from genpos.randomized import first_moment_construct
 from genpos.solver import enumerate_maximum_gp_sets, gp_exact
-from helpers import bfs_distance_table, naive_first_violation, subset_in_general_position
+from helpers import bfs_distance_table, naive_first_violation, subset_in_general_position, triple_is_bad
 
 FIG5 = [(0, 1), (1, 4), (2, 0), (3, 3), (4, 6), (5, 2), (6, 5)]
 
@@ -171,6 +174,140 @@ def test_certify_on_a_table_refuses_bad_members():
     for given_members, given_table, message in cases:
         with pytest.raises(ValueError, match=message):
             GpSet.certify(g, given_members, table=given_table)
+
+
+# ----------------------------------------------------------------------
+# the two certification forms: the Python loop below _BLOCK_MIN_MEMBERS
+# members, numpy blocks from there on
+
+def test_triple_blocks_cover_every_triple_once_in_order():
+    for cells in (8, 64, 1000, PAIR_CHUNK_CELLS):
+        for m in (3, 4, 5, 9, 17, 40):
+            seen = []
+            for A, B, c0 in position._triple_blocks(m, cells):
+                a_range, b_range = range(m)[A], range(m)[B]
+                assert len(a_range) * len(b_range) * (m - c0) <= max(cells, m)
+                # every sorted triple of the block, in row-major order
+                seen += [(a, b, c) for a in a_range for b in b_range for c in range(c0, m) if a < b < c]
+            assert seen == list(combinations(range(m), 3)), (cells, m)
+
+
+def test_the_blocks_take_over_at_the_threshold(monkeypatch):
+    def refuse(ids, D):
+        raise AssertionError(f"ran on {len(ids)} members")
+
+    gp = _survivors(7, 10, None)
+    t = position._BLOCK_MIN_MEMBERS
+    for name, m in (("bad_triples", t), ("_first_bad_block", t - 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(position, name, refuse)
+            assert GpSet.certify(gp.host, gp.members[:m]).members == gp.members[:m]
+
+
+def _both_forms(monkeypatch, host, members, table):
+    """GpSet.certify's outcome and the first violation on ``table``, with
+    the loop forced and with the blocks forced, at the default cell budget
+    and at 2^12 cells, where b runs in chunks from 64 members on as it does
+    from 256 at the default.  All must agree.  The form left out is made to
+    raise, so each run shows which form it took."""
+
+    def refuse(ids, D):
+        raise AssertionError(f"the other form ran on {len(ids)} members")
+
+    outcomes = []
+    forced = ((MAX_SET_MEMBERS + 1, PAIR_CHUNK_CELLS, "_first_bad_block"),
+              (0, PAIR_CHUNK_CELLS, "bad_triples"), (0, 1 << 12, "bad_triples"))
+    for threshold, cells, other in forced:
+        with monkeypatch.context() as patch:
+            patch.setattr(position, "_BLOCK_MIN_MEMBERS", threshold)
+            patch.setattr(position, "PAIR_CHUNK_CELLS", cells)
+            patch.setattr(position, other, refuse)
+            outcomes.append((_certify_outcome(host, members), position._first_violation(members, *table)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    return outcomes[0][1]
+
+
+def _plant(host, members, lead, middle):
+    """A gp set of a power of K2 or of a cycle of length at least 5, less
+    its members with first coordinate ``lead``, plus three vertices with
+    that first coordinate, one on a geodesic between the other two, which
+    make the only bad triple of the set.  ``middle`` (0, 1 or 2) is the
+    position of that one among the three in sorted order.  Returns the
+    sorted set and the planted triple as find_violating_triple names it."""
+    kept = [v for v in members if v[0] != lead]
+    # coordinates 1 and 2 of the middle and the two ends set the sorted order
+    head = {0: ((0, 0), (0, 1), (1, 0)), 1: ((1, 0), (0, 0), (2, 0)), 2: ((1, 1), (0, 1), (1, 0))}[middle]
+    rnd = random.Random(len(members))
+    for _ in range(100):
+        # the ends far apart; the middle takes each further coordinate from one
+        ends = [[rnd.randrange(s) for s in host.sizes[3:]] for _ in range(2)]
+        tail = [rnd.choice(pair) for pair in zip(*ends)]
+        mid, a, b = ((lead, *h, *t) for h, t in zip(head, [tail, *ends]))
+        planted = sorted(kept + [mid, a, b])
+        D = host.flat_matrix(planted).tolist()
+        new = [planted.index(v) for v in (mid, a, b)]
+        # kept is in general position, so a bad triple holds a planted vertex
+        bad = {tuple(sorted((u, v, w))) for u in new for v, w in combinations(range(len(planted)), 2)
+               if u not in (v, w) and triple_is_bad(D, u, v, w)}
+        if bad == {tuple(sorted(new))}:
+            return planted, (mid, a, b)
+    raise AssertionError("no plant without a second bad triple")
+
+
+@cache
+def _survivors(k, n, sample_size):
+    """A certified first-moment set of C_k^n (K2^n for k = 2)."""
+    factor = FactorGraph.complete(2) if k == 2 else FactorGraph.cycle(k)
+    return first_moment_construct(factor, n, seed=1, retries=0, sample_size=sample_size).result
+
+
+def _sizes(top):
+    t = position._BLOCK_MIN_MEMBERS
+    return sorted({m for m in (t - 2, t - 1, t, t + 1, 2 * t, 40, 80, min(top, 150)) if 3 <= m <= top})
+
+
+@pytest.mark.parametrize("k,n,sample_size", [(7, 10, None), (2, 30, None), (5, 10, None), (7, 14, 170)],
+                         ids=["C7^10", "K2^30", "C5^10", "C7^14"])
+def test_both_forms_agree_on_sampled_sets(monkeypatch, k, n, sample_size):
+    gp = _survivors(k, n, sample_size)
+    host, members = gp.host, list(gp.members)
+    middles = (0, 2) if k == 2 else (0, 1, 2)
+    for m in _sizes(len(members)):
+        prefix = members[:m]  # a subset of a gp set is one
+        assert _both_forms(monkeypatch, host, prefix, (list(range(m)), host.flat_matrix(prefix))) is None
+        for lead, middle in product((0, k - 1), middles):
+            planted, triple = _plant(host, prefix, lead, middle)
+            found = _both_forms(monkeypatch, host, planted, (list(range(len(planted))), host.flat_matrix(planted)))
+            # planted first (lead 0) or last (lead k - 1) in lex order
+            assert found == triple
+            first = planted.index(min(triple))
+            assert first == (0 if lead == 0 else len(planted) - 3)
+
+
+@pytest.mark.parametrize("spec", ["C7xC7", "C9xC11", "C5^3", "K2^8", "C13xC13"])
+def test_both_forms_agree_on_random_sets_of_small_hosts(monkeypatch, spec):
+    # flat-table hosts: ids index the host's cached all-vertex rows
+    g = build(spec)
+    vertices = list(g.vertices())
+    rnd = random.Random(spec)
+    for m in _sizes(min(150, len(vertices))):
+        for _ in range(3):
+            members = sorted(rnd.sample(vertices, m))
+            ids, D = g.distance_table(members)
+            assert _both_forms(monkeypatch, g, members, (ids, D)) is not None
+    witness = list(gp_exact(g, cap=None).witness)
+    assert _both_forms(monkeypatch, g, witness, g.distance_table(witness)) is None
+
+
+def test_a_set_above_the_member_cap_is_refused_before_its_table(monkeypatch):
+    g = build("C7^7")
+    members = [g.decode(i) for i in range(0, 7**7, 97)][:MAX_SET_MEMBERS + 1]
+    monkeypatch.setattr(ProductGraph, "distance_table", lambda self, members: pytest.fail("tabulated"))
+    message = f"a set of {MAX_SET_MEMBERS + 1} vertices is above the cap of {MAX_SET_MEMBERS}"
+    for check in (is_general_position, find_violating_triple, characterization_check, GpSet.certify,
+                  independence_check):
+        with pytest.raises(ValueError, match=message):
+            check(g, members)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from genpos.graphs import (
     explicit_adjacency,
     show_count,
 )
-from genpos import randomized
+from genpos import position, randomized
 from genpos.position import GpSet, bad_pair_rows, bad_triples, is_general_position
 from genpos.randomized import (
     MAX_SAMPLE_SIZE,
@@ -560,9 +560,23 @@ def test_sampler_certifies_on_the_scan_matrix(monkeypatch, factor, n):
 
 
 def test_sampler_largest_sample_recertifies():
-    # C7^30 at the M cap, certified again on the Python-summed table
+    # C7^30 at the M cap, certified again on the Python-summed table, where
+    # the blocks run, and once more by the Python loop
     run = first_moment_construct(FactorGraph.cycle(7), 30, seed=1, retries=0, sample_size=MAX_SAMPLE_SIZE)
-    assert GpSet.certify(run.result.host, run.result.members).members == run.result.members
+    host, members = run.result.host, run.result.members
+    assert GpSet.certify(host, members).members == members
+    assert next(bad_triples(*host.distance_table(list(members))), None) is None
+
+
+def test_sampled_sets_are_certified_without_the_python_loop(monkeypatch):
+    def refuse(ids, D):
+        raise AssertionError(f"the Python loop ran on {len(ids)} members")
+
+    monkeypatch.setattr(position, "bad_triples", refuse)
+    for seed in range(3):
+        run = first_moment_construct(FactorGraph.cycle(7), 10, seed=seed, retries=0)
+        assert len(run.result) >= position._BLOCK_MIN_MEMBERS
+        assert GpSet.certify(run.result.host, run.result.members).members == run.result.members
 
 
 @pytest.mark.parametrize("factor,n", [(FactorGraph.complete(2), 7), (FactorGraph.cycle(5), 10)])
