@@ -1,13 +1,14 @@
 """Exact gp-number computation and gp-set enumeration.
 
 The search is a depth-first branch and bound over vertices in flat-index
-order.  A precomputed :class:`BadTripleIndex` stores, for every vertex
-pair, the bitset of vertices completing a bad triple with that pair,
-packed from the pair-row test :func:`~genpos.position.bad_pair_rows` that
-the sampler shares; extending the current set by v filters the candidate
-set with one AND per already-chosen vertex.  Subtrees that cannot beat
-(or, when counting, cannot tie) the incumbent are cut with the bound
-|S| + |candidates|.
+order.  A precomputed :class:`BadTripleIndex` holds one word array: for
+every vertex pair, the bitset of vertices completing no bad triple with
+it, packed from the pair-row test :func:`~genpos.position.bad_pair_rows`
+that the sampler shares.  The compiled loop reads the words; the Python
+loop makes a row of ints from them when it first reads it.  Extending the
+current set by v filters the candidate set with one AND per
+already-chosen vertex.  Subtrees that cannot beat (or, when counting,
+cannot tie) the incumbent are cut with the bound |S| + |candidates|.
 One DFS core, :func:`_dfs`, serves the max-search, counting and
 enumeration.
 
@@ -199,22 +200,9 @@ def flat_distance_matrix(g: ProductGraph) -> np.ndarray:
     return g.flat_matrix()
 
 
-def _pack_words(rows: np.ndarray) -> np.ndarray:
-    """Pack boolean rows into 64-bit words, one row of W words each: bit i
-    of a row is bit i % 64 of word i // 64.  The packed bytes are
-    zero-padded to whole words and read as little-endian words."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    width = packed.shape[1]
-    if width % 8:
-        padded = np.zeros((len(packed), width + (-width % 8)), np.uint8)
-        padded[:, :width] = packed
-        packed = padded
-    return packed.view("<u8")
-
-
 def _word_ints(words: np.ndarray) -> list[int]:
-    """The rows of :func:`_pack_words` as Python-int bitsets, each combined
-    from its top word down."""
+    """Rows of 64-bit words (:func:`_allowed_tables`) as Python-int
+    bitsets, each combined from its top word down."""
     out = words[:, -1].tolist()
     for k in range(words.shape[1] - 2, -1, -1):
         out = [x << 64 | w for x, w in zip(out, words[:, k].tolist())]
@@ -227,66 +215,71 @@ def _refuse_above(n: int, cap: int | None) -> None:
         raise VertexCapError(f"bad-triple index refused for {n} vertices (cap {cap})")
 
 
-def _allowed_tables(D: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """(allowed, words) for the vertices 0..n-1 of the distance matrix
-    ``D``: allowed[a][b] is the bitset of vertices completing no bad
-    triple with a and b, packed from the chunks of
-    :func:`~genpos.position.bad_pair_rows`, and ``words`` the same tables
-    as an (n, n, W) uint64 array for the compiled plain loop, filled from
-    the same packed words; its diagonal, which no search reads, is left
-    zero."""
+def _allowed_tables(D: np.ndarray) -> np.ndarray:
+    """The (n, n, W) uint64 word array of the vertices 0..n-1 of the
+    distance matrix ``D``: words[a, b] is the bitset of vertices completing
+    no bad triple with a and b, bit u in bit u % 64 of word u // 64,
+    packed from the chunks of :func:`~genpos.position.bad_pair_rows`.  Its
+    diagonal, which no search reads, is left zero."""
     n = D.shape[0]
-    full = (1 << n) - 1  # a vertex paired with itself forbids nothing
-    allowed = [[full] * n for _ in range(n)]
-    table = np.zeros((n, n, -(-n // 64)), np.uint64)
+    w = -(-n // 64)
+    table = np.zeros((n, n, w), np.uint64)
     for A, B, bad in bad_pair_rows(D):
         ok = np.logical_not(bad, out=bad)
         # a and b themselves are never forbidden
         r = np.arange(len(A))
         ok[r, A] = True
         ok[r, B] = True
-        packed = _pack_words(ok)
-        table[A, B] = table[B, A] = packed
-        for x, y, mask in zip(A.tolist(), B.tolist(), _word_ints(packed)):
-            allowed[x][y] = allowed[y][x] = mask
-    return allowed, table
+        packed = np.zeros((len(A), 8 * w), np.uint8)  # little-endian words, zero-padded
+        packed[:, :-(-n // 8)] = np.packbits(ok, axis=1, bitorder="little")
+        table[A, B] = table[B, A] = packed.view("<u8")
+    return table
+
+
+class _IntRows(dict):
+    """Row a of the Python loop's int tables, made from words[a] when first read and kept."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = _word_ints(self.words[a])
+        return row
 
 
 class BadTripleIndex:
     """Pair-indexed bitsets describing all bad triples of a host graph.
 
     ``bad_with(a, b)`` holds every u such that {a, b, u} is a bad triple,
-    whichever of the three is in the middle.  The build packs the chunks of
-    :func:`~genpos.position.bad_pair_rows`, about ``PAIR_CHUNK_CELLS``
-    (pair, vertex) cells each, so besides the tables themselves it holds
-    the distance matrix and one chunk at a time.  :meth:`build` is the
-    size check of the exact search, counting and enumeration.  ``words``
-    is the tables' word array for the compiled plain loop.
+    whichever of the three is in the middle.  Its one table is ``words``
+    (:func:`_allowed_tables`), which the compiled plain loop reads; the
+    build holds besides it the distance matrix and one chunk of
+    :func:`~genpos.position.bad_pair_rows` at a time.  :meth:`build` is
+    the size check of the exact search, counting and enumeration.
     """
 
-    __slots__ = ("n", "_allowed", "words")
+    __slots__ = ("n", "words", "_rows")
 
-    def __init__(self, n: int, allowed: list[list[int]], words: np.ndarray):
-        self.n = n
-        self._allowed = allowed
+    def __init__(self, words: np.ndarray):
+        self.n = len(words)
         self.words = words
+        self._rows = _IntRows(words)
 
     @classmethod
     def build(cls, g: ProductGraph, cap: int | None = DEFAULT_SEARCH_CAP) -> "BadTripleIndex":
         """The index of ``g``, refused above ``cap`` vertices before any
         distance is summed (``cap=None`` disables the guard)."""
-        n = g.total_vertices
-        _refuse_above(n, cap)
-        return cls(n, *_allowed_tables(flat_distance_matrix(g)))
+        _refuse_above(g.total_vertices, cap)
+        return cls(_allowed_tables(flat_distance_matrix(g)))
 
     def bad_with(self, a: int, b: int) -> set[int]:
-        return _bits(((1 << self.n) - 1) ^ self._allowed[a][b])
+        return _bits(((1 << self.n) - 1) ^ self._rows[a][b]) if a != b else set()
 
-    def allowed_tables(self) -> list[list[int]]:
+    def allowed_tables(self) -> dict[int, list[int]]:
         """allowed[a][b] = vertices NOT completing a bad triple with the
-        pair (a, b).  This is what the search intersects; the tables are
-        the index's own, not a copy."""
-        return self._allowed
+        pair (a, b), a != b.  This is what the Python loop intersects; its
+        rows are made from ``words`` as they are first read."""
+        return self._rows
 
 
 def _bits(mask: int) -> set[int]:
@@ -749,7 +742,8 @@ class _PlainCall:
 
 def _dfs(index, starts, witness, limits, slack, sets=None):
     """Depth-first branch and bound behind the max-search, counting and
-    enumeration, on the tables of the :class:`BadTripleIndex` ``index``.
+    enumeration, on the :class:`BadTripleIndex` ``index``: the compiled
+    loop reads its words, the Python loop the int rows made from them.
 
     ``starts`` lists the (S, cand, weight, state) roots, searched in order;
     ``witness`` is the incumbent set, so the search starts from
@@ -1081,7 +1075,7 @@ def isometric_cover_bound(
     for flats in flat_sets:
         m = len(flats)
         _refuse_above(m, DEFAULT_SEARCH_CAP)
-        index = BadTripleIndex(m, *_allowed_tables(g.flat_matrix([g.decode(i) for i in flats])))
+        index = BadTripleIndex(_allowed_tables(g.flat_matrix([g.decode(i) for i in flats])))
         best, _, _, _, complete = _dfs(index, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1)
         if not complete:
             raise BudgetExhausted(f"cover bound budget exhausted on a piece of {m} vertices")

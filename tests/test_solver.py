@@ -1057,14 +1057,35 @@ def test_the_cover_bound_agrees_on_both_loops(monkeypatch):
     assert compiled[1] == 16 and compiled[0][-1][3:] == (1, False)
 
 
-def test_the_word_array_holds_the_int_tables():
-    g = build("K2^7")  # 128 vertices: two words a row
-    index = BadTripleIndex.build(g)
-    assert index.words.shape == (128, 128, 2)
-    ints = solver._word_ints(index.words.reshape(-1, 2))  # pair (a, b) at a * 128 + b
-    allowed = index.allowed_tables()
-    # the diagonal is never read
-    assert all(ints[a * 128 + b] == allowed[a][b] for a in range(128) for b in range(128) if a != b)
+@pytest.mark.parametrize("spec", ["K2^7", "P3xC5xK3xK2"])
+def test_the_words_and_the_rows_made_from_them_match_the_oracle(spec, monkeypatch):
+    # K2^7 has 128 vertices, two full words a row; P3xC5xK3xK2 has 90, a
+    # partial second word.  A budgeted max-search runs on each loop, and
+    # every pair of the word array, read without _word_ints, and every int
+    # row the Python side made are checked against the oracle
+    g = build(spec)
+    n = g.total_vertices
+    D = bfs_distance_table(g)
+    full = (1 << n) - 1
+    allowed = {(a, b): full ^ sum(1 << u for u in _bad_with_oracle(D, a, b))
+               for a in range(n) for b in range(n) if a != b}
+
+    def run():
+        index = BadTripleIndex.build(g)
+        start = ([], full, 1, _Symmetry(g).root())
+        return solver._dfs(index, [start], [0], SearchLimits(max_nodes=3000), slack=1), index
+
+    (compiled, on_c), (python, on_py) = _both_loops(monkeypatch, run)
+    assert compiled == python
+    assert set(on_c.allowed_tables()) <= set(on_py.allowed_tables())
+    for index in (on_c, on_py):
+        assert index.words.shape == (n, n, -(-n // 64))
+        words = index.words.reshape(n * n, -1)  # pair (a, b) at a * n + b
+        assert not words[:: n + 1].any()  # the diagonal is zero
+        assert all(int.from_bytes(words[a * n + b].tobytes(), "little") == mask
+                   for (a, b), mask in allowed.items())
+        rows = index.allowed_tables()
+        assert rows and all(rows[a][b] == allowed[a, b] for a in list(rows) for b in range(n) if b != a)
 
 
 def _fresh_loader(monkeypatch, cache, cc=None):
@@ -1353,7 +1374,7 @@ def test_index_against_direct_betweenness():
             assert idx.bad_with(a, a) == set()
             for b in range(a + 1, g.total_vertices):
                 assert idx.bad_with(a, b) == _bad_with_oracle(D, a, b)
-                assert allowed[a][b] is allowed[b][a]  # one mask per pair
+                assert allowed[a][b] == allowed[b][a]  # the relation is symmetric in the pair
     # P3xC5xK3xK2's pairs fill more than two chunks of the build
     n = g.total_vertices
     assert n % 64 and n * (n - 1) // 2 > 2 * (PAIR_CHUNK_CELLS // n)
@@ -1382,6 +1403,21 @@ def test_index_build_never_holds_a_betweenness_cube():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_the_index_holds_one_table():
+    # the built index holds its word array (9 MB on C20xC20) and no int
+    # row until a search reads one; eager int tables beside it held about
+    # 7 MiB more
+    g = build("C20xC20")
+    tracemalloc.start()
+    try:
+        index = BadTripleIndex.build(g, cap=None)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index.allowed_tables()) == 0
+    assert held <= index.words.nbytes + 2**20
 
 
 # ----------------------------------------------------------------------
