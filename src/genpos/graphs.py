@@ -9,11 +9,12 @@ before building the one factor graph that each distinct factor shares.
 Products are never materialized for metric queries: the distance between
 two product vertices is the sum of the factor distances, coordinate by
 coordinate.  ``ProductGraph.flat_matrix`` is the only code that sums them
-into a numpy matrix, over all vertices (cached on products with at most
+into a table, over all vertices (cached on products with at most
 ``FLAT_TABLE_MAX_VERTICES`` vertices) or over given members, with one
-sum per distinct factor: a gather from its table at all its positions;
-``ProductGraph.distance_table`` serves the checkers from the cached one,
-or from the pair sums of the queried vertices on larger products.
+sum per distinct factor: a gather from its table at all its positions.
+``ProductGraph.distance_table`` lists one of those matrices for the
+checkers: the cached one, or on larger products the queried members' own.
+``ProductGraph.distance`` sums a single pair.
 
 Vertex conventions: ``P n`` has vertices 0..n-1 in path order, ``C n``
 has vertices 0..n-1 in cyclic order (arithmetic mod n), ``S k`` is the
@@ -56,8 +57,8 @@ MAX_FACTOR_VERTICES = 2000
 
 # Hosts with at most this many vertices keep one flat all-pairs matrix
 # (at most 200^2 entries) that every distance query reads.  On larger hosts,
-# where a query's members are a tiny share of the vertices, each query sums
-# the distances between its own members only.
+# where a query's members are a tiny share of the vertices, each query takes
+# the matrix of its own members only, from the same flat_matrix.
 FLAT_TABLE_MAX_VERTICES = 200
 
 # Cells per chunk of a numpy pass over (pair, vertex) or (position, pair)
@@ -332,25 +333,18 @@ class ProductGraph:
         """``(ids, D)`` with ``D[ids[i]][ids[j]]`` the distance between
         ``members[i]`` and ``members[j]``.
 
-        ``members`` must already be valid coordinate tuples.  On a host with
-        at most ``FLAT_TABLE_MAX_VERTICES`` vertices, ids are flat indices
-        into the cached flat matrix (shared, never to be written).  Above
-        it, ids are positions and D is a fresh table over the members, each
-        pair distance summed once.
+        ``members`` must already be valid coordinate tuples, and D is a
+        :meth:`flat_matrix` as lists.  On a host with at most
+        ``FLAT_TABLE_MAX_VERTICES`` vertices, ids are flat indices into the
+        all-vertex matrix, listed once (shared, never to be written).
+        Above it, ids are positions into the members' own matrix.
         """
         if self.total_vertices <= FLAT_TABLE_MAX_VERTICES:
             if self._flat_rows is None:
                 self._flat_rows = self.flat_matrix().tolist()
             strides = self.strides
             return [sum(map(int.__mul__, v, strides)) for v in members], self._flat_rows
-        tables = self.factor_dist_tables()
-        m = len(members)
-        D = [[0] * m for _ in range(m)]
-        for i, u in enumerate(members):
-            row = D[i]
-            for j in range(i + 1, m):
-                row[j] = D[j][i] = sum([t[a][b] for t, a, b in zip(tables, u, members[j])])
-        return list(range(m)), D
+        return list(range(len(members))), self.flat_matrix(members).tolist()
 
     def __repr__(self):
         return f"ProductGraph({self.spec or 'explicit'}, n={self.total_vertices})"

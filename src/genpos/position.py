@@ -55,8 +55,10 @@ from .graphs import PAIR_CHUNK_CELLS, Coord, ProductGraph, VertexCapError
 _BLOCK_MIN_MEMBERS = 12
 
 # Members a checked set may have.  Its distance table is quadratic in them:
-# 1,000 members of C7^7 take 0.7 s to tabulate, 2,000 take 3.7 s and 80 MB.
-# The sampler certifies up to MAX_SAMPLE_SIZE = 500 members.
+# from flat_matrix, 1,000 members of C7^7 take 53 ms to tabulate and 12.5
+# MiB at peak, 2,000 take 0.21 s and 50 MiB (an 80 MB process peak; 2-core
+# x86-64 VM, Python 3.11.7, numpy 2.4.6).  The sampler certifies up to
+# MAX_SAMPLE_SIZE = 500 members.
 MAX_SET_MEMBERS = 1000
 
 

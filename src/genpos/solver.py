@@ -65,16 +65,17 @@ Every plain subtree, of the max-search, counting, enumeration and the
 cover bound's pieces, runs compiled: ``_plain.c`` is the plain loop in C,
 with the Python loop's branching order, cut, node count, budget polls,
 witness and tie updates, so values, counts, witnesses, set lists and node
-counts do not change.  The sets that need Python go back to it through a
-callback: counting weighs each set that meets a tie
-(:meth:`_Symmetry.orbit_weight`), and enumeration lists every set.  The
-loop is compiled and loaded on the first plain subtree
-(:func:`_load_plain`); if that fails, the one Python loop, ``rec_sym``,
-runs those subtrees without a state, and :func:`plain_loop_backend` says
-which one does.  The node and time budgets are polled inside the
-compiled loop, and a callback's exceptions, the time budget's among
-them, reach the caller unchanged; but a Ctrl-C lands only at the next
-callback or when its subtree returns.
+counts do not change.  Both loops hand each set that meets a tie to one
+Python function, ``weigh``, the compiled loop through a callback:
+counting weighs it (:meth:`_Symmetry.orbit_weight`), and enumeration,
+whose tie mask holds every vertex, lists it.  The loop is compiled and
+loaded on the first plain subtree (:func:`_load_plain`); if that fails,
+the one Python loop, ``rec_sym``, runs those subtrees without a state,
+and :func:`plain_loop_backend` says which one does.  The node and time
+budgets are polled inside the compiled loop, and a callback's
+exceptions, the time budget's among them, reach the caller unchanged;
+but a Ctrl-C lands only at the next callback or when its subtree
+returns.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -784,17 +785,17 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
 
     Every subtree below a trivial stabilizer runs in the compiled loop of
     ``_plain.c`` when it loads, with the same slack: the same nodes in the
-    same order, the same budget polls, and the same returns.  The sets
-    that need Python go back to it through the loop's weigher, called for
-    each set of at least the best size that meets the subtree's tie mask,
-    before the best is updated.  Counting's mask is the union of its
-    members' orbits: the loop counts the untied sets at the subtree's
-    weight, and the weigher runs ``orbit_weight`` on each tied one.
-    Enumeration's mask holds every vertex, so the weigher lists each set in
-    ``sets``.  An exception raised there stops the loop and is raised again
-    from ``rec_plain`` once the nodes, best and count so far are read back.
-    Without the compiled loop, the same subtrees run ``rec_sym`` without a
-    state, which visits the same nodes.
+    same order, the same budget polls, and the same returns.  Both loops
+    hand each set of at least the best size that meets the tie mask to
+    ``weigh`` before the best is updated, the compiled loop through a
+    callback.  The mask starts with every vertex when enumerating, else
+    empty, and counting adds its members' orbits: the untied sets count
+    at the subtree's weight, and ``weigh`` runs ``orbit_weight`` on each
+    tied one when counting and lists each set in ``sets`` when
+    enumerating.  An exception raised there stops the compiled loop and
+    is raised again from ``rec_plain`` once the nodes, best and count so
+    far are read back.  Without the compiled loop, the same subtrees run
+    ``rec_sym`` without a state, which visits the same nodes.
     """
     best = len(witness)
     bar = best + slack
@@ -817,9 +818,9 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
     plain = None  # the compiled loop's buffers, made at the first plain subtree; False: the Python loop
 
     def weigh(S):
-        # a tied set the compiled loop reached: counting weighs it without
-        # its root; enumeration lists it (a larger set starts a new list)
-        # and counts it once, as rec_sym does
+        # a tied set either loop reached: counting weighs it without its
+        # root; enumeration lists it (a larger set starts a new list) and
+        # counts it once
         if sets is None:
             return orbit_weight(lead, S[1:], deadline)
         if not sets or len(S) > len(sets[0]):
@@ -828,7 +829,7 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
             sets.append(S)
         return 1
 
-    def rec_plain(S, rows, cand, weight, size=1, tie=0, chosen=0):
+    def rec_plain(S, rows, cand, weight, size, tie, chosen):
         # a subtree below a trivial stabilizer: in the compiled loop when it
         # loads, else rec_sym without a state
         nonlocal best, bar, count, witness, nodes, check_at, plain
@@ -837,9 +838,7 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
             plain = _PlainCall(loop, index.words, slack, weigh) if loop else False
         if not plain:
             return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
-        if sets is not None:
-            tie = (1 << index.n) - 1  # every set goes to the weigher, which lists it
-        elif not tie & (chosen | cand):
+        if not tie & (chosen | cand):
             tie = 0
         remaining = None if deadline is None else deadline - time.monotonic()
         best, nodes, check_at, found, ties, tied, stopped = plain(
@@ -862,7 +861,7 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
         # the product of the orbit sizes of T's members, each under the
         # state it was chosen in, and ``tie`` the union of those orbits less
         # the members themselves.  A set that meets no tie is the leader of
-        # an orbit of ``size`` sets; one that does goes to orbit_weight.
+        # an orbit of ``size`` sets; one that does goes to weigh.
         nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
@@ -891,20 +890,14 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
                     vsize *= orbit.bit_count()
                     vtie |= orbit ^ bit
             if k1 >= best:
-                w = weight
-                if lead is not None:
-                    w *= orbit_weight(lead, S[1:] + [v], deadline) if (chosen | bit) & tie else vsize
+                w = weight * (weigh(S + [v]) if (chosen | bit) & tie else vsize)
                 if k1 > best:
                     best = k1
                     bar = best + slack
                     count = w
                     witness = S + [v]
-                    if sets is not None:
-                        sets[:] = [witness]
                 else:
                     count += w
-                    if sets is not None:
-                        sets.append(S + [v])
             if nc and k1 + nc.bit_count() >= bar:
                 S.append(v)
                 rows.append(allowed[v])
@@ -922,9 +915,10 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
                 rows.pop()
                 S.pop()
 
-    # counting's root state, the max-search's whole-group state, and the
-    # orbit weigher that both call
+    # counting's root state, the max-search's whole-group state, the orbit
+    # weigher that both call, and the tie mask, every vertex to enumerate
     lead = group = orbit_weight = None
+    tie = (1 << index.n) - 1 if sets is not None else 0
     try:
         if max_nodes == 0:
             raise BudgetExhausted
@@ -935,9 +929,9 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
                 orbit_weight = state.sym.orbit_weight
             rows = [allowed[v] for v in S]
             if state is None:
-                rec_plain(list(S), rows, cand, weight)
+                rec_plain(list(S), rows, cand, weight, 1, tie, 0)
             else:
-                rec_sym(list(S), rows, cand, state, 1, 0, 0, weight)
+                rec_sym(list(S), rows, cand, state, 1, tie, 0, weight)
     except BudgetExhausted:
         complete = False
     return best, count, witness, nodes, complete

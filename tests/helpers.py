@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
-Everything in here deliberately avoids the solver's bitset engine and the
-additive distance path: distances come from BFS on the materialized
-product, subsets from itertools.  Slow but unarguable.
+Everything in here deliberately avoids the solver's bitset engine and
+numpy: distances come from BFS on the materialized product, or on hosts
+too large for that from Python sums of the factors' BFS tables, and
+subsets from itertools.  Slow but unarguable.
 """
 
 from __future__ import annotations
@@ -15,6 +16,19 @@ from genpos.graphs import ProductGraph, explicit_adjacency
 def bfs_distance_table(g: ProductGraph):
     """All-pairs distances of a product via BFS on its explicit form."""
     return explicit_adjacency(g).dist
+
+
+def pair_sum_table(g: ProductGraph, members):
+    """Distances between the given coordinate tuples, in their order, each
+    pair summed in Python over the factors' tables: a reference for
+    ``ProductGraph.flat_matrix`` on hosts too large to materialize."""
+    tables = [f.dist for f in g.factors]
+    m = len(members)
+    D = [[0] * m for _ in range(m)]
+    for i, u in enumerate(members):
+        for j in range(i + 1, m):
+            D[i][j] = D[j][i] = sum(t[a][b] for t, a, b in zip(tables, u, members[j]))
+    return D
 
 
 def triple_is_bad(D, u: int, v: int, w: int) -> bool:

@@ -24,7 +24,7 @@ from genpos.graphs import (
     parse_spec,
 )
 from genpos.randomized import SplitMix64
-from helpers import bfs_distance_table
+from helpers import bfs_distance_table, pair_sum_table
 
 
 # ----------------------------------------------------------------------
@@ -397,13 +397,14 @@ def test_flat_matrix_of_members_equals_the_python_pair_sums(spec, counts):
     # m = 60 splits its 30 positions 18 + 12, at m = 300 one by one, and
     # P3 and C5 each stand at two positions apart
     g = build(spec, cap=None)
-    assert g.total_vertices > FLAT_TABLE_MAX_VERTICES  # distance_table sums pairs in Python
+    assert g.total_vertices > FLAT_TABLE_MAX_VERTICES  # distance_table takes the members' own matrix
     for m in counts:
         members = sorted(set(SplitMix64(m).draw(g.sizes, m)))
-        ids, D = g.distance_table(members)
         M = g.flat_matrix(members)
         assert M.dtype == np.int32 and M.shape == (len(members),) * 2
-        assert M.tolist() == [[D[a][b] for b in ids] for a in ids]
+        assert M.tolist() == pair_sum_table(g, members)
+        # the checkers' table above the cap is this matrix, listed
+        assert g.distance_table(members) == (list(range(len(members))), M.tolist())
 
 
 def test_flat_matrix_of_a_product_of_more_factors_than_numpy_dimensions():

@@ -14,6 +14,7 @@ from genpos.graphs import FLAT_TABLE_MAX_VERTICES, PAIR_CHUNK_CELLS, FactorGraph
 from genpos.position import (
     MAX_SET_MEMBERS,
     GpSet,
+    bad_triples,
     characterization_check,
     find_violating_triple,
     forbidden_set,
@@ -23,7 +24,7 @@ from genpos.position import (
 )
 from genpos.randomized import first_moment_construct
 from genpos.solver import enumerate_maximum_gp_sets, gp_exact
-from helpers import bfs_distance_table, naive_first_violation, subset_in_general_position, triple_is_bad
+from helpers import bfs_distance_table, naive_first_violation, pair_sum_table, subset_in_general_position, triple_is_bad
 
 FIG5 = [(0, 1), (1, 4), (2, 0), (3, 3), (4, 6), (5, 2), (6, 5)]
 
@@ -308,6 +309,16 @@ def test_a_set_above_the_member_cap_is_refused_before_its_table(monkeypatch):
                   independence_check):
         with pytest.raises(ValueError, match=message):
             check(g, members)
+
+
+def test_a_set_at_the_member_cap_is_checked():
+    # exactly MAX_SET_MEMBERS members of C7^7 are tabulated and checked,
+    # and the violation named is the first on a table summed in Python
+    g = build("C7^7")
+    members = [g.decode(i) for i in range(0, 7**7, 97)][:MAX_SET_MEMBERS]
+    assert len(members) == MAX_SET_MEMBERS and members == sorted(members)
+    mid, a, b = next(bad_triples(list(range(MAX_SET_MEMBERS)), pair_sum_table(g, members)))
+    assert find_violating_triple(g, members) == (members[mid], members[a], members[b])
 
 
 # ----------------------------------------------------------------------

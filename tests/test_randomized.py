@@ -34,7 +34,7 @@ from genpos.randomized import (
     p_power,
     star_formula_quoted,
 )
-from helpers import bfs_distance_table, triple_is_bad
+from helpers import bfs_distance_table, pair_sum_table, triple_is_bad
 
 
 def brute_force_p(g: FactorGraph, vertices=None) -> Fraction:
@@ -553,19 +553,18 @@ def test_sampler_certifies_on_the_scan_matrix(monkeypatch, factor, n):
         host = run.result.host
         assert members == list(run.result.members)
         # the table holds the Python-summed distances between the survivors
-        plain_ids, plain = host.distance_table(members)
-        assert [[D[x][y] for y in ids] for x in ids] == [[plain[x][y] for y in plain_ids] for x in plain_ids]
+        assert [[D[x][y] for y in ids] for x in ids] == pair_sum_table(host, members)
         assert GpSet.certify(host, members).members == run.result.members
     assert any(run.deletions for run in runs)
 
 
 def test_sampler_largest_sample_recertifies():
-    # C7^30 at the M cap, certified again on the Python-summed table, where
-    # the blocks run, and once more by the Python loop
+    # C7^30 at the M cap, certified again, where the blocks run, and once
+    # more by the Python loop on a table summed in Python, not by flat_matrix
     run = first_moment_construct(FactorGraph.cycle(7), 30, seed=1, retries=0, sample_size=MAX_SAMPLE_SIZE)
     host, members = run.result.host, run.result.members
     assert GpSet.certify(host, members).members == members
-    assert next(bad_triples(*host.distance_table(list(members))), None) is None
+    assert next(bad_triples(list(range(len(members))), pair_sum_table(host, members)), None) is None
 
 
 def test_sampled_sets_are_certified_without_the_python_loop(monkeypatch):

@@ -862,13 +862,14 @@ def test_enumeration_matches_on_both_loops(spec, monkeypatch):
 
 
 def _weighings(monkeypatch, run):
-    """(run(), the number of orbit_weight calls made by the compiled
-    loop's weigher)."""
+    """(run(), the number of orbit_weight calls made for the compiled loop:
+    both loops weigh a tied set through _dfs's ``weigh``, which the compiled
+    loop calls back through ``_PlainCall._weigh``, one frame further up)."""
     weigh = _Symmetry.orbit_weight
     calls = []
 
     def spy(self, state, T, deadline=None):
-        calls.append(sys._getframe(1).f_code.co_name == "weigh")
+        calls.append(sys._getframe(2).f_code.co_name == "_weigh")
         return weigh(self, state, T, deadline)
 
     with monkeypatch.context() as m:
@@ -940,12 +941,13 @@ class _Clock:
 def _stop_at_the_weighing(monkeypatch, at, stop):
     """Patch the solver so that orbit_weight call ``at`` (0-based) first
     runs ``stop()``; only the first node polls the node clock.  Returns the
-    list of the callers' names, one per call."""
+    list of the names of the frames that called _dfs's ``weigh``, one per
+    call: ``_weigh`` (the compiled loop's callback) or ``rec_sym``."""
     weigh = _Symmetry.orbit_weight
     callers = []
 
     def spy(self, state, T, deadline=None):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append(sys._getframe(2).f_code.co_name)
         if len(callers) == at + 1:
             stop()
         return weigh(self, state, T, deadline)
@@ -971,7 +973,7 @@ def test_a_time_limit_expiring_in_a_weighing_stops_both_loops_alike(monkeypatch,
     assert compiled[:2] == python[:2]
     assert compiled[0][1] == "count of maximum gp-sets: budget exhausted; the largest set reached had 6 vertices"
     assert compiled[0][0][-1][4] is False and compiled[1] == 101
-    assert compiled[2] == ("weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
+    assert compiled[2] == ("_weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
     assert python[2] == "rec_sym"
     assert capfd.readouterr() == ("", "")
 
@@ -993,7 +995,7 @@ def test_an_exception_in_a_weighing_reaches_the_caller_on_both_loops(error, monk
     compiled, python = _both_loops(monkeypatch, run)
     assert compiled[0] is python[0] is error
     assert compiled[1] == python[1] == 101
-    assert compiled[2] == ("weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
+    assert compiled[2] == ("_weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
     assert capfd.readouterr() == ("", "")
 
 
