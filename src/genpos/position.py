@@ -26,8 +26,9 @@ both facts: it runs the cores on subsets of a host's flat ids without
 validating each subset, once per distinct distance pattern, and gives
 every subset its pattern's verdict.  :func:`bad_pair_rows` is the same triple
 test on pairs of rows of a numpy distance matrix: the solver's bad-triple
-index is packed from it, the sampler finds a sample's bad triples with
-it, and the exact bad-triple probability counts its cells.
+index is packed from it, the sampler counts a sample's bad triples and
+marks their least members with it, and the exact bad-triple probability
+counts its cells.
 Certification (:func:`find_violating_triple` and :meth:`GpSet.certify`)
 runs the Python core on sets of fewer than ``_BLOCK_MIN_MEMBERS`` members
 and :func:`_first_bad_block`, the same test on numpy blocks of the members'
@@ -44,7 +45,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graphs import PAIR_CHUNK_CELLS, Coord, ProductGraph, VertexCapError
+from .graphs import DEFAULT_VERTEX_CAP, PAIR_CHUNK_CELLS, Coord, ProductGraph, VertexCapError, show_count
 
 # Sets of at least this many members are certified by numpy blocks
 # (_first_bad_block), smaller ones by the Python loop bad_triples.  On gp
@@ -339,8 +340,11 @@ def forbidden_set(g: ProductGraph, X) -> frozenset[Coord]:
     """F(X): vertices outside X whose addition destroys general position.
 
     ``X`` must itself be in general position (a certified :class:`GpSet`
-    is accepted as-is; anything else is checked first).
+    is accepted as-is; anything else is checked first).  Every vertex of
+    ``g`` is tested, so hosts above ``DEFAULT_VERTEX_CAP`` are refused.
     """
+    if g.total_vertices > DEFAULT_VERTEX_CAP:
+        raise VertexCapError(f"{show_count(g.total_vertices)} vertices to test, above the cap of {DEFAULT_VERTEX_CAP}")
     if isinstance(X, GpSet) and X.certified and X.host is g:
         members = list(X.members)
     else:

@@ -6,8 +6,9 @@ with x = y or x = z are bad by this reading; y = z with x distinct never
 is.  p(G) is the probability that a uniform triple from V(G)^3 is bad;
 it multiplies across Cartesian factors, which is what makes the
 first-moment bound for powers work: sample M vertices of G^n with
-(M-1)(M-2) <= p(G)^-n, delete one vertex from every bad triple, and at
-least half the sample survives in general position.
+(M-1)(M-2) <= p(G)^-n, delete the least member of every bad triple (one
+numpy pass marks them, and no triple is listed), and at least half the
+sample survives in general position.
 
 Randomness comes from :class:`SplitMix64`, a 64-bit counter-based
 generator: the state advances by a fixed odd constant and each output is
@@ -29,13 +30,14 @@ import numpy as np
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
 from .position import GpSet, bad_pair_rows
 
-# Both steps of a run are cubic in M: the numpy pair-row test finds the
-# sample's bad triples, and certifying the remainder checks all its triples
-# in numpy blocks of the scan's own M x M matrix.  One attempt on C7^30
-# took 6 ms at M = 115, 35 ms at M = 250 and 0.23-0.25 s at M = 500: there
-# the draw took 1-2 ms, the matrix 36-41 ms, the numpy scan 132-137 ms and
-# certification 63-68 ms (seeds 1-3, 2-core x86-64 VM, Python 3.11.7, numpy
-# 2.4.6), so larger samples are refused.
+# Both steps of a run are cubic in M: the numpy pair-row scan counts the
+# sample's bad triples and marks their least members, and certification
+# checks all triples of the rest in numpy blocks of the scan's M x M matrix.
+# At M = 500 one attempt on C7^30 took 0.14-0.22 s (the draw 1-3 ms, the
+# matrix 23-37 ms, the scan 77-122 ms, certification 37-61 ms), and one on
+# K2^10, with 1.6-1.7 million bad triples, 0.10-0.14 s, nearly all the scan
+# (seeds 1-3, 2-core x86-64 VM, Python 3.11.7, numpy 2.4.6), so larger
+# samples are refused.
 MAX_SAMPLE_SIZE = 500
 
 _MASK64 = (1 << 64) - 1
@@ -234,10 +236,10 @@ class SampleRun:
 
     ``samples`` preserves the draw order (with repetition); ``bad_triples``
     counts unordered bad triples among the distinct samples; ``deletions``
-    lists the vertices removed (one per bad triple still intact when
-    visited, lowest first).  ``success`` means the certified remainder
-    reached the ceil(M/2) target; removed duplicates count against that
-    budget, they are not compensated.
+    lists the vertices removed, the least member of each bad triple, in
+    ascending order.  ``success`` means the certified remainder reached
+    the ceil(M/2) target; removed duplicates count against that budget,
+    they are not compensated.
     """
 
     seed: int
@@ -252,14 +254,17 @@ class SampleRun:
     attempts: int
 
 
-def _sorted_bad_triples(D: np.ndarray):
-    """The bad triples of :func:`~genpos.position.bad_triples` on the numpy
-    matrix ``D``, each as its sorted position triple, in the same order."""
+def _least_members(D: np.ndarray) -> tuple[int, np.ndarray]:
+    """The bad triples a < b < c among the rows of the numpy matrix ``D``:
+    their number, and a mask of the rows that are the least of one."""
     n = D.shape[0]
+    count, least = 0, np.zeros(n, dtype=bool)
     for A, B, bad in bad_pair_rows(D):
-        i, c = np.divmod(np.flatnonzero(bad), n)  # row-major, as np.nonzero
-        keep = c > B[i]
-        yield from zip(A[i[keep]].tolist(), B[i[keep]].tolist(), c[keep].tolist())
+        i, c = np.divmod(np.flatnonzero(bad), n)  # the cells (pair, vertex)
+        i = i[c > B[i]]  # the cells with c > b, so a < b < c
+        count += len(i)
+        least[A[i]] = True
+    return count, least
 
 
 def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
@@ -268,17 +273,8 @@ def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
     samples = tuple(rng.draw(host.sizes, M))
     distinct = sorted(set(samples))
     D = host.flat_matrix(distinct)
-    bad = list(_sorted_bad_triples(D))
-
-    alive = [True] * len(distinct)
-    deletions = []
-    for t in bad:  # lex order of the sorted triple
-        if alive[t[0]] and alive[t[1]] and alive[t[2]]:
-            low = min(t)  # the lowest member
-            alive[low] = False
-            deletions.append(distinct[low])
-
-    ids = [i for i, keep in enumerate(alive) if keep]
+    bad, least = _least_members(D)  # every bad triple loses its least member
+    ids = np.flatnonzero(~least).tolist()
     final = [distinct[i] for i in ids]
     result = GpSet.certify(host, final, note=f"first-moment run, seed {seed}", table=(ids, D))
     target = (M + 1) // 2
@@ -287,8 +283,8 @@ def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
         M=M,
         samples=samples,
         duplicates=M - len(distinct),
-        bad_triples=len(bad),
-        deletions=tuple(deletions),
+        bad_triples=bad,
+        deletions=tuple(distinct[i] for i in np.flatnonzero(least).tolist()),
         result=result,
         target=target,
         success=len(final) >= target,
@@ -306,8 +302,8 @@ def first_moment_construct(
     """Sample-and-delete construction of a general position set in g^n.
 
     Draws M vertices of the n-th Cartesian power coordinate-wise (M from
-    :func:`choose_M` unless overridden), removes duplicates, deletes one
-    vertex from every bad triple among the rest, and certifies the
+    :func:`choose_M` unless overridden), removes duplicates, deletes the
+    least member of every bad triple among the rest, and certifies the
     remainder.  Retries with seed+1, seed+2, ... while the certified set
     stays below ceil(M/2); after ``retries`` extra attempts the best run
     is returned with ``success=False`` (its set is still certified).  An

@@ -1,6 +1,7 @@
 """Betweenness, the two general-position checkers, and F(X)."""
 
 import random
+import time
 from functools import cache
 from itertools import combinations, product
 
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos import position
-from genpos.graphs import FLAT_TABLE_MAX_VERTICES, PAIR_CHUNK_CELLS, FactorGraph, ProductGraph, build
+from genpos.graphs import (
+    DEFAULT_VERTEX_CAP,
+    FLAT_TABLE_MAX_VERTICES,
+    PAIR_CHUNK_CELLS,
+    FactorGraph,
+    ProductGraph,
+    VertexCapError,
+    build,
+)
 from genpos.position import (
     MAX_SET_MEMBERS,
     GpSet,
@@ -530,6 +539,16 @@ def test_forbidden_set_accepts_certified_gpset():
     g = build("P3")
     x = GpSet.certify(g, [(0,), (2,)])
     assert forbidden_set(g, x) == frozenset({(1,)})
+
+
+def test_forbidden_set_refuses_a_host_above_the_vertex_cap(monkeypatch):
+    # C7^30 has 7^30 vertices, each of which the loop would test
+    g = ProductGraph([FactorGraph.cycle(7)] * 30)
+    monkeypatch.setattr(ProductGraph, "vertices", lambda self: pytest.fail("a vertex was visited"))
+    started = time.monotonic()
+    with pytest.raises(VertexCapError, match=f"above the cap of {DEFAULT_VERTEX_CAP}$"):
+        forbidden_set(g, [(0,) * 30, (1,) + (0,) * 29])
+    assert time.monotonic() - started < 0.01
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import signal
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -446,8 +447,10 @@ def test_sampler_deletions_match_bfs_oracle_above_the_split(factor, n):
     host = ProductGraph([factor] * n)
     assert host.total_vertices > FLAT_TABLE_MAX_VERTICES
     D = bfs_distance_table(host)
-    for seed in range(3):
-        run = first_moment_construct(factor, n, seed=seed, retries=0, sample_size=30)
+    # 80 samples give 10-20 times the bad triples of 30, nearly all of them
+    # passed over by the sequential rule below for a member already deleted
+    for seed, sample_size in product(range(3), (30, 80)):
+        run = first_moment_construct(factor, n, seed=seed, retries=0, sample_size=sample_size)
         distinct = sorted({host.encode(v) for v in run.samples})
         bad = [t for t in combinations(distinct, 3) if triple_is_bad(D, *t)]
         alive, deletions = set(distinct), []
@@ -479,13 +482,15 @@ def test_sample_scan_matches_the_python_core(factor, n, line):
     host = ProductGraph([factor] * n)
 
     def both_scans(distinct):
+        # the scan counts the core's triples and marks their least members
         core = [tuple(sorted(t)) for t in bad_triples(*host.distance_table(distinct))]
-        scan = list(randomized._sorted_bad_triples(host.flat_matrix(distinct)))
-        assert scan == core
-        return scan
+        count, least = randomized._least_members(host.flat_matrix(distinct))
+        least = np.flatnonzero(least).tolist()
+        assert count == len(core) and least == sorted({t[0] for t in core})
+        return count, least
 
     # three members on one shortest path form one bad triple
-    assert both_scans(line) == [(0, 1, 2)]
+    assert both_scans(line) == (1, [0])
     rng = SplitMix64(n)
     for M in (1, 2, 3, 4, 12, 40):
         # samples drawn with repetition, so the larger ones hold duplicates
@@ -567,6 +572,19 @@ def test_sampler_largest_sample_recertifies():
     assert next(bad_triples(list(range(len(members))), pair_sum_table(host, members)), None) is None
 
 
+def test_sampler_at_the_cap_keeps_no_triple_list():
+    # K2^10 at the M cap has 1,571,828 bad triples; listed as tuples they
+    # peaked at 160 MiB, the scan's mask and chunks take about 3 MiB
+    tracemalloc.start()
+    try:
+        run = first_moment_construct(FactorGraph.complete(2), 10, seed=1, retries=0, sample_size=MAX_SAMPLE_SIZE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (run.bad_triples, len(run.deletions), len(run.result)) == (1_571_828, 385, 3)
+    assert peak <= 16 * 2**20
+
+
 def test_sampled_sets_are_certified_without_the_python_loop(monkeypatch):
     def refuse(ids, D):
         raise AssertionError(f"the Python loop ran on {len(ids)} members")
@@ -582,7 +600,7 @@ def test_sampled_sets_are_certified_without_the_python_loop(monkeypatch):
 def test_sampler_certification_names_the_violation_it_is_shown(monkeypatch, factor, n):
     # with the scan stubbed out nothing is deleted, so certification on the
     # scan matrix must reject the sample with the plain path's message
-    monkeypatch.setattr(randomized, "_sorted_bad_triples", lambda D: iter(()))
+    monkeypatch.setattr(randomized, "_least_members", lambda D: (0, np.zeros(D.shape[0], dtype=bool)))
     rejected = 0
     for seed in range(10):
         with monkeypatch.context() as patch:
