@@ -54,13 +54,6 @@ def grid_gp_count(r: int, s: int) -> int:
     )
 
 
-def grid_gp_count_three_rows(s: int) -> int:
-    """Specialization to 3 x s grids: s(s-2)(s-1)^2 / 12."""
-    if s < 3:
-        raise ValueError("three-row specialization needs s >= 3")
-    return _exact_div(s * (s - 2) * (s - 1) ** 2, 12)
-
-
 def cylinder_gp_value(r: int, s: int) -> int:
     """gp of the cylinder (path of r vertices times cycle of length s)."""
     if r < 2 or s < 3:

@@ -136,7 +136,7 @@ class FactorGraph:
 
     __slots__ = ("kind", "n", "adj", "label", "_dist")
 
-    def __init__(self, kind: str, adjacency, label: str | None = None):
+    def __init__(self, adjacency):
         sets = [set(ns) for ns in adjacency]
         adj = tuple(tuple(sorted(ns)) for ns in sets)
         n = len(adj)
@@ -152,11 +152,7 @@ class FactorGraph:
                     raise ValueError(f"adjacency not symmetric: {u}->{w}")
         if -1 in _bfs_lengths(adj, 0):
             raise ValueError("graph is not connected")
-        self.kind = kind
-        self.n = n
-        self.adj = adj
-        self.label = label
-        self._dist = None
+        self.kind, self.n, self.adj, self.label, self._dist = "explicit", n, adj, None, None
 
     # ------------------------------------------------------------------
     # constructors for the standard families, valid by construction, so the
@@ -195,7 +191,7 @@ class FactorGraph:
 
     @classmethod
     def explicit(cls, adjacency) -> "FactorGraph":
-        return cls("explicit", adjacency, None)
+        return cls(adjacency)
 
     # ------------------------------------------------------------------
 
@@ -210,14 +206,6 @@ class FactorGraph:
             else:
                 self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
         return self._dist
-
-    def distance(self, u: int, v: int) -> int:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range: {u}, {v} (n={self.n})")
-        return self.dist[u][v]
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
     def __repr__(self):
         return f"FactorGraph({self.label or self.kind}, n={self.n})"
@@ -353,9 +341,15 @@ class ProductGraph:
 # ----------------------------------------------------------------------
 # spec grammar
 
-_FAMILIES = "PCKSQ"
-_MIN_SIZE = {"P": 1, "C": 3, "K": 1, "S": 1, "Q": 1}
-_FAMILY_NAME = {"P": "path", "C": "cycle", "K": "complete graph", "S": "star", "Q": "hypercube"}
+# Each family letter's name, least size, that size in words, and factor
+# constructor; ``Qn`` has none, as the parser reads it as n factors ``K2``
+_FAMILIES = {
+    "P": ("path", 1, "1 vertex", FactorGraph.path),
+    "C": ("cycle", 3, "3 vertices", FactorGraph.cycle),
+    "K": ("complete graph", 1, "1 vertex", FactorGraph.complete),
+    "S": ("star", 1, "1 leaf", FactorGraph.star),
+    "Q": ("hypercube", 1, "1 dimension", None),
+}
 
 
 @dataclass(frozen=True)
@@ -374,15 +368,7 @@ class FactorSpec:
 
     def build(self) -> FactorGraph:
         """The factor graph; :func:`build` has refused it above ``MAX_FACTOR_VERTICES`` vertices."""
-        if self.family == "P":
-            return FactorGraph.path(self.size)
-        if self.family == "C":
-            return FactorGraph.cycle(self.size)
-        if self.family == "K":
-            return FactorGraph.complete(self.size)
-        if self.family == "S":
-            return FactorGraph.star(self.size)
-        raise ValueError(f"unknown family {self.family!r}")
+        return _FAMILIES[self.family][3](self.size)
 
 
 @dataclass(frozen=True)
@@ -427,13 +413,9 @@ def _scan_factor(text: str, i: int) -> tuple[str, int, int]:
             f"expected factor letter P, C, K, S or Q, found {fam!r}", offset=i
         )
     size, j = _scan_uint(text, i + 1)
-    if size < _MIN_SIZE[fam]:
-        unit = {"S": "leaf", "Q": "dimension"}.get(fam, "vertices")
-        raise GraphSpecError(
-            f"{_FAMILY_NAME[fam]} needs at least {_MIN_SIZE[fam]} {unit}"
-            f" (got {fam}{size})",
-            offset=i,
-        )
+    name, least, in_words, _ = _FAMILIES[fam]
+    if size < least:
+        raise GraphSpecError(f"{name} needs at least {in_words} (got {fam}{size})", offset=i)
     return fam, size, j
 
 

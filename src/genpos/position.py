@@ -211,9 +211,10 @@ def _first_bad_block(ids, D):
 def _first_violation(members: list[Coord], ids, D) -> tuple[Coord, Coord, Coord] | None:
     if len(ids) >= _BLOCK_MIN_MEMBERS:
         t = _first_bad_block(ids, D)
-    else:
-        # the loop reads Python ints two to three times faster than numpy ones
-        t = next(bad_triples(ids, D.tolist() if isinstance(D, np.ndarray) else D), None)
+    else:  # the loop reads Python ints two to three times faster than numpy ones
+        if isinstance(D, np.ndarray):  # so list the members' cells, not the whole matrix
+            ids, D = range(len(ids)), D.take(ids, 0).take(ids, 1).tolist()
+        t = next(bad_triples(ids, D), None)
     return None if t is None else tuple(members[i] for i in t)
 
 

@@ -57,9 +57,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next64(self) -> int:
-        return self.draw((1 << 64,), 1)[0][0]
-
     def randbelow(self, k: int) -> int:
         """Uniform integer in [0, k) by rejection; no modulo bias.  Needs
         0 < k <= 2^64: one 64-bit draw cannot cover a larger range."""

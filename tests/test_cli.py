@@ -330,6 +330,20 @@ def test_formula_and_construct_parameter_errors_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "spec,least",
+    [("P0", "path needs at least 1 vertex"),
+     ("C2", "cycle needs at least 3 vertices"),
+     ("K0", "complete graph needs at least 1 vertex"),
+     ("S0", "star needs at least 1 leaf"),
+     ("Q0", "hypercube needs at least 1 dimension")],
+)
+def test_a_factor_below_its_least_size_exits_2(capsys, spec, least):
+    code, out, err = run_cli(capsys, ["gp", spec])
+    assert code == 2 and out == ""
+    assert err == f"error: {least} (got {spec}) (at offset 0)\n"
+
+
 # each budget flag: its argv, its parsed value and the subcommands that
 # read it; ``--json`` and ``--out`` go with every subcommand
 _BUDGET_FLAGS = {

@@ -11,7 +11,6 @@ from genpos.formulas import (
     cylinder_gp_value,
     cylinder_witness,
     grid_gp_count,
-    grid_gp_count_three_rows,
     hamming_lower_bound,
     torus_gp_bounds,
     torus_witness6,
@@ -43,7 +42,7 @@ def test_grid_gp_count_branches(r, s, value):
 
 @pytest.mark.parametrize("s", range(3, 12))
 def test_three_row_specialization(s):
-    assert grid_gp_count(3, s) == grid_gp_count_three_rows(s) == s * (s - 2) * (s - 1) ** 2 // 12
+    assert grid_gp_count(3, s) == s * (s - 2) * (s - 1) ** 2 // 12
 
 
 def test_grid_gp_count_rejects_tiny_grids():

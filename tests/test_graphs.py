@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genpos
 from genpos.graphs import (
     FLAT_TABLE_MAX_VERTICES,
     MAX_FACTOR_VERTICES,
@@ -444,7 +445,7 @@ def test_path_is_isometric_in_long_enough_cycle(s):
     r = s // 2 + 1
     for i in range(r):
         for j in range(r):
-            assert cyc.distance(i, j) == abs(i - j)
+            assert cyc.dist[i][j] == abs(i - j)
 
 
 # ----------------------------------------------------------------------
@@ -452,13 +453,13 @@ def test_path_is_isometric_in_long_enough_cycle(s):
 
 def test_explicit_adjacency_p2p2_is_a_4_cycle():
     ex = explicit_adjacency(build("P2xP2"))
-    assert [ex.degree(i) for i in range(4)] == [2, 2, 2, 2]
+    assert [len(ex.adj[i]) for i in range(4)] == [2, 2, 2, 2]
     assert sum(map(len, ex.adj)) // 2 == 4
 
 
 def test_explicit_adjacency_cube_and_grid():
     cube = explicit_adjacency(build("K2^3"))
-    assert all(cube.degree(i) == 3 for i in range(8))
+    assert all(len(cube.adj[i]) == 3 for i in range(8))
     grid = explicit_adjacency(build("P3xP3"))
     assert sum(map(len, grid.adj)) // 2 == 12
 
@@ -476,7 +477,7 @@ def test_star_layout():
     assert s.n == 4
     assert s.adj[0] == (1, 2, 3)
     assert all(s.adj[i] == (0,) for i in (1, 2, 3))
-    assert s.distance(1, 2) == 2
+    assert s.dist[1][2] == 2
 
 
 def test_factor_validation():
@@ -516,7 +517,7 @@ def test_a_large_complete_factor_builds_in_quadratic_time():
     started = time.monotonic()
     k = FactorGraph.explicit(FactorGraph.complete(1000).adj)
     assert time.monotonic() - started < 3
-    assert k.degree(0) == 999 and k.adj[999][-1] == 998
+    assert len(k.adj[0]) == 999 and k.adj[999][-1] == 998
 
 
 @pytest.mark.parametrize("family,low", [("path", 1), ("cycle", 3), ("complete", 1), ("star", 1)])
@@ -572,3 +573,9 @@ def test_factor_distance_table_invariants(factor):
             assert d[u][v] == d[v][u]
             assert (d[u][v] == 1) == (v in factor.adj[u])
             assert (d[u][v] == 0) == (u == v)
+
+
+def test_every_exported_name_resolves_once():
+    assert len(genpos.__all__) == len(set(genpos.__all__))
+    for name in genpos.__all__:
+        assert getattr(genpos, name) is not None, name

@@ -60,7 +60,7 @@ CHORDED_CYCLE = FactorGraph.explicit([[1, 5, 3], [0, 2], [1, 3], [2, 4, 0, 6], [
 
 def test_splitmix64_reference_vector():
     rng = SplitMix64(0)
-    assert [rng.next64() for _ in range(3)] == [
+    assert [rng.randbelow(1 << 64) for _ in range(3)] == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -158,7 +158,7 @@ def test_draw_and_randbelow_refuse_a_bad_size(k, message):
     with pytest.raises(ValueError, match=message):
         rng.randbelow(k)
     # the sizes are checked before any word is drawn
-    assert rng.next64() == 0xE220A8397B1DCDAF
+    assert rng.randbelow(1 << 64) == 0xE220A8397B1DCDAF
 
 
 # ----------------------------------------------------------------------
@@ -583,6 +583,24 @@ def test_sampler_at_the_cap_keeps_no_triple_list():
         tracemalloc.stop()
     assert (run.bad_triples, len(run.deletions), len(run.result)) == (1_571_828, 385, 3)
     assert peak <= 16 * 2**20
+
+
+def test_certifying_a_few_survivors_lists_only_their_cells():
+    # K2^10 at the M cap keeps 3 of its 388 distinct samples; listing the
+    # whole 388 x 388 scan matrix for the Python loop peaked at 1.17 MiB
+    run = first_moment_construct(FactorGraph.complete(2), 10, seed=1, retries=0, sample_size=MAX_SAMPLE_SIZE)
+    host, members = run.result.host, list(run.result.members)
+    distinct = sorted(set(run.samples))
+    D = host.flat_matrix(distinct)
+    ids = [distinct.index(v) for v in members]
+    assert (D.shape, len(ids)) == ((388, 388), 3)
+    tracemalloc.start()
+    try:
+        assert list(GpSet.certify(host, members, table=(ids, D))) == members
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 def test_sampled_sets_are_certified_without_the_python_loop(monkeypatch):
