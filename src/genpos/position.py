@@ -56,8 +56,8 @@ from .graphs import DEFAULT_VERTEX_CAP, PAIR_CHUNK_CELLS, Coord, ProductGraph, V
 _BLOCK_MIN_MEMBERS = 12
 
 # Members a checked set may have.  Its distance table is quadratic in them:
-# from flat_matrix, 1,000 members of C7^7 take 53 ms to tabulate and 12.5
-# MiB at peak, 2,000 take 0.21 s and 50 MiB (an 80 MB process peak; 2-core
+# from flat_matrix, 1,000 members of C7^7 take 2.7 ms to tabulate and 4.8
+# MiB at peak, 2,000 take 17 ms and 16 MiB (a 52 MB process peak; 2-core
 # x86-64 VM, Python 3.11.7, numpy 2.4.6).  The sampler certifies up to
 # MAX_SAMPLE_SIZE = 500 members.
 MAX_SET_MEMBERS = 1000

@@ -28,15 +28,15 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Coord, FactorGraph, ProductGraph, VertexCapError, show_count
-from .position import GpSet, bad_pair_rows
+from .position import _BLOCK_MIN_MEMBERS, GpSet, bad_pair_rows, bad_triples
 
 # Both steps of a run are cubic in M: the numpy pair-row scan counts the
 # sample's bad triples and marks their least members, and certification
 # checks all triples of the rest in numpy blocks of the scan's M x M matrix.
-# At M = 500 one attempt on C7^30 took 0.14-0.22 s (the draw 1-3 ms, the
-# matrix 23-37 ms, the scan 77-122 ms, certification 37-61 ms), and one on
-# K2^10, with 1.6-1.7 million bad triples, 0.10-0.14 s, nearly all the scan
-# (seeds 1-3, 2-core x86-64 VM, Python 3.11.7, numpy 2.4.6), so larger
+# At M = 500 one attempt on C7^30 took 0.11 s (the draw 1 ms, the matrix
+# 2.5 ms, the scan 70-73 ms, certification 34-36 ms), and one on K2^10,
+# with 1.6-1.7 million bad triples, 82-89 ms, nearly all the scan (seeds
+# 1-3, best of 5, 2-core x86-64 VM, Python 3.11.7, numpy 2.4.6), so larger
 # samples are refused.
 MAX_SAMPLE_SIZE = 500
 
@@ -253,9 +253,16 @@ class SampleRun:
 
 def _least_members(D: np.ndarray) -> tuple[int, np.ndarray]:
     """The bad triples a < b < c among the rows of the numpy matrix ``D``:
-    their number, and a mask of the rows that are the least of one."""
+    their number, and a mask of the rows that are the least of one.  Below
+    ``_BLOCK_MIN_MEMBERS`` rows the Python core walks the listed matrix,
+    as certification does, since it is faster there than the pair-row scan."""
     n = D.shape[0]
     count, least = 0, np.zeros(n, dtype=bool)
+    if n < _BLOCK_MIN_MEMBERS:
+        for t in bad_triples(range(n), D.tolist()):
+            count += 1
+            least[min(t)] = True
+        return count, least
     for A, B, bad in bad_pair_rows(D):
         i, c = np.divmod(np.flatnonzero(bad), n)  # the cells (pair, vertex)
         i = i[c > B[i]]  # the cells with c > b, so a < b < c

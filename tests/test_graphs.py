@@ -14,6 +14,8 @@ from genpos.graphs import (
     FLAT_TABLE_MAX_VERTICES,
     MAX_FACTOR_VERTICES,
     MAX_PRODUCT_FACTORS,
+    ONE_HOT_MAX_VERTICES,
+    PAIR_CHUNK_CELLS,
     FactorGraph,
     FactorSpec,
     GraphSpec,
@@ -390,13 +392,15 @@ def test_flat_matrix_of_members_equals_bfs():
 
 @pytest.mark.parametrize(
     "spec,counts",
-    [("P3xC5xP3xK4xC5", [0, 1, 2, 7, 40]), ("C7^30", [0, 1, 60, 300])],
-    ids=["mixed", "C7^30"],
+    [("P3xC5xP3xK4xC5", [0, 1, 2, 7, 40]), ("C7^30", [0, 1, 60, 300]), ("C32^30", [300]), ("C40^30", [0, 1, 60, 300])],
+    ids=["mixed", "C7^30", "C32^30", "C40^30"],
 )
 def test_flat_matrix_of_members_equals_the_python_pair_sums(spec, counts):
-    # one gather per distinct factor, over chunks of positions: C7^30 at
-    # m = 60 splits its 30 positions 18 + 12, at m = 300 one by one, and
-    # P3 and C5 each stand at two positions apart
+    # factors up to ONE_HOT_MAX_VERTICES vertices take one product per chunk
+    # of positions, larger ones one gather per chunk: C7^30 has one chunk
+    # at m = 300, C32^30 five; C40^30 is gathered, its 30 positions split
+    # 18 + 12 at m = 60 and one by one at m = 300; P3 and C5 each stand at
+    # two positions apart
     g = build(spec, cap=None)
     assert g.total_vertices > FLAT_TABLE_MAX_VERTICES  # distance_table takes the members' own matrix
     for m in counts:
@@ -406,6 +410,43 @@ def test_flat_matrix_of_members_equals_the_python_pair_sums(spec, counts):
         assert M.tolist() == pair_sum_table(g, members)
         # the checkers' table above the cap is this matrix, listed
         assert g.distance_table(members) == (list(range(len(members))), M.tolist())
+    if spec == "C32^30":
+        assert g.sizes[0] == ONE_HOT_MAX_VERTICES and PAIR_CHUNK_CELLS // (len(members) * 32) == 6
+    if spec == "C40^30":
+        assert g.sizes[0] > ONE_HOT_MAX_VERTICES
+
+
+def test_one_hot_sums_are_exact_in_float32():
+    # a float32 holds every integer up to 2^24, and no product sum exceeds
+    # the distance sum of MAX_PRODUCT_FACTORS factors at the bound
+    assert MAX_PRODUCT_FACTORS * (ONE_HOT_MAX_VERTICES - 1) < 2**24
+
+
+@pytest.mark.parametrize("spec", ["C40xK3xP5", "C7^30", "K3xC40xK3"])
+def test_flat_matrix_with_factors_on_both_sides_of_the_one_hot_bound(spec):
+    g = build(spec, cap=None)
+    assert {f.n <= ONE_HOT_MAX_VERTICES for f in g.factors} == ({True} if spec == "C7^30" else {True, False})
+    for m in (0, 1, 2, 60, 300):
+        members = sorted(set(SplitMix64(m + 1).draw(g.sizes, m)))
+        assert g.flat_matrix(members).tolist() == pair_sum_table(g, members)
+    if g.total_vertices <= 1000:
+        assert g.flat_matrix().tolist() == [list(row) for row in bfs_distance_table(g)]
+
+
+def test_a_thousand_member_table_holds_no_gather_index():
+    # 1,000 members of C7^7: the int32 matrix takes 3.8 MiB; the gather's
+    # m x m intp index and partial sums peaked at 12.5 MiB
+    g = build("C7^7")
+    members = [g.decode(i) for i in range(0, 97 * 1000, 97)]
+    tracemalloc.start()
+    try:
+        D = g.flat_matrix(members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert D.shape == (1000, 1000)
+    assert D[0].tolist() == [g.distance(members[0], v) for v in members]
+    assert peak <= 6 * 2**20
 
 
 def test_flat_matrix_of_a_product_of_more_factors_than_numpy_dimensions():
@@ -491,6 +532,19 @@ def test_factor_validation():
         FactorGraph.cycle(2)
     with pytest.raises(ValueError):
         FactorGraph.path(0)
+
+
+@pytest.mark.parametrize("letter,family,least", [("P", "path", 1), ("C", "cycle", 3), ("K", "complete", 1), ("S", "star", 1)])
+def test_a_named_family_and_the_parser_read_one_least_size(letter, family, least):
+    # the constructor's refusal is the parser's, less the token and offset
+    with pytest.raises(ValueError) as built:
+        getattr(FactorGraph, family)(least - 1)
+    with pytest.raises(GraphSpecError) as parsed:
+        parse_spec(f"{letter}{least - 1}")
+    assert str(parsed.value) == f"{built.value} (got {letter}{least - 1}) (at offset 0)"
+    for size in range(least, least + 5):
+        spec = FactorSpec(letter, size)
+        assert spec.vertex_count() == spec.build().n == getattr(FactorGraph, family)(size).n
 
 
 @pytest.mark.parametrize(

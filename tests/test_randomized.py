@@ -501,6 +501,28 @@ def test_sample_scan_matches_the_python_core(factor, n, line):
     both_scans(distinct)
 
 
+@pytest.mark.parametrize("factor,n", [(FactorGraph.complete(2), 10), (FactorGraph.complete(3), 6), (FactorGraph.cycle(5), 4)])
+def test_small_samples_take_the_python_core_with_the_scan_result(monkeypatch, factor, n):
+    # choose_M draws 5-7 members on these hosts, below the scan's size, and
+    # the core must give the count and mask the pair-row scan gives
+    host = ProductGraph([factor] * n)
+    M = choose_M(p_exact(factor), n)
+    seen = set()
+    for seed in range(100):
+        D = host.flat_matrix(sorted(set(SplitMix64(seed).draw(host.sizes, M))))
+        assert D.shape[0] < position._BLOCK_MIN_MEMBERS
+        with monkeypatch.context() as patch:
+            patch.setattr(randomized, "bad_pair_rows", lambda D: pytest.fail("the scan ran"))
+            count, least = randomized._least_members(D)
+        with monkeypatch.context() as patch:
+            patch.setattr(randomized, "_BLOCK_MIN_MEMBERS", 0)
+            patch.setattr(randomized, "bad_triples", lambda ids, D: pytest.fail("the core ran"))
+            scan_count, scan_least = randomized._least_members(D)
+        assert count == scan_count and least.tolist() == scan_least.tolist()
+        seen.add(count > 0)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("M", [1, 2, 3, 10])
 def test_sampler_on_samples_with_duplicates(M):
     # K2^2 has four vertices, so ten draws repeat some
