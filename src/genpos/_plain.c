@@ -3,11 +3,11 @@
    same cut |S| + |cand| < bar with bar = best + slack, the same node
    count, budget poll and witness and tie updates.  Every plain subtree of
    the max-search, counting, enumeration and the cover bound runs here; a
-   set that meets the subtree's tie mask goes to the caller's weigher,
-   which weighs it when counting and lists it when enumerating (whose
-   mask holds every vertex).  Built and loaded with ctypes by
-   genpos.solver on the first plain subtree; without a C compiler the
-   Python loop runs instead.
+   set that meets the subtree's tie mask goes to the caller's keeper,
+   which keeps it for counting to weigh once the search is done and for
+   enumeration (whose mask holds every vertex) to list.  Built and loaded
+   with ctypes by genpos.solver on the first plain subtree; without a C
+   compiler the Python loop runs instead.
 
    allowed: n x n x W words, allowed[(a*n + b)*W + j] holding bits
    64j..64j+63 of the vertices completing no bad triple with a and b.
@@ -17,31 +17,31 @@
    all zero outside counting's tie tracking and enumeration) and the
    candidate stack (W words per depth, the candidates on entry in its
    first W).
-   WEIGH holds the weigher, a function pointer, and REMAINING a double:
+   KEEP holds the keeper, a function pointer, and REMAINING a double:
    the seconds left of the time budget when TIMED is set.
    TIED is 1 when the prefix already meets the tie mask.  A set S + [v]
    reached at size >= best is tied when S + [v] meets the mask; then
-   S[k] = v is written and the weigher is called with k + 1 before any
+   S[k] = v is written and the keeper is called with k + 1 before any
    update, else the set adds one to TIES, which counts the untied sets of
    size BEST reached since BEST was last raised (the one raising it
    included).
    Returns 0 when the subtree is done, 1 when the node or time budget
-   stopped it, and 2 when the weigher returned nonzero (it raised); the
+   stopped it, and 2 when the keeper returned nonzero (it raised); the
    state is written back in every case. */
 #define _POSIX_C_SOURCE 199309L  /* clock_gettime under a strict -std */
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
 
-enum { N, W, WEIGH, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, MAX_NODES, STEP, TIMED, SLACK, TIED, REMAINING, STATE };
+enum { N, W, KEEP, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, MAX_NODES, STEP, TIMED, SLACK, TIED, REMAINING, STATE };
 
-typedef int (*Weigher)(int64_t);
+typedef int (*Keeper)(int64_t);
 
 typedef struct {
     const uint64_t *allowed, *tie;
     int64_t *st, *S, *witness;
     double deadline;
-    Weigher weigh;
+    Keeper keep;
 } Search;
 
 static double now(void)
@@ -88,7 +88,7 @@ static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left, int tied)
         if (k + 1 >= st[BEST]) {
             if (vtied) {
                 s->S[k] = v;
-                if (s->weigh(k + 1))
+                if (s->keep(k + 1))
                     return 2;
             }
             if (k + 1 > st[BEST]) {
@@ -118,10 +118,10 @@ int genpos_plain(const uint64_t *allowed, int64_t *buf)
     const uint64_t *tie = (const uint64_t *)(buf + STATE + 2 * n);
     uint64_t *stack = (uint64_t *)(tie + w);
     double remaining;
-    Weigher weigh;
+    Keeper keep;
     memcpy(&remaining, buf + REMAINING, sizeof remaining);
-    memcpy(&weigh, buf + WEIGH, sizeof weigh);
-    Search s = {allowed, tie, buf, buf + STATE, buf + STATE + n, buf[TIMED] ? now() + remaining : 0.0, weigh};
+    memcpy(&keep, buf + KEEP, sizeof keep);
+    Search s = {allowed, tie, buf, buf + STATE, buf + STATE + n, buf[TIMED] ? now() + remaining : 0.0, keep};
     buf[IMPROVED] = buf[TIES] = 0;
     return rec(&s, buf[K], stack, popcount(stack, w), (int)buf[TIED]);
 }

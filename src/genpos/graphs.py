@@ -150,7 +150,7 @@ class FactorGraph:
     families and ``None`` for explicit graphs.
     """
 
-    __slots__ = ("kind", "n", "adj", "label", "_dist")
+    __slots__ = ("kind", "n", "adj", "label", "_dist", "_table")
 
     def __init__(self, adjacency):
         sets = [set(ns) for ns in adjacency]
@@ -168,7 +168,7 @@ class FactorGraph:
                     raise ValueError(f"adjacency not symmetric: {u}->{w}")
         if -1 in _bfs_lengths(adj, 0):
             raise ValueError("graph is not connected")
-        self.kind, self.n, self.adj, self.label, self._dist = "explicit", n, adj, None, None
+        self.kind, self.n, self.adj, self.label, self._dist, self._table = "explicit", n, adj, None, None, None
 
     # ------------------------------------------------------------------
     # constructors for the standard families, valid by construction, so the
@@ -182,7 +182,8 @@ class FactorGraph:
         if problem:
             raise ValueError(problem)
         g, r = object.__new__(cls), tuple(range(size + _FAMILIES[family][3]))
-        g.kind, g.n, g.adj, g.label, g._dist = kind, len(r), tuple(neighbours(r, i) for i in r), f"{family}{size}", None
+        g.kind, g.n, g.adj, g.label = kind, len(r), tuple(neighbours(r, i) for i in r), f"{family}{size}"
+        g._dist = g._table = None
         return g
 
     @classmethod
@@ -219,6 +220,16 @@ class FactorGraph:
             else:
                 self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
         return self._dist
+
+    @property
+    def table(self) -> np.ndarray:
+        """:attr:`dist` as a read-only numpy array, in the narrowest dtype
+        that holds n - 1 (a distance is below n), made on first use and
+        kept: 8 MB of uint16 beside the tuples for 2000 vertices."""
+        if self._table is None:
+            self._table = np.asarray(self.dist, dtype=np.min_scalar_type(self.n - 1))
+            self._table.setflags(write=False)
+        return self._table
 
     def __repr__(self):
         return f"FactorGraph({self.label or self.kind}, n={self.n})"
@@ -302,8 +313,9 @@ class ProductGraph:
         """Read-only numpy matrix of distances, summed over the factor
         tables: between all vertices on flat indices, or between the given
         valid coordinate tuples in their order.  Each distinct factor's table
-        is read once.  A factor with at most ``ONE_HOT_MAX_VERTICES``
-        vertices adds one float32 product F E^T per chunk of its positions:
+        is read once, from its kept :attr:`FactorGraph.table`.  A factor
+        with at most ``ONE_HOT_MAX_VERTICES`` vertices adds one float32
+        product F E^T per chunk of its positions:
         F holds the table's rows at the members' coordinates there, E their
         one-hot.  A larger factor's table is gathered, in its narrowest
         dtype, at chunks of its positions.  Either way the work is written
@@ -324,9 +336,7 @@ class ProductGraph:
             positions.setdefault(f, []).append(i)
         rows = max(1, PAIR_CHUNK_CELLS // max(1, m))
         for f, at in positions.items():
-            n = f.n
-            # a distance is below n, so n - 1 fits the narrowest dtype
-            table = np.asarray(f.dist, dtype=np.min_scalar_type(n - 1))
+            n, table = f.n, f.table
             if n <= ONE_HOT_MAX_VERTICES:
                 table, one_hot = table.astype(np.float32), np.eye(n, dtype=np.float32)
                 step = max(1, PAIR_CHUNK_CELLS // max(1, m * n))

@@ -67,16 +67,17 @@ cover bound's pieces, runs compiled: ``_plain.c`` is the plain loop in C,
 with the Python loop's branching order, cut, node count, budget polls,
 witness and tie updates, so values, counts, witnesses, set lists and node
 counts do not change.  Both loops hand each set that meets a tie to one
-Python function, ``weigh``, the compiled loop through a callback:
-counting weighs it (:meth:`_Symmetry.orbit_weight`), and enumeration,
-whose tie mask holds every vertex, lists it.  The loop is compiled and
+Python function, ``keep``, the compiled loop through a callback; it
+holds the tied sets of the largest size reached.  Enumeration, whose tie
+mask holds every vertex, lists them; counting weighs those of the final
+size (:meth:`_Symmetry.orbit_weight`) once the roots are searched, so no
+set that a larger one outgrows is weighed.  The loop is compiled and
 loaded on the first plain subtree (:func:`_load_plain`); if that fails,
 the one Python loop, ``rec_sym``, runs those subtrees without a state,
 and :func:`plain_loop_backend` says which one does.  The node and time
-budgets are polled inside the compiled loop, and a callback's
-exceptions, the time budget's among them, reach the caller unchanged;
-but a Ctrl-C lands only at the next callback or when its subtree
-returns.
+budgets are polled inside the compiled loop and by the weighing, and a
+callback's exceptions reach the caller unchanged; but a Ctrl-C lands
+only at the next callback or when its subtree returns.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -114,8 +115,9 @@ whose orbit under its state starts below the vertex it branches on, the
 filter the max-search applies too.  Another member in t_{i+1}'s orbit
 under K_i is a tie.  A set without ties has every reach_i = 1 and weighs
 the product of its members' orbit sizes, carried down the search; a set
-with one runs the leaf test (:meth:`_Symmetry.orbit_weight`), a min-image
-backtrack over the states' orbit tables and cached transversal
+with one is kept, and once the search is done each kept set of the
+final size runs the leaf test (:meth:`_Symmetry.orbit_weight`), a
+min-image backtrack over the states' orbit tables and cached transversal
 permutations that stops at the first element mapping T onto itself.  A
 root whose stabilizer moves nothing weighs |orbit(r)| per set.  Once no
 stabilizer is left, a subtree runs the plain loop: each set weighs the
@@ -593,7 +595,7 @@ class _Symmetry:
 # compiled plain loop
 
 _loaded = None  # the compiled loop once loaded, False when it cannot be
-_WEIGHER = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)  # the loop's callback for a tied set
+_KEEPER = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)  # the loop's callback for a tied set
 
 
 def _plain_loop():
@@ -656,22 +658,21 @@ def _load_plain():
 
 class _PlainCall:
     """One search's buffer for the compiled loop, in the int64 words that
-    ``_plain.c`` reads: n, W, the weigher's address, improved, ties; k,
+    ``_plain.c`` reads: n, W, the callback's address, improved, ties; k,
     best, nodes, check_at, max_nodes, step, timed, slack, tied and the
     seconds remaining (a double); then the prefix (n words), the witness
     (n), the tie mask (W) and the candidate stack.  A bytearray, not a
     ctypes array: ctypes keeps an array type only while an array of it
     lives, and building the type again cost about 20 us a search.  The
-    remaining time and the weigher go in the buffer, not as arguments:
+    remaining time and the callback go in the buffer, not as arguments:
     ctypes converted each in about 0.2-0.4 us a call.
 
-    ``weigh(S)`` weighs a tied set, given its whole path S + [v]; the loop
-    calls it back through ``_weigh``, which sums the weights of the tied
-    sets of the largest size reached.  An exception in ``weigh`` stops the
+    ``keep(S)`` keeps a tied set, given its whole path S + [v]; the loop
+    calls it back through ``_keep``.  An exception in ``keep`` stops the
     loop and is handed back to be raised: left to ctypes, it would be
     printed and dropped, and the count would be wrong."""
 
-    def __init__(self, loop, words, slack, weigh):
+    def __init__(self, loop, words, slack, keep):
         n, _, w = words.shape
         self.loop = loop
         self.width = 8 * w
@@ -681,35 +682,28 @@ class _PlainCall:
         self.buf = bytearray(self.cand + (n + 1) * self.width)
         self.slack = slack
         self.tie = 0  # the tie mask in the buffer
-        self.weigh = weigh
-        self.error = None  # the exception that stopped the weigher
-        self.callback = _WEIGHER(self._weigh)  # kept while the loop may call it
+        self.keep = keep
+        self.error = None  # the exception that stopped the callback
+        self.callback = _KEEPER(self._keep)  # held while the loop may call it
         struct.pack_into("2qQ", self.buf, 0, n, w, ctypes.cast(self.callback, ctypes.c_void_p).value)
         self.views = (ctypes.c_char.from_buffer(words), ctypes.c_char.from_buffer(self.buf))
         self.args = tuple(map(ctypes.addressof, self.views))
 
-    def _weigh(self, k1):
-        # a tied set of k1 >= best members, S[:k1] in the buffer; a larger
-        # set than the last one weighed starts a new sum, as a new best
-        # resets the count
+    def _keep(self, k1):
+        # a tied set of k1 >= best members, S[:k1] in the buffer
         try:
-            w = self.weigh(list(struct.unpack_from(f"{k1}q", self.buf, 120)))
-            if k1 > self.weighed:
-                self.weighed, self.weight = k1, w
-            else:
-                self.weight += w
-        except BaseException as exc:  # KeyboardInterrupt and the budget's stop too
+            self.keep(list(struct.unpack_from(f"{k1}q", self.buf, 120)))
+        except BaseException as exc:  # KeyboardInterrupt too
             self.error = exc
             return 1
         return 0
 
     def __call__(self, S, cand, tie, tied, best, nodes, check_at, max_nodes, step, remaining):
         """The plain subtree of S and ``cand`` in C, with the search's
-        slack, weighing the sets that meet ``tie`` (``tied``: S already
+        slack, keeping the sets that meet ``tie`` (``tied``: S already
         does): (best, nodes, check_at, the last new best's witness or
-        None, untied sets and the summed weights of tied ones of the final
-        best size, and what stopped the loop: 0 nothing, 1 the budget, 2
-        ``self.error``)."""
+        None, the untied sets of the final best size, and what stopped the
+        loop: 0 nothing, 1 the budget, 2 ``self.error``)."""
         buf = self.buf
         k = len(S)
         struct.pack_into(f"9qd{k}q", buf, 40, k, best, nodes, check_at, max_nodes, step, remaining is not None,
@@ -718,12 +712,10 @@ class _PlainCall:
             buf[self.tie_at:self.cand] = tie.to_bytes(self.width, "little")
             self.tie = tie
         buf[self.cand:self.cand + self.width] = cand.to_bytes(self.width, "little")
-        self.weighed = self.weight = 0  # size and summed weight of the largest tied sets reached
         stopped = self.loop(*self.args)
         improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 24)
         witness = list(struct.unpack_from(f"{best}q", buf, self.witness)) if improved else None
-        weight = self.weight if self.weighed == best else 0
-        return best, nodes, check_at, witness, ties, weight, stopped
+        return best, nodes, check_at, witness, ties, stopped
 
 
 # ----------------------------------------------------------------------
@@ -775,15 +767,18 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
     ``_plain.c`` when it loads, with the same slack: the same nodes in the
     same order, the same budget polls, and the same returns.  Both loops
     hand each set of at least the best size that meets the tie mask to
-    ``weigh`` before the best is updated, the compiled loop through a
+    ``keep`` before the best is updated, the compiled loop through a
     callback.  The mask starts with every vertex when enumerating, else
     empty, and counting adds its members' orbits: the untied sets count
-    at the subtree's weight, and ``weigh`` runs ``orbit_weight`` on each
-    tied one when counting and lists each set in ``sets`` when
-    enumerating.  An exception raised there stops the compiled loop and
-    is raised again from ``rec_plain`` once the nodes, best and count so
-    far are read back.  Without the compiled loop, the same subtrees run
-    ``rec_sym`` without a state, which visits the same nodes.
+    at the subtree's weight, and ``keep`` holds the tied ones of the
+    largest size reached (in ``sets`` when enumerating).  Once every root
+    is done, inside the budget's clock, counting adds its root's weight
+    times ``orbit_weight`` of T for each kept set of the final size, so a
+    budget that stops the search weighs none.  An exception raised in
+    ``keep`` stops the compiled loop and is raised again from
+    ``rec_plain`` once the nodes, best and count so far are read back.
+    Without the compiled loop, the same subtrees run ``rec_sym`` without a
+    state, which visits the same nodes.
     """
     best = len(witness)
     bar = best + slack
@@ -805,17 +800,14 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
     allowed = index.allowed_tables()
     plain = None  # the compiled loop's buffers, made at the first plain subtree; False: the Python loop
 
-    def weigh(S):
-        # a tied set either loop reached: counting weighs it without its
-        # root; enumeration lists it (a larger set starts a new list) and
-        # counts it once
-        if sets is None:
-            return orbit_weight(lead, S[1:], deadline)
-        if not sets or len(S) > len(sets[0]):
-            sets[:] = [S]
-        else:
-            sets.append(S)
-        return 1
+    def keep(S):
+        # a tied set either loop reached, weighed or listed once the search
+        # is done (a larger set starts the list anew); until then it adds
+        # nothing to the count
+        if kept and len(S) > len(kept[0]):
+            kept.clear()
+        kept.append(S)
+        return 0
 
     def rec_plain(S, rows, cand, weight, size, tie, chosen):
         # a subtree below a trivial stabilizer: in the compiled loop when it
@@ -823,19 +815,19 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
         nonlocal best, bar, count, witness, nodes, check_at, plain
         if plain is None:
             loop = _plain_loop()
-            plain = _PlainCall(loop, index.words, slack, weigh) if loop else False
+            plain = _PlainCall(loop, index.words, slack, keep) if loop else False
         if not plain:
             return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
         if not tie & (chosen | cand):
             tie = 0
         remaining = None if deadline is None else deadline - time.monotonic()
-        best, nodes, check_at, found, ties, tied, stopped = plain(
+        best, nodes, check_at, found, ties, stopped = plain(
             S, cand, tie, bool(tie & chosen), best, nodes, check_at, max_nodes, step, remaining)
         bar = best + slack
         if found is not None:
             witness = found
             count = 0
-        count += weight * (size * ties + tied)
+        count += weight * size * ties
         if stopped:
             raise BudgetExhausted if stopped == 1 else plain.error
 
@@ -849,7 +841,7 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
         # the product of the orbit sizes of T's members, each under the
         # state it was chosen in, and ``tie`` the union of those orbits less
         # the members themselves.  A set that meets no tie is the leader of
-        # an orbit of ``size`` sets; one that does goes to weigh.
+        # an orbit of ``size`` sets; one that does goes to keep.
         nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
@@ -878,7 +870,7 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
                     vsize *= orbit.bit_count()
                     vtie |= orbit ^ bit
             if k1 >= best:
-                w = weight * (weigh(S + [v]) if (chosen | bit) & tie else vsize)
+                w = keep(S + [v]) if (chosen | bit) & tie else weight * vsize
                 if k1 > best:
                     best = k1
                     bar = best + slack
@@ -907,6 +899,8 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
     # weigher that both call, and the tie mask, every vertex to enumerate
     lead = group = orbit_weight = None
     tie = (1 << index.n) - 1 if sets is not None else 0
+    kept = [] if sets is None else sets  # the tied sets of the largest size reached
+    leads = {}  # counting: root -> (its weight, its state)
     try:
         if max_nodes == 0:
             raise BudgetExhausted
@@ -915,11 +909,22 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
             group = state if slack and not S else None
             if state is not None:
                 orbit_weight = state.sym.orbit_weight
+            if lead is not None:
+                leads[S[0]] = weight, lead
             rows = [allowed[v] for v in S]
             if state is None:
                 rec_plain(list(S), rows, cand, weight, 1, tie, 0)
             else:
                 rec_sym(list(S), rows, cand, state, 1, tie, 0, weight)
+        # each kept set of the final size weighs its root's weight times
+        # its orbit's size under the root's state; each listed set counts once
+        if sets is None:
+            for T in kept:
+                if len(T) == best:
+                    weight, lead = leads[T[0]]
+                    count += weight * orbit_weight(lead, T[1:], deadline)
+        else:
+            count += len(sets)
     except BudgetExhausted:
         complete = False
     return best, count, witness, nodes, complete

@@ -861,36 +861,77 @@ def test_enumeration_matches_on_both_loops(spec, monkeypatch):
     assert listed == plain
 
 
-def _weighings(monkeypatch, run):
-    """(run(), the number of orbit_weight calls made for the compiled loop:
-    both loops weigh a tied set through _dfs's ``weigh``, which the compiled
-    loop calls back through ``_PlainCall._weigh``, one frame further up)."""
-    weigh = _Symmetry.orbit_weight
-    calls = []
+def _kept_and_weighed(monkeypatch, run):
+    """(run(), the number of tied sets the compiled loop handed to _dfs's
+    ``keep`` through its callback ``_PlainCall._keep``, the size of every
+    set that orbit_weight weighed).  The Python loop keeps its tied sets
+    without the callback, and both weigh only once the search is done."""
+    keep, weigh = solver._PlainCall._keep, _Symmetry.orbit_weight
+    handed, weighed = [], []
 
-    def spy(self, state, T, deadline=None):
-        calls.append(sys._getframe(2).f_code.co_name == "_weigh")
+    def keep_spy(self, k1):
+        handed.append(k1)
+        return keep(self, k1)
+
+    def weigh_spy(self, state, T, deadline=None):
+        weighed.append(len(T) + 1)  # T is the set without its root
         return weigh(self, state, T, deadline)
 
     with monkeypatch.context() as m:
-        m.setattr(_Symmetry, "orbit_weight", spy)
+        m.setattr(solver._PlainCall, "_keep", keep_spy)
+        m.setattr(_Symmetry, "orbit_weight", weigh_spy)
         out = run()
-    return out, sum(calls)
+    return out, len(handed), weighed
 
 
-@pytest.mark.parametrize("max_nodes,weighed", [(19_561, 317), (19_562, 317), (19_563, 318), (20_004, 319)])
-def test_counting_stops_inside_a_tie_tracking_subtree_on_both_loops(max_nodes, weighed, monkeypatch):
-    # counting P4^3 takes 20,004 nodes and weighs 319 tied sets, all below
+@pytest.mark.parametrize("max_nodes,kept", [(19_561, 317), (19_562, 317), (19_563, 318), (20_004, 319)])
+def test_counting_stops_inside_a_tie_tracking_subtree_on_both_loops(max_nodes, kept, monkeypatch):
+    # counting P4^3 takes 20,004 nodes and reaches 319 tied sets, all below
     # a trivial stabilizer, the last two at nodes 19,562 and 19,563; so the
-    # budgets stop one node before a weighed set, at it (unweighed), right
-    # after it and at the last node
+    # budgets stop one node before a tied set, at it (not kept), right
+    # after it and at the last node.  A stopped count raises, so it weighs
+    # none of the sets it kept
     g = build("P4^3")
     limits = SearchLimits(max_nodes=max_nodes)
-    compiled, python = _both_loops(monkeypatch, lambda: _weighings(monkeypatch, lambda: _count(monkeypatch, g, limits)))
+    compiled, python = _both_loops(
+        monkeypatch, lambda: _kept_and_weighed(monkeypatch, lambda: _count(monkeypatch, g, limits)))
     assert compiled[0] == python[0]
     assert compiled[0][0][-1][3:] == (max_nodes, False)
-    assert compiled[1] == (weighed if solver.plain_loop_backend() == "c" else 0)
+    assert compiled[1] == (kept if solver.plain_loop_backend() == "c" else 0)
     assert python[1] == 0
+    assert compiled[2] == python[2] == []
+
+
+@pytest.mark.parametrize("spec,expected", [("P4^3", (7, 1648)), ("K2^6", (8, 240)), ("C4^3", (8, 240))])
+def test_counting_weighs_only_the_tied_sets_of_the_final_size(spec, expected, monkeypatch):
+    # a count keeps the tied sets of the largest size reached and, once
+    # the search is done, weighs only those of the gp size.  Weighing each as it was
+    # reached cost P4^3 319 calls (100 of them on smaller sets), K2^6 30
+    # (29) and C4^3 73 (70)
+    g = build(spec)
+    compiled, python = _both_loops(
+        monkeypatch, lambda: _kept_and_weighed(monkeypatch, lambda: count_maximum_gp_sets(g)))
+    assert compiled[0] == python[0] == expected
+    assert compiled[2] == python[2] and compiled[2]
+    assert set(compiled[2]) == {expected[0]}
+
+
+def test_a_count_keeps_its_tied_sets_in_bounded_memory():
+    # counting C13xC13 keeps the 7,103 tied 7-sets it weighs after its
+    # search, as lists: the count's tracemalloc peak is 2.35 MiB, against
+    # 1.60 MiB when each tied set was weighed as it was reached.  Traced
+    # on the compiled loop only: tracing the Python loop's int allocations
+    # took it from under a second to 15 s, and the list is the same
+    g = build("C13xC13")
+    assert count_maximum_gp_sets(g, cap=None) == (7, 5_848_752)  # loads the loop and fills the caches
+    if solver.plain_loop_backend() == "c":
+        tracemalloc.start()
+        try:
+            assert count_maximum_gp_sets(g, cap=None) == (7, 5_848_752)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 def _rec_sym_calls_without_a_state(run) -> int:
@@ -941,13 +982,13 @@ class _Clock:
 def _stop_at_the_weighing(monkeypatch, at, stop):
     """Patch the solver so that orbit_weight call ``at`` (0-based) first
     runs ``stop()``; only the first node polls the node clock.  Returns the
-    list of the names of the frames that called _dfs's ``weigh``, one per
-    call: ``_weigh`` (the compiled loop's callback) or ``rec_sym``."""
+    list of the names of the frames that called orbit_weight, one per
+    call."""
     weigh = _Symmetry.orbit_weight
     callers = []
 
     def spy(self, state, T, deadline=None):
-        callers.append(sys._getframe(2).f_code.co_name)
+        callers.append(sys._getframe(1).f_code.co_name)
         if len(callers) == at + 1:
             stop()
         return weigh(self, state, T, deadline)
@@ -958,8 +999,9 @@ def _stop_at_the_weighing(monkeypatch, at, stop):
 
 
 def test_a_time_limit_expiring_in_a_weighing_stops_both_loops_alike(monkeypatch, capfd):
-    # the 101st tied set of P4^3 is weighed below a trivial stabilizer:
-    # the clock expires there, and its orbit_weight raises BudgetExhausted
+    # P4^3's 219 tied 7-sets are weighed in the order reached, by _dfs once
+    # its roots are done, and each weighing settles a tie: the clock
+    # expires at the 101st, and its orbit_weight raises BudgetExhausted
     g = build("P4^3")
 
     def run():
@@ -967,20 +1009,22 @@ def test_a_time_limit_expiring_in_a_weighing_stops_both_loops_alike(monkeypatch,
         callers = _stop_at_the_weighing(monkeypatch, 100, clock.expire)
         monkeypatch.setattr(solver, "time", clock)
         out = _count(monkeypatch, g, SearchLimits(time_limit=1))
-        return out, len(callers), callers[-1]
+        return out, len(callers), set(callers)
 
     compiled, python = _both_loops(monkeypatch, run)
-    assert compiled[:2] == python[:2]
-    assert compiled[0][1] == "count of maximum gp-sets: budget exhausted; the largest set reached had 6 vertices"
+    assert compiled == python
+    assert compiled[0][1] == "count of maximum gp-sets: budget exhausted; the largest set reached had 7 vertices"
     assert compiled[0][0][-1][4] is False and compiled[1] == 101
-    assert compiled[2] == ("_weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
-    assert python[2] == "rec_sym"
+    assert compiled[2] == {"_dfs"}
     assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("error", [RuntimeError("orbit product 3 is not divisible by 2"), KeyboardInterrupt()])
 def test_an_exception_in_a_weighing_reaches_the_caller_on_both_loops(error, monkeypatch, capfd):
-    # ctypes would print an exception raised in its callback and return 0
+    # raised by the 101st weighing, which _dfs runs after the search on
+    # both loops; and raised by the keeper that the compiled loop calls
+    # back for its 101st tied set, where ctypes would print the exception
+    # and return 0
     g = build("P4^3")
 
     def stop():
@@ -990,12 +1034,32 @@ def test_an_exception_in_a_weighing_reaches_the_caller_on_both_loops(error, monk
         callers = _stop_at_the_weighing(monkeypatch, 100, stop)
         with pytest.raises(type(error)) as raised:
             count_maximum_gp_sets(g)
-        return raised.value, len(callers), callers[-1]
+        return raised.value, len(callers), set(callers)
 
     compiled, python = _both_loops(monkeypatch, run)
     assert compiled[0] is python[0] is error
-    assert compiled[1] == python[1] == 101
-    assert compiled[2] == ("_weigh" if solver.plain_loop_backend() == "c" else "rec_sym")
+    assert compiled[1:] == python[1:] == (101, {"_dfs"})
+    assert capfd.readouterr() == ("", "")
+
+    handed = []
+    init = solver._PlainCall.__init__
+
+    def init_spy(self, loop, words, slack, keep):
+        def keep_or_stop(S):
+            handed.append(S)
+            if len(handed) == 101:
+                stop()
+            return keep(S)
+
+        init(self, loop, words, slack, keep_or_stop)
+
+    monkeypatch.setattr(solver._PlainCall, "__init__", init_spy)
+    if solver.plain_loop_backend() == "c":
+        with pytest.raises(type(error)) as raised:
+            count_maximum_gp_sets(g)
+        assert raised.value is error and len(handed) == 101
+    else:
+        assert count_maximum_gp_sets(g) == (7, 1648) and handed == []
     assert capfd.readouterr() == ("", "")
 
 
