@@ -16,15 +16,27 @@
    witness (n words: S + [v] at each new best), the tie mask (W words,
    all zero outside counting's tie tracking and enumeration) and the
    candidate stack (W words per depth, the candidates on entry in its
-   first W).
-   KEEP holds the keeper, a function pointer, and REMAINING a double:
-   the seconds left of the time budget when TIMED is set.
+   first W).  N to SLACK are written once per search, K to REMAINING and
+   S at each hand-over.
+   KEEP holds the keeper, a function pointer, ROWS the row stack (below)
+   and REMAINING a double: the seconds left of the time budget when TIMED
+   is set.
    TIED is 1 when the prefix already meets the tie mask.  A set S + [v]
    reached at size >= best is tied when S + [v] meets the mask; then
    S[k] = v is written and the keeper is called with k + 1 before any
    update, else the set adds one to TIES, which counts the untied sets of
    size BEST reached since BEST was last raised (the one raising it
    included).
+   The row stack holds n x W words per depth: at each depth, R[u] at u*W
+   for every candidate u, the AND of allowed[s][u] over the members s of
+   S.  A node v then ANDs one row, R[v], into the candidates, and a child
+   that is searched gets R[u] & allowed[v][u] for each of its candidates
+   u, read from the one block allowed[v].  Entry rows are seeded from the
+   k prefix rows.  A depth with candidates has fewer than the depth
+   above, so a fill reaches at most depth n - 1 and the stack needs at
+   most n x n x W words.  The loop body is built for W = 1 to 4, which
+   covers every host of up to 256 vertices, and once more for a W read at
+   run time.
    Returns 0 when the subtree is done, 1 when the node or time budget
    stopped it, and 2 when the keeper returned nonzero (it raised); the
    state is written back in every case. */
@@ -33,7 +45,7 @@
 #include <string.h>
 #include <time.h>
 
-enum { N, W, KEEP, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, MAX_NODES, STEP, TIMED, SLACK, TIED, REMAINING, STATE };
+enum { N, W, KEEP, ROWS, MAX_NODES, STEP, TIMED, SLACK, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, TIED, REMAINING, STATE };
 
 typedef int (*Keeper)(int64_t);
 
@@ -44,6 +56,9 @@ typedef struct {
     Keeper keep;
 } Search;
 
+/* the loop at one depth: k members in S, the candidates and their rows */
+typedef int (*Depth)(Search *, int64_t k, uint64_t *cand, uint64_t *rows, int64_t left, int tied);
+
 static double now(void)
 {
     struct timespec ts;
@@ -51,7 +66,9 @@ static double now(void)
     return ts.tv_sec + ts.tv_nsec * 1e-9;
 }
 
-static int64_t popcount(const uint64_t *x, int64_t w)
+#define INLINE static inline __attribute__((always_inline))  /* w stays a constant */
+
+INLINE int64_t popcount(const uint64_t *x, const int64_t w)
 {
     int64_t c = 0;
     for (int64_t j = 0; j < w; j++)
@@ -59,10 +76,24 @@ static int64_t popcount(const uint64_t *x, int64_t w)
     return c;
 }
 
-static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left, int tied)
+/* to[u] = from[u] & block[u] for each u in cand, W words each at u*W */
+INLINE void and_rows(uint64_t *to, const uint64_t *from, const uint64_t *block, const uint64_t *cand, const int64_t w)
 {
-    int64_t *st = s->st, n = st[N], w = st[W];
-    uint64_t *nc = cand + w;
+    for (int64_t i = 0; i < w; i++)
+        for (uint64_t x = cand[i]; x; x &= x - 1) {
+            int64_t u = (i * 64 + __builtin_ctzll(x)) * w;
+            for (int64_t j = 0; j < w; j++)
+                to[u + j] = from[u + j] & block[u + j];
+        }
+}
+
+/* the one loop body, inlined into each width's function with w fixed;
+   self is that function, called for a child */
+INLINE int rec(Search *s, int64_t k, uint64_t *cand, uint64_t *rows, int64_t left, int tied, const int64_t w,
+               Depth self)
+{
+    int64_t *st = s->st, n = st[N];
+    uint64_t *nc = cand + w, *nrows = rows + n * w;
     for (int64_t i = 0; i < w;) {  /* cand[i] holds the lowest candidate */
         if (!cand[i]) {
             i++;
@@ -79,12 +110,8 @@ static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left, int tied)
                 return 1;
             st[CHECK_AT] = st[NODES] + st[STEP] < st[MAX_NODES] ? st[NODES] + st[STEP] : st[MAX_NODES];
         }
-        memcpy(nc, cand, w * sizeof *nc);
-        for (int64_t m = 0; m < k; m++) {
-            const uint64_t *row = s->allowed + (s->S[m] * n + v) * w;
-            for (int64_t j = 0; j < w; j++)
-                nc[j] &= row[j];
-        }
+        for (int64_t j = 0; j < w; j++)
+            nc[j] = cand[j] & rows[v * w + j];
         if (k + 1 >= st[BEST]) {
             if (vtied) {
                 s->S[k] = v;
@@ -103,8 +130,9 @@ static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left, int tied)
         }
         int64_t c = popcount(nc, w);
         if (c && k + 1 + c >= st[BEST] + st[SLACK]) {
+            and_rows(nrows, rows, s->allowed + v * n * w, nc, w);  /* allowed[v][u] at u*w */
             s->S[k] = v;
-            int stopped = rec(s, k + 1, nc, c, vtied);
+            int stopped = self(s, k + 1, nc, nrows, c, vtied);
             if (stopped)
                 return stopped;
         }
@@ -112,16 +140,32 @@ static int rec(Search *s, int64_t k, uint64_t *cand, int64_t left, int tied)
     return 0;
 }
 
+#define WIDTH(name, w) \
+    static int name(Search *s, int64_t k, uint64_t *cand, uint64_t *rows, int64_t left, int tied) \
+    { return rec(s, k, cand, rows, left, tied, w, name); }
+WIDTH(rec1, 1)
+WIDTH(rec2, 2)
+WIDTH(rec3, 3)
+WIDTH(rec4, 4)
+WIDTH(recw, s->st[W])
+
 int genpos_plain(const uint64_t *allowed, int64_t *buf)
 {
-    int64_t n = buf[N], w = buf[W];
+    int64_t n = buf[N], w = buf[W], k = buf[K];
     const uint64_t *tie = (const uint64_t *)(buf + STATE + 2 * n);
-    uint64_t *stack = (uint64_t *)(tie + w);
+    uint64_t *cand = (uint64_t *)(tie + w), *rows;
     double remaining;
     Keeper keep;
+    memcpy(&rows, buf + ROWS, sizeof rows);
     memcpy(&remaining, buf + REMAINING, sizeof remaining);
     memcpy(&keep, buf + KEEP, sizeof keep);
     Search s = {allowed, tie, buf, buf + STATE, buf + STATE + n, buf[TIMED] ? now() + remaining : 0.0, keep};
+    for (int64_t i = 0; i < w; i++)
+        for (uint64_t x = cand[i]; x; x &= x - 1)
+            memset(rows + (i * 64 + __builtin_ctzll(x)) * w, 0xff, w * sizeof *rows);
+    for (int64_t m = 0; m < k; m++)
+        and_rows(rows, rows, allowed + s.S[m] * n * w, cand, w);
     buf[IMPROVED] = buf[TIES] = 0;
-    return rec(&s, buf[K], stack, popcount(stack, w), (int)buf[TIED]);
+    Depth depth = w == 1 ? rec1 : w == 2 ? rec2 : w == 3 ? rec3 : w == 4 ? rec4 : recw;
+    return depth(&s, k, cand, rows, popcount(cand, w), (int)buf[TIED]);
 }

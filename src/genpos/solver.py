@@ -66,15 +66,19 @@ Every plain subtree, of the max-search, counting, enumeration and the
 cover bound's pieces, runs compiled: ``_plain.c`` is the plain loop in C,
 with the Python loop's branching order, cut, node count, budget polls,
 witness and tie updates, so values, counts, witnesses, set lists and node
-counts do not change.  Both loops hand each set that meets a tie to one
-Python function, ``keep``, the compiled loop through a callback; it
-holds the tied sets of the largest size reached.  Enumeration, whose tie
-mask holds every vertex, lists them; counting weighs those of the final
-size (:meth:`_Symmetry.orbit_weight`) once the roots are searched, so no
-set that a larger one outgrows is weighed.  The loop is compiled and
-loaded on the first plain subtree (:func:`_load_plain`); if that fails,
-the one Python loop, ``rec_sym``, runs those subtrees without a state,
-and :func:`plain_loop_backend` says which one does.  The node and time
+counts do not change.  It keeps at each depth the AND of the prefix's
+rows for each candidate, so a node ANDs one row into its candidates where
+the Python loop ANDs one per prefix member; its body is built for rows of
+one to four words and once for wider rows.  Both loops hand each set
+that meets a tie to one Python function, ``keep``, the compiled loop
+through a callback; it holds the tied sets of the largest size reached.
+Enumeration, whose tie mask holds every vertex, lists them; counting
+weighs those of the final size (:meth:`_Symmetry.orbit_weight`) once the
+roots are searched, so no set that a larger one outgrows is weighed.  The
+loop is compiled and loaded on the first plain subtree
+(:func:`_load_plain`); if that fails, the one Python loop, ``rec_sym``,
+runs those subtrees without a state, and :func:`plain_loop_backend` says
+which one does.  The node and time
 budgets are polled inside the compiled loop and by the weighing, and a
 callback's exceptions reach the caller unchanged; but a Ctrl-C lands
 only at the next callback or when its subtree returns.
@@ -596,6 +600,7 @@ class _Symmetry:
 
 _loaded = None  # the compiled loop once loaded, False when it cannot be
 _KEEPER = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)  # the loop's callback for a tied set
+_MAPPED_ROWS = 1 << 17  # bytes from which the row stack is mapped, not taken from the heap
 
 
 def _plain_loop():
@@ -621,12 +626,15 @@ def plain_loop_backend() -> str:
 def _load_plain():
     """Compile ``_plain.c`` with ``$CC`` (default ``cc``) into
     ``$XDG_CACHE_HOME/genpos`` (default ``~/.cache/genpos``), keyed by the
-    source's sha256, or into a directory for this process when the cache
-    cannot be written, and load it."""
+    machine's architecture and the source's sha256, or into a directory for
+    this process when the cache cannot be written, and load it.  A cache
+    shared between architectures (a network home, a mounted image) thus
+    holds one library for each, and none loads on the wrong one."""
     import hashlib  # imported here, as importing genpos need not pay for it
+    import platform
 
     source = importlib.resources.files(__package__).joinpath("_plain.c").read_bytes()
-    name = f"plain-{hashlib.sha256(source).hexdigest()[:16]}.so"
+    name = f"plain-{platform.machine()}-{hashlib.sha256(source).hexdigest()[:16]}.so"
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "genpos")
     path = os.path.join(cache, name)
     if not os.path.isfile(path):
@@ -657,63 +665,74 @@ def _load_plain():
 
 
 class _PlainCall:
-    """One search's buffer for the compiled loop, in the int64 words that
-    ``_plain.c`` reads: n, W, the callback's address, improved, ties; k,
-    best, nodes, check_at, max_nodes, step, timed, slack, tied and the
-    seconds remaining (a double); then the prefix (n words), the witness
-    (n), the tie mask (W) and the candidate stack.  A bytearray, not a
-    ctypes array: ctypes keeps an array type only while an array of it
-    lives, and building the type again cost about 20 us a search.  The
-    remaining time and the callback go in the buffer, not as arguments:
-    ctypes converted each in about 0.2-0.4 us a call.
+    """One search's buffers for the compiled loop.  ``buf`` holds the int64
+    words that ``_plain.c`` reads: n, W, the callback's address, the row
+    stack's address, max_nodes, step, timed and slack, written here once;
+    improved and ties, which the loop writes; k, best, nodes, check_at,
+    tied and the seconds remaining (a double), then the prefix (n words),
+    written at each hand-over; the witness (n), the tie mask (W) and the
+    candidate stack.  A bytearray, not a ctypes array: ctypes keeps an
+    array type only while an array of it lives, and building the type
+    again cost about 20 us a search.  The remaining time and the callback
+    go in the buffer, not as arguments: ctypes converted each in about
+    0.2-0.4 us a call.  The row stack, as large as the word array, is an
+    anonymous map from ``_MAPPED_ROWS`` bytes on, so only the pages that a
+    search writes become resident, and a bytearray below, where a map and
+    its page faults cost about 15 us a search.
 
     ``keep(S)`` keeps a tied set, given its whole path S + [v]; the loop
     calls it back through ``_keep``.  An exception in ``keep`` stops the
     loop and is handed back to be raised: left to ctypes, it would be
     printed and dropped, and the count would be wrong."""
 
-    def __init__(self, loop, words, slack, keep):
+    def __init__(self, loop, words, slack, keep, max_nodes, step, timed):
         n, _, w = words.shape
         self.loop = loop
         self.width = 8 * w
-        self.witness = 120 + 8 * n  # byte offsets of the witness,
-        self.tie_at = 120 + 16 * n  # the tie mask
+        self.witness = 128 + 8 * n  # byte offsets of the witness,
+        self.tie_at = 128 + 16 * n  # the tie mask
         self.cand = self.tie_at + self.width  # and the candidate stack
         self.buf = bytearray(self.cand + (n + 1) * self.width)
-        self.slack = slack
         self.tie = 0  # the tie mask in the buffer
         self.keep = keep
         self.error = None  # the exception that stopped the callback
         self.callback = _KEEPER(self._keep)  # held while the loop may call it
-        struct.pack_into("2qQ", self.buf, 0, n, w, ctypes.cast(self.callback, ctypes.c_void_p).value)
-        self.views = (ctypes.c_char.from_buffer(words), ctypes.c_char.from_buffer(self.buf))
-        self.args = tuple(map(ctypes.addressof, self.views))
+        if words.nbytes < _MAPPED_ROWS:
+            rows = bytearray(words.nbytes)
+        else:
+            import mmap  # imported here, as importing genpos need not pay for it
+
+            rows = mmap.mmap(-1, words.nbytes)
+        self.views = [ctypes.c_char.from_buffer(b) for b in (words, self.buf, rows)]
+        allowed, buf, rows = map(ctypes.addressof, self.views)
+        self.args = allowed, buf
+        struct.pack_into("2q2Q4q", self.buf, 0, n, w, ctypes.cast(self.callback, ctypes.c_void_p).value, rows,
+                         max_nodes, step, timed, slack)
 
     def _keep(self, k1):
         # a tied set of k1 >= best members, S[:k1] in the buffer
         try:
-            self.keep(list(struct.unpack_from(f"{k1}q", self.buf, 120)))
+            self.keep(list(struct.unpack_from(f"{k1}q", self.buf, 128)))
         except BaseException as exc:  # KeyboardInterrupt too
             self.error = exc
             return 1
         return 0
 
-    def __call__(self, S, cand, tie, tied, best, nodes, check_at, max_nodes, step, remaining):
+    def __call__(self, S, cand, tie, tied, best, nodes, check_at, remaining):
         """The plain subtree of S and ``cand`` in C, with the search's
-        slack, keeping the sets that meet ``tie`` (``tied``: S already
-        does): (best, nodes, check_at, the last new best's witness or
-        None, the untied sets of the final best size, and what stopped the
-        loop: 0 nothing, 1 the budget, 2 ``self.error``)."""
+        slack and budget, keeping the sets that meet ``tie`` (``tied``: S
+        already does): (best, nodes, check_at, the last new best's witness
+        or None, the untied sets of the final best size, and what stopped
+        the loop: 0 nothing, 1 the budget, 2 ``self.error``)."""
         buf = self.buf
         k = len(S)
-        struct.pack_into(f"9qd{k}q", buf, 40, k, best, nodes, check_at, max_nodes, step, remaining is not None,
-                         self.slack, tied, remaining or 0.0, *S)
+        struct.pack_into(f"5qd{k}q", buf, 80, k, best, nodes, check_at, tied, remaining, *S)
         if tie != self.tie:
             buf[self.tie_at:self.cand] = tie.to_bytes(self.width, "little")
             self.tie = tie
         buf[self.cand:self.cand + self.width] = cand.to_bytes(self.width, "little")
         stopped = self.loop(*self.args)
-        improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 24)
+        improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 64)
         witness = list(struct.unpack_from(f"{best}q", buf, self.witness)) if improved else None
         return best, nodes, check_at, witness, ties, stopped
 
@@ -815,14 +834,14 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
         nonlocal best, bar, count, witness, nodes, check_at, plain
         if plain is None:
             loop = _plain_loop()
-            plain = _PlainCall(loop, index.words, slack, keep) if loop else False
+            plain = _PlainCall(loop, index.words, slack, keep, max_nodes, step, deadline is not None) if loop else False
         if not plain:
             return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
         if not tie & (chosen | cand):
             tie = 0
-        remaining = None if deadline is None else deadline - time.monotonic()
+        remaining = 0.0 if deadline is None else deadline - time.monotonic()
         best, nodes, check_at, found, ties, stopped = plain(
-            S, cand, tie, bool(tie & chosen), best, nodes, check_at, max_nodes, step, remaining)
+            S, cand, tie, bool(tie & chosen), best, nodes, check_at, remaining)
         bar = best + slack
         if found is not None:
             witness = found

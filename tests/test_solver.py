@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -779,11 +780,11 @@ def _spied(monkeypatch, run):
     return seen, out
 
 
-def _max_search(monkeypatch, g, limits=None):
+def _max_search(monkeypatch, g, limits=None, cap=solver.DEFAULT_SEARCH_CAP):
     """(every _dfs 5-tuple, gp_exact's value, nodes, completeness and
     witness) of one max-search."""
     def run():
-        res = gp_exact(g, limits=limits)
+        res = gp_exact(g, limits=limits, cap=cap)
         return res.gp_value, res.nodes_explored, res.complete, list(res.witness)
 
     return _spied(monkeypatch, run)
@@ -817,6 +818,64 @@ def test_the_compiled_loop_stops_at_the_same_node(max_nodes, monkeypatch):
     compiled, python = _both_loops(monkeypatch, lambda: _max_search(monkeypatch, g, limits))
     assert compiled == python
     assert compiled[1][1:3] == (max_nodes, False)
+
+
+def _loop_stops(monkeypatch, run):
+    """(run(), what stopped each compiled subtree of it, in order: 0
+    nothing, 1 the budget, 2 an exception in keep)."""
+    call = solver._PlainCall.__call__
+    stops = []
+
+    def spy(self, *args):
+        out = call(self, *args)
+        stops.append(out[-1])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(solver._PlainCall, "__call__", spy)
+        return run(), stops
+
+
+@pytest.mark.parametrize("spec,cap,words,nodes", [
+    ("P8xP8", None, 1, 8_266), ("C9xC9", None, 2, 13_610), ("C12xC12", None, 3, 86_539),
+    ("K2^8", 256, 4, 145_551), ("P17xP17", 289, 5, 4_101_272)])
+def test_the_loops_agree_node_for_node_at_every_width(spec, cap, words, nodes, monkeypatch):
+    # the compiled loop is built for rows of 1 to 4 words and once more for
+    # a width read at run time, which P17xP17 (289 vertices) takes: each
+    # host runs a max-search, a count that keeps ties and a max-search
+    # that a node budget stops inside a compiled subtree, halfway or at
+    # 250,000 nodes.  Counting P17xP17 takes 10 s in Python, so its count
+    # stops at that budget too
+    g = build(spec, cap=None)
+    assert BadTripleIndex.build(g, cap).words.shape[2] == words
+    stop = min(nodes // 2, 250_000)
+    budget = SearchLimits(max_nodes=stop)
+
+    def run():
+        searched = _max_search(monkeypatch, g, cap=cap)
+        stopped = _loop_stops(monkeypatch, lambda: _max_search(monkeypatch, g, budget, cap))
+        counted = _loop_stops(monkeypatch, lambda: _count(monkeypatch, g, budget if words > 4 else None, cap))
+        return searched, stopped, counted
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled[0] == python[0] and compiled[0][1][1:3] == (nodes, True)
+    for c, p in zip(compiled[1:], python[1:]):
+        assert c[0] == p[0] and p[1] == []
+    assert compiled[1][0][1][1:3] == (stop, False)
+    if solver.plain_loop_backend() == "c":
+        assert compiled[1][1][-1] == 1  # the budget stopped a compiled subtree
+        assert compiled[2][1] and compiled[2][1][-1] == (1 if words > 4 else 0)
+
+
+@pytest.mark.parametrize("spec,bar,nodes", [("C9xC9", 8, 92_536), ("K3^4", 13, 936_712)])
+def test_root_0_fixed_bar_runs_keep_their_node_counts(spec, bar, nodes):
+    # _dfs from root 0 with no state, every node plain, and an incumbent
+    # of bar - 1 members, so it only looks for a set of bar members: the
+    # form of a second proof of an upper bound without the symmetry engine
+    g = build(spec)
+    start = ([0], (1 << g.total_vertices) - 2, 1, None)
+    best, _, _, explored, complete = solver._dfs(BadTripleIndex.build(g), [start], [0] * (bar - 1), None, slack=1)
+    assert (best, explored, complete) == (bar - 1, nodes, True)
 
 
 def test_an_expired_time_limit_stops_the_compiled_loop_at_its_first_node(monkeypatch):
@@ -1044,14 +1103,14 @@ def test_an_exception_in_a_weighing_reaches_the_caller_on_both_loops(error, monk
     handed = []
     init = solver._PlainCall.__init__
 
-    def init_spy(self, loop, words, slack, keep):
+    def init_spy(self, loop, words, slack, keep, *budget):
         def keep_or_stop(S):
             handed.append(S)
             if len(handed) == 101:
                 stop()
             return keep(S)
 
-        init(self, loop, words, slack, keep_or_stop)
+        init(self, loop, words, slack, keep_or_stop, *budget)
 
     monkeypatch.setattr(solver._PlainCall, "__init__", init_spy)
     if solver.plain_loop_backend() == "c":
@@ -1175,13 +1234,14 @@ def test_without_a_compiler_the_search_falls_back_silently(monkeypatch, tmp_path
 
 
 def test_the_loader_caches_by_the_source_hash(monkeypatch, tmp_path):
-    # with a compiler the cache then holds the one library, reused by the
-    # next process; without one it holds nothing
+    # with a compiler the cache then holds the one library, named for the
+    # machine's architecture and reused by the next process; without one
+    # it holds nothing
     _fresh_loader(monkeypatch, tmp_path)
     backend = solver.plain_loop_backend()
     digest = hashlib.sha256(resources.files("genpos").joinpath("_plain.c").read_bytes()).hexdigest()
     built = [p.name for p in (tmp_path / "genpos").iterdir()]
-    assert built == ([f"plain-{digest[:16]}.so"] if backend == "c" else [])
+    assert built == ([f"plain-{platform.machine()}-{digest[:16]}.so"] if backend == "c" else [])
     monkeypatch.setattr(solver, "_loaded", None)
     assert solver.plain_loop_backend() == backend
     # a cache that cannot be written gives a directory of this process
