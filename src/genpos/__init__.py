@@ -25,7 +25,6 @@ from .position import (
     characterization_check,
     find_violating_triple,
     forbidden_set,
-    independence_check,
     is_between,
     is_general_position,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "find_violating_triple",
     "characterization_check",
     "forbidden_set",
-    "independence_check",
     "BadTripleIndex",
     "SearchLimits",
     "SearchResult",

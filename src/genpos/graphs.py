@@ -15,7 +15,7 @@ sum per distinct factor over all its positions: a float32 matrix product
 of the members' one-hot coordinates with its table's rows on a factor of
 at most ``ONE_HOT_MAX_VERTICES`` vertices, a gather from its table on a
 larger one.
-``ProductGraph.distance_table`` lists one of those matrices for the
+``ProductGraph.distance_table`` hands one of those matrices to the
 checkers: the cached one, or on larger products the queried members' own.
 ``ProductGraph.distance`` sums a single pair.
 
@@ -244,7 +244,7 @@ class ProductGraph:
     weight in the flat index (the last position varies fastest).
     """
 
-    __slots__ = ("factors", "total_vertices", "sizes", "strides", "_flat", "_flat_rows")
+    __slots__ = ("factors", "total_vertices", "sizes", "strides", "_flat")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -258,7 +258,6 @@ class ProductGraph:
         self.strides = tuple(strides)
         self.total_vertices = prod(self.sizes)
         self._flat = None
-        self._flat_rows = None
 
     @property
     def spec(self) -> str | None:
@@ -357,22 +356,20 @@ class ProductGraph:
             self._flat = D
         return D
 
-    def distance_table(self, members) -> tuple[list[int], list[list[int]]]:
-        """``(ids, D)`` with ``D[ids[i]][ids[j]]`` the distance between
+    def distance_table(self, members) -> tuple[list[int], np.ndarray]:
+        """``(ids, D)`` with ``D[ids[i], ids[j]]`` the distance between
         ``members[i]`` and ``members[j]``.
 
         ``members`` must already be valid coordinate tuples, and D is a
-        :meth:`flat_matrix` as lists.  On a host with at most
+        read-only :meth:`flat_matrix`.  On a host with at most
         ``FLAT_TABLE_MAX_VERTICES`` vertices, ids are flat indices into the
-        all-vertex matrix, listed once (shared, never to be written).
-        Above it, ids are positions into the members' own matrix.
+        cached all-vertex matrix.  Above it, ids are positions into the
+        members' own matrix.
         """
         if self.total_vertices <= FLAT_TABLE_MAX_VERTICES:
-            if self._flat_rows is None:
-                self._flat_rows = self.flat_matrix().tolist()
             strides = self.strides
-            return [sum(map(int.__mul__, v, strides)) for v in members], self._flat_rows
-        return list(range(len(members))), self.flat_matrix(members).tolist()
+            return [sum(map(int.__mul__, v, strides)) for v in members], self.flat_matrix()
+        return list(range(len(members))), self.flat_matrix(members)
 
     def __repr__(self):
         return f"ProductGraph({self.spec or 'explicit'}, n={self.total_vertices})"

@@ -18,13 +18,15 @@ Each decider is a public wrapper around a core.  The wrappers
 :func:`characterization_check`) validate their input once, take its
 ``(ids, D)`` from :meth:`ProductGraph.distance_table` and call the core:
 :func:`bad_triples` for the direct test, :func:`_clique_partition` for the
-structural one.  The cores trust their ids and never look at coordinates,
-and they read ``D`` only at pairs of their ids: on a symmetric table with a
-zero diagonal, a core's verdict depends only on the ordered upper-triangle
-distances of its members.  The ``checker-equivalence`` claim relies on
-both facts: it runs the cores on subsets of a host's flat ids without
-validating each subset, once per distinct distance pattern, and gives
-every subset its pattern's verdict.  :func:`bad_pair_rows` is the same triple
+structural one.  ``D`` is a numpy matrix, and :func:`_listed` hands the
+cores the members' own cells of it as lists of Python ints.  The cores
+trust their ids and never look at coordinates, and they read ``D`` only at
+pairs of their ids: on a symmetric table with a zero diagonal, a core's
+verdict depends only on the ordered upper-triangle distances of its
+members.  The ``checker-equivalence`` claim relies on both facts: it runs
+the cores on subsets of a host's listed matrix without validating each
+subset, once per distinct distance pattern, and gives every subset its
+pattern's verdict.  :func:`bad_pair_rows` is the same triple
 test on pairs of rows of a numpy distance matrix: the solver's bad-triple
 index is packed from it, the sampler counts a sample's bad triples and
 marks their least members with it, and the exact bad-triple probability
@@ -40,8 +42,6 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .graphs import DEFAULT_VERTEX_CAP, PAIR_CHUNK_CELLS, Coord, ProductGraph, V
 
 # Sets of at least this many members are certified by numpy blocks
 # (_first_bad_block), smaller ones by the Python loop bad_triples.  On gp
-# sets of C7^10, K2^30 and C7^30 (every triple scanned, tables as lists)
+# sets of C7^10, K2^30 and C7^30 (every triple scanned, tables listed)
 # the loop took 25 us at 10 members, 39-41 us at 12 and 87-124 us at 16,
 # the blocks 35-40, 26-40 and 49-67 us (2-core x86-64 VM, Python 3.11.7,
 # numpy 2.4.6).
@@ -80,11 +80,22 @@ def _validated_members(g: ProductGraph, S) -> list[Coord]:
 def is_between(g: ProductGraph, x, y, z) -> bool:
     """True iff x lies on some shortest y,z-path (endpoints included)."""
     (ix, iy, iz), D = g.distance_table([g.check_coord(x), g.check_coord(y), g.check_coord(z)])
-    return D[iy][iz] == D[iy][ix] + D[ix][iz]
+    return bool(D[iy, iz] == D[iy, ix] + D[ix, iz])
+
+
+def _listed(ids, D):
+    """``(range(m), rows)``: the cells of the numpy matrix ``D`` between the
+    m members at ``ids``, as lists of Python ints, which the Python cores
+    read two to three times faster than numpy ones.  A members' own matrix
+    (ids 0 to m - 1) is listed as it is, without a copy."""
+    if len(ids) < len(D) or ids != list(range(len(ids))):
+        D = D.take(ids, 0).take(ids, 1)
+    return range(len(ids)), D.tolist()
 
 
 def bad_triples(ids, D):
-    """Bad triples among the members behind ``g.distance_table``'s ``(ids, D)``.
+    """Bad triples among the members at ``ids`` of ``D``, a matrix listed
+    as :func:`_listed` lists it.
 
     Yields position triples ``(mid, a, b)``, ``a < b``, where member ``mid``
     lies on a shortest path between members ``a`` and ``b``.  They come in
@@ -168,19 +179,15 @@ def _first_bad_block(ids, D):
     """The first triple of :func:`bad_triples` on the same ``(ids, D)``, or
     None, found by numpy blocks of the members' distance matrix.
 
-    ``D`` is a numpy matrix or a list of rows, and there are at least two
-    ids.  A cell (a, b, c) is bad when 2 max(d_ab, d_ac, d_bc) = d_ab +
-    d_ac + d_bc, that is when one distance is the sum of the other two.
+    ``D`` is a numpy matrix, and there are at least two ids.  A cell
+    (a, b, c) is bad when 2 max(d_ab, d_ac, d_bc) = d_ab + d_ac + d_bc,
+    that is when one distance is the sum of the other two.
     The matrix's diagonal reads 2 max + 1, so no cell with a repeated
     member passes the test, and the sums run on the narrowest signed type
     that holds three such entries.
     """
     m = len(ids)
-    if isinstance(D, np.ndarray):
-        X = D[np.ix_(ids, ids)]
-    else:
-        get = itemgetter(*ids)
-        X = np.array([get(D[x]) for x in ids], dtype=np.int32)
+    X = D[np.ix_(ids, ids)]
     far = 2 * int(X.max()) + 1
     X = X.astype(np.min_scalar_type(-3 * far - 1))
     np.fill_diagonal(X, far)
@@ -211,10 +218,8 @@ def _first_bad_block(ids, D):
 def _first_violation(members: list[Coord], ids, D) -> tuple[Coord, Coord, Coord] | None:
     if len(ids) >= _BLOCK_MIN_MEMBERS:
         t = _first_bad_block(ids, D)
-    else:  # the loop reads Python ints two to three times faster than numpy ones
-        if isinstance(D, np.ndarray):  # so list the members' cells, not the whole matrix
-            ids, D = range(len(ids)), D.take(ids, 0).take(ids, 1).tolist()
-        t = next(bad_triples(ids, D), None)
+    else:
+        t = next(bad_triples(*_listed(ids, D)), None)
     return None if t is None else tuple(members[i] for i in t)
 
 
@@ -243,7 +248,8 @@ class PartitionCertificate:
 
 
 def _clique_partition(ids, D):
-    """Structural core on the members behind ``g.distance_table``'s ``(ids, D)``.
+    """Structural core on the members at ``ids`` of ``D``, a matrix listed
+    as :func:`_listed` lists it.
 
     Returns ``(parts, dists)`` when the members are in general position:
     the components of the induced subgraph as sorted lists of member
@@ -285,7 +291,7 @@ def characterization_check(
     input.
     """
     members = _validated_members(g, S)
-    found = _clique_partition(*g.distance_table(members))
+    found = _clique_partition(*_listed(*g.distance_table(members)))
     if found is None:
         return False, None
     parts, dists = found
@@ -311,8 +317,8 @@ class GpSet:
         """Validate and check the set; raises ValueError with the violating
         triple if it is not in general position.  A ``table`` ``(ids, D)``
         holding the members' distances, laid out as ``host.distance_table``
-        lays them, is read instead, ``D`` a list of rows or a numpy matrix;
-        its members must come sorted and distinct."""
+        lays them, is read instead, ``D`` a numpy matrix; its members must
+        come sorted and distinct."""
         if table is None:
             canon = _validated_members(host, members)
             table = host.distance_table(canon)
@@ -356,13 +362,7 @@ def forbidden_set(g: ProductGraph, X) -> frozenset[Coord]:
         if u in member_set:
             continue
         # X is in general position, so any bad triple here contains u
-        if next(bad_triples(*g.distance_table([u, *members])), None) is not None:
+        if next(bad_triples(*_listed(*g.distance_table([u, *members]))), None) is not None:
             out.append(u)
     return frozenset(out)
 
-
-def independence_check(g: ProductGraph, S) -> bool:
-    """True iff no two members of S are adjacent in g; a repeated vertex
-    raises ValueError, as in the other checkers."""
-    ids, D = g.distance_table(_validated_members(g, S))
-    return all(D[a][b] != 1 for a, b in combinations(ids, 2))

@@ -36,7 +36,7 @@ from .formulas import (
     torus_witness7,
 )
 from .graphs import PAIR_CHUNK_CELLS, FactorGraph, ProductGraph, build, explicit_adjacency
-from .position import _clique_partition, bad_triples
+from .position import _clique_partition, _listed, bad_triples
 from .randomized import (
     choose_M,
     first_moment_construct,
@@ -285,7 +285,7 @@ def _claim_sampler(limits, computed):
             result = run.result
             # the structural core, not the triple core that certified the set;
             # its members are already valid, sorted coordinates
-            if not result.certified or _clique_partition(*result.host.distance_table(result.members)) is None:
+            if not result.certified or _clique_partition(*_listed(*result.host.distance_table(result.members))) is None:
                 ok = False
             if run.success:
                 successes += 1
@@ -356,9 +356,9 @@ def _pattern_blocks(T, width: int):
 @_claim("checker-equivalence", "direct and structural general-position checkers agree on all small subsets",
         {"corpus": "two-factor products of P2..P4, C3..C5, K2..K4", "subset size": "<=5"}, {"mismatches": 0})
 def _claim_checker_equivalence(limits, computed):
-    # Both deciders' cores on subsets of each host's flat ids: flat order
-    # is coordinate order, so the subsets and verdicts are those of the
-    # public wrappers, without validating each subset again.  Each core
+    # Both deciders' cores on subsets of each host's listed matrix: flat
+    # order is coordinate order, so the subsets and verdicts are those of
+    # the public wrappers, without validating each subset again.  Each core
     # reads D only at pairs of the subset's ids, and on a symmetric table
     # with a zero diagonal its verdict depends only on the subset's ordered
     # upper-triangle distances.  So sorting each block's codes gives its
@@ -372,24 +372,24 @@ def _claim_checker_equivalence(limits, computed):
     tables = []
     for name, g in corpus_products():
         ids, D = g.distance_table(list(g.vertices()))
-        T = np.asarray(D)[np.ix_(ids, ids)]
+        T = D[np.ix_(ids, ids)]
         if (T != T.T).any() or T.diagonal().any():
             raise RuntimeError(f"{name}: distance table is not symmetric with a zero diagonal")
-        tables.append((np.asarray(ids), D, T))
-    width = max((int(T.max(initial=0)) for _, _, T in tables), default=0).bit_length()
+        tables.append((T, T.tolist()))
+    width = max((int(T.max(initial=0)) for T, _ in tables), default=0).bit_length()
     if 10 * width + 5 > 63:
         raise RuntimeError(f"digit width {width} bits: 5-member codes need {10 * width + 5} bits, above int64's 63")
     disagree = {}  # pattern code -> whether the two cores disagree on it
     tested = mismatches = 0
-    for ids, D, T in tables:
+    for T, rows in tables:
         for subsets, codes in _pattern_blocks(T, width):
             order = codes.argsort()  # np.unique on sorted codes sorts again in linear time
             keys, first, counts = np.unique(codes[order], return_index=True, return_counts=True)
             patterns = keys.tolist()
             fresh = [j for j, code in enumerate(patterns) if code not in disagree]
-            for code, subset in zip(keys[fresh].tolist(), ids[subsets[order[first[fresh]]]].tolist()) if fresh else ():
-                direct = next(bad_triples(subset, D), None) is None
-                structural = _clique_partition(subset, D) is not None
+            for code, subset in zip(keys[fresh].tolist(), subsets[order[first[fresh]]].tolist()) if fresh else ():
+                direct = next(bad_triples(subset, rows), None) is None
+                structural = _clique_partition(subset, rows) is not None
                 disagree[code] = direct != structural
             tested += len(codes)
             mismatches += sum(compress(counts.tolist(), map(disagree.__getitem__, patterns)))

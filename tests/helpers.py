@@ -31,6 +31,11 @@ def pair_sum_table(g: ProductGraph, members):
     return D
 
 
+def independent(g: ProductGraph, members) -> bool:
+    """True iff no two of the members are adjacent, by ``g.distance``."""
+    return all(g.distance(u, v) != 1 for u, v in combinations(members, 2))
+
+
 def triple_is_bad(D, u: int, v: int, w: int) -> bool:
     return (
         D[u][w] == D[u][v] + D[v][w]

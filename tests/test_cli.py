@@ -78,6 +78,15 @@ def test_check_yes_and_no(capsys):
     assert payload["result"]["violating_triple"] == [[1, 1], [0, 0], [2, 2]]
 
 
+def test_check_json_on_a_host_above_the_flat_table_cap(capsys):
+    # C7^4 has 2,401 vertices, so the set is checked on its members' own
+    # numpy matrix, and the payload must still be plain JSON
+    code, payload, _ = run_json(capsys, ["check", "C7^4", "(0,0,0,0);(1,1,0,0);(2,2,0,0)"])
+    assert code == 1
+    assert payload["result"]["general_position"] is False
+    assert payload["result"]["violating_triple"] == [[1, 1, 0, 0], [0, 0, 0, 0], [2, 2, 0, 0]]
+
+
 def test_count(capsys):
     code, payload, _ = run_json(capsys, ["count", "P2xP2"])
     assert code == 0 and payload["result"] == {"gp": 2, "count": 6}

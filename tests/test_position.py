@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from functools import cache
 from itertools import combinations, product
 
@@ -27,13 +28,19 @@ from genpos.position import (
     characterization_check,
     find_violating_triple,
     forbidden_set,
-    independence_check,
     is_between,
     is_general_position,
 )
 from genpos.randomized import first_moment_construct
 from genpos.solver import enumerate_maximum_gp_sets, gp_exact
-from helpers import bfs_distance_table, naive_first_violation, pair_sum_table, subset_in_general_position, triple_is_bad
+from helpers import (
+    bfs_distance_table,
+    independent,
+    naive_first_violation,
+    pair_sum_table,
+    subset_in_general_position,
+    triple_is_bad,
+)
 
 FIG5 = [(0, 1), (1, 4), (2, 0), (3, 3), (4, 6), (5, 2), (6, 5)]
 
@@ -60,6 +67,24 @@ def test_is_between_brute_force_on_c4():
     assert between[(0, 2)] == {0, 1, 2, 3}
     assert between[(0, 1)] == {0, 1}
     assert between[(1, 1)] == {1}
+
+
+@pytest.mark.parametrize("spec,members", [
+    ("P3xP3", [(0, 0), (1, 2), (2, 1)]),
+    ("C7^4", [(0, 0, 0, 0), (0, 3, 3, 0), (3, 3, 0, 0)]),
+])
+def test_the_deciders_return_python_scalars(spec, members):
+    # P3xP3 is read from the host's cached numpy matrix, C7^4 (2,401
+    # vertices) from its members' own; neither may hand out numpy scalars
+    g = build(spec)
+    assert (g.total_vertices <= FLAT_TABLE_MAX_VERTICES) == (spec == "P3xP3")
+    k = len(g.sizes)
+    assert is_between(g, (1,) * k, (0,) * k, (2,) * k) is True
+    assert is_between(g, (0,) * k, (1,) * k, (2,) * k) is False
+    ok, cert = characterization_check(g, members)
+    assert ok and len(cert.parts) == 3
+    assert all(type(d) is int for row in cert.part_distances for d in row)
+    assert cert.part_distances[0][1] == g.distance(members[0], members[1])
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +118,7 @@ def test_violating_triple_is_lex_first_and_middle_first():
 def test_input_validation():
     # every public entry point validates its input before any core runs
     g = build("P3xP3")
-    checks = (is_general_position, find_violating_triple, characterization_check, GpSet.certify, independence_check)
+    checks = (is_general_position, find_violating_triple, characterization_check, GpSet.certify)
     for check in checks:
         with pytest.raises(ValueError, match="duplicate"):
             check(g, [(0, 0), (1, 2), (0, 0)])
@@ -158,7 +183,7 @@ def test_certify_on_a_table_agrees_with_the_plain_path(factor, n):
         # the table covers a sorted pool around the members, as in the sampler
         pool = sorted(set(members) | {tuple(rnd.randrange(s) for s in g.sizes) for _ in range(5)})
         ids = [pool.index(v) for v in members]
-        table = (ids, g.flat_matrix(pool).tolist())
+        table = (ids, g.flat_matrix(pool))
 
         plain = _certify_outcome(g, members)
         assert _certify_outcome(g, members, table=table) == plain
@@ -169,7 +194,7 @@ def test_certify_on_a_table_agrees_with_the_plain_path(factor, n):
 def test_certify_on_a_table_refuses_bad_members():
     g = build("C5^3")
     members = [(0, 0, 0), (0, 2, 0), (3, 1, 4)]
-    table = ([0, 1, 2], g.flat_matrix(members).tolist())
+    table = ([0, 1, 2], g.flat_matrix(members))
     assert GpSet.certify(g, members, table=table).members == tuple(members)
     cases = [
         (members[::-1], table, "sorted and distinct"),
@@ -314,8 +339,7 @@ def test_a_set_above_the_member_cap_is_refused_before_its_table(monkeypatch):
     members = [g.decode(i) for i in range(0, 7**7, 97)][:MAX_SET_MEMBERS + 1]
     monkeypatch.setattr(ProductGraph, "distance_table", lambda self, members: pytest.fail("tabulated"))
     message = f"a set of {MAX_SET_MEMBERS + 1} vertices is above the cap of {MAX_SET_MEMBERS}"
-    for check in (is_general_position, find_violating_triple, characterization_check, GpSet.certify,
-                  independence_check):
+    for check in (is_general_position, find_violating_triple, characterization_check, GpSet.certify):
         with pytest.raises(ValueError, match=message):
             check(g, members)
 
@@ -328,6 +352,21 @@ def test_a_set_at_the_member_cap_is_checked():
     assert len(members) == MAX_SET_MEMBERS and members == sorted(members)
     mid, a, b = next(bad_triples(list(range(MAX_SET_MEMBERS)), pair_sum_table(g, members)))
     assert find_violating_triple(g, members) == (members[mid], members[a], members[b])
+
+
+def test_a_set_at_the_member_cap_is_checked_in_bounded_memory():
+    # the blocks read the members' own numpy matrix; listing it and turning
+    # the lists back into numpy peaked at 19.3 MiB, reading it at 8.6 MiB
+    g = build("C7^7")
+    members = [g.decode(i) for i in range(0, 97 * MAX_SET_MEMBERS, 97)]
+    tracemalloc.start()
+    try:
+        bad = find_violating_triple(g, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad == ((0, 0, 0, 0, 1, 6, 6), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 3, 6, 5))
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ----------------------------------------------------------------------
@@ -554,12 +593,6 @@ def test_forbidden_set_refuses_a_host_above_the_vertex_cap(monkeypatch):
 # ----------------------------------------------------------------------
 # independence
 
-def test_independence_check():
-    assert independence_check(build("C7xC7"), FIG5)
-    assert not independence_check(build("P2"), [(0,), (1,)])
-    assert independence_check(build("P2"), [])
-
-
 def test_fig5_minimum_pairwise_distance_is_3():
     g = build("C7xC7")
     dists = [g.distance(u, v) for u, v in combinations(FIG5, 2)]
@@ -595,4 +628,4 @@ def test_bipartite_maximum_sets_are_independent():
         value, sets = enumerate_maximum_gp_sets(g)
         if value >= 3:
             for members in sets:
-                assert independence_check(g, members)
+                assert independent(g, members)

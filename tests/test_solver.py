@@ -26,7 +26,7 @@ from genpos.graphs import (
     VertexCapError,
     build,
 )
-from genpos.position import PAIR_CHUNK_CELLS, independence_check, is_general_position
+from genpos.position import PAIR_CHUNK_CELLS, is_general_position
 from genpos.formulas import cylinder_witness, grid_gp_count, torus_quadrant_cover
 from genpos import solver
 from genpos.solver import (
@@ -42,6 +42,7 @@ from genpos.solver import (
 )
 from helpers import (
     bfs_distance_table,
+    independent,
     naive_count_maximum,
     naive_gp,
     naive_lex_first_max,
@@ -1695,13 +1696,11 @@ def test_quadrants_cover_and_have_grid_shape():
 
 def test_independence_of_five_point_maximum_sets():
     # sets of size >= 5 in a cylinder are always independent
-    from genpos.position import independence_check
-
     g = build("P5xC7")
     _, sets = enumerate_maximum_gp_sets(g)
     assert sets
     for members in sets:
-        assert independence_check(g, members)
+        assert independent(g, members)
 
 
 def test_flat_distance_matrix_is_cached_and_read_only():

@@ -326,6 +326,7 @@ def test_distance_pattern_codes_match_the_upper_triangles(monkeypatch):
     code_of, pattern_of = {}, {}  # (host, subset) -> code, size and distances
     for h, ((_, g), (width, walked)) in enumerate(zip(hosts, walks)):
         ids, D = g.distance_table(list(g.vertices()))
+        D = D.tolist()  # the Python walk packs Python ints
         pairs = []
         for subsets, codes in walked:
             k = subsets.shape[1]
@@ -346,8 +347,8 @@ def test_checker_equivalence_refuses_codes_wider_than_int64(monkeypatch):
     # and 5 separator bits: 65 bits
     g = verify.build("P2xP2")
     ids, D = g.distance_table(list(g.vertices()))
-    far = [list(row) for row in D]
-    far[ids[0]][ids[3]] = far[ids[3]][ids[0]] = 40
+    far = D.copy()
+    far[ids[0], ids[3]] = far[ids[3], ids[0]] = 40
     host = SimpleNamespace(vertices=g.vertices, distance_table=lambda members: (ids, far))
     monkeypatch.setattr(verify, "corpus_products", lambda: [("P2xP2", host)])
     (record,) = run_claims(only={"checker-equivalence"})
@@ -358,8 +359,8 @@ def test_checker_equivalence_refuses_codes_wider_than_int64(monkeypatch):
 def test_checker_equivalence_refuses_an_asymmetric_table(monkeypatch):
     g = verify.build("P2xP2")
     ids, D = g.distance_table(list(g.vertices()))
-    skewed = [list(row) for row in D]
-    skewed[0][1] += 1
+    skewed = D.copy()
+    skewed[0, 1] += 1
     host = SimpleNamespace(vertices=g.vertices, distance_table=lambda members: (ids, skewed))
     monkeypatch.setattr(verify, "corpus_products", lambda: [("P2xP2", host)])
     (record,) = run_claims(only={"checker-equivalence"})
