@@ -14,7 +14,8 @@ into a table, over all vertices (cached on products with at most
 sum per distinct factor over all its positions: a float32 matrix product
 of the members' one-hot coordinates with its table's rows on a factor of
 at most ``ONE_HOT_MAX_VERTICES`` vertices, a gather from its table on a
-larger one.
+larger one.  Each factor keeps its numpy tables, and each product its
+factors' positions, so no call rebuilds them.
 ``ProductGraph.distance_table`` hands one of those matrices to the
 checkers: the cached one, or on larger products the queried members' own.
 ``ProductGraph.distance`` sums a single pair.
@@ -150,7 +151,7 @@ class FactorGraph:
     families and ``None`` for explicit graphs.
     """
 
-    __slots__ = ("kind", "n", "adj", "label", "_dist", "_table")
+    __slots__ = ("kind", "n", "adj", "label", "_dist", "_table", "_one_hot")
 
     def __init__(self, adjacency):
         sets = [set(ns) for ns in adjacency]
@@ -168,7 +169,8 @@ class FactorGraph:
                     raise ValueError(f"adjacency not symmetric: {u}->{w}")
         if -1 in _bfs_lengths(adj, 0):
             raise ValueError("graph is not connected")
-        self.kind, self.n, self.adj, self.label, self._dist, self._table = "explicit", n, adj, None, None, None
+        self.kind, self.n, self.adj, self.label = "explicit", n, adj, None
+        self._dist = self._table = self._one_hot = None
 
     # ------------------------------------------------------------------
     # constructors for the standard families, valid by construction, so the
@@ -183,7 +185,7 @@ class FactorGraph:
             raise ValueError(problem)
         g, r = object.__new__(cls), tuple(range(size + _FAMILIES[family][3]))
         g.kind, g.n, g.adj, g.label = kind, len(r), tuple(neighbours(r, i) for i in r), f"{family}{size}"
-        g._dist = g._table = None
+        g._dist = g._table = g._one_hot = None
         return g
 
     @classmethod
@@ -231,6 +233,17 @@ class FactorGraph:
             self._table.setflags(write=False)
         return self._table
 
+    def _operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`table` in float32 and the float32 one-hot of each vertex
+        (the n x n identity): the two operands of
+        :meth:`ProductGraph.flat_matrix`'s product sum, read-only, made on
+        first use and kept."""
+        if self._one_hot is None:
+            self._one_hot = self.table.astype(np.float32), np.eye(self.n, dtype=np.float32)
+            for a in self._one_hot:
+                a.setflags(write=False)
+        return self._one_hot
+
     def __repr__(self):
         return f"FactorGraph({self.label or self.kind}, n={self.n})"
 
@@ -244,7 +257,7 @@ class ProductGraph:
     weight in the flat index (the last position varies fastest).
     """
 
-    __slots__ = ("factors", "total_vertices", "sizes", "strides", "_flat")
+    __slots__ = ("factors", "total_vertices", "sizes", "strides", "_groups", "_flat")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -257,6 +270,11 @@ class ProductGraph:
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self.strides = tuple(strides)
         self.total_vertices = prod(self.sizes)
+        groups: dict[FactorGraph, list[int]] = {}
+        for i, f in enumerate(factors):
+            groups.setdefault(f, []).append(i)
+        # each distinct factor with its positions, which flat_matrix sums at once
+        self._groups = tuple(groups.items())
         self._flat = None
 
     @property
@@ -311,12 +329,14 @@ class ProductGraph:
     def flat_matrix(self, members=None):
         """Read-only numpy matrix of distances, summed over the factor
         tables: between all vertices on flat indices, or between the given
-        valid coordinate tuples in their order.  Each distinct factor's table
-        is read once, from its kept :attr:`FactorGraph.table`.  A factor
+        valid coordinate tuples in their order.  Each distinct factor is
+        summed once over all its positions, grouped when the host is made,
+        from constants it keeps, so a call converts no table.  A factor
         with at most ``ONE_HOT_MAX_VERTICES`` vertices adds one float32
         product F E^T per chunk of its positions:
-        F holds the table's rows at the members' coordinates there, E their
-        one-hot.  A larger factor's table is gathered, in its narrowest
+        F holds the rows of its kept float32 table at the members'
+        coordinates there, E the rows of its kept one-hot.  A larger
+        factor's :attr:`FactorGraph.table` is gathered, in its narrowest
         dtype, at chunks of its positions.  Either way the work is written
         in blocks of at most ``PAIR_CHUNK_CELLS`` cells.  The all-vertex
         matrix is cached on hosts with at most ``FLAT_TABLE_MAX_VERTICES``
@@ -330,14 +350,11 @@ class ProductGraph:
             columns = np.fromiter(chain.from_iterable(members), dtype=np.intp).reshape(-1, len(self.sizes)).T
         m = columns.shape[1]
         D = np.zeros((m, m), dtype=np.int32)
-        positions: dict[FactorGraph, list[int]] = {}
-        for i, f in enumerate(self.factors):
-            positions.setdefault(f, []).append(i)
         rows = max(1, PAIR_CHUNK_CELLS // max(1, m))
-        for f, at in positions.items():
-            n, table = f.n, f.table
+        for f, at in self._groups:
+            n = f.n
             if n <= ONE_HOT_MAX_VERTICES:
-                table, one_hot = table.astype(np.float32), np.eye(n, dtype=np.float32)
+                table, one_hot = f._operands()
                 step = max(1, PAIR_CHUNK_CELLS // max(1, m * n))
                 for lo in range(0, len(at), step):
                     c = columns.take(at[lo:lo + step], axis=0).T
@@ -346,7 +363,7 @@ class ProductGraph:
                     for r in range(0, m, rows):
                         D[r:r + rows] += (F[r:r + rows] @ E.T).astype(np.int32)
             else:
-                table = table.ravel()
+                table = f.table.ravel()
                 step = max(1, PAIR_CHUNK_CELLS // max(1, m * m))
                 for lo in range(0, len(at), step):
                     c = columns[at[lo:lo + step]]

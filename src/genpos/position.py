@@ -83,14 +83,20 @@ def is_between(g: ProductGraph, x, y, z) -> bool:
     return bool(D[iy, iz] == D[iy, ix] + D[ix, iz])
 
 
-def _listed(ids, D):
-    """``(range(m), rows)``: the cells of the numpy matrix ``D`` between the
-    m members at ``ids``, as lists of Python ints, which the Python cores
-    read two to three times faster than numpy ones.  A members' own matrix
-    (ids 0 to m - 1) is listed as it is, without a copy."""
+def _members_matrix(ids, D):
+    """The cells of the numpy matrix ``D`` between the members at ``ids``;
+    a members' own matrix (ids 0 to m - 1) is returned as it is, without a
+    copy."""
     if len(ids) < len(D) or ids != list(range(len(ids))):
         D = D.take(ids, 0).take(ids, 1)
-    return range(len(ids)), D.tolist()
+    return D
+
+
+def _listed(ids, D):
+    """``(range(m), rows)``: :func:`_members_matrix` of the m members at
+    ``ids`` as lists of Python ints, which the Python cores read two to
+    three times faster than numpy ones."""
+    return range(len(ids)), _members_matrix(ids, D).tolist()
 
 
 def bad_triples(ids, D):
@@ -182,12 +188,13 @@ def _first_bad_block(ids, D):
     ``D`` is a numpy matrix, and there are at least two ids.  A cell
     (a, b, c) is bad when 2 max(d_ab, d_ac, d_bc) = d_ab + d_ac + d_bc,
     that is when one distance is the sum of the other two.
-    The matrix's diagonal reads 2 max + 1, so no cell with a repeated
-    member passes the test, and the sums run on the narrowest signed type
-    that holds three such entries.
+    The test reads a narrowed copy of :func:`_members_matrix`, whose
+    diagonal reads 2 max + 1, so no cell with a repeated member passes the
+    test, and the sums run on the narrowest signed type that holds three
+    such entries.
     """
     m = len(ids)
-    X = D[np.ix_(ids, ids)]
+    X = _members_matrix(ids, D)
     far = 2 * int(X.max()) + 1
     X = X.astype(np.min_scalar_type(-3 * far - 1))
     np.fill_diagonal(X, far)

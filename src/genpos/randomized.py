@@ -70,15 +70,11 @@ class SplitMix64:
         array.  A word above its slot's largest accepted value is rejected:
         the slots before it are kept, and the stream carries on from that
         slot with the next word.  Below ``MAX_FACTOR_VERTICES`` a word is
-        rejected with probability under 2^-52, so one pass is the rule."""
+        rejected with probability under 2^-52, so one pass is the rule.
+        Each slot's modulus and largest accepted word are made once per
+        size tuple, and the sizes are checked on every call."""
         sizes = tuple(sizes)
-        for k in sizes:
-            if not 0 < k <= 1 << 64:
-                raise ValueError("k must be positive" if k <= 0 else "k must be at most 2^64")
-        # 2^64 fits no uint64: stored as 0, it takes no remainder, and as it
-        # divides 2^64 its largest accepted word is 2^64 - 1
-        mods = np.array([k & _MASK64 for k in sizes], dtype=np.uint64)
-        top = np.array([_MASK64 - (1 << 64) % k for k in sizes], dtype=np.uint64)
+        mods, top, nonzero = _draw_limits(sizes)
         words = np.empty((count, len(sizes)), dtype=np.uint64)
         flat = words.reshape(-1)
         s, done = self._state, 0
@@ -101,8 +97,28 @@ class SplitMix64:
                 s = (s + _GOLDEN * (stop - done)) & _MASK64
             done = stop
         self._state = s
-        np.remainder(words, mods, out=words, where=mods != 0)
+        np.remainder(words, mods, out=words, where=nonzero)
         return list(map(tuple, words.tolist()))
+
+
+# bounded, as each randbelow(k) draws on a size tuple of its own; typed, so
+# a bool or float size never reuses the limits of an equal int
+@functools.lru_cache(maxsize=256, typed=True)
+def _draw_limits(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only uint64 moduli and largest accepted words of
+    :meth:`SplitMix64.draw` on ``sizes``, and the mask of its nonzero
+    moduli, made once per size tuple.  A bad size raises, and a call that
+    raises is not cached, so it raises on every call."""
+    for k in sizes:
+        if not 0 < k <= 1 << 64:
+            raise ValueError("k must be positive" if k <= 0 else "k must be at most 2^64")
+    # 2^64 fits no uint64: stored as 0, it takes no remainder, and as it
+    # divides 2^64 its largest accepted word is 2^64 - 1
+    mods = np.array([k & _MASK64 for k in sizes], dtype=np.uint64)
+    limits = mods, np.array([_MASK64 - (1 << 64) % k for k in sizes], dtype=np.uint64), mods != 0
+    for a in limits:
+        a.setflags(write=False)
+    return limits
 
 
 def _count_bad_triples(D: np.ndarray) -> int:
@@ -271,8 +287,8 @@ def _least_members(D: np.ndarray) -> tuple[int, np.ndarray]:
     return count, least
 
 
-def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
-    """One draw-delete-certify pass; its caller sets ``attempts``."""
+def _one_run(host: ProductGraph, seed: int, M: int, attempts: int) -> SampleRun:
+    """One draw-delete-certify pass, the ``attempts``-th of its construction."""
     rng = SplitMix64(seed)
     samples = tuple(rng.draw(host.sizes, M))
     distinct = sorted(set(samples))
@@ -292,7 +308,7 @@ def _one_run(host: ProductGraph, seed: int, M: int) -> SampleRun:
         result=result,
         target=target,
         success=len(final) >= target,
-        attempts=1,
+        attempts=attempts,
     )
 
 
@@ -341,9 +357,9 @@ def first_moment_construct(
     host = ProductGraph([g] * n)
     best: SampleRun | None = None
     for attempt in range(retries + 1):
-        run = _one_run(host, seed + attempt, M)
+        run = _one_run(host, seed + attempt, M, attempt + 1)
         if run.success:
-            return replace(run, attempts=attempt + 1)
+            return run
         if best is None or len(run.result) > len(best.result):
             best = run
     return replace(best, attempts=retries + 1)

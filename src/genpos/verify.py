@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import combinations, combinations_with_replacement
 from math import log2
 
 import numpy as np
@@ -366,7 +366,10 @@ def _claim_checker_equivalence(limits, computed):
     # pattern (19,266 of the 209,230 subsets), and each subset adds its
     # pattern's verdict.  Any subset of a pattern will do, so the codes are
     # sorted by the default unstable argsort; np.unique's return_index alone
-    # would sort them with the slower stable one.
+    # would sort them with the slower stable one.  The codes the cores ran
+    # on stay in one sorted array, where searchsorted finds a block's new
+    # ones and np.insert adds them, and a block's mismatches are the counts
+    # of its codes found by np.isin among the sorted disagreeing ones.
     # One digit width for the whole corpus keeps codes from different hosts
     # apart, and int64 holds 5-member codes up to 5-bit digits.
     tables = []
@@ -379,20 +382,25 @@ def _claim_checker_equivalence(limits, computed):
     width = max((int(T.max(initial=0)) for T, _ in tables), default=0).bit_length()
     if 10 * width + 5 > 63:
         raise RuntimeError(f"digit width {width} bits: 5-member codes need {10 * width + 5} bits, above int64's 63")
-    disagree = {}  # pattern code -> whether the two cores disagree on it
+    run = disagree = np.zeros(0, np.int64)
     tested = mismatches = 0
     for T, rows in tables:
         for subsets, codes in _pattern_blocks(T, width):
             order = codes.argsort()  # np.unique on sorted codes sorts again in linear time
             keys, first, counts = np.unique(codes[order], return_index=True, return_counts=True)
-            patterns = keys.tolist()
-            fresh = [j for j, code in enumerate(patterns) if code not in disagree]
-            for code, subset in zip(keys[fresh].tolist(), subsets[order[first[fresh]]].tolist()) if fresh else ():
-                direct = next(bad_triples(subset, rows), None) is None
-                structural = _clique_partition(subset, rows) is not None
-                disagree[code] = direct != structural
+            at = run.searchsorted(keys)
+            known = at < len(run)
+            known[known] = run[at[known]] == keys[known]
+            fresh = np.flatnonzero(~known)
+            if fresh.size:
+                split = [
+                    (next(bad_triples(subset, rows), None) is None) != (_clique_partition(subset, rows) is not None)
+                    for subset in subsets[order[first[fresh]]].tolist()
+                ]
+                disagree = np.union1d(disagree, keys[fresh].compress(split))
+                run = np.insert(run, at[fresh], keys[fresh])
             tested += len(codes)
-            mismatches += sum(compress(counts.tolist(), map(disagree.__getitem__, patterns)))
+            mismatches += int(counts[np.isin(keys, disagree)].sum())
     computed.update(subsets_tested=tested, mismatches=mismatches)
     return PASS if not mismatches else FAIL
 

@@ -467,6 +467,30 @@ def test_a_factor_keeps_one_read_only_numpy_table(monkeypatch):
     assert np.array_equal(g.flat_matrix(members), D)
 
 
+def test_a_small_factor_keeps_read_only_one_hot_operands(monkeypatch):
+    # flat_matrix's float32 table and one-hot of a factor of at most
+    # ONE_HOT_MAX_VERTICES vertices are made on its first call and kept, so
+    # a second call, or another host on the same factors, makes none
+    eyes, eye = [], np.eye
+    monkeypatch.setattr(np, "eye", lambda n, **kwargs: eyes.append(n) or eye(n, **kwargs))
+    g = build("C7xK3xC7")
+    c, k = g.factors[:2]
+    members = [(0, 0, 0), (3, 1, 5), (6, 2, 2), (1, 2, 6)]
+    D = g.flat_matrix(members)
+    assert D.tolist() == pair_sum_table(g, members)
+    assert sorted(eyes) == [3, 7]
+    for f in (c, k):
+        table, one_hot = f._operands()
+        assert f._operands() is f._operands()
+        assert table.dtype == one_hot.dtype == np.float32
+        assert not table.flags.writeable and not one_hot.flags.writeable
+        assert table.tolist() == f.table.tolist() and one_hot.tolist() == eye(f.n).tolist()
+    assert np.array_equal(g.flat_matrix(members), D)
+    assert np.array_equal(ProductGraph(g.factors).flat_matrix(members), D)
+    g.flat_matrix()
+    assert sorted(eyes) == [3, 7]
+
+
 def test_flat_matrix_of_a_product_of_more_factors_than_numpy_dimensions():
     # numpy arrays have at most 64 axes; the matrix never needs one per factor
     g = ProductGraph([FactorGraph.complete(2)] * 2 + [FactorGraph.path(1)] * 70 + [FactorGraph.path(2)])

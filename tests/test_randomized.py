@@ -106,6 +106,12 @@ def _splitmix64_replay(seed, sizes, count):
     return out
 
 
+def test_randbelow_at_two_to_the_64_matches_a_scalar_replay():
+    # 2^64 has no remainder; its limits are made on the first call and reused
+    rng = SplitMix64(7)
+    assert [rng.randbelow(1 << 64) for _ in range(4)] == [v for (v,) in _splitmix64_replay(7, (1 << 64,), 4)]
+
+
 # 2^63 + 1 rejects almost half of all words, so the redraw path runs; 2^64
 # has no rejection limit and no remainder
 DRAW_SIZES = (2, 3, 7, 2000, 1 << 64, (1 << 63) + 1)
@@ -157,6 +163,10 @@ def test_draw_and_randbelow_refuse_a_bad_size(k, message):
             rng.draw((2, k, 7), count)
     with pytest.raises(ValueError, match=message):
         rng.randbelow(k)
+    # the limits of a size tuple are kept, but its sizes are checked on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            rng.draw((k,), 1)
     # the sizes are checked before any word is drawn
     assert rng.randbelow(1 << 64) == 0xE220A8397B1DCDAF
 
@@ -427,6 +437,14 @@ def test_sampler_retries_exhaust_gracefully():
     assert not run.success
     assert run.attempts == 3
     assert run.result.certified  # still a certified, honest set
+
+
+def test_a_success_counts_the_attempts_it_took():
+    # K2^10 at choose_M's M = 5: seed 0 succeeds at once, seeds 11 and 12
+    # fail and 13 succeeds; the run returned is the successful one
+    for seed, attempts in ((0, 1), (12, 2), (11, 3)):
+        run = first_moment_construct(FactorGraph.complete(2), 10, seed=seed, retries=5)
+        assert (run.success, run.attempts, run.seed) == (True, attempts, seed + attempts - 1)
 
 
 def test_sampler_runs_match_their_golden_digest():

@@ -285,6 +285,36 @@ def test_checker_equivalence_counts_every_subset_from_its_pattern(monkeypatch):
     assert 271 < sum(1 for _, g in hosts for _ in combinations(range(g.total_vertices), 4))
 
 
+def test_checker_equivalence_runs_the_cores_once_a_pattern(monkeypatch):
+    # a structural core that also rejects every 5-set holding a distance of
+    # 2: the patterns it disagrees on come back in later blocks of C5xK3
+    # and K3xC5, and K3xC5 repeats three of C5xK3's.  Each of their subsets
+    # counts, and the cores run exactly once on each distinct (size,
+    # distances) pattern of the corpus
+    hosts = [(spec, verify.build(spec)) for spec in PATTERN_HOSTS + ["K3xC5"]]
+    monkeypatch.setattr(verify, "corpus_products", lambda: hosts)
+    real, calls = verify._clique_partition, []
+
+    def mutant(ids, D):
+        calls.append(len(ids))
+        if len(ids) == 5 and any(D[x][y] == 2 for x, y in combinations(ids, 2)):
+            return None
+        return real(ids, D)
+
+    monkeypatch.setattr(verify, "_clique_partition", mutant)
+    (record,) = run_claims(only={"checker-equivalence"})
+    ran = len(calls)
+    assert record.status == FAIL
+    assert record.computed == _plain_equivalence(hosts) == {"subsets_tested": 19961, "mismatches": 64}
+    tables = [g.distance_table(list(g.vertices())) for _, g in hosts]
+    width = max(int(D.max()) for _, D in tables).bit_length()
+    patterns = set()
+    for ids, D in tables:
+        D = D.tolist()
+        patterns |= {(len(s), tuple(D[x][y] for x, y in combinations(s, 2))) for s, _ in _distance_patterns(ids, D, width)}
+    assert ran == len(patterns)
+
+
 def _distance_patterns(ids, D, width):
     """``(subset, code)`` for every subset of ``ids`` with at most 5 members,
     by a depth-first Python walk that extends a prefix's code one member at
