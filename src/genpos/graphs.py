@@ -1,8 +1,8 @@
 """Graph families, Cartesian products, and exact distances.
 
 Factor graphs (paths, cycles, complete graphs, stars, or explicit
-adjacency) are small: their all-pairs distances are computed on first
-use, cached, and refused above ``MAX_FACTOR_VERTICES`` vertices.  A spec
+adjacency) are small: each keeps one all-pairs numpy table, written row by
+row from BFS on first use and refused above ``MAX_FACTOR_VERTICES``.  A spec
 is its list of at most ``MAX_PRODUCT_FACTORS`` factors, and ``build``
 refuses a factor over that limit, then a product over its vertex cap,
 before building the one factor graph that each distinct factor shares.
@@ -56,8 +56,8 @@ DEFAULT_VERTEX_CAP = 10**6
 
 # A factor's all-pairs table is quadratic in its vertices, so larger
 # factors are refused: a spec factor before its adjacency is built, any
-# factor before its table is.  C2000's table of 4 x 10^6 entries takes
-# about 120 MB as nested tuples of ints.
+# factor before its table is.  C2000's uint16 table takes 7.6 MiB, and
+# making it peaks at 7.7 MiB under tracemalloc.
 MAX_FACTOR_VERTICES = 2000
 
 # Hosts with at most this many vertices keep one flat all-pairs matrix
@@ -144,14 +144,14 @@ def _bfs_lengths(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
 
 
 class FactorGraph:
-    """A small connected undirected graph with cached BFS distances.
+    """A small connected undirected graph with one all-pairs :attr:`table`.
 
     ``kind`` is one of ``path``, ``cycle``, ``complete``, ``star``,
     ``explicit``; ``label`` is the spec token (``"C7"``) for the named
     families and ``None`` for explicit graphs.
     """
 
-    __slots__ = ("kind", "n", "adj", "label", "_dist", "_table", "_one_hot")
+    __slots__ = ("kind", "n", "adj", "label", "_table", "_one_hot")
 
     def __init__(self, adjacency):
         sets = [set(ns) for ns in adjacency]
@@ -170,7 +170,7 @@ class FactorGraph:
         if -1 in _bfs_lengths(adj, 0):
             raise ValueError("graph is not connected")
         self.kind, self.n, self.adj, self.label = "explicit", n, adj, None
-        self._dist = self._table = self._one_hot = None
+        self._table = self._one_hot = None
 
     # ------------------------------------------------------------------
     # constructors for the standard families, valid by construction, so the
@@ -185,7 +185,7 @@ class FactorGraph:
             raise ValueError(problem)
         g, r = object.__new__(cls), tuple(range(size + _FAMILIES[family][3]))
         g.kind, g.n, g.adj, g.label = kind, len(r), tuple(neighbours(r, i) for i in r), f"{family}{size}"
-        g._dist = g._table = g._one_hot = None
+        g._table = g._one_hot = None
         return g
 
     @classmethod
@@ -212,25 +212,22 @@ class FactorGraph:
     # ------------------------------------------------------------------
 
     @property
-    def dist(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distance table, computed once by per-source BFS;
-        refused above ``MAX_FACTOR_VERTICES`` vertices."""
-        if self._dist is None:
-            _refuse_a_large_factor(self.label or "an explicit factor", self.n)
-            if self.kind == "complete":  # written directly: its BFS is cubic
-                self._dist = tuple((1,) * u + (0,) + (1,) * (self.n - 1 - u) for u in range(self.n))
-            else:
-                self._dist = tuple(tuple(_bfs_lengths(self.adj, s)) for s in range(self.n))
-        return self._dist
-
-    @property
     def table(self) -> np.ndarray:
-        """:attr:`dist` as a read-only numpy array, in the narrowest dtype
-        that holds n - 1 (a distance is below n), made on first use and
-        kept: 8 MB of uint16 beside the tuples for 2000 vertices."""
+        """All-pairs distance table: one BFS row per source written into a
+        read-only numpy array in the narrowest dtype that holds n - 1 (a
+        distance is below n), made on first use and kept; refused above
+        ``MAX_FACTOR_VERTICES`` vertices before anything is allocated."""
         if self._table is None:
-            self._table = np.asarray(self.dist, dtype=np.min_scalar_type(self.n - 1))
-            self._table.setflags(write=False)
+            _refuse_a_large_factor(self.label or "an explicit factor", self.n)
+            table = np.empty((self.n, self.n), dtype=np.min_scalar_type(self.n - 1))
+            if self.kind == "complete":  # written directly: its BFS is cubic
+                table.fill(1)
+                np.fill_diagonal(table, 0)
+            else:
+                for s in range(self.n):
+                    table[s] = _bfs_lengths(self.adj, s)
+            table.setflags(write=False)
+            self._table = table
         return self._table
 
     def _operands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -316,15 +313,15 @@ class ProductGraph:
             yield self.decode(i)
 
     def factor_dist_tables(self):
-        """Per-factor all-pairs tables (each cached on its factor); basis of
-        additive distance."""
-        return tuple(f.dist for f in self.factors)
+        """Per-factor all-pairs tables (each :attr:`FactorGraph.table`,
+        cached on its factor); basis of additive distance."""
+        return tuple(f.table for f in self.factors)
 
     def distance(self, u, v) -> int:
+        """The distance between two coordinate tuples, as a Python int."""
         u = self.check_coord(u)
         v = self.check_coord(v)
-        tables = self.factor_dist_tables()
-        return sum(t[a][b] for t, a, b in zip(tables, u, v))
+        return sum(int(t[a, b]) for t, a, b in zip(self.factor_dist_tables(), u, v))
 
     def flat_matrix(self, members=None):
         """Read-only numpy matrix of distances, summed over the factor

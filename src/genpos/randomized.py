@@ -134,24 +134,27 @@ def _count_bad_triples(D: np.ndarray) -> int:
 
 
 @functools.cache
-def _p_of_table(dist: tuple[tuple[int, ...], ...]) -> Fraction:
-    """p of the factor with all-pairs table ``dist``, counted once per table."""
-    return Fraction(_count_bad_triples(np.asarray(dist)), len(dist) ** 3)
+def _p_of_table(dtype: str, n: int, cells: bytes) -> Fraction:
+    """p of the factor whose n x n all-pairs table of this dtype has these
+    bytes, counted once per distinct table in a process: equal tables of
+    distinct factors share a count."""
+    return Fraction(_count_bad_triples(np.frombuffer(cells, dtype=dtype).reshape(n, n)), n**3)
 
 
 def p_exact(g: FactorGraph | ProductGraph) -> Fraction:
     """Exact bad-triple probability.
 
     Factor graphs are counted directly (all n^3 ordered triples) on their
-    all-pairs table, which is refused above ``MAX_FACTOR_VERTICES``
-    vertices, once per distance table in a process; products raise each
-    distinct factor's to its multiplicity instead of materializing anything.
+    :attr:`FactorGraph.table`, which is refused above
+    ``MAX_FACTOR_VERTICES`` vertices, once per distinct table in a process;
+    products raise each distinct factor's to its multiplicity instead of
+    materializing anything.
     """
     if isinstance(g, ProductGraph):
         return prod(p_exact(f) ** k for f, k in Counter(g.factors).items())
     if not isinstance(g, FactorGraph):
         raise TypeError(f"expected FactorGraph or ProductGraph, got {type(g).__name__}")
-    return _p_of_table(g.dist)
+    return _p_of_table(g.table.dtype.str, g.n, g.table.tobytes())
 
 
 def p_exact_restricted(g: FactorGraph, vertices: Iterable[int]) -> Fraction:

@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
-Everything in here deliberately avoids the solver's bitset engine and
-numpy: distances come from BFS on the materialized product, or on hosts
-too large for that from Python sums of the factors' BFS tables, and
-subsets from itertools.  Slow but unarguable.
+Everything in here deliberately avoids the solver's bitset engine,
+genpos's own distance tables and numpy: distances come from a BFS of
+its own, in Python lists, on the materialized product, or on hosts too
+large for that from Python sums of the factors' BFS rows, and subsets
+from itertools.  Slow but unarguable.
 """
 
 from __future__ import annotations
@@ -13,21 +14,40 @@ from itertools import combinations
 from genpos.graphs import ProductGraph, explicit_adjacency
 
 
+def bfs_row(adj, source: int) -> list[int]:
+    """Distances from ``source`` by breadth-first search over adjacency lists."""
+    row = [-1] * len(adj)
+    row[source] = 0
+    reached = [source]
+    for u in reached:
+        for w in adj[u]:
+            if row[w] < 0:
+                row[w] = row[u] + 1
+                reached.append(w)
+    return row
+
+
 def bfs_distance_table(g: ProductGraph):
     """All-pairs distances of a product via BFS on its explicit form."""
-    return explicit_adjacency(g).dist
+    adj = explicit_adjacency(g).adj
+    return [bfs_row(adj, s) for s in range(len(adj))]
 
 
 def pair_sum_table(g: ProductGraph, members):
     """Distances between the given coordinate tuples, in their order, each
-    pair summed in Python over the factors' tables: a reference for
-    ``ProductGraph.flat_matrix`` on hosts too large to materialize."""
-    tables = [f.dist for f in g.factors]
+    pair summed in Python over BFS rows of the factors from the members'
+    coordinates: a reference for ``ProductGraph.flat_matrix`` on hosts too
+    large to materialize."""
+    rows = {}
+    for u in members:
+        for f, a in zip(g.factors, u):
+            if (f, a) not in rows:
+                rows[f, a] = bfs_row(f.adj, a)
     m = len(members)
     D = [[0] * m for _ in range(m)]
     for i, u in enumerate(members):
         for j in range(i + 1, m):
-            D[i][j] = D[j][i] = sum(t[a][b] for t, a, b in zip(tables, u, members[j]))
+            D[i][j] = D[j][i] = sum(rows[f, a][b] for f, a, b in zip(g.factors, u, members[j]))
     return D
 
 

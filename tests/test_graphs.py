@@ -258,7 +258,7 @@ def test_a_factor_at_the_limit_builds():
     assert MAX_FACTOR_VERTICES == 2000
     for spec in ("P2000", "C2000", "S1999"):
         g = build(spec)
-        assert g.total_vertices == 2000 and g.factors[0]._dist is None  # no table read
+        assert g.total_vertices == 2000 and g.factors[0]._table is None  # no table read
 
 
 def test_an_explicit_factor_over_the_limit_has_no_table():
@@ -266,7 +266,7 @@ def test_an_explicit_factor_over_the_limit_has_no_table():
     g = FactorGraph.explicit([[j for j in (i - 1, i + 1) if 0 <= j <= 2000] for i in range(2001)])
     assert g.n == 2001
     with pytest.raises(VertexCapError, match="^an explicit factor has 2001 vertices, above the limit of 2000$"):
-        g.dist
+        g.table
     with pytest.raises(VertexCapError):
         ProductGraph([g]).distance((0,), (5,))
 
@@ -373,7 +373,7 @@ def test_additive_distance_equals_bfs_sampled_hypercube():
         i, j = rnd.randrange(1024), rnd.randrange(1024)
         expected = bin(i ^ j).count("1")  # Hamming distance
         assert g.distance(g.decode(i), g.decode(j)) == expected
-        assert ex.dist[i][j] == expected
+        assert ex.table[i, j] == expected
 
 
 def test_flat_matrix_of_members_equals_bfs():
@@ -450,10 +450,10 @@ def test_a_thousand_member_table_holds_no_gather_index():
     assert peak <= 6 * 2**20
 
 
-def test_a_factor_keeps_one_read_only_numpy_table(monkeypatch):
+def test_a_factor_keeps_one_read_only_numpy_table():
     # flat_matrix reads each factor's numpy table, made on first use and
-    # kept: converting C2000's nested tuples on every call took 95 ms of a
-    # 111-ms table of 776 members
+    # kept: converting a table on every call once took 95 ms of a 111-ms
+    # table of 776 members
     g = build("C2000xK3")
     c, k = g.factors
     members = [(x, x % 3) for x in range(0, 2000, 17)]
@@ -462,9 +462,26 @@ def test_a_factor_keeps_one_read_only_numpy_table(monkeypatch):
     assert c.table is c.table and k.table is k.table
     assert (c.table.dtype, k.table.dtype) == (np.uint16, np.uint8)
     assert not c.table.flags.writeable and not k.table.flags.writeable
-    assert c.table.tolist() == [list(row) for row in c.dist]
-    monkeypatch.setattr(FactorGraph, "dist", property(lambda self: pytest.fail("the tuples were read again")))
+    offset = np.abs(np.subtract.outer(np.arange(2000), np.arange(2000)))
+    assert np.array_equal(c.table, np.minimum(offset, 2000 - offset))
     assert np.array_equal(g.flat_matrix(members), D)
+
+
+def test_a_factor_table_is_its_only_all_pairs_table():
+    # each BFS row is written straight into the uint16 table (7.6 MiB for
+    # C2000); nested tuples of ints beside it peaked at 129.1 MiB
+    c = FactorGraph.cycle(2000)
+    tracemalloc.start()
+    try:
+        table = c.table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2000, 2000) and table[0, 1000] == 1000
+    assert peak <= 16 * 2**20
+    # a host's distance is a Python int, not a numpy scalar from the tables,
+    # so the records that verify-paper writes as JSON hold plain numbers
+    assert type(build("C7xC7").distance((0, 1), (3, 3))) is int
 
 
 def test_a_small_factor_keeps_read_only_one_hot_operands(monkeypatch):
@@ -528,7 +545,7 @@ def test_path_is_isometric_in_long_enough_cycle(s):
     r = s // 2 + 1
     for i in range(r):
         for j in range(r):
-            assert cyc.dist[i][j] == abs(i - j)
+            assert cyc.table[i, j] == abs(i - j)
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +577,7 @@ def test_star_layout():
     assert s.n == 4
     assert s.adj[0] == (1, 2, 3)
     assert all(s.adj[i] == (0,) for i in (1, 2, 3))
-    assert s.dist[1][2] == 2
+    assert s.table[1, 2] == 2
 
 
 def test_factor_validation():
@@ -638,11 +655,12 @@ def test_the_largest_complete_factor_shares_its_vertex_ints():
 
 def test_a_complete_factor_table_is_written_without_bfs():
     for n in range(1, 41):
-        assert FactorGraph.complete(n).dist == FactorGraph.explicit(FactorGraph.complete(n).adj).dist
+        k = FactorGraph.complete(n)
+        assert k.table.tolist() == FactorGraph.explicit(k.adj).table.tolist()
     # a BFS from every source made this cubic: K400 took 2.3 s on a 2-core VM
     k = FactorGraph.complete(1000)
     started = time.monotonic()
-    assert k.dist[999][999] == 0 and k.dist[0][999] == 1
+    assert k.table[999, 999] == 0 and k.table[0, 999] == 1
     assert time.monotonic() - started < 1
 
 
@@ -662,7 +680,7 @@ def test_product_needs_factors():
     ],
 )
 def test_factor_distance_table_invariants(factor):
-    d = factor.dist
+    d = factor.table
     for u in range(factor.n):
         assert d[u][u] == 0
         for v in range(factor.n):

@@ -41,7 +41,7 @@ from helpers import bfs_distance_table, pair_sum_table, triple_is_bad
 def brute_force_p(g: FactorGraph, vertices=None) -> Fraction:
     """Ordered-triple census straight from the definition, over all of g's
     vertices or over the given ones."""
-    d = g.dist
+    d = g.table.tolist()
     vs = range(g.n) if vertices is None else sorted(set(vertices))
     bad = sum(
         1

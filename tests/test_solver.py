@@ -1571,7 +1571,7 @@ def _induced_cover_bound(g, cover):
         members = sorted(set(raw))
         ids, D = g.distance_table(members)
         piece = FactorGraph.explicit([[j for j, y in enumerate(ids) if D[x][y] == 1] for x in ids])
-        assert [list(row) for row in piece.dist] == [[D[x][y] for y in ids] for x in ids]
+        assert piece.table.tolist() == [[D[x][y] for y in ids] for x in ids]
         total += gp_exact(ProductGraph([piece])).gp_value
     return total
 
