@@ -1,32 +1,52 @@
-/* The plain loop of genpos.solver._dfs, node for node with its Python
-   loop (``rec_sym`` without a state): the same pop-lowest-bit order, the
-   same cut |S| + |cand| < bar with bar = best + slack, the same node
-   count, budget poll and witness and tie updates.  Every plain subtree of
-   the max-search, counting, enumeration and the cover bound runs here; a
-   set that meets the subtree's tie mask goes to the caller's keeper,
-   which keeps it for counting to weigh once the search is done and for
-   enumeration (whose mask holds every vertex) to list.  Built and loaded
-   with ctypes by genpos.solver on the first plain subtree; without a C
-   compiler the Python loop runs instead.
+/* The search loop of genpos.solver._dfs, node for node with its Python
+   loop ``rec_sym``: the same pop-lowest-bit order, the same cut
+   |S| + |cand| < bar with bar = best + slack, the same node count, budget
+   poll, witness, count and tie updates.  One call runs one start of _dfs,
+   every node of it: the nodes under a prefix state (sym, below), which
+   branch only on the state's orbit-minimal candidates, and the plain
+   nodes below a trivial stabilizer (rec).  Built and loaded with ctypes
+   by genpos.solver on the first search; without a C compiler the Python
+   loop runs instead.
 
    allowed: n x n x W words, allowed[(a*n + b)*W + j] holding bits
    64j..64j+63 of the vertices completing no bad triple with a and b.
-   buf: the state below (STATE words, read and written back), then S (n
-   words: the prefix, k members on entry, then the search path), the
-   witness (n words: S + [v] at each new best), the tie mask (W words,
-   all zero outside counting's tie tracking and enumeration) and the
-   candidate stack (W words per depth, the candidates on entry in its
-   first W).  N to SLACK are written once per search, K to REMAINING and
-   S at each hand-over.
-   KEEP holds the keeper, a function pointer, ROWS the row stack (below)
-   and REMAINING a double: the seconds left of the time budget when TIMED
-   is set.
-   TIED is 1 when the prefix already meets the tie mask.  A set S + [v]
-   reached at size >= best is tied when S + [v] meets the mask; then
-   S[k] = v is written and the keeper is called with k + 1 before any
-   update, else the set adds one to TIES, which counts the untied sets of
-   size BEST reached since BEST was last raised (the one raising it
-   included).
+   buf: the header below (HEADER words), then S (n words: the prefix, k
+   members on entry, then the search path), the witness (n words: S + [v]
+   at each new best), and three stacks of W words per depth from the
+   start: the candidates (the start's in the first W), the tie masks (the
+   search's in the first W, all zero outside counting and enumeration)
+   and the chosen members without the prefix (zero in the first W).  N to
+   SPARE are written once per search; BEST, NODES, CHECK_AT and COUNT run
+   on across its starts; K to REMAINING and S are written per start.
+   CALL holds the callback, ROWS the row stack (below) and START the
+   start's state block (0 for none); REMAINING is a double, the seconds
+   left of the time budget when TIMED is set.  COUNT and COUNT_HI are an
+   unsigned 128-bit sum, the weight of the untied sets of size BEST
+   reached since BEST was last raised (the one raising it included).
+   IMPROVED is set when the start raised BEST.
+
+   A state block, made by the caller for each prefix state (a stabilizer
+   that moves some vertex), is n + n + W + (m + 1) W words: per vertex v
+   the child state's block (0 until derived, 1 for a trivial stabilizer,
+   else its address) and the row of v's orbit if v is orbit-minimal; the
+   mask of the m orbit-minimal vertices; and per orbit t, in ascending
+   order, keep[t], the vertices whose orbit starts at or above t, then a
+   zero row.  So t's orbit is keep[t] ^ keep[next].  A node v drops the
+   candidates outside keep[v]; when COUNTING, the child carries the
+   product of its members' orbit sizes (the set's weight, times WEIGHT)
+   and the tie mask gains v's orbit less v.  A product that int64 cannot
+   hold is never wrapped: the sets below go to the caller as ties, and it
+   weighs them exactly.
+
+   The callback, CALL(op, a, b), is made in three cases.  KEEP, a = k + 1:
+   S[:k + 1] is a set of at least BEST members that meets its tie mask,
+   handed over before any update.  DERIVE, a = a block, b = v: the child
+   of v is used for the first time; the caller writes it into the block.
+   LEAD, a = k + 1: the max-search (GROUP) passes below a trivial
+   stabilizer with at least 3 members and at least SPARE candidates beyond
+   the bound's need, and S[:k + 1] is tested setwise; 1 searches the
+   subtree, 0 skips it.  A negative return means the callback raised.
+
    The row stack holds n x W words per depth: at each depth, R[u] at u*W
    for every candidate u, the AND of allowed[s][u] over the members s of
    S.  A node v then ANDs one row, R[v], into the candidates, and a child
@@ -34,30 +54,36 @@
    u, read from the one block allowed[v].  Entry rows are seeded from the
    k prefix rows.  A depth with candidates has fewer than the depth
    above, so a fill reaches at most depth n - 1 and the stack needs at
-   most n x n x W words.  The loop body is built for W = 1 to 4, which
+   most n x n x W words.  The plain body is built for W = 1 to 4, which
    covers every host of up to 256 vertices, and once more for a W read at
    run time.
-   Returns 0 when the subtree is done, 1 when the node or time budget
-   stopped it, and 2 when the keeper returned nonzero (it raised); the
-   state is written back in every case. */
+   Returns 0 when the start is done, 1 when the node or time budget
+   stopped it, and 2 when a callback raised; the header is written back
+   in every case. */
 #define _POSIX_C_SOURCE 199309L  /* clock_gettime under a strict -std */
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
 
-enum { N, W, KEEP, ROWS, MAX_NODES, STEP, TIMED, SLACK, IMPROVED, TIES, K, BEST, NODES, CHECK_AT, TIED, REMAINING, STATE };
+enum { N, W, CALL, ROWS, MAX_NODES, STEP, TIMED, SLACK, SPARE, BEST, NODES, CHECK_AT, COUNT, COUNT_HI, K, START,
+       WEIGHT, COUNTING, GROUP, REMAINING, IMPROVED, HEADER };
+enum { KEEP, DERIVE, LEAD };
 
-typedef int (*Keeper)(int64_t);
+typedef int (*Callback)(int64_t op, int64_t a, int64_t b);
 
-typedef struct {
-    const uint64_t *allowed, *tie;
+struct Search;
+
+/* the plain loop at one depth: k members in S, the candidates and their rows */
+typedef int (*Depth)(struct Search *, int64_t k, uint64_t *cand, uint64_t *rows, int64_t left, int tied);
+
+typedef struct Search {
+    const uint64_t *allowed, *tie;  /* tie: the plain subtree's mask */
     int64_t *st, *S, *witness;
+    uint64_t weight;  /* of each untied set of the plain subtree */
     double deadline;
-    Keeper keep;
+    Callback call;
+    Depth plain;
 } Search;
-
-/* the loop at one depth: k members in S, the candidates and their rows */
-typedef int (*Depth)(Search *, int64_t k, uint64_t *cand, uint64_t *rows, int64_t left, int tied);
 
 static double now(void)
 {
@@ -87,8 +113,39 @@ INLINE void and_rows(uint64_t *to, const uint64_t *from, const uint64_t *block, 
         }
 }
 
-/* the one loop body, inlined into each width's function with w fixed;
-   self is that function, called for a child */
+/* a node is counted and polls the budget: nonzero when it is spent */
+INLINE int spent(Search *s)
+{
+    int64_t *st = s->st;
+    if (++st[NODES] >= st[CHECK_AT]) {
+        if (st[NODES] >= st[MAX_NODES] || (st[TIMED] && now() > s->deadline))
+            return 1;
+        st[CHECK_AT] = st[NODES] + st[STEP] < st[MAX_NODES] ? st[NODES] + st[STEP] : st[MAX_NODES];
+    }
+    return 0;
+}
+
+/* S + [v], of at least BEST members, adds weight to the count (0 when
+   tied), or starts it if it is a new best */
+INLINE void reached(Search *s, int64_t k, int64_t v, uint64_t weight)
+{
+    int64_t *st = s->st;
+    uint64_t *count = (uint64_t *)st;
+    if (k + 1 > st[BEST]) {
+        st[BEST] = k + 1;
+        st[IMPROVED] = 1;
+        count[COUNT] = weight;
+        count[COUNT_HI] = 0;
+        memcpy(s->witness, s->S, k * sizeof *s->S);
+        s->witness[k] = v;
+    } else {
+        count[COUNT] += weight;
+        count[COUNT_HI] += count[COUNT] < weight;
+    }
+}
+
+/* the plain body, inlined into each width's function with w fixed; self
+   is that function, called for a child */
 INLINE int rec(Search *s, int64_t k, uint64_t *cand, uint64_t *rows, int64_t left, int tied, const int64_t w,
                Depth self)
 {
@@ -105,28 +162,17 @@ INLINE int rec(Search *s, int64_t k, uint64_t *cand, uint64_t *rows, int64_t lef
         int vtied = tied | (int)(s->tie[i] >> (v & 63) & 1);
         cand[i] &= cand[i] - 1;
         left--;
-        if (++st[NODES] >= st[CHECK_AT]) {
-            if (st[NODES] >= st[MAX_NODES] || (st[TIMED] && now() > s->deadline))
-                return 1;
-            st[CHECK_AT] = st[NODES] + st[STEP] < st[MAX_NODES] ? st[NODES] + st[STEP] : st[MAX_NODES];
-        }
+        if (spent(s))
+            return 1;
         for (int64_t j = 0; j < w; j++)
             nc[j] = cand[j] & rows[v * w + j];
         if (k + 1 >= st[BEST]) {
             if (vtied) {
                 s->S[k] = v;
-                if (s->keep(k + 1))
+                if (s->call(KEEP, k + 1, 0))
                     return 2;
             }
-            if (k + 1 > st[BEST]) {
-                st[BEST] = k + 1;
-                st[IMPROVED] = 1;
-                st[TIES] = !vtied;
-                memcpy(s->witness, s->S, k * sizeof *s->S);
-                s->witness[k] = v;
-            } else {
-                st[TIES] += !vtied;
-            }
+            reached(s, k, v, vtied ? 0 : s->weight);
         }
         int64_t c = popcount(nc, w);
         if (c && k + 1 + c >= st[BEST] + st[SLACK]) {
@@ -149,23 +195,103 @@ WIDTH(rec3, 3)
 WIDTH(rec4, 4)
 WIDTH(recw, s->st[W])
 
+/* a depth whose prefix has the state block b: size is the product of the
+   orbit sizes of the chosen members (-1 once it overflows), tie and
+   chosen this depth's masks */
+static int sym(Search *s, int64_t k, uint64_t *cand, uint64_t *rows, const uint64_t *tie, const uint64_t *chosen,
+               uint64_t *b, int64_t size)
+{
+    int64_t *st = s->st, n = st[N], w = st[W];
+    uint64_t *nc = cand + w, *nrows = rows + n * w, *ntie = (uint64_t *)tie + w, *nchosen = (uint64_t *)chosen + w;
+    const uint64_t *mask = b + 2 * n;
+    for (int64_t i = 0; i < w;) {  /* the lowest orbit-minimal candidate is in word i or later */
+        uint64_t bit = cand[i] & mask[i];
+        if (!bit) {
+            cand[i++] = 0;  /* skipped: below every later branch */
+            continue;
+        }
+        bit &= -bit;
+        cand[i] &= ~(bit - 1);
+        if (k + popcount(cand, w) < st[BEST] + st[SLACK])
+            return 0;
+        cand[i] ^= bit;
+        int64_t v = i * 64 + __builtin_ctzll(bit);
+        if (spent(s))
+            return 1;
+        const uint64_t *keep = mask + w + (int64_t)b[n + v] * w;  /* keep[v], then the next orbit's */
+        int64_t orbit = 0, vsize, weight = 0;
+        int vtied = 0, ctied = 0;
+        for (int64_t j = 0; j < w; j++) {
+            uint64_t more = st[COUNTING] ? keep[j] ^ keep[w + j] : 0;  /* v's orbit */
+            nc[j] = cand[j] & rows[v * w + j] & keep[j];
+            orbit += __builtin_popcountll(more);
+            ntie[j] = tie[j] | (more & ~(j == i ? bit : 0));
+            nchosen[j] = chosen[j] | (j == i ? bit : 0);
+            vtied |= (nchosen[j] & tie[j]) != 0;
+            ctied |= (nchosen[j] & ntie[j]) != 0;
+        }
+        if (!st[COUNTING])
+            vsize = size;
+        else if (size < 0 || __builtin_mul_overflow(size, orbit, &vsize))
+            vsize = -1;
+        /* a set whose weight int64 cannot hold goes to the keeper, which weighs it exactly */
+        int big = vsize < 0 || __builtin_mul_overflow(st[WEIGHT], vsize, &weight);
+        if (k + 1 >= st[BEST]) {
+            if (vtied || big) {
+                s->S[k] = v;
+                if (s->call(KEEP, k + 1, 0))
+                    return 2;
+            }
+            reached(s, k, v, vtied || big ? 0 : (uint64_t)weight);
+        }
+        int64_t c = popcount(nc, w);
+        if (c && k + 1 + c >= st[BEST] + st[SLACK]) {
+            s->S[k] = v;
+            if (!b[v] && s->call(DERIVE, (int64_t)(intptr_t)b, v))
+                return 2;
+            uint64_t child = b[v];
+            int search = 1;
+            if (child == 1 && st[GROUP] && k + 1 >= 3 && k + 1 + c - st[BEST] - st[SLACK] >= st[SPARE])
+                if ((search = s->call(LEAD, k + 1, 0)) < 0)
+                    return 2;
+            if (search) {
+                and_rows(nrows, rows, s->allowed + v * n * w, nc, w);
+                int stopped;
+                if (child != 1) {
+                    stopped = sym(s, k + 1, nc, nrows, ntie, nchosen, (uint64_t *)(uintptr_t)child, vsize);
+                } else {
+                    s->tie = ntie;
+                    s->weight = big ? 0 : (uint64_t)weight;
+                    stopped = s->plain(s, k + 1, nc, nrows, c, ctied || big);
+                }
+                if (stopped)
+                    return stopped;
+            }
+        }
+    }
+    return 0;
+}
+
 int genpos_plain(const uint64_t *allowed, int64_t *buf)
 {
     int64_t n = buf[N], w = buf[W], k = buf[K];
-    const uint64_t *tie = (const uint64_t *)(buf + STATE + 2 * n);
-    uint64_t *cand = (uint64_t *)(tie + w), *rows;
+    uint64_t *cand = (uint64_t *)(buf + HEADER + 2 * n), *tie = cand + (n + 1) * w, *rows, *start;
     double remaining;
-    Keeper keep;
+    Callback call;
     memcpy(&rows, buf + ROWS, sizeof rows);
+    memcpy(&start, buf + START, sizeof start);
     memcpy(&remaining, buf + REMAINING, sizeof remaining);
-    memcpy(&keep, buf + KEEP, sizeof keep);
-    Search s = {allowed, tie, buf, buf + STATE, buf + STATE + n, buf[TIMED] ? now() + remaining : 0.0, keep};
+    memcpy(&call, buf + CALL, sizeof call);
+    Depth plain = w == 1 ? rec1 : w == 2 ? rec2 : w == 3 ? rec3 : w == 4 ? rec4 : recw;
+    Search s = {allowed, tie, buf, buf + HEADER, buf + HEADER + n, (uint64_t)buf[WEIGHT],
+                buf[TIMED] ? now() + remaining : 0.0, call, plain};
     for (int64_t i = 0; i < w; i++)
         for (uint64_t x = cand[i]; x; x &= x - 1)
             memset(rows + (i * 64 + __builtin_ctzll(x)) * w, 0xff, w * sizeof *rows);
     for (int64_t m = 0; m < k; m++)
         and_rows(rows, rows, allowed + s.S[m] * n * w, cand, w);
-    buf[IMPROVED] = buf[TIES] = 0;
-    Depth depth = w == 1 ? rec1 : w == 2 ? rec2 : w == 3 ? rec3 : w == 4 ? rec4 : recw;
-    return depth(&s, k, cand, rows, popcount(cand, w), (int)buf[TIED]);
+    buf[IMPROVED] = 0;
+    if (start)
+        return sym(&s, k, cand, rows, tie, tie + (n + 1) * w, start, 1);
+    return plain(&s, k, cand, rows, popcount(cand, w), 0);
 }

@@ -33,9 +33,9 @@ and the witness and the value do not change.  One orbit table per prefix
 state (:meth:`_Symmetry.orbits`) decides which vertices are orbit-minimal
 and which candidates each branch keeps; at the empty prefix K_S is the
 whole group, whose table also gives counting its roots.  Once K_S acts
-trivially, the subtree runs the plain loop.
+trivially, every node below branches on every candidate.
 
-Before the max-search enters that plain subtree, it tests S setwise
+Before the max-search enters such a subtree, it tests S setwise
 (Margot's pruning by isomorphism, once per search path): S is skipped
 when some automorphism h of the whole group makes sorted(h(S)) < S.  No
 prefix P of S* is skipped.  h(P) lies in h(S*), so the j-th least member
@@ -62,26 +62,31 @@ The search runs in one process, so the value, the witness and the node
 count are the same on every run; a node budget stops it at the same node
 every time.
 
-Every plain subtree, of the max-search, counting, enumeration and the
-cover bound's pieces, runs compiled: ``_plain.c`` is the plain loop in C,
-with the Python loop's branching order, cut, node count, budget polls,
-witness and tie updates, so values, counts, witnesses, set lists and node
-counts do not change.  It keeps at each depth the AND of the prefix's
-rows for each candidate, so a node ANDs one row into its candidates where
-the Python loop ANDs one per prefix member; its body is built for rows of
-one to four words and once for wider rows.  Both loops hand each set
-that meets a tie to one Python function, ``keep``, the compiled loop
-through a callback; it holds the tied sets of the largest size reached.
-Enumeration, whose tie mask holds every vertex, lists them; counting
-weighs those of the final size (:meth:`_Symmetry.orbit_weight`) once the
-roots are searched, so no set that a larger one outgrows is weighed.  The
-loop is compiled and loaded on the first plain subtree
-(:func:`_load_plain`); if that fails, the one Python loop, ``rec_sym``,
-runs those subtrees without a state, and :func:`plain_loop_backend` says
-which one does.  The node and time
-budgets are polled inside the compiled loop and by the weighing, and a
-callback's exceptions reach the caller unchanged; but a Ctrl-C lands
-only at the next callback or when its subtree returns.
+One loop runs the whole search, per backend.  With a C compiler it is
+``_plain.c``, compiled and loaded on the first search
+(:func:`_load_plain`); one call runs one start of a search, every node of
+it, under a prefix state or not, with the Python loop's branching order,
+keep filter, cut, node count, budget polls, witness, count and tie
+updates, so values, counts, witnesses, set lists and node counts do not
+change.  It keeps at each depth the AND of the prefix's rows for each
+candidate, so a node ANDs one row into its candidates where the Python
+loop ANDs one per prefix member; its body below a trivial stabilizer is
+built for rows of one to four words and once for wider rows.  Python
+keeps the prefix states: the compiled loop calls back on the first use of
+a state's child, which ``_Symmetry`` derives and memoises as for the
+Python loop, and reads each new state's orbit table as words
+(:func:`_state_words`); it calls back too for the setwise test.  Both
+loops hand each set that meets a tie to one Python function, ``keep``,
+the compiled loop through the same callback; it holds the tied sets of
+the largest size reached.  Enumeration, whose tie mask holds every
+vertex, lists them; counting weighs those of the final size
+(:meth:`_Symmetry.orbit_weight`) once the roots are searched, so no set
+that a larger one outgrows is weighed.  Without a compiler the one Python
+loop, ``rec_sym``, runs every node, and :func:`plain_loop_backend` says
+which loop runs.  The node and time budgets are polled inside the
+compiled loop and by the weighing, and a callback's exceptions reach the
+caller unchanged; but a Ctrl-C lands only at the next callback or when
+its start returns.
 
 Counting double counts over the same orbits.  Let c_r be the number of
 maximum sets through an orbit-minimal r.  An automorphism maps maximum
@@ -124,8 +129,8 @@ final size runs the leaf test (:meth:`_Symmetry.orbit_weight`), a
 min-image backtrack over the states' orbit tables and cached transversal
 permutations that stops at the first element mapping T onto itself.  A
 root whose stabilizer moves nothing weighs |orbit(r)| per set.  Once no
-stabilizer is left, a subtree runs the plain loop: each set weighs the
-subtree's constant weight, or the leaf test's if it meets a tie.
+stabilizer is left, each set of the subtree weighs the same, or the leaf
+test's if it meets a tie.
 
 Enumeration runs the max-search's symmetric DFS from the empty prefix,
 keeping ties.  By the argument above the lexicographically least set of
@@ -238,10 +243,17 @@ def _allowed_tables(D: np.ndarray) -> np.ndarray:
         r = np.arange(len(A))
         ok[r, A] = True
         ok[r, B] = True
-        packed = np.zeros((len(A), 8 * w), np.uint8)  # little-endian words, zero-padded
-        packed[:, :-(-n // 8)] = np.packbits(ok, axis=1, bitorder="little")
-        table[A, B] = table[B, A] = packed.view("<u8")
+        table[A, B] = table[B, A] = _words(ok)
     return table
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Rows of booleans over n vertices as rows of 64-bit words, bit u in
+    bit u % 64 of word u // 64, the last word zero-padded."""
+    n = bits.shape[-1]
+    packed = np.zeros(bits.shape[:-1] + (8 * -(-n // 64),), np.uint8)  # little-endian words
+    packed[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
 class _IntRows(dict):
@@ -599,8 +611,9 @@ class _Symmetry:
 # compiled plain loop
 
 _loaded = None  # the compiled loop once loaded, False when it cannot be
-_KEEPER = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)  # the loop's callback for a tied set
+_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64)  # (op, a, b)
 _MAPPED_ROWS = 1 << 17  # bytes from which the row stack is mapped, not taken from the heap
+_HEADER = 21  # words before S in the loop's buffer (HEADER in ``_plain.c``)
 
 
 def _plain_loop():
@@ -664,39 +677,66 @@ def _load_plain():
     return fn
 
 
+def _state_words(low: list[int], n: int, w: int) -> np.ndarray:
+    """A prefix state's block for ``_plain.c``, made from ``low`` (the
+    smallest vertex of each vertex's orbit, :meth:`_Symmetry.orbits`): per
+    vertex its child's block (0 until derived), per orbit-minimal vertex
+    its orbit's row, the mask of the orbit-minimal vertices, and the
+    orbits' keep rows in ascending order, then a zero row."""
+    low = np.array(low)
+    ids = np.arange(n)
+    keys = np.flatnonzero(low == ids)
+    block = np.zeros(2 * n + (len(keys) + 2) * w, np.uint64)
+    block[n + keys] = np.arange(len(keys))
+    bits = np.zeros((len(keys) + 2, n), bool)
+    bits[0] = low == ids
+    bits[1:-1] = low >= keys[:, None]
+    block[2 * n:] = _words(bits).ravel()
+    return block
+
+
 class _PlainCall:
-    """One search's buffers for the compiled loop.  ``buf`` holds the int64
-    words that ``_plain.c`` reads: n, W, the callback's address, the row
-    stack's address, max_nodes, step, timed and slack, written here once;
-    improved and ties, which the loop writes; k, best, nodes, check_at,
-    tied and the seconds remaining (a double), then the prefix (n words),
-    written at each hand-over; the witness (n), the tie mask (W) and the
-    candidate stack.  A bytearray, not a ctypes array: ctypes keeps an
-    array type only while an array of it lives, and building the type
-    again cost about 20 us a search.  The remaining time and the callback
-    go in the buffer, not as arguments: ctypes converted each in about
-    0.2-0.4 us a call.  The row stack, as large as the word array, is an
-    anonymous map from ``_MAPPED_ROWS`` bytes on, so only the pages that a
-    search writes become resident, and a bytearray below, where a map and
-    its page faults cost about 15 us a search.
+    """One search's buffers for the compiled loop, called once per start.
+    ``buf`` holds the int64 words that ``_plain.c`` reads: n, W, the
+    callback's address, the row stack's address, max_nodes, step, timed,
+    slack and the setwise test's spare, written here once; best, nodes,
+    check_at and the count, which the loop carries across the starts; k,
+    the start's state block, weight, counting and group flags and the
+    seconds remaining (a double), then the prefix (n words), written per
+    start; the witness (n), and the stacks of candidates, tie masks (the
+    search's own first) and chosen members.  A bytearray, not a ctypes
+    array: ctypes keeps an array type only while an array of it lives, and
+    building the type again cost about 20 us a search.  The remaining time
+    and the callback go in the buffer, not as arguments: ctypes converted
+    each in about 0.2-0.4 us a call.  The row stack, as large as the word
+    array, is an anonymous map from ``_MAPPED_ROWS`` bytes on, so only the
+    pages that a search writes become resident, and a bytearray below,
+    where a map and its page faults cost about 15 us a search.
 
-    ``keep(S)`` keeps a tied set, given its whole path S + [v]; the loop
-    calls it back through ``_keep``.  An exception in ``keep`` stops the
-    loop and is handed back to be raised: left to ctypes, it would be
-    printed and dropped, and the count would be wrong."""
+    The loop calls back (``_back``) to keep a tied set, given its whole
+    path S + [v] (``keep``); to derive the child of a state on its first
+    use, which ``_Symmetry`` memoises as for the Python loop, and to make
+    a new state's block (:func:`_state_words`); and to test a prefix
+    setwise (``_lead``).  An exception in a callback stops the loop and is
+    handed back to be raised: left to ctypes, it would be printed and
+    dropped, and the search would go on."""
 
-    def __init__(self, loop, words, slack, keep, max_nodes, step, timed):
+    def __init__(self, loop, words, slack, keep, tie, best, max_nodes, step, check_at, deadline):
         n, _, w = words.shape
         self.loop = loop
-        self.width = 8 * w
-        self.witness = 128 + 8 * n  # byte offsets of the witness,
-        self.tie_at = 128 + 16 * n  # the tie mask
-        self.cand = self.tie_at + self.width  # and the candidate stack
-        self.buf = bytearray(self.cand + (n + 1) * self.width)
-        self.tie = 0  # the tie mask in the buffer
+        self.n, self.w = n, w
+        self.witness = 8 * (_HEADER + n)  # byte offsets of the witness
+        self.cand = self.witness + 8 * n  # and the candidate stack; the tie stack follows
+        stack = 8 * w * (n + 1)
+        self.buf = bytearray(self.cand + 3 * stack)
+        self.buf[self.cand + stack:self.cand + stack + 8 * w] = tie.to_bytes(8 * w, "little")
         self.keep = keep
-        self.error = None  # the exception that stopped the callback
-        self.callback = _KEEPER(self._keep)  # held while the loop may call it
+        self.deadline = deadline
+        self.group = None  # the whole group's state while the max-search runs
+        self.error = None  # the exception that stopped a callback
+        self.blocks = {}  # id(state) -> its block's address
+        self.states = {}  # a block's address -> (state, block)
+        self.callback = _CALLBACK(self._back)  # held while the loop may call it
         if words.nbytes < _MAPPED_ROWS:
             rows = bytearray(words.nbytes)
         else:
@@ -706,35 +746,65 @@ class _PlainCall:
         self.views = [ctypes.c_char.from_buffer(b) for b in (words, self.buf, rows)]
         allowed, buf, rows = map(ctypes.addressof, self.views)
         self.args = allowed, buf
-        struct.pack_into("2q2Q4q", self.buf, 0, n, w, ctypes.cast(self.callback, ctypes.c_void_p).value, rows,
-                         max_nodes, step, timed, slack)
+        struct.pack_into("2q2Q8q", self.buf, 0, n, w, ctypes.cast(self.callback, ctypes.c_void_p).value, rows,
+                         max_nodes, step, deadline is not None, slack, _LEADER_TEST_MIN_SPARE, best, 0, check_at)
+
+    def _back(self, op, a, b):
+        # KEEP, DERIVE and LEAD of _plain.c; a negative return stops the loop
+        try:
+            if op == 0:
+                self._keep(a)
+            elif op == 1:
+                self._derive(a, b)
+            else:
+                return 1 if self._lead(a) else 0
+        except BaseException as exc:  # KeyboardInterrupt too
+            self.error = exc
+            return -1
+        return 0
+
+    def _path(self, k1):
+        return list(struct.unpack_from(f"{k1}q", self.buf, 8 * _HEADER))
 
     def _keep(self, k1):
         # a tied set of k1 >= best members, S[:k1] in the buffer
-        try:
-            self.keep(list(struct.unpack_from(f"{k1}q", self.buf, 128)))
-        except BaseException as exc:  # KeyboardInterrupt too
-            self.error = exc
-            return 1
-        return 0
+        self.keep(self._path(k1))
 
-    def __call__(self, S, cand, tie, tied, best, nodes, check_at, remaining):
-        """The plain subtree of S and ``cand`` in C, with the search's
-        slack and budget, keeping the sets that meet ``tie`` (``tied``: S
-        already does): (best, nodes, check_at, the last new best's witness
-        or None, the untied sets of the final best size, and what stopped
-        the loop: 0 nothing, 1 the budget, 2 ``self.error``)."""
+    def _lead(self, k1):
+        # the setwise leader test of S[:k1] against the whole group
+        return self.group.sym.orbit_weight(self.group, self._path(k1), self.deadline)
+
+    def _derive(self, at, v):
+        state, block = self.states[at]
+        child = state[v]
+        block[v] = 1 if child is None else self._block(child)
+
+    def _block(self, state):
+        at = self.blocks.get(id(state))
+        if at is None:
+            block = _state_words(state.low, self.n, self.w)
+            at = self.blocks[id(state)] = block.ctypes.data
+            self.states[at] = state, block
+        return at
+
+    def __call__(self, S, cand, weight, state, counting, group):
+        """The start (S, ``cand``, ``weight``, ``state``) in C, counting
+        orbit sizes and ties if ``counting``, testing prefixes setwise
+        against ``group`` if it is not None: (best, nodes, count, the last
+        new best's witness or None, and what stopped the loop: 0 nothing,
+        1 the budget, 2 ``self.error``)."""
         buf = self.buf
         k = len(S)
-        struct.pack_into(f"5qd{k}q", buf, 80, k, best, nodes, check_at, tied, remaining, *S)
-        if tie != self.tie:
-            buf[self.tie_at:self.cand] = tie.to_bytes(self.width, "little")
-            self.tie = tie
-        buf[self.cand:self.cand + self.width] = cand.to_bytes(self.width, "little")
+        self.group = group
+        remaining = 0.0 if self.deadline is None else self.deadline - time.monotonic()
+        struct.pack_into(f"qQ3qd8x{k}q", buf, 8 * 14, k, 0 if state is None else self._block(state), weight,
+                         counting, group is not None, remaining, *S)
+        buf[self.cand:self.cand + 8 * self.w] = cand.to_bytes(8 * self.w, "little")
         stopped = self.loop(*self.args)
-        improved, ties, _, best, nodes, check_at = struct.unpack_from("6q", buf, 64)
+        best, nodes, _, lo, hi = struct.unpack_from("2q3Q", buf, 8 * 9)
+        improved = struct.unpack_from("q", buf, 8 * 20)[0]
         witness = list(struct.unpack_from(f"{best}q", buf, self.witness)) if improved else None
-        return best, nodes, check_at, witness, ties, stopped
+        return best, nodes, hi << 64 | lo, witness, stopped
 
 
 # ----------------------------------------------------------------------
@@ -758,46 +828,47 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
     ``state`` is None, or the :class:`_Prefix` of S: then each node
     branches only on the orbit-minimal vertices of its prefix's stabilizer
     and drops the candidates whose orbit starts below the branch vertex,
-    until a prefix's stabilizer acts trivially and its subtree runs the
-    plain loop.  The filter keeps the lex-first maximum set for the
-    max-search and the orbit leaders for counting and enumeration (see the
-    module docstring).  In the max-search (``slack=1`` from the empty
-    prefix, whose state is the whole group's), a prefix S whose subtree
-    runs the plain loop is first tested setwise: if S has at least three
-    members and at least ``_LEADER_TEST_MIN_SPARE`` candidates beyond the
-    bound's need (|S| + |cand| - bar), the subtree is skipped unless S is
-    the lexicographically least set of its orbit under the whole group
-    (:meth:`_Symmetry.orbit_weight` from that state); every prefix of the
-    lex-first maximum set passes.  Counting keeps ties under a state
-    (``slack=0`` without ``sets``, with S = [r]) by orbit leaders: a set
-    S + T adds its root's weight times the size of T's orbit under the
-    state's group if T is the orbit's lexicographically least set, else
-    nothing.  Under a state, ``sets`` receives only the sets the filter
-    reaches, the least set of every orbit among them, for the caller to
-    close under the group.
+    until a prefix's stabilizer acts trivially and every node below
+    branches on every candidate.  The filter keeps the lex-first maximum
+    set for the max-search and the orbit leaders for counting and
+    enumeration (see the module docstring).  In the max-search (``slack=1``
+    from the empty prefix, whose state is the whole group's), a prefix S
+    whose stabilizer turns trivial is first tested setwise: if S has at
+    least three members and at least ``_LEADER_TEST_MIN_SPARE`` candidates
+    beyond the bound's need (|S| + |cand| - bar), the subtree is skipped
+    unless S is the lexicographically least set of its orbit under the
+    whole group (:meth:`_Symmetry.orbit_weight` from that state); every
+    prefix of the lex-first maximum set passes.  Counting keeps ties under
+    a state (``slack=0`` without ``sets``, with S = [r]) by orbit leaders:
+    a set S + T adds its root's weight times the size of T's orbit under
+    the state's group if T is the orbit's lexicographically least set,
+    else nothing.  Under a state, ``sets`` receives only the sets the
+    filter reaches, the least set of every orbit among them, for the
+    caller to close under the group.
 
     Returns (best, count, witness, nodes, complete): ``count`` sums the
     weight of each set of size best reached: the start's weight, times T's
-    orbit sizes once a counting subtree runs the plain loop.  ``witness``
-    is the first of those sets (the given one if none beat it), and
-    ``complete`` is False when the budget ran out.
+    orbit sizes when counting.  ``witness`` is the first of those sets (the
+    given one if none beat it), and ``complete`` is False when the budget
+    ran out.
 
-    Every subtree below a trivial stabilizer runs in the compiled loop of
-    ``_plain.c`` when it loads, with the same slack: the same nodes in the
-    same order, the same budget polls, and the same returns.  Both loops
-    hand each set of at least the best size that meets the tie mask to
-    ``keep`` before the best is updated, the compiled loop through a
-    callback.  The mask starts with every vertex when enumerating, else
-    empty, and counting adds its members' orbits: the untied sets count
-    at the subtree's weight, and ``keep`` holds the tied ones of the
-    largest size reached (in ``sets`` when enumerating).  Once every root
-    is done, inside the budget's clock, counting adds its root's weight
-    times ``orbit_weight`` of T for each kept set of the final size, so a
-    budget that stops the search weighs none.  An exception raised in
-    ``keep`` stops the compiled loop and is raised again from
-    ``rec_plain`` once the nodes, best and count so far are read back.
-    Without the compiled loop, the same subtrees run ``rec_sym`` without a
-    state, which visits the same nodes.
+    One loop runs every node, per backend: with a compiler, one call of
+    ``_plain.c`` per start (:class:`_PlainCall`), else ``rec_sym``; both
+    visit the same nodes in the same order, poll the budget at the same
+    nodes and return the same values.  Python keeps the states: the
+    compiled loop calls back to derive a state's child on its first use
+    and to run the setwise test.  Both loops hand each set of at least the
+    best size that meets the tie mask to ``keep`` before the best is
+    updated, the compiled loop through the same callback.  The mask
+    starts with every vertex when enumerating, else empty, and counting
+    adds its members' orbits: the untied sets count at their weight, and
+    ``keep`` holds the tied ones of the largest size reached (in ``sets``
+    when enumerating).  Once every root is done, inside the budget's
+    clock, counting adds its root's weight times ``orbit_weight`` of T for
+    each kept set of the final size, so a budget that stops the search
+    weighs none.  An exception raised in a callback stops the compiled
+    loop and is raised again once the nodes, best and count so far are
+    read back.
     """
     best = len(witness)
     bar = best + slack
@@ -817,7 +888,6 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
     check_at = min(max_nodes, 1 if deadline is not None else step)
 
     allowed = index.allowed_tables()
-    plain = None  # the compiled loop's buffers, made at the first plain subtree; False: the Python loop
 
     def keep(S):
         # a tied set either loop reached, weighed or listed once the search
@@ -828,39 +898,17 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
         kept.append(S)
         return 0
 
-    def rec_plain(S, rows, cand, weight, size, tie, chosen):
-        # a subtree below a trivial stabilizer: in the compiled loop when it
-        # loads, else rec_sym without a state
-        nonlocal best, bar, count, witness, nodes, check_at, plain
-        if plain is None:
-            loop = _plain_loop()
-            plain = _PlainCall(loop, index.words, slack, keep, max_nodes, step, deadline is not None) if loop else False
-        if not plain:
-            return rec_sym(S, rows, cand, None, size, tie, chosen, weight)
-        if not tie & (chosen | cand):
-            tie = 0
-        remaining = 0.0 if deadline is None else deadline - time.monotonic()
-        best, nodes, check_at, found, ties, stopped = plain(
-            S, cand, tie, bool(tie & chosen), best, nodes, check_at, remaining)
-        bar = best + slack
-        if found is not None:
-            witness = found
-            count = 0
-        count += weight * size * ties
-        if stopped:
-            raise BudgetExhausted if stopped == 1 else plain.error
-
     def rec_sym(S, rows, cand, state, size, tie, chosen, weight):
         # the Python loop.  With a state, whose stabilizer moves some
         # vertex, branch only on the orbit-minimal candidates, and pass down
         # from v only the candidates whose orbit starts at or above v; with
-        # none, below a trivial stabilizer when the compiled loop is not
-        # there, branch on every candidate.  When counting (lead is set), T
-        # is S without its root and ``chosen`` is T as a bitset; ``size`` is
-        # the product of the orbit sizes of T's members, each under the
-        # state it was chosen in, and ``tie`` the union of those orbits less
-        # the members themselves.  A set that meets no tie is the leader of
-        # an orbit of ``size`` sets; one that does goes to keep.
+        # none, below a trivial stabilizer, branch on every candidate.  When
+        # counting (lead is set), T is S without its root and ``chosen`` is
+        # T as a bitset; ``size`` is the product of the orbit sizes of T's
+        # members, each under the state it was chosen in, and ``tie`` the
+        # union of those orbits less the members themselves.  A set that
+        # meets no tie is the leader of an orbit of ``size`` sets; one that
+        # does goes to keep.
         nonlocal best, bar, count, witness, nodes, check_at
         k = len(S)
         k1 = k + 1
@@ -901,47 +949,47 @@ def _dfs(index, starts, witness, limits, slack, sets=None):
                 S.append(v)
                 rows.append(allowed[v])
                 child = None if state is None else state[v]
-                if child is not None or state is None:
-                    # a subtree already plain goes on in this loop: the
-                    # setwise test below runs once per path
+                # below a trivial stabilizer every set weighs vsize unless
+                # it meets a tie; the max-search first drops S if some
+                # automorphism maps it below itself (once per path)
+                if child is not None or state is None or group is None or k1 < 3 \
+                        or k1 + nc.bit_count() - bar < _LEADER_TEST_MIN_SPARE \
+                        or group.sym.orbit_weight(group, S, deadline):
                     rec_sym(S, rows, nc, child, vsize, vtie, chosen | bit, weight)
-                elif group is None or k1 < 3 or k1 + nc.bit_count() - bar < _LEADER_TEST_MIN_SPARE \
-                        or orbit_weight(group, S, deadline):
-                    # no symmetry: every set below weighs vsize unless it
-                    # meets a tie; the max-search first drops S if some
-                    # automorphism maps it below itself
-                    rec_plain(S, rows, nc, weight, vsize, vtie, chosen | bit)
                 rows.pop()
                 S.pop()
 
-    # counting's root state, the max-search's whole-group state, the orbit
-    # weigher that both call, and the tie mask, every vertex to enumerate
-    lead = group = orbit_weight = None
+    # counting's root state, the max-search's whole-group state, and the
+    # tie mask, every vertex to enumerate
+    lead = group = None
     tie = (1 << index.n) - 1 if sets is not None else 0
     kept = [] if sets is None else sets  # the tied sets of the largest size reached
     leads = {}  # counting: root -> (its weight, its state)
     try:
         if max_nodes == 0:
             raise BudgetExhausted
+        loop = _plain_loop()
+        call = loop and _PlainCall(loop, index.words, slack, keep, tie, best, max_nodes, step, check_at, deadline)
         for S, cand, weight, state in starts:
             lead = state if slack == 0 and sets is None else None
             group = state if slack and not S else None
-            if state is not None:
-                orbit_weight = state.sym.orbit_weight
             if lead is not None:
                 leads[S[0]] = weight, lead
-            rows = [allowed[v] for v in S]
-            if state is None:
-                rec_plain(list(S), rows, cand, weight, 1, tie, 0)
-            else:
-                rec_sym(list(S), rows, cand, state, 1, tie, 0, weight)
+            if not call:
+                rec_sym(list(S), [allowed[v] for v in S], cand, state, 1, tie, 0, weight)
+                continue
+            best, nodes, count, found, stopped = call(S, cand, weight, state, lead is not None, group)
+            if found is not None:
+                witness = found
+            if stopped:
+                raise BudgetExhausted if stopped == 1 else call.error
         # each kept set of the final size weighs its root's weight times
         # its orbit's size under the root's state; each listed set counts once
         if sets is None:
             for T in kept:
                 if len(T) == best:
                     weight, lead = leads[T[0]]
-                    count += weight * orbit_weight(lead, T[1:], deadline)
+                    count += weight * lead.sym.orbit_weight(lead, T[1:], deadline)
         else:
             count += len(sets)
     except BudgetExhausted:
