@@ -151,7 +151,7 @@ class FactorGraph:
     families and ``None`` for explicit graphs.
     """
 
-    __slots__ = ("kind", "n", "adj", "label", "_table", "_one_hot")
+    __slots__ = ("kind", "n", "adj", "label", "_table", "_one_hot", "_p")
 
     def __init__(self, adjacency):
         sets = [set(ns) for ns in adjacency]
@@ -170,7 +170,7 @@ class FactorGraph:
         if -1 in _bfs_lengths(adj, 0):
             raise ValueError("graph is not connected")
         self.kind, self.n, self.adj, self.label = "explicit", n, adj, None
-        self._table = self._one_hot = None
+        self._table = self._one_hot = self._p = None
 
     # ------------------------------------------------------------------
     # constructors for the standard families, valid by construction, so the
@@ -185,7 +185,7 @@ class FactorGraph:
             raise ValueError(problem)
         g, r = object.__new__(cls), tuple(range(size + _FAMILIES[family][3]))
         g.kind, g.n, g.adj, g.label = kind, len(r), tuple(neighbours(r, i) for i in r), f"{family}{size}"
-        g._table = g._one_hot = None
+        g._table = g._one_hot = g._p = None
         return g
 
     @classmethod

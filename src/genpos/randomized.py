@@ -133,11 +133,11 @@ def _count_bad_triples(D: np.ndarray) -> int:
     return 2 * n * n - n + (hits - n * (n - 1)) // 3 * 2
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _p_of_table(dtype: str, n: int, cells: bytes) -> Fraction:
     """p of the factor whose n x n all-pairs table of this dtype has these
-    bytes, counted once per distinct table in a process: equal tables of
-    distinct factors share a count."""
+    bytes, counted once per distinct table among the last 16: equal tables
+    of distinct factors share a count."""
     return Fraction(_count_bad_triples(np.frombuffer(cells, dtype=dtype).reshape(n, n)), n**3)
 
 
@@ -146,15 +146,18 @@ def p_exact(g: FactorGraph | ProductGraph) -> Fraction:
 
     Factor graphs are counted directly (all n^3 ordered triples) on their
     :attr:`FactorGraph.table`, which is refused above
-    ``MAX_FACTOR_VERTICES`` vertices, once per distinct table in a process;
-    products raise each distinct factor's to its multiplicity instead of
+    ``MAX_FACTOR_VERTICES`` vertices, once per distinct table among the
+    last few, and kept on the factor, so a repeat reads no table; products
+    raise each distinct factor's to its multiplicity instead of
     materializing anything.
     """
     if isinstance(g, ProductGraph):
         return prod(p_exact(f) ** k for f, k in Counter(g.factors).items())
     if not isinstance(g, FactorGraph):
         raise TypeError(f"expected FactorGraph or ProductGraph, got {type(g).__name__}")
-    return _p_of_table(g.table.dtype.str, g.n, g.table.tobytes())
+    if g._p is None:
+        g._p = _p_of_table(g.table.dtype.str, g.n, g.table.tobytes())
+    return g._p
 
 
 def p_exact_restricted(g: FactorGraph, vertices: Iterable[int]) -> Fraction:

@@ -267,6 +267,22 @@ def test_p_exact_is_counted_once_per_table(monkeypatch):
         p_exact(_explicit_path(2001))
 
 
+class _NoBytes(np.ndarray):
+    def tobytes(self, *args, **kwargs):
+        pytest.fail("table copied to bytes")
+
+
+def test_a_repeat_p_exact_reads_no_table(monkeypatch):
+    # the count is kept on the factor: a second call neither copies the
+    # table to bytes nor reaches the content-keyed cache
+    f = FactorGraph.cycle(7)
+    p = p_exact(f)
+    f._table = f.table.view(_NoBytes)
+    monkeypatch.setattr(randomized, "_p_of_table", lambda *args: pytest.fail("table read again"))
+    assert p_exact(f) == p == brute_force_p(FactorGraph.cycle(7))
+    assert p_exact(ProductGraph([f, f])) == p * p
+
+
 def test_odd_cycle_equals_complete_at_the_triangle():
     assert p_exact(FactorGraph.cycle(3)) == p_exact(FactorGraph.complete(3)) == Fraction(5, 9)
 
