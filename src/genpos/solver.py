@@ -677,22 +677,17 @@ def _load_plain():
     return fn
 
 
-def _state_words(low: list[int], n: int, w: int) -> np.ndarray:
-    """A prefix state's block for ``_plain.c``, made from ``low`` (the
-    smallest vertex of each vertex's orbit, :meth:`_Symmetry.orbits`): per
-    vertex its child's block (0 until derived), per orbit-minimal vertex
-    its orbit's row, the mask of the orbit-minimal vertices, and the
-    orbits' keep rows in ascending order, then a zero row."""
-    low = np.array(low)
-    ids = np.arange(n)
-    keys = np.flatnonzero(low == ids)
-    block = np.zeros(2 * n + (len(keys) + 2) * w, np.uint64)
-    block[n + keys] = np.arange(len(keys))
-    bits = np.zeros((len(keys) + 2, n), bool)
-    bits[0] = low == ids
-    bits[1:-1] = low >= keys[:, None]
-    block[2 * n:] = _words(bits).ravel()
-    return block
+def _state_words(state: _Prefix, n: int, w: int) -> bytearray:
+    """A prefix state's block for ``_plain.c``, made from its orbit table
+    (:meth:`_Symmetry.orbits`), whose keys ascend: per vertex its child's
+    block (0 until derived), per orbit-minimal vertex its orbit's row, the
+    mask of the orbit-minimal vertices, and the orbits' keep rows in
+    ascending order, then a zero row."""
+    slots = [0] * n
+    for i, t in enumerate(state.keep):
+        slots[t] = i
+    rows = (state.mask, *state.keep.values(), 0)
+    return bytearray(8 * n) + struct.pack(f"{n}q", *slots) + b"".join(x.to_bytes(8 * w, "little") for x in rows)
 
 
 class _PlainCall:
@@ -735,7 +730,7 @@ class _PlainCall:
         self.group = None  # the whole group's state while the max-search runs
         self.error = None  # the exception that stopped a callback
         self.blocks = {}  # id(state) -> its block's address
-        self.states = {}  # a block's address -> (state, block)
+        self.states = {}  # a block's address -> (state, block, its ctypes view)
         self.callback = _CALLBACK(self._back)  # held while the loop may call it
         if words.nbytes < _MAPPED_ROWS:
             rows = bytearray(words.nbytes)
@@ -775,16 +770,17 @@ class _PlainCall:
         return self.group.sym.orbit_weight(self.group, self._path(k1), self.deadline)
 
     def _derive(self, at, v):
-        state, block = self.states[at]
+        state, block, _ = self.states[at]
         child = state[v]
-        block[v] = 1 if child is None else self._block(child)
+        struct.pack_into("Q", block, 8 * v, 1 if child is None else self._block(child))
 
     def _block(self, state):
         at = self.blocks.get(id(state))
         if at is None:
-            block = _state_words(state.low, self.n, self.w)
-            at = self.blocks[id(state)] = block.ctypes.data
-            self.states[at] = state, block
+            block = _state_words(state, self.n, self.w)
+            view = ctypes.c_char.from_buffer(block)
+            at = self.blocks[id(state)] = ctypes.addressof(view)
+            self.states[at] = state, block, view
         return at
 
     def __call__(self, S, cand, weight, state, counting, group):

@@ -822,8 +822,8 @@ def test_the_compiled_loop_stops_at_the_same_node(max_nodes, monkeypatch):
 
 
 def _loop_stops(monkeypatch, run):
-    """(run(), what stopped each compiled subtree of it, in order: 0
-    nothing, 1 the budget, 2 an exception in keep)."""
+    """(run(), what stopped each compiled call of it, one per start, in
+    order: 0 nothing, 1 the budget, 2 an exception in a callback)."""
     call = solver._PlainCall.__call__
     stops = []
 
@@ -844,7 +844,7 @@ def test_the_loops_agree_node_for_node_at_every_width(spec, cap, words, nodes, m
     # the compiled loop is built for rows of 1 to 4 words and once more for
     # a width read at run time, which P17xP17 (289 vertices) takes: each
     # host runs a max-search, a count that keeps ties and a max-search
-    # that a node budget stops inside a compiled subtree, halfway or at
+    # that a node budget stops inside the compiled loop, halfway or at
     # 250,000 nodes.  Counting P17xP17 takes 10 s in Python, so its count
     # stops at that budget too
     g = build(spec, cap=None)
@@ -864,7 +864,7 @@ def test_the_loops_agree_node_for_node_at_every_width(spec, cap, words, nodes, m
         assert c[0] == p[0] and p[1] == []
     assert compiled[1][0][1][1:3] == (stop, False)
     if solver.plain_loop_backend() == "c":
-        assert compiled[1][1][-1] == 1  # the budget stopped a compiled subtree
+        assert compiled[1][1][-1] == 1  # the budget stopped the compiled call
         assert compiled[2][1] and compiled[2][1][-1] == (1 if words > 4 else 0)
 
 
@@ -893,6 +893,118 @@ def test_an_expired_time_limit_stops_the_compiled_loop_at_its_first_node(monkeyp
     assert compiled == python == (1, 0, [0], 1, False)  # stopped before its tie is counted
     searched, _ = _both_loops(monkeypatch, lambda: _max_search(monkeypatch, g, SearchLimits(time_limit=0)))
     assert searched[1][1:3] == (1, False)
+
+
+def _compiled_calls(monkeypatch, run):
+    """(run(), the number of calls into the loaded compiled loop), or
+    (run(), None) without a compiler."""
+    loop = solver._plain_loop()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_plain_loop", lambda: spy if loop else None)
+        return run(), len(calls) if loop else None
+
+
+def test_each_start_is_one_compiled_call(monkeypatch):
+    # the loop runs every node of a start, under a state or not, so a
+    # max-search and an enumeration make one call, a count one per root
+    # orbit and the cover bound one per piece
+    g = build("C6xC6")
+    assert _compiled_calls(monkeypatch, lambda: gp_exact(g).gp_value)[1] in (1, None)
+    assert _compiled_calls(monkeypatch, lambda: enumerate_maximum_gp_sets(g)[0])[1] in (1, None)
+    roots = len(_root_orbit_table(build("P4^3"))[1])
+    assert _compiled_calls(monkeypatch, lambda: count_maximum_gp_sets(build("P4^3")))[1] in (roots, None)
+    cover = torus_quadrant_cover(6, 6)
+    assert _compiled_calls(monkeypatch, lambda: isometric_cover_bound(g, cover))[1] in (len(cover), None)
+
+
+def test_an_exception_deriving_a_state_reaches_the_caller_on_both_loops(monkeypatch, capfd):
+    # the fifth state derived raises: the Python loop derives it in
+    # rec_sym, the compiled loop in its callback, which stops the loop
+    extend = _Symmetry.extend
+    derived = []
+
+    def spy(self, state, v):
+        derived.append(v)
+        if len(derived) == 5:
+            raise KeyboardInterrupt
+        return extend(self, state, v)
+
+    def run():
+        derived.clear()
+        with pytest.raises(KeyboardInterrupt):
+            gp_exact(build("K2^6"))
+        return list(derived)
+
+    monkeypatch.setattr(_Symmetry, "extend", spy)
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python and len(compiled) == 5
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_time_limit_expiring_in_the_setwise_test_stops_both_loops_alike(monkeypatch):
+    # C5^3's max-search runs the setwise test 215 times; the clock expires
+    # inside the tenth, whose orbit_weight raises BudgetExhausted
+    def run():
+        clock = _Clock()
+        callers = _stop_at_the_weighing(monkeypatch, 9, clock.expire)
+        monkeypatch.setattr(solver, "time", clock)
+        out = _max_search(monkeypatch, build("C5^3"), SearchLimits(time_limit=1))
+        return out, len(callers)
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python
+    assert compiled[1] == 10 and compiled[0][1][2] is False
+
+
+@pytest.mark.parametrize("spec", ["K2^6", "K4^3", "C4^3", "K3^4"])
+@pytest.mark.parametrize("max_nodes", [1, 2, 5, 17, 60])
+def test_the_loops_stop_alike_at_a_state_node(spec, max_nodes, monkeypatch):
+    # the first nodes of these hosts lie under prefix states, so each
+    # budget stops the max-search, the count and the enumeration at a node
+    # that branches on orbit-minimal vertices only
+    g = build(spec)
+    limits = SearchLimits(max_nodes=max_nodes)
+    n = g.total_vertices
+
+    def run():
+        sets = []
+        start = ([], (1 << n) - 1, 1, _Symmetry(g).root())
+        listed = solver._dfs(BadTripleIndex.build(g), [start], [], limits, slack=0, sets=sets)
+        return _max_search(monkeypatch, g, limits), _count(monkeypatch, g, limits, cap=None), (listed, sets)
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python
+    assert compiled[0][0][-1][3:] == compiled[1][0][-1][3:] == compiled[2][0][3:] == (max_nodes, False)
+
+
+@pytest.mark.parametrize("spec", ["K2^6", "C4^3", "K3^3"])
+def test_counts_past_int64_agree_on_both_loops(spec, monkeypatch):
+    # a root weight of 2^62 takes the compiled loop's set weights past
+    # int64: under a state each such set goes to keep and is weighed
+    # exactly, and a start without one sums into a second word
+    g = build(spec)
+    index = BadTripleIndex.build(g)
+    n = g.total_vertices
+    big = 1 << 62
+
+    def run():
+        out = []
+        for state in (_Symmetry(g).root()[0], None):
+            small = solver._dfs(index, [([0], (1 << n) - 2, 1, state)], [], None, slack=0)
+            large = solver._dfs(index, [([0], (1 << n) - 2, big, state)], [], None, slack=0)
+            out.append((small, large))
+        return out
+
+    compiled, python = _both_loops(monkeypatch, run)
+    assert compiled == python
+    for small, large in compiled:
+        assert large[1] == big * small[1] >= 1 << 64
 
 
 COUNT_HOSTS = ["P4xP4", "P4xP5", "P5xP5", "P6xP6", "P8xP8", "P6xC6", "C8xC7", "C8xC8", "C7xC9", "K2^6", "P4^3",
