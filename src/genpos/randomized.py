@@ -133,10 +133,10 @@ def _count_bad_triples(D: np.ndarray) -> int:
     return 2 * n * n - n + (hits - n * (n - 1)) // 3 * 2
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)  # verify-paper's claims read 22 distinct tables; 16 thrashed
 def _p_of_table(dtype: str, n: int, cells: bytes) -> Fraction:
     """p of the factor whose n x n all-pairs table of this dtype has these
-    bytes, counted once per distinct table among the last 16: equal tables
+    bytes, counted once per distinct table among the last 64: equal tables
     of distinct factors share a count."""
     return Fraction(_count_bad_triples(np.frombuffer(cells, dtype=dtype).reshape(n, n)), n**3)
 
