@@ -152,6 +152,7 @@ import shutil
 import struct
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,17 +244,10 @@ def _allowed_tables(D: np.ndarray) -> np.ndarray:
         r = np.arange(len(A))
         ok[r, A] = True
         ok[r, B] = True
-        table[A, B] = table[B, A] = _words(ok)
+        packed = np.zeros((len(A), 8 * w), np.uint8)  # little-endian words, zero-padded
+        packed[:, :-(-n // 8)] = np.packbits(ok, axis=1, bitorder="little")
+        table[A, B] = table[B, A] = packed.view("<u8")
     return table
-
-
-def _words(bits: np.ndarray) -> np.ndarray:
-    """Rows of booleans over n vertices as rows of 64-bit words, bit u in
-    bit u % 64 of word u // 64, the last word zero-padded."""
-    n = bits.shape[-1]
-    packed = np.zeros(bits.shape[:-1] + (8 * -(-n // 64),), np.uint8)  # little-endian words
-    packed[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view("<u8")
 
 
 class _IntRows(dict):
@@ -683,11 +677,11 @@ def _state_words(state: _Prefix, n: int, w: int) -> bytearray:
     block (0 until derived), per orbit-minimal vertex its orbit's row, the
     mask of the orbit-minimal vertices, and the orbits' keep rows in
     ascending order, then a zero row."""
-    slots = [0] * n
+    slots = array("q", bytes(8 * n))
     for i, t in enumerate(state.keep):
         slots[t] = i
     rows = (state.mask, *state.keep.values(), 0)
-    return bytearray(8 * n) + struct.pack(f"{n}q", *slots) + b"".join(x.to_bytes(8 * w, "little") for x in rows)
+    return bytearray(8 * n) + slots + b"".join([x.to_bytes(8 * w, "little") for x in rows])
 
 
 class _PlainCall:
