@@ -47,12 +47,23 @@ value and the witness do not change.  It is the min-image backtrack of
 :meth:`_Symmetry.orbit_weight` run from the empty prefix's state and
 costs tens of microseconds, so it runs only on subtrees with at least
 ``_LEADER_TEST_MIN_SPARE`` spare candidates, beyond those the bound needs
-to beat the incumbent.  Re-measured on the compiled loop, the gate stays:
-with no test C5^3 takes 581,991 nodes, not 318,875, and testing every
-hand-over of three or more members took K4^3 from 8 to 40-67 ms.  Nor does
-it run on prefixes of one or two members, which pass it whenever some
-automorphism t swaps the two, as on every product of cycles and
-complete graphs.  s1 is the least of its orbit, no image of s2 lies
+to beat the incumbent.  Measured with the test as a callback from the
+compiled loop (nodes, then ms, medians of 5 calls in two runs, 2-core
+x86-64 VM, ``cap=None``):
+
+    host      gate 20 (kept)      no test             every prefix of >= 3
+    C9xC9        13,610  1.7-1.9     14,924  1.4-1.6      12,474   2.4-2.6
+    C10xC10      14,600  2.8-3.2     15,548  2.1-2.4      12,952   3.8-4.0
+    K4^3          4,143  1.6-2.1      4,143  1.7-1.9       2,228    33-44
+    C5^3        318,875  13.8-14.4  581,991 15.4-16.8    287,803    25-30
+    C6^3      1,421,783    75-77   2,642,303   97-103   1,365,328  112-117
+    K2^8        145,551    46-49     194,676    37-38      92,127  160-202
+
+No single gate wins everywhere: no test is faster on the tori of two
+factors and on K2^8, the gate on C5^3 and C6^3, and the gate's node
+counts are pinned, so it stays at 20.  Nor does it run on prefixes of
+one or two members, which pass it whenever some automorphism t swaps
+the two, as on every product of cycles and complete graphs.  s1 is the least of its orbit, no image of s2 lies
 below s1 (the keep filter), and s2 is the least of its orbit under
 Stab(s1).  So an image below (s1, s2) can only be {s1, g(s1)} with
 g(s2) = s1; then gt fixes s1, and g(s1) = gt(s2) >= s2.  Counting and
