@@ -635,9 +635,8 @@ def _plain_loop():
 
 
 def plain_loop_backend() -> str:
-    """"c" when the plain subtrees of searches without a set list run
-    compiled, else "python" (loads the compiled loop if no search has
-    yet)."""
+    """"c" when searches run in the compiled loop, else "python" (loads
+    the compiled loop if no search has yet)."""
     return "c" if _plain_loop() else "python"
 
 
@@ -685,8 +684,8 @@ def _load_plain():
 def _state_words(state: _Prefix, n: int, w: int) -> bytearray:
     """A prefix state's block for ``_plain.c``, made from its orbit table
     (:meth:`_Symmetry.orbits`), whose keys ascend: per vertex its child's
-    block (0 until derived), per orbit-minimal vertex its orbit's row, the
-    mask of the orbit-minimal vertices, and the orbits' keep rows in
+    block (0 until derived), per orbit-minimal vertex the index of its
+    orbit's keep row, the mask of the orbit-minimal vertices, and the orbits' keep rows in
     ascending order, then a zero row."""
     slots = array("q", bytes(8 * n))
     for i, t in enumerate(state.keep):
