@@ -4,9 +4,11 @@
    poll, witness, count and tie updates.  One call runs one start of _dfs,
    every node of it: the nodes under a prefix state (sym, below), which
    branch only on the state's orbit-minimal candidates, and the plain
-   nodes below a trivial stabilizer (rec).  Built and loaded with ctypes
-   by genpos.solver on the first search; without a C compiler the Python
-   loop runs instead.
+   nodes below a trivial stabilizer (rec).  Beside it, genpos_index
+   builds the words that the loop reads (at the end of this comment).
+   Built and loaded with ctypes by genpos.solver on the first index build
+   or search; without a C compiler the Python loop runs instead, on words
+   built in numpy.
 
    allowed: n x n x W words, allowed[(a*n + b)*W + j] holding bits
    64j..64j+63 of the vertices completing no bad triple with a and b.
@@ -59,7 +61,20 @@
    run time.
    Returns 0 when the start is done, 1 when the node or time budget
    stopped it, and 2 when a callback raised; the header is written back
-   in every case. */
+   in every case.
+
+   genpos_index(D, n, W, diam, R, words) builds the allowed words above
+   for BadTripleIndex from D, the n x n int32 distance matrix of diameter
+   diam, row-major.  It writes words, which the caller zeroes, for every
+   pair a != b and leaves the diagonal zero.  R is its scratch, also
+   zeroed by the caller: n x (diam + 1) x W words, R[x][d] the bitset of
+   the vertices u with d(x, u) = d.  As diam < n, R is at most the size
+   of words.  For a pair (a, b) at distance d, u completes a bad triple
+   when it lies between a and b, the OR over e <= d of R[a][e] & R[b][d - e];
+   when a lies between u and b, R[a][e] & R[b][e + d]; or when b lies
+   between a and u, R[b][e] & R[a][e + d].  allowed[a][b] is the
+   complement of that union within the n vertices, plus a and b, and
+   allowed[b][a] its copy: about (2 diam + 3) W word operations a pair. */
 #define _POSIX_C_SOURCE 199309L  /* clock_gettime under a strict -std */
 #include <stdint.h>
 #include <string.h>
@@ -294,4 +309,31 @@ int genpos_plain(const uint64_t *allowed, int64_t *buf)
     if (start)
         return sym(&s, k, cand, rows, tie, tie + (n + 1) * w, start, 1);
     return plain(&s, k, cand, rows, popcount(cand, w), 0);
+}
+
+/* the index's words from D's distance rings (see the header comment) */
+void genpos_index(const int32_t *D, int64_t n, int64_t w, int64_t diam, uint64_t *R, uint64_t *words)
+{
+    int64_t rw = (diam + 1) * w;  /* R[x][d] at x*rw + d*w */
+    uint64_t last = n % 64 ? ((uint64_t)1 << n % 64) - 1 : ~(uint64_t)0;
+    for (int64_t x = 0; x < n; x++)
+        for (int64_t u = 0; u < n; u++)
+            R[x * rw + D[x * n + u] * w + u / 64] |= (uint64_t)1 << (u & 63);
+    for (int64_t a = 0; a < n; a++)
+        for (int64_t b = a + 1; b < n; b++) {
+            int64_t d = D[a * n + b];
+            const uint64_t *ra = R + a * rw, *rb = R + b * rw;
+            uint64_t *ab = words + (a * n + b) * w;
+            for (int64_t e = 0; e <= d; e++)  /* u between a and b */
+                for (int64_t j = 0; j < w; j++)
+                    ab[j] |= ra[e * w + j] & rb[(d - e) * w + j];
+            for (int64_t e = 0; e + d <= diam; e++)  /* a between u and b, b between a and u */
+                for (int64_t j = 0; j < w; j++)
+                    ab[j] |= (ra[e * w + j] & rb[(e + d) * w + j]) | (rb[e * w + j] & ra[(e + d) * w + j]);
+            for (int64_t j = 0; j < w; j++)
+                ab[j] = ~ab[j] & (j < w - 1 ? ~(uint64_t)0 : last);
+            ab[a / 64] |= (uint64_t)1 << (a & 63);
+            ab[b / 64] |= (uint64_t)1 << (b & 63);
+            memcpy(words + (b * n + a) * w, ab, w * sizeof *ab);
+        }
 }

@@ -27,8 +27,8 @@ members.  The ``checker-equivalence`` claim relies on both facts: it runs
 the cores on subsets of a host's listed matrix without validating each
 subset, once per distinct distance pattern, and gives every subset its
 pattern's verdict.  :func:`bad_pair_rows` is the same triple
-test on pairs of rows of a numpy distance matrix: the solver's bad-triple
-index is packed from it, the sampler counts a sample's bad triples and
+test on pairs of rows of a numpy distance matrix: the solver's numpy
+build of the bad-triple index packs it, the sampler counts a sample's bad triples and
 marks their least members with it, and the exact bad-triple probability
 counts its cells.
 Certification (:func:`find_violating_triple` and :meth:`GpSet.certify`)

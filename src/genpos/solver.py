@@ -3,9 +3,12 @@
 The search is a depth-first branch and bound over vertices in flat-index
 order.  A precomputed :class:`BadTripleIndex` holds one word array: for
 every vertex pair, the bitset of vertices completing no bad triple with
-it, packed from the pair-row test :func:`~genpos.position.bad_pair_rows`
-that the sampler shares.  The compiled loop reads the words; the Python
-loop makes a row of ints from them when it first reads it.  Extending the
+it.  With a C compiler ``genpos_index`` in ``_plain.c`` builds it from
+distance-ring bitsets (:func:`_index_words`); without one, or on a long
+path or cycle where the rings cost more, it is packed from the pair-row
+test :func:`~genpos.position.bad_pair_rows` that the sampler shares.
+The compiled loop reads the words; the Python loop makes a row of ints
+from them when it first reads it.  Extending the
 current set by v filters the candidate set with one AND per
 already-chosen vertex.  Subtrees that cannot beat (or, when counting,
 cannot tie) the incumbent are cut with the bound |S| + |candidates|.
@@ -245,7 +248,9 @@ def _allowed_tables(D: np.ndarray) -> np.ndarray:
     distance matrix ``D``: words[a, b] is the bitset of vertices completing
     no bad triple with a and b, bit u in bit u % 64 of word u // 64,
     packed from the chunks of :func:`~genpos.position.bad_pair_rows`.  Its
-    diagonal, which no search reads, is left zero."""
+    diagonal, which no search reads, is left zero.  This is the numpy
+    build, which :func:`_index_words` runs where ``genpos_index`` does
+    not."""
     n = D.shape[0]
     w = -(-n // 64)
     table = np.zeros((n, n, w), np.uint64)
@@ -259,6 +264,26 @@ def _allowed_tables(D: np.ndarray) -> np.ndarray:
         packed[:, :-(-n // 8)] = np.packbits(ok, axis=1, bitorder="little")
         table[A, B] = table[B, A] = packed.view("<u8")
     return table
+
+
+def _index_words(D: np.ndarray) -> np.ndarray:
+    """:func:`_allowed_tables`' word array, built by ``genpos_index`` in
+    ``_plain.c`` when the compiled loop loads.  The kernel ANDs and ORs the
+    distance rings of a and b, about (2 diam + 3) W words a pair, where
+    the numpy test reads n cells; so a matrix with (diam + 1) W > n, such
+    as a long path or cycle, is built in numpy, as it is without a
+    compiler.  The rings, (diam + 1) W words a vertex, are freed on
+    return."""
+    n = D.shape[0]
+    w = -(-n // 64)
+    diam = int(D.max())
+    if _plain_loop() is None or (diam + 1) * w > n:
+        return _allowed_tables(D)
+    D = np.ascontiguousarray(D, np.int32)
+    words = np.zeros((n, n, w), np.uint64)
+    rings = np.zeros((n, diam + 1, w), np.uint64)
+    _loaded.genpos_index(D.ctypes.data, n, w, diam, rings.ctypes.data, words.ctypes.data)
+    return words
 
 
 class _IntRows(dict):
@@ -275,11 +300,13 @@ class _IntRows(dict):
 class BadTripleIndex:
     """Pair-indexed bitsets describing all bad triples of a host graph.
 
-    Its one table is ``words`` (:func:`_allowed_tables`), which the
-    compiled plain loop reads; the build holds besides it the distance
-    matrix and one chunk of :func:`~genpos.position.bad_pair_rows` at a
-    time.  :meth:`build` is the size check of the exact search, counting
-    and enumeration.
+    Its one table is ``words`` (:func:`_allowed_tables`' layout), which
+    the compiled plain loop reads, built by :func:`_index_words`: in
+    ``_plain.c`` from distance rings, or in numpy from the chunks of
+    :func:`~genpos.position.bad_pair_rows`.  The build holds besides it
+    the distance matrix and the rings or one chunk at a time.
+    :meth:`build` is the size check of the exact search, counting and
+    enumeration.
     """
 
     __slots__ = ("n", "words", "_rows")
@@ -294,7 +321,7 @@ class BadTripleIndex:
         """The index of ``g``, refused above ``cap`` vertices before any
         distance is summed (``cap=None`` disables the guard)."""
         _refuse_above(g.total_vertices, cap)
-        return cls(_allowed_tables(flat_distance_matrix(g)))
+        return cls(_index_words(flat_distance_matrix(g)))
 
     def allowed_tables(self) -> dict[int, list[int]]:
         """allowed[a][b] = vertices NOT completing a bad triple with the
@@ -615,7 +642,7 @@ class _Symmetry:
 # ----------------------------------------------------------------------
 # compiled plain loop
 
-_loaded = None  # the compiled loop once loaded, False when it cannot be
+_loaded = None  # the compiled library once loaded, False when it cannot be
 _CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64)  # (op, a, b)
 _MAPPED_ROWS = 1 << 17  # bytes from which the row stack is mapped, not taken from the heap
 _HEADER = 21  # words before S in the loop's buffer (HEADER in ``_plain.c``)
@@ -623,15 +650,15 @@ _HEADER = 21  # words before S in the loop's buffer (HEADER in ``_plain.c``)
 
 def _plain_loop():
     """``genpos_plain`` from ``_plain.c``, compiled and loaded on first use,
-    or None if that fails; the search then runs the Python loop, with the
-    same results."""
+    or None if that fails; the search then runs the Python loop, and the
+    index is built in numpy, with the same results."""
     global _loaded
     if _loaded is None:
         try:
             _loaded = _load_plain()
         except Exception:  # no compiler, no cache, no loader: the fallback is exact
             _loaded = False
-    return _loaded or None
+    return _loaded.genpos_plain if _loaded else None
 
 
 def plain_loop_backend() -> str:
@@ -675,10 +702,12 @@ def _load_plain():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(path).genpos_plain
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = ctypes.c_int
-    return fn
+    lib = ctypes.CDLL(path)
+    lib.genpos_plain.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.genpos_plain.restype = ctypes.c_int
+    lib.genpos_index.argtypes = [ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p, ctypes.c_void_p]
+    lib.genpos_index.restype = None
+    return lib
 
 
 def _state_words(state: _Prefix, n: int, w: int) -> bytearray:
@@ -1129,7 +1158,7 @@ def isometric_cover_bound(
     for flats in flat_sets:
         m = len(flats)
         _refuse_above(m, DEFAULT_SEARCH_CAP)
-        index = BadTripleIndex(_allowed_tables(g.flat_matrix([g.decode(i) for i in flats])))
+        index = BadTripleIndex(_index_words(g.flat_matrix([g.decode(i) for i in flats])))
         best, _, _, _, complete = _dfs(index, [([], (1 << m) - 1, 1, None)], [0], limits, slack=1)
         if not complete:
             raise BudgetExhausted(f"cover bound budget exhausted on a piece of {m} vertices")

@@ -14,6 +14,7 @@ from itertools import combinations, product
 from math import prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1329,6 +1330,83 @@ def test_the_words_and_the_rows_made_from_them_match_the_oracle(spec, monkeypatc
     assert rows and all(rows[a][b] == allowed[a, b] for a in list(rows) for b in range(n) if b != a)
 
 
+def _index_side(monkeypatch, run):
+    """(run(), whether it built an index word array in numpy)."""
+    numpy_build = solver._allowed_tables
+    built = []
+
+    def spy(D):
+        built.append(D.shape)
+        return numpy_build(D)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_allowed_tables", spy)
+        return run(), bool(built)
+
+
+def _check_words(words, D, vertices):
+    """The word array against the oracle on the pairs through ``vertices``
+    of the list matrix D, and its zero diagonal."""
+    n = len(D)
+    assert words.shape == (n, n, -(-n // 64)) and words.dtype == np.uint64
+    assert not words.reshape(n * n, -1)[:: n + 1].any()
+    full = (1 << n) - 1
+    for a in vertices:
+        for b in range(n):
+            if b != a:
+                bad = sum(1 << u for u in _bad_with_oracle(D, a, b))
+                assert int.from_bytes(words[a, b].tobytes(), "little") == full ^ bad
+                assert int.from_bytes(words[b, a].tobytes(), "little") == full ^ bad
+
+
+@pytest.mark.parametrize("spec,numpy_side", [
+    ("K1", False), ("K2", False),
+    ("P3xC5xK3xK2", False),  # 90 vertices, a partial second word
+    ("K2^7", False),  # 128, two full words
+    ("P17xP17", False),  # 289, five words, the loop's run-time width
+    ("P40xP5", False),  # (diam + 1) W = 176, just inside n = 200
+    ("P200", True), ("C200", True),  # 800 and 404 ring words a pair, above n = 200
+])
+def test_the_index_kernel_matches_numpy_and_the_oracle(spec, numpy_side, monkeypatch):
+    # with the compiled loop the index is built by genpos_index, unless the
+    # size rule sends the matrix to numpy; without it, always in numpy.
+    # The two word arrays are equal, and both match the oracle on the
+    # pairs through the first and last vertices and those at a word's edge
+    g = build(spec)
+    n = g.total_vertices
+    (on_c, numpy_c), (on_py, numpy_py) = _both_loops(
+        monkeypatch, lambda: _index_side(monkeypatch, lambda: BadTripleIndex.build(g, cap=None).words))
+    assert numpy_py and numpy_c == (numpy_side or solver.plain_loop_backend() == "python")
+    assert np.array_equal(on_c, on_py)
+    D = bfs_distance_table(g)
+    for words in (on_c, on_py):
+        _check_words(words, D, sorted({0, min(63, n - 1), min(64, n - 1), n // 2, n - 1}))
+
+
+def test_the_index_kernel_builds_a_cover_piece(monkeypatch):
+    # a cover piece's matrix holds the host's distances among its members,
+    # whose flat ids are not 0..m-1: the first quadrant of C6xC6
+    g = build("C6xC6")
+    cover = torus_quadrant_cover(6, 6)
+    pieces = []
+    index_words = solver._index_words
+
+    def spy(D):
+        pieces.append(D)
+        return index_words(D)
+
+    monkeypatch.setattr(solver, "_index_words", spy)
+    assert isometric_cover_bound(g, cover) == 16
+    D = pieces[0]
+    on_c, on_py = _both_loops(monkeypatch, lambda: index_words(D))
+    assert np.array_equal(on_c, on_py)
+    full = bfs_distance_table(g)
+    flats = sorted({g.encode(v) for v in cover[0]})
+    assert D.tolist() == [[full[x][y] for y in flats] for x in flats]
+    for words in (on_c, on_py):
+        _check_words(words, D.tolist(), range(len(flats)))
+
+
 def _fresh_loader(monkeypatch, cache, cc=None):
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     if cc is not None:
@@ -1658,19 +1736,36 @@ def test_index_build_never_holds_a_betweenness_cube():
     assert peak < 16 * 2**20
 
 
-def test_the_index_holds_one_table():
-    # the built index holds its word array (9 MB on C20xC20) and no int
-    # row until a search reads one; eager int tables beside it held about
-    # 7 MiB more
+def _held_after_the_build(monkeypatch):
+    """(C20xC20's index, the bytes tracemalloc sees held once its build
+    returns, whether numpy built it)."""
     g = build("C20xC20")
     tracemalloc.start()
     try:
-        index = BadTripleIndex.build(g, cap=None)
+        index, numpy_built = _index_side(monkeypatch, lambda: BadTripleIndex.build(g, cap=None))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return index, held, numpy_built
+
+
+def test_the_index_holds_one_table(monkeypatch):
+    # the built index holds its word array (9 MB on C20xC20) and no int
+    # row until a search reads one; eager int tables beside it held about
+    # 7 MiB more.  Beside the words the build leaves about 64 KiB, so the
+    # compiled build's rings (400 x 21 x 7 words, 0.46 MiB) would not fit
+    # under the bound if they were kept
+    index, held, numpy_built = _held_after_the_build(monkeypatch)
+    assert numpy_built == (solver.plain_loop_backend() == "python")
     assert len(index.allowed_tables()) == 0
-    assert held <= index.words.nbytes + 2**20
+    assert held <= index.words.nbytes + 2**18
+
+
+def test_the_numpy_index_holds_one_table(monkeypatch):
+    monkeypatch.setattr(solver, "_plain_loop", lambda: None)
+    index, held, numpy_built = _held_after_the_build(monkeypatch)
+    assert numpy_built and len(index.allowed_tables()) == 0
+    assert held <= index.words.nbytes + 2**18
 
 
 # ----------------------------------------------------------------------
