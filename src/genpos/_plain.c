@@ -5,7 +5,8 @@
    every node of it: the nodes under a prefix state (sym, below), which
    branch only on the state's orbit-minimal candidates, and the plain
    nodes below a trivial stabilizer (rec).  Beside it, genpos_index
-   builds the words that the loop reads (at the end of this comment).
+   builds the words that the loop reads, and genpos_orbits each prefix
+   state's block (both at the end of this comment).
    Built and loaded with ctypes by genpos.solver on the first index build
    or search; without a C compiler the Python loop runs instead, on words
    built in numpy.
@@ -27,23 +28,24 @@
    reached since BEST was last raised (the one raising it included).
    IMPROVED is set when the start raised BEST.
 
-   A state block, made by the caller for each prefix state (a stabilizer
-   that moves some vertex), is n + n + W + (m + 1) W words: per vertex v
-   the child state's block (0 until derived, 1 for a trivial stabilizer,
-   else its address) and the row of v's orbit if v is orbit-minimal; the
-   mask of the m orbit-minimal vertices; and per orbit t, in ascending
-   order, keep[t], the vertices whose orbit starts at or above t, then a
-   zero row.  So t's orbit is keep[t] ^ keep[next].  A node v drops the
-   candidates outside keep[v]; when COUNTING, the child carries the
-   product of its members' orbit sizes (the set's weight, times WEIGHT)
-   and the tie mask gains v's orbit less v.  A product that int64 cannot
-   hold is never wrapped: the sets below go to the caller as ties, and it
-   weighs them exactly.
+   A state block, made by genpos_orbits for each prefix state (a
+   stabilizer that moves some vertex), is n + n + W + (m + 1) W words: per
+   vertex v the child state's block (0 until derived, 1 for a trivial
+   stabilizer, else its address) and the row of v's orbit if v is
+   orbit-minimal; the mask of the m orbit-minimal vertices; and per orbit
+   t, in ascending order, keep[t], the vertices whose orbit starts at or
+   above t, then a zero row.  So t's orbit is keep[t] ^ keep[next].  A
+   node v drops the candidates outside keep[v]; when COUNTING, the child
+   carries the product of its members' orbit sizes (the set's weight,
+   times WEIGHT) and the tie mask gains v's orbit less v.  A product that
+   int64 cannot hold is never wrapped: the sets below go to the caller as
+   ties, and it weighs them exactly.
 
    The callback, CALL(op, a, b), is made in three cases.  KEEP, a = k + 1:
    S[:k + 1] is a set of at least BEST members that meets its tie mask,
    handed over before any update.  DERIVE, a = a block, b = v: the child
-   of v is used for the first time; the caller writes it into the block.
+   of v, not pre-marked trivial, is used for the first time; the caller
+   writes it into the block.
    LEAD, a = k + 1: the max-search (GROUP) passes below a trivial
    stabilizer with at least 3 members and at least SPARE candidates beyond
    the bound's need, and S[:k + 1] is tested setwise; 1 searches the
@@ -74,7 +76,25 @@
    when a lies between u and b, R[a][e] & R[b][e + d]; or when b lies
    between a and u, R[b][e] & R[a][e + d].  allowed[a][b] is the
    complement of that union within the n vertices, plus a and b, and
-   allowed[b][a] its copy: about (2 diam + 3) W word operations a pair. */
+   allowed[b][a] its copy: about (2 diam + 3) W word operations a pair.
+
+   genpos_orbits(spec, out) builds one prefix state's block from tables
+   that the caller reads off its factor groups; no family rule is known
+   here.  spec holds n, W, the number P of positions and the number of
+   classes, then per position p its size, its stride, and the addresses
+   of two tables, both 0 where p's group is already trivial: the int64
+   orbit minima of p's factor group and the byte table trivial[c], set
+   when fixing value c too leaves that group trivial.  Then per class its
+   length and its positions.  A vertex's orbit minimum takes each
+   coordinate to its factor orbit's minimum and sorts each class's values
+   ascending over its positions.  out, zeroed here, gets per vertex that
+   minimum (low) and its orbit's size, then the block above (which the
+   search reads from out + 2n), and the return is the words written:
+   4n + (m + 2) W.  The child of an orbit-minimal v is pre-marked 1 when
+   every position turns trivial at v's coordinate and v's coordinates
+   differ within each class, exactly the children whose stabilizer acts
+   trivially, so the loop never calls back for them.  out must hold
+   4n + (n + 2) W words. */
 #define _POSIX_C_SOURCE 199309L  /* clock_gettime under a strict -std */
 #include <stdint.h>
 #include <string.h>
@@ -336,4 +356,60 @@ void genpos_index(const int32_t *D, int64_t n, int64_t w, int64_t diam, uint64_t
             ab[b / 64] |= (uint64_t)1 << (b & 63);
             memcpy(words + (b * n + a) * w, ab, w * sizeof *ab);
         }
+}
+
+/* one prefix state's orbit minima, orbit sizes and block (see the header comment) */
+int64_t genpos_orbits(const int64_t *spec, uint64_t *out)
+{
+    int64_t n = spec[0], w = spec[1], np = spec[2], nc = spec[3], m = 0;
+    const int64_t *pos = spec + 4, *classes = pos + 4 * np;  /* size, stride, lows, trivial per position */
+    uint64_t *low = out, *size = out + n, *child = out + 2 * n, *slot = out + 3 * n, *mask = out + 4 * n;
+    int64_t x[np + 1], y[np + 1];  /* the vertex's coordinates, and their orbit minima */
+    memset(out, 0, (4 * n + w) * sizeof *out);
+    memset(x, 0, np * sizeof *x);
+    for (int64_t v = 0; v < n; v++) {
+        int64_t c = 0;
+        for (int64_t p = 0; p < np; p++) {
+            const int64_t *lows = (const int64_t *)(intptr_t)pos[4 * p + 2];
+            y[p] = lows ? lows[x[p]] : x[p];
+        }
+        const int64_t *cls = classes;
+        for (int64_t k = 0; k < nc; k++, cls += 1 + cls[0])  /* insertion sort over the class's positions */
+            for (int64_t i = 1; i < cls[0]; i++) {
+                int64_t value = y[cls[1 + i]], j = i;
+                for (; j > 0 && y[cls[j]] > value; j--)
+                    y[cls[1 + j]] = y[cls[j]];
+                y[cls[1 + j]] = value;
+            }
+        for (int64_t p = 0; p < np; p++)
+            c += y[p] * pos[4 * p + 1];
+        low[v] = c;
+        size[c]++;
+        if (c == v) {  /* y is v's own coordinates */
+            int trivial = 1;
+            for (int64_t p = 0; p < np && trivial; p++) {
+                const uint8_t *turns = (const uint8_t *)(intptr_t)pos[4 * p + 3];
+                trivial = !turns || turns[x[p]];
+            }
+            cls = classes;
+            for (int64_t k = 0; k < nc && trivial; k++, cls += 1 + cls[0])
+                for (int64_t i = 1; i < cls[0] && trivial; i++)
+                    trivial = y[cls[i]] != y[cls[1 + i]];
+            child[v] = trivial;
+            slot[v] = m++;
+            mask[v / 64] |= (uint64_t)1 << (v & 63);
+        }
+        for (int64_t p = np - 1; p >= 0 && ++x[p] == pos[4 * p]; p--)  /* the next vertex's coordinates */
+            x[p] = 0;
+    }
+    uint64_t *keep = mask + w;  /* row i: the i-th orbit, then the union of the orbits from it on */
+    memset(keep, 0, (m + 1) * w * sizeof *keep);
+    for (int64_t v = 0; v < n; v++) {
+        keep[slot[low[v]] * w + v / 64] |= (uint64_t)1 << (v & 63);
+        size[v] = size[low[v]];
+    }
+    for (int64_t i = m - 1; i >= 0; i--)
+        for (int64_t j = 0; j < w; j++)
+            keep[i * w + j] |= keep[(i + 1) * w + j];
+    return 4 * n + (m + 2) * w;
 }

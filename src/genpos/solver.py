@@ -86,10 +86,13 @@ change.  It keeps at each depth the AND of the prefix's rows for each
 candidate, so a node ANDs one row into its candidates where the Python
 loop ANDs one per prefix member; its body below a trivial stabilizer is
 built for rows of one to four words and once for wider rows.  Python
-keeps the prefix states: the compiled loop calls back on the first use of
-a state's child, which ``_Symmetry`` derives and memoises as for the
-Python loop, and reads each new state's orbit table as words
-(:func:`_state_words`); it calls back too for the setwise test.  Both
+keeps the prefix states, and each state its own block of words for the
+compiled loop, which ``genpos_orbits`` in ``_plain.c`` builds from the
+factor tables when the state is created (:meth:`_Symmetry.orbits`) and in
+which it pre-marks 1 every child whose stabilizer acts trivially.  The
+compiled loop calls back on the first use of any other child of a state,
+which ``_Symmetry`` derives and memoises as for the Python loop and writes
+into the parent's block; it calls back too for the setwise test.  Both
 loops hand each set that meets a tie to one Python function, ``keep``,
 the compiled loop through the same callback; it holds the tied sets of
 the largest size reached.  Enumeration, whose tie mask holds every
@@ -395,15 +398,30 @@ def _factor_orbits(kind: str, n: int, fixed: int) -> tuple[tuple[int, ...], tupl
     return tuple(lows), tuple(steps)
 
 
+@functools.cache
+def _factor_tables(kind: str, n: int, fixed: int) -> tuple[array, array]:
+    """What ``genpos_orbits`` reads of a factor group fixing ``fixed``: the
+    orbit minima of :func:`_factor_orbits` as int64, and per value c a byte,
+    1 when fixing c too leaves the group of :func:`_factor_generators`
+    trivial.  Kept for the process, so the tables' addresses stay valid."""
+    trivial = array("B", [not _factor_generators(kind, n, fixed | 1 << c) for c in range(n)])
+    return array("q", _factor_orbits(kind, n, fixed)[0]), trivial
+
+
 class _Prefix(dict):
     """Stabilizer state of one search prefix, with its orbit table
-    (:meth:`_Symmetry.orbits`), built when the state is created: ``mask``
-    is the bitset of its orbit-minimal vertices.  Item v is the state of
-    the prefix extended by v, or None once the stabilizer acts trivially,
-    derived on first use; ``tau`` caches the transversals of
-    :meth:`_Symmetry.transversal`."""
+    (:meth:`_Symmetry.orbits`), built when the state is created: ``low``
+    holds each vertex's orbit minimum and ``sizes`` each orbit's size, at
+    that minimum.  Item
+    v is the state of the prefix extended by v, or None once the
+    stabilizer acts trivially, derived on first use; ``tau`` caches the
+    transversals of :meth:`_Symmetry.transversal`.  With the compiled loop
+    the state owns its ``_plain.c`` block (``block``, read by the loop at
+    ``address``): a child derived here is written into its slot, and a
+    child pre-marked trivial there is None without a call to
+    :meth:`_Symmetry.extend`."""
 
-    __slots__ = ("sym", "fixed", "classes", "mask", "low", "orbit", "keep", "tau")
+    __slots__ = ("sym", "fixed", "classes", "low", "sizes", "block", "address", "mask", "orbit", "keep", "tau")
 
     def __init__(self, sym: "_Symmetry", fixed, classes):
         self.sym = sym
@@ -416,7 +434,15 @@ class _Prefix(dict):
         return True  # a state is a state even before any child is derived
 
     def __missing__(self, v: int) -> "_Prefix | None":
-        child = self[v] = self.sym.extend(self, v)
+        block = self.block
+        at = 2 * self.sym.n + v  # v's child slot
+        if block is not None and block[at] == 1:
+            child = None
+        else:
+            child = self.sym.extend(self, v)
+            if block is not None:
+                block[at] = 1 if child is None else child.address
+        self[v] = child
         return child
 
 
@@ -431,15 +457,15 @@ class _Symmetry:
     the smallest in its K_S-orbit iff each coordinate is the smallest in
     its factor orbit and the coordinates on each class of positions are
     non-decreasing; :meth:`orbits` applies that rule to every vertex at
-    once.  A prefix's state keeps the values used at each position as
-    bitsets and its classes, so a child's state follows from its parent's
-    in O(#factors).  States are memoised for the search, and the factor
+    once, in ``_plain.c`` when it loads, else in numpy.  A prefix's state
+    keeps the values used at each position as bitsets and its classes, so
+    a child's state follows from its parent's in O(#factors).  States are memoised for the search, and the factor
     orbits of :func:`_factor_orbits` for the process.
     """
 
     def __init__(self, g: ProductGraph):
         self.g = g
-        n = g.total_vertices
+        self.n = n = g.total_vertices
         self.full = (1 << n) - 1
         groups: dict[str, list[int]] = {}
         for p, f in enumerate(g.factors):
@@ -448,8 +474,19 @@ class _Symmetry:
         self.classes = tuple(tuple(ps) for ps in groups.values() if len(ps) > 1)
         self.families = [(f.kind, f.n) for f in g.factors]
         self._states: dict[tuple, _Prefix] = {}
-        # coordinates of every vertex, one row each
-        self._grid = np.arange(n)[:, None] // g.strides % g.sizes
+        self.blocks: dict[int, _Prefix] = {}  # a block's address -> its state
+        self._spec = None  # genpos_orbits' spec, the positions' tables left 0, or None for numpy
+        if _plain_loop() is not None:
+            w = -(-n // 64)
+            self._spec = array("q", [n, w, len(g.sizes), 0])
+            for size, stride in zip(g.sizes, g.strides):
+                self._spec.extend((size, stride, 0, 0))
+            self._out = array("Q", bytes(8 * (4 * n + (n + 2) * w)))
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        """The coordinates of every vertex, one row each."""
+        return np.arange(self.n)[:, None] // self.g.strides % self.g.sizes
 
     def root(self) -> _Prefix | None:
         """State of the empty prefix."""
@@ -483,13 +520,51 @@ class _Symmetry:
 
     def orbits(self, state: _Prefix) -> None:
         """Fill ``state.low`` (the smallest vertex of each vertex's orbit
-        under the state's group), ``state.orbit`` (each orbit's bitset, by
-        its smallest vertex), ``state.keep`` (by the same key t, the bitset
-        of the vertices whose orbit's smallest vertex is at least t) and
-        ``state.mask`` (the bitset of those keys, the orbit-minimal
-        vertices).  A vertex's minimum takes each coordinate to the smallest
-        vertex of its factor orbit, then sorts each class's values
-        ascending; numpy does this for every vertex at once."""
+        under the state's group) and ``state.sizes`` (each orbit's size, at
+        its smallest vertex), the tables that :meth:`orbit_weight` and
+        counting's roots read.  With the compiled loop both are views of the state's block
+        (:meth:`_orbit_block`), which the loop reads at ``state.address``;
+        without it the Python loop reads :meth:`_orbit_table`'s ints."""
+        if self._spec is None:
+            state.low, state.orbit, state.keep, state.mask = self._orbit_table(state)
+            state.sizes = {c: orbit.bit_count() for c, orbit in state.orbit.items()}
+            state.block = None
+            return
+        n = self.n
+        state.block = block = self._orbit_block(state)
+        view = memoryview(block)
+        state.low, state.sizes = view[:n], view[n:2 * n]
+        state.address = block.buffer_info()[0] + 16 * n
+        self.blocks[state.address] = state
+
+    def _orbit_block(self, state: _Prefix) -> array:
+        """``genpos_orbits``' words for ``state``: per vertex its orbit
+        minimum, then its orbit size, then the state's block for
+        ``_plain.c``, sized to its orbit-minimal vertices, with the child of
+        each whose stabilizer turns trivial pre-marked 1.  Python hands it
+        the factor tables of :func:`_factor_tables` for each position whose
+        group is not yet trivial, and the classes."""
+        spec = array("q", self._spec)
+        for p, u in state.fixed:
+            lows, trivial = _factor_tables(*self.families[p], u)
+            spec[4 * p + 6] = lows.buffer_info()[0]
+            spec[4 * p + 7] = trivial.buffer_info()[0]
+        spec[3] = len(state.classes)
+        for cls in state.classes:
+            spec.append(len(cls))
+            spec.extend(cls)
+        out = self._out
+        return out[:_loaded.genpos_orbits(spec.buffer_info()[0], out.buffer_info()[0])]
+
+    def _orbit_table(self, state: _Prefix) -> tuple[list[int], dict[int, int], dict[int, int], int]:
+        """The Python loop's orbit table of ``state``: (low, orbit, keep,
+        mask), ``low`` as in :meth:`orbits`, ``orbit`` each orbit's bitset,
+        by its smallest vertex, ``keep`` by the same key t the bitset of
+        the vertices whose orbit's smallest vertex is at least t, and
+        ``mask`` the bitset of those keys, the orbit-minimal vertices.  A
+        vertex's minimum takes each coordinate to the smallest vertex of
+        its factor orbit, then sorts each class's values ascending; numpy
+        does this for every vertex at once."""
         X = self._grid.copy()
         for p, u in state.fixed:
             X[:, p] = np.asarray(_factor_orbits(*self.families[p], u)[0])[X[:, p]]
@@ -506,7 +581,7 @@ class _Symmetry:
             keep[c] = rest
             rest ^= orbit[c]
             mask |= 1 << c
-        state.low, state.orbit, state.keep, state.mask = low, orbit, keep, mask
+        return low, orbit, keep, mask
 
     def transversal(self, state: _Prefix, v: int) -> list[int]:
         """A permutation of the flat indices, taken from ``state``'s group,
@@ -577,30 +652,31 @@ class _Symmetry:
         search's time budget covers the test.  From the empty prefix's
         state, a nonzero weight is the max-search's setwise leader test.
         """
-        bits = 0
-        for x in T:
-            bits |= 1 << x
         chain: list[_Prefix] = []
         ties = []
-        for t in T:  # bits holds T from t on
-            keep = state.keep.get(t)
-            if keep is None or bits & ~keep:
+        for i, t in enumerate(T):
+            low = state.low
+            if low[t] != t:
                 return 0
-            bits ^= 1 << t
-            ties.append(bits & state.orbit[t])
+            tie = []
+            for x in T[i + 1:]:
+                c = low[x]
+                if c <= t:
+                    if c < t:  # x lies below t's orbit
+                        return 0
+                    tie.append(x)
+            ties.append(tie)
             chain.append(state)
-            if not bits:
+            if i + 1 == len(T):
                 break
             state = state[t]
             if state is None:
                 break
         size = reach = 1
         for i, tie in enumerate(ties):
-            size *= chain[i].orbit[T[i]].bit_count()
+            size *= chain[i].sizes[T[i]]
             onto = 1
-            while tie:
-                y = (tie & -tie).bit_length() - 1
-                tie &= tie - 1
+            for y in tie:
                 tau = self.transversal(chain[i], y)
                 found = self._image_search(chain, i + 1, [tau[u] for u in T], T, deadline)
                 if found < 0:
@@ -651,7 +727,7 @@ _HEADER = 21  # words before S in the loop's buffer (HEADER in ``_plain.c``)
 def _plain_loop():
     """``genpos_plain`` from ``_plain.c``, compiled and loaded on first use,
     or None if that fails; the search then runs the Python loop, and the
-    index is built in numpy, with the same results."""
+    index and the orbit tables are built in numpy, with the same results."""
     global _loaded
     if _loaded is None:
         try:
@@ -707,20 +783,9 @@ def _load_plain():
     lib.genpos_plain.restype = ctypes.c_int
     lib.genpos_index.argtypes = [ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p, ctypes.c_void_p]
     lib.genpos_index.restype = None
+    lib.genpos_orbits.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.genpos_orbits.restype = ctypes.c_int64
     return lib
-
-
-def _state_words(state: _Prefix, n: int, w: int) -> bytearray:
-    """A prefix state's block for ``_plain.c``, made from its orbit table
-    (:meth:`_Symmetry.orbits`), whose keys ascend: per vertex its child's
-    block (0 until derived), per orbit-minimal vertex the index of its
-    orbit's keep row, the mask of the orbit-minimal vertices, and the orbits' keep rows in
-    ascending order, then a zero row."""
-    slots = array("q", bytes(8 * n))
-    for i, t in enumerate(state.keep):
-        slots[t] = i
-    rows = (state.mask, *state.keep.values(), 0)
-    return bytearray(8 * n) + slots + b"".join([x.to_bytes(8 * w, "little") for x in rows])
 
 
 class _PlainCall:
@@ -741,18 +806,20 @@ class _PlainCall:
     pages that a search writes become resident, and a bytearray below,
     where a map and its page faults cost about 15 us a search.
 
-    The loop calls back (``_back``) to keep a tied set, given its whole
-    path S + [v] (``keep``); to derive the child of a state on its first
-    use, which ``_Symmetry`` memoises as for the Python loop, and to make
-    a new state's block (:func:`_state_words`); and to test a prefix
-    setwise (``_lead``).  An exception in a callback stops the loop and is
-    handed back to be raised: left to ctypes, it would be printed and
-    dropped, and the search would go on."""
+    Each state carries its own block (:meth:`_Symmetry.orbits`), which
+    ``genpos_orbits`` builds with every child whose stabilizer acts
+    trivially pre-marked 1.  The loop calls back (``_back``) to keep a tied
+    set, given its whole path S + [v] (``keep``); to derive any other
+    child of a state on its first use, which ``_Symmetry`` memoises as for
+    the Python loop and writes into the parent's block; and to test a
+    prefix setwise (``_lead``).  An exception in a callback stops the
+    loop and is handed back to be raised: left to ctypes, it would be
+    printed and dropped, and the search would go on."""
 
     def __init__(self, loop, words, slack, keep, tie, best, max_nodes, step, check_at, deadline):
         n, _, w = words.shape
         self.loop = loop
-        self.n, self.w = n, w
+        self.w = w
         self.witness = 8 * (_HEADER + n)  # byte offsets of the witness
         self.cand = self.witness + 8 * n  # and the candidate stack; the tie stack follows
         stack = 8 * w * (n + 1)
@@ -761,9 +828,8 @@ class _PlainCall:
         self.keep = keep
         self.deadline = deadline
         self.group = None  # the whole group's state while the max-search runs
+        self.sym = None  # the states' _Symmetry, whose blocks the loop calls back with
         self.error = None  # the exception that stopped a callback
-        self.blocks = {}  # id(state) -> its block's address
-        self.states = {}  # a block's address -> (state, block, its ctypes view)
         self.callback = _CALLBACK(self._back)  # held while the loop may call it
         if words.nbytes < _MAPPED_ROWS:
             rows = bytearray(words.nbytes)
@@ -803,18 +869,8 @@ class _PlainCall:
         return self.group.sym.orbit_weight(self.group, self._path(k1), self.deadline)
 
     def _derive(self, at, v):
-        state, block, _ = self.states[at]
-        child = state[v]
-        struct.pack_into("Q", block, 8 * v, 1 if child is None else self._block(child))
-
-    def _block(self, state):
-        at = self.blocks.get(id(state))
-        if at is None:
-            block = _state_words(state, self.n, self.w)
-            view = ctypes.c_char.from_buffer(block)
-            at = self.blocks[id(state)] = ctypes.addressof(view)
-            self.states[at] = state, block, view
-        return at
+        # the child of v under the state whose block is at ``at``, written into that block
+        self.sym.blocks[at][v]
 
     def __call__(self, S, cand, weight, state, counting, group):
         """The start (S, ``cand``, ``weight``, ``state``) in C, counting
@@ -825,8 +881,10 @@ class _PlainCall:
         buf = self.buf
         k = len(S)
         self.group = group
+        if state is not None:
+            self.sym = state.sym
         remaining = 0.0 if self.deadline is None else self.deadline - time.monotonic()
-        struct.pack_into(f"qQ3qd8x{k}q", buf, 8 * 14, k, 0 if state is None else self._block(state), weight,
+        struct.pack_into(f"qQ3qd8x{k}q", buf, 8 * 14, k, 0 if state is None else state.address, weight,
                          counting, group is not None, remaining, *S)
         buf[self.cand:self.cand + 8 * self.w] = cand.to_bytes(8 * self.w, "little")
         stopped = self.loop(*self.args)
@@ -1084,10 +1142,11 @@ def count_maximum_gp_sets(
         return 1, 1
     full = (1 << n) - 1
     root = _Symmetry(g).root()
-    # keys ascend, as low[x] <= x; a trivial group leaves every vertex its own orbit
-    orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
-    starts = [([r], full ^ (1 << r), orbit.bit_count(), None if root is None else root[r])
-              for r, orbit in orbits.items()]
+    # one start per orbit-minimal root; a trivial group leaves every vertex its own orbit
+    if root is None:
+        starts = [([r], full ^ (1 << r), 1, None) for r in range(n)]
+    else:
+        starts = [([r], full ^ (1 << r), root.sizes[r], root[r]) for r in range(n) if root.low[r] == r]
     best, count, _, _, complete = _dfs(index, starts, [], limits, slack=0)
     if not complete:
         reached = f"; the largest set reached had {best} vertices" if best else ""

@@ -170,7 +170,7 @@ def _root_orbit_table(g):
     root = _Symmetry(g).root()
     if root is None:
         return list(range(n)), dict.fromkeys(range(n), 1)
-    return root.low, {r: orbit.bit_count() for r, orbit in root.orbit.items()}
+    return list(root.low), {r: root.sizes[r] for r in range(n) if root.low[r] == r}
 
 
 @pytest.mark.parametrize("name", SYMMETRY_CORPUS)
@@ -321,7 +321,7 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
     ]
     sym = _Symmetry(g)
     root = sym.root()
-    assert [v for v in range(n) if root is None or root.mask >> v & 1] == list(_root_orbit_table(g)[1])
+    assert [v for v in range(n) if root is None or root.low[v] == v] == list(_root_orbit_table(g)[1])
     rng = random.Random(name)
     for prefix in [[]] + [_random_gp_prefix(D, rng) for _ in range(12)]:
         state = root
@@ -330,7 +330,7 @@ def test_every_dropped_vertex_is_lowered_by_a_prefix_automorphism(name):
         if state is None:
             continue  # nothing is dropped
         for v in range(n):
-            if not state.mask >> v & 1:
+            if state.low[v] != v:
                 assert any(
                     s[v] < v and all(s[u] == u for u in prefix) for s in automorphisms
                 ), (prefix, g.decode(v))
@@ -397,10 +397,11 @@ def _move_set(s, U):
 @pytest.mark.parametrize("name", SYMMETRY_CORPUS)
 def test_generators_are_automorphisms_closing_to_the_root_orbits(name):
     """Each generator preserves every BFS distance, each vertex's closure is
-    its orbit in ``root.orbit``, and random general position sets have the
-    same orbits under the generators as under the engine-free
-    :func:`_spec_group_generators` (equal vertex orbits alone would miss a
-    lost reflection, say, as a cycle's rotation reaches all its vertices)."""
+    its orbit in ``root.low``, of the size ``root.sizes`` gives, and random
+    general position sets have the same orbits under the generators as
+    under the engine-free :func:`_spec_group_generators` (equal vertex
+    orbits alone would miss a lost reflection, say, as a cycle's rotation
+    reaches all its vertices)."""
     g = SYMMETRY_CORPUS[name]
     D = bfs_distance_table(g)
     n = g.total_vertices
@@ -410,11 +411,12 @@ def test_generators_are_automorphisms_closing_to_the_root_orbits(name):
         assert sorted(h) == list(range(n))
         assert all(D[h[x]][h[y]] == D[x][y] for x in range(n) for y in range(n))
     root = sym.root()
-    orbits = {r: 1 << r for r in range(n)} if root is None else root.orbit
     low = range(n) if root is None else root.low
+    sizes = [1] * n if root is None else root.sizes
     for x in range(n):
         closure = _closure(gens, x, _move_vertex)
-        assert sum(1 << y for y in closure) == orbits[low[x]], g.decode(x)
+        assert closure == {y for y in range(n) if low[y] == low[x]}, g.decode(x)
+        assert len(closure) == sizes[low[x]], g.decode(x)
     spec_gens = _spec_group_generators(g)
     rng = random.Random(name)
     for _ in range(8):
@@ -469,11 +471,11 @@ def test_search_pairs_are_orbit_leaders_on_cycles_and_complete_graphs(spec):
     root = sym.root()
     gens = _spec_group_generators(g)
     for s1 in range(n):
-        if not root.mask >> s1 & 1:
+        if root.low[s1] != s1:
             continue
         state = root[s1]
         for s2 in range(s1 + 1, n):
-            if root.keep[s1] >> s2 & 1 and (state is None or state.mask >> s2 & 1):
+            if root.low[s2] >= s1 and (state is None or state.low[s2] == s2):
                 assert min(sorted(U) for U in _closure(gens, frozenset((s1, s2)), _move_set)) == [s1, s2]
                 assert sym.orbit_weight(root, [s1, s2])
 
@@ -926,25 +928,34 @@ def test_each_start_is_one_compiled_call(monkeypatch):
 
 def test_an_exception_deriving_a_state_reaches_the_caller_on_both_loops(monkeypatch, capfd):
     # the fifth state derived raises: the Python loop derives it in
-    # rec_sym, the compiled loop in its callback, which stops the loop
+    # rec_sym, the compiled loop in its callback, which stops the loop.
+    # Both derive the same states in the same order; only the Python loop
+    # calls extend for a child whose stabilizer acts trivially, as
+    # genpos_orbits pre-marks those in the parent's block
     extend = _Symmetry.extend
-    derived = []
+    derived, trivial = [], []
 
     def spy(self, state, v):
-        derived.append(v)
+        child = extend(self, state, v)
+        if child is None:
+            trivial.append(v)
+            return None
+        derived.append((state.fixed, state.classes, v))
         if len(derived) == 5:
             raise KeyboardInterrupt
-        return extend(self, state, v)
+        return child
 
     def run():
         derived.clear()
+        trivial.clear()
         with pytest.raises(KeyboardInterrupt):
             gp_exact(build("K2^6"))
-        return list(derived)
+        return list(derived), len(trivial)
 
     monkeypatch.setattr(_Symmetry, "extend", spy)
     compiled, python = _both_loops(monkeypatch, run)
-    assert compiled == python and len(compiled) == 5
+    assert compiled[0] == python[0] and len(compiled[0]) == 5
+    assert python[1] > 0 and compiled[1] == (0 if solver._plain_loop() else python[1])
     assert capfd.readouterr() == ("", "")
 
 
@@ -1405,6 +1416,90 @@ def test_the_index_kernel_builds_a_cover_piece(monkeypatch):
     assert D.tolist() == [[full[x][y] for y in flats] for x in flats]
     for words in (on_c, on_py):
         _check_words(words, D.tolist(), range(len(flats)))
+
+
+def _oracle_block(sym, state):
+    """The words genpos_orbits must write for ``state``, built from the
+    numpy orbit table: per vertex its orbit minimum, then its orbit size;
+    per vertex the child slot, 1 for each orbit-minimal v whose ``extend``
+    returns None and 0 elsewhere; per vertex its orbit's row, at its
+    orbit-minimal vertex; the mask, the keep rows in ascending order and a
+    zero row, W words each."""
+    n = sym.n
+    w = -(-n // 64)
+    low, orbit, keep, mask = sym._orbit_table(state)
+    keys = sorted(orbit)
+    assert mask == sum(1 << t for t in keys) and list(keep) == keys
+    child, slot = [0] * n, [0] * n
+    for i, t in enumerate(keys):
+        child[t] = int(sym.extend(state, t) is None)
+        slot[t] = i
+    rows = [mask, *keep.values(), 0]
+    words = [x >> 64 * j & (1 << 64) - 1 for x in rows for j in range(w)]
+    return low + [orbit[c].bit_count() for c in low] + child + slot + words
+
+
+def _symmetries_of(monkeypatch, run):
+    """Every _Symmetry that run() builds."""
+    built = []
+
+    class Spy(_Symmetry):
+        def __init__(self, g):
+            super().__init__(g)
+            built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_Symmetry", Spy)
+        run()
+    return built
+
+
+def _check_orbit_blocks(sym, states):
+    # each state's low and sizes against the numpy table, and with the
+    # compiled loop its block against the oracle: genpos_orbits run again,
+    # and the state's own block, whose child slots also hold the address of
+    # each child derived since
+    n = sym.n
+    for state in states:
+        oracle = _oracle_block(sym, state)
+        assert list(state.low) == oracle[:n]
+        assert all(state.sizes[t] == oracle[n + t] for t in range(n) if oracle[t] == t)
+        if sym._spec is None:
+            assert state.block is None
+            continue
+        assert list(sym._orbit_block(state)) == oracle
+        block = list(state.block)
+        assert state.address == state.block.buffer_info()[0] + 16 * n and sym.blocks[state.address] is state
+        for v, at in enumerate(block[2 * n:3 * n]):
+            assert at == oracle[2 * n + v] or at == state[v].address, (state.fixed, state.classes, v)
+        assert block[3 * n:] == oracle[3 * n:]
+
+
+@pytest.mark.parametrize("spec", ["P5xP5", "C9xC9", "K4^3", "K2^6", "C4^3", "P3^4", "C5^3", "K3xK3xC3", "S3xS3",
+                                  "P1xK3", "C4 x explicit P4"])
+def test_the_orbit_kernel_matches_the_numpy_table(spec, monkeypatch):
+    # every state that the max-search and the count reach; the pre-marked
+    # children are exactly the orbit-minimal v whose extend returns None
+    g = SYMMETRY_CORPUS[spec] if spec in SYMMETRY_CORPUS else build(spec)
+    syms = _symmetries_of(monkeypatch, lambda: (gp_exact(g), count_maximum_gp_sets(g, cap=None)))
+    assert len(syms) == 2
+    for sym in syms:
+        states = list(sym._states.values())
+        assert states
+        _check_orbit_blocks(sym, states)
+
+
+def test_the_orbit_kernel_matches_at_eight_words():
+    # K2^9, 512 vertices in W = 8: the root, its one child (vertex 0 is
+    # its only orbit-minimal vertex) and that child's ten, one per weight,
+    # of which 0 and 511 lead back to it
+    sym = _Symmetry(build("K2^9"))
+    states = [sym.root()]
+    for depth in range(2):
+        state = states[depth]
+        states += [state[v] for v in range(sym.n) if state.low[v] == v and state[v] is not None]
+    assert len(states) == 2 + 10
+    _check_orbit_blocks(sym, states)
 
 
 def _fresh_loader(monkeypatch, cache, cc=None):
